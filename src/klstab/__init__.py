@@ -43,7 +43,6 @@ from .winding import (
     RefinementPolicy,
     WindingResult,
     curve_to_csv,
-    exterior_zero_count_winding,
     kl_curve_evaluator,
     sample_kl_curve,
     winding_number,
@@ -57,6 +56,7 @@ from .analyzer import (
     analyze,
     bisect_stability_edge,
     classify_boundary_zero,
+    exterior_zero_count_winding,
     sweep,
 )
 from .simulator import GaussianPulse, IBVPRun, SigmaScan, SolutionField, run_ibvp, sigma_scan

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -174,6 +174,27 @@ def classify_boundary_zero(
     return BoundaryZeroType.TYPE_IV
 
 
+def _wind_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int, policy: RefinementPolicy) -> WindingResult:
+    """Winding result of the normalized determinant curve sampled at ``n0 + 1`` points."""
+    curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
+    return winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True))
+
+
+def exterior_zero_count_winding(
+    s: Scheme,
+    rb: ReducedBoundary,
+    n0: int = 1024,
+    policy: RefinementPolicy = DEFAULT_POLICY,
+) -> int:
+    """Zero count of the determinant outside the closed unit disk, by winding.
+
+    Equals ``r`` minus the index of the raw determinant curve; on the
+    normalized curve used here that is just minus the index. Propagates
+    :class:`OriginOnCurve` when a zero sits on the unit circle itself.
+    """
+    return -_wind_kl_curve(s, rb, n0, policy).index
+
+
 def analyze(
     s: Scheme,
     bc: BoundaryCondition,
@@ -182,7 +203,11 @@ def analyze(
     n_xi: int = 4096,
     policy: RefinementPolicy = DEFAULT_POLICY,
 ) -> StabilityVerdict:
-    """Full decision procedure for one (scheme, boundary condition) pair."""
+    """Full decision procedure for one (scheme, boundary condition) pair.
+
+    ``policy`` sets the refinement budget and split thresholds of the
+    winding route; its origin threshold is ``tols.origin_tol``.
+    """
     if bc.r > s.r:
         bc = bc.restricted_to(s.r)
     report = validate(s, n_xi=n_xi, tols=tols)
@@ -203,8 +228,7 @@ def analyze(
 
     notes: List[str] = []
     try:
-        curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
-        wres = winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True))
+        wres = _wind_kl_curve(s, rb, n0, replace(policy, origin_rel_tol=tols.origin_tol))
     except OriginOnCurve as exc:
         zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
         return StabilityVerdict(

@@ -6,8 +6,9 @@ Commands
     sweep      exterior-zero-count map over a lambda (and optional sigma) grid as CSV
     simulate   final-time amplitude field of a sigma scan as CSV
 
-Exit codes: 0 success / strongly stable, 1 usage or config error, 2 unstable,
-3 assumption violated, 4 inconclusive.
+Exit codes: 0 success / strongly stable, 1 usage, config or input error
+(one ``error:`` line on stderr), 2 unstable, 3 assumption violated,
+4 inconclusive.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .analyzer import StabilityStatus, analyze, sweep
 from .boundary import boundary_from_descriptor, custom_condition, silw_condition
 from .config import DEFAULT_TOLS, Tolerances
+from .errors import KLStabError
 from .scheme import Scheme, make_beam_warming, scheme_from_descriptor
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
 from .winding import curve_to_csv, sample_kl_curve
@@ -313,10 +315,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, ValueError, KLStabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,7 +26,7 @@ from klstab.kl import (
 )
 from klstab.scheme import make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, sigma_scan
-from klstab.winding import exterior_zero_count_winding
+from klstab.analyzer import exterior_zero_count_winding
 
 FIG6_PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
 

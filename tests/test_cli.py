@@ -161,3 +161,26 @@ def test_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "StronglyStable"
+
+
+def test_origin_tol_flag_changes_verdict(capsys):
+    # near the Fig. 5 edge the curve passes about 0.05 from the origin
+    args = ["check", "--lambda", "1.52", "--silw", "2", "3"]
+    assert run_cli(args) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "StronglyStable"
+    assert run_cli(args + ["--origin-tol", "0.9"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "UnstableBoundaryZero"
+
+
+def test_library_errors_print_one_line(capsys):
+    cases = [
+        (["check", "--lambda", "0.7", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
+        (["check", "--lambda", "0.7", "--silw", "4", "3"], "need 0 <= k_d <= d"),
+        (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "-1"], "origin_tol must be positive"),
+    ]
+    for argv, message in cases:
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines

@@ -1,14 +1,17 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from klstab.analyzer import exterior_zero_count_winding
 from klstab.boundary import silw_condition
-from klstab.errors import OriginOnCurve, RefinementBudgetExceeded
+from klstab.errors import DegreeMismatch, OriginOnCurve, RefinementBudgetExceeded
 from klstab.kl import exterior_zero_count_direct, reduce_boundary
-from klstab.scheme import CurveSamples, make_beam_warming
+from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
 from klstab.winding import (
     RefinementPolicy,
     curve_to_csv,
-    exterior_zero_count_winding,
     kl_curve_evaluator,
     sample_kl_curve,
     winding_number,
@@ -84,8 +87,127 @@ def test_coarse_start_refines_to_correct_index():
     coarse = winding_number(circle_curve(fn, 64), evaluator=fn)
     dense = winding_number(circle_curve(fn, 16384), evaluator=fn)
     assert coarse.index == dense.index == 1
-    assert coarse.samples_used > 65
+    # pinned to the depth-first refinement: 44 inserted midpoints
+    assert coarse.samples_used == 109
+    assert dense.samples_used == 16385
 
+
+def test_evaluator_called_once_per_level_with_an_array():
+    # four chords of the unit circle are too long for their distance to the
+    # origin; every segment is split until there are 32, one level per call
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        return np.exp(1j * t)
+
+    result = winding_number(circle_curve(lambda t: np.exp(1j * t), 4), evaluator=fn)
+    assert result.index == 1
+    assert all(isinstance(t, np.ndarray) for t in calls)
+    assert [t.size for t in calls] == [4, 8, 16]
+    assert result.samples_used == 5 + 4 + 8 + 16
+
+
+def depth_first_reference(curve, policy, evaluator):
+    """The refinement as a scalar depth-first walk over the segments in parameter order."""
+    params, points = curve.params, curve.points
+    scale = float(np.max(np.abs(points)))
+    evaluations = params.size
+
+    def tol():
+        return policy.origin_rel_tol * scale
+
+    if scale == 0.0:
+        return ("origin", evaluations, 0.0)
+    for p in points:
+        if abs(p) < tol():
+            return ("origin", evaluations, abs(p))
+    total, min_distance = 0.0, math.inf
+    stack = [(params[k], complex(points[k]), params[k + 1], complex(points[k + 1]))
+             for k in range(params.size - 2, -1, -1)]
+    while stack:
+        ta, pa, tb, pb = stack.pop()
+        d = pb - pa
+        length = abs(d)
+        t = min(1.0, max(0.0, -(pa * d.conjugate()).real / length**2)) if length else 0.0
+        dist = abs(pa + t * d)
+        increment = cmath.phase(pb * pa.conjugate())
+        if length > 0 and (abs(increment) > policy.angle_threshold or dist < policy.proximity_factor * length):
+            if evaluator is None:
+                return ("budget",)
+            if evaluations + 1 > policy.max_evaluations:
+                return ("origin", evaluations, dist) if dist < tol() else ("budget",)
+            tm = 0.5 * (ta + tb)
+            pm = complex(evaluator(np.array([tm]))[0])
+            evaluations += 1
+            scale = max(scale, abs(pm))
+            if abs(pm) < tol():
+                return ("origin", evaluations, abs(pm))
+            stack += [(tm, pm, tb, pb), (ta, pa, tm, pm)]
+            continue
+        if dist < tol():
+            return ("origin", evaluations, dist)
+        min_distance = min(min_distance, dist)
+        total += increment
+    if min_distance < tol():
+        return ("origin", evaluations, min_distance)
+    turns = total / (2.0 * math.pi)
+    if abs(turns - round(turns)) > policy.integer_tol:
+        return ("budget",)
+    return ("ok", evaluations, min_distance, round(turns))
+
+
+def random_trig_curve(rng):
+    """A short trigonometric sum in real arithmetic, often shifted onto or next to the origin."""
+    ks = rng.integers(-3, 4, size=rng.integers(1, 5))
+    coeffs = rng.normal(size=(ks.size, 2))
+
+    def raw(t):
+        t = np.asarray(t, dtype=float)
+        re, im = np.zeros(t.shape), np.zeros(t.shape)
+        for k, (a, b) in zip(ks, coeffs):
+            cos, sin = np.cos(k * t), np.sin(k * t)
+            re, im = re + (a * cos - b * sin), im + (a * sin + b * cos)
+        return re + 1j * im
+
+    shift = 0j
+    kind = rng.integers(0, 3)
+    if kind > 0:
+        shift = complex(raw(rng.uniform(0.0, 2.0 * np.pi)))
+    if kind == 2:
+        shift += 10.0 ** rng.uniform(-9, -1) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    return lambda t: raw(t) - shift
+
+
+def test_matches_depth_first_reference_on_random_curves():
+    # same refined polygon, evaluation count and error as the depth-first
+    # walk, including origin hits and budget exhaustion mid-refinement
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(300):
+        fn = random_trig_curve(rng)
+        n = int(rng.integers(3, 120))
+        curve = circle_curve(fn, n)
+        policy = RefinementPolicy(
+            max_evaluations=int(rng.choice([n + 1 + int(rng.integers(0, 40)), n + 300, 4096])),
+            angle_threshold=float(rng.choice([np.pi / 2, 0.3, 2.5])),
+            proximity_factor=float(rng.choice([4.0, 1.0, 0.5, 10.0])),
+            origin_rel_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
+        )
+        evaluator = None if rng.uniform() < 0.1 else fn
+        expected = depth_first_reference(curve, policy, evaluator)
+        try:
+            result = winding_number(curve, policy, evaluator=evaluator)
+            got = ("ok", result.samples_used, result.min_distance, result.index)
+        except OriginOnCurve as exc:
+            got = ("origin", exc.result.samples_used, exc.result.min_distance)
+        except RefinementBudgetExceeded:
+            got = ("budget",)
+        assert got[:2] == expected[:2] and got[3:] == expected[3:], (got, expected)
+        if len(got) > 2:
+            assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-300)
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "origin", "budget"}
 
 def test_scale_invariance_of_kl_curve_index():
     rng = np.random.default_rng(13)
@@ -115,6 +237,15 @@ def test_normalized_counts_match_direct_on_grid():
             except OriginOnCurve:
                 continue
             assert count == direct.count, (kd, d, lam)
+
+
+def test_count_takes_origin_threshold_from_policy():
+    # near the Fig. 5 edge the curve passes about 0.05 from the origin
+    s = make_beam_warming(1.52)
+    rb = reduce_boundary(s, silw_condition(s.r, 2, 3, 0.0))
+    assert exterior_zero_count_winding(s, rb) == 0
+    with pytest.raises(OriginOnCurve):
+        exterior_zero_count_winding(s, rb, policy=RefinementPolicy(origin_rel_tol=0.9))
 
 
 def test_halving_samples_keeps_index():
@@ -166,3 +297,44 @@ def test_curve_csv_format():
     theta, re, im = lines[1].split(",")
     assert float(theta) == 0.0
     complex(float(re), float(im))
+
+
+def lagrange_upwind(r, lam):
+    """Coefficients a_-r .. a_0 of the upwind scheme interpolating U at x_j - lam on r + 1 cells."""
+    nodes = np.arange(-r, 1)
+    return [float(np.prod([(-lam - m) / (k - m) for m in nodes if m != k])) for k in nodes]
+
+
+def test_winding_and_direct_counts_agree_on_random_pairs():
+    # consistent, Cauchy-stable upwind stencils of widths 1..5 with SkILWd
+    # boundaries at random offsets, twelve pairs per width
+    rng = np.random.default_rng(2207)
+    compared, skipped, counts = 0, 0, set()
+    for r in range(1, 6):
+        pairs = 0
+        while pairs < 12:
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            if not validate(s).all_pass:
+                continue
+            pairs += 1
+            d = int(rng.integers(1, 6))
+            kd = int(rng.integers(0, d + 1))
+            sigma = float(rng.uniform(-0.5, 0.5))
+            try:
+                rb = reduce_boundary(s, silw_condition(s.r, kd, d, sigma))
+            except DegreeMismatch:
+                skipped += 1
+                continue
+            direct = exterior_zero_count_direct(rb)
+            if direct.has_boundary_band:
+                # k_d = 0 keeps constants, which puts a determinant root at z = 1
+                assert kd == 0
+                skipped += 1
+                continue
+            count = exterior_zero_count_winding(s, rb)
+            assert count == direct.count, (r, lam, kd, d, sigma)
+            compared += 1
+            counts.add(count)
+    assert (compared, skipped) == (41, 19)
+    assert {0, 1, 2} <= counts
