@@ -8,7 +8,7 @@ time-domain simulation.
 """
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial, RootSet, poly_eval, poly_roots
+from .core_numerics import ComplexPolynomial, RootSet, poly_roots
 from .scheme import (
     AssumptionReport,
     CurveSamples,
@@ -35,7 +35,6 @@ from .kl import (
     k_matrix,
     kl_det_direct,
     kl_det_explicit,
-    kl_det_raw,
     reduce_boundary,
     stable_roots,
 )
@@ -103,9 +102,7 @@ __all__ = [
     "kl_curve_evaluator",
     "kl_det_direct",
     "kl_det_explicit",
-    "kl_det_raw",
     "make_beam_warming",
-    "poly_eval",
     "poly_roots",
     "reduce_boundary",
     "run_cli",

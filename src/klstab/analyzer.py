@@ -20,7 +20,7 @@ from scipy.optimize import minimize_scalar
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import IllConditionedKernel, OriginOnCurve, RefinementBudgetExceeded
+from .errors import IllConditionedKernel, KLStabError, OriginOnCurve, RefinementBudgetExceeded
 from .kl import (
     ExteriorRootCount,
     ReducedBoundary,
@@ -29,7 +29,7 @@ from .kl import (
     reduce_boundary,
     stable_roots,
 )
-from .scheme import AssumptionReport, Scheme, symbol, validate
+from .scheme import AssumptionReport, Scheme, symbol, symbol_basis, validate
 from .winding import (
     DEFAULT_POLICY,
     RefinementPolicy,
@@ -113,8 +113,8 @@ class StabilityVerdict:
 
 def _distance_to_symbol_curve(s: Scheme, z0: complex, coarse: int = 4096) -> float:
     """Distance from ``z0`` to the symbol curve: dense scan plus local polish."""
-    xi = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    dist = np.abs(symbol(s, xi) - z0)
+    xi, basis = symbol_basis(coarse, s.r)
+    dist = np.abs(basis @ s.a - z0)
     k = int(np.argmin(dist))
     h = 2.0 * np.pi / coarse
     lo, hi = xi[k] - h, xi[k] + h
@@ -338,10 +338,14 @@ class StabilityMap:
 
 
 def _sweep_cell(args) -> Tuple[int, int, int, str]:
+    """One grid cell; a cell whose analysis raises is recorded as inconclusive."""
     scheme_family, bc_family, i, j, lam, sigma, tols, n0 = args
     s = scheme_family(lam)
     bc = bc_family(lam, sigma)
-    verdict = analyze(s, bc, tols=tols, n0=n0)
+    try:
+        verdict = analyze(s, bc, tols=tols, n0=n0)
+    except KLStabError:
+        return i, j, -1, StabilityStatus.INCONCLUSIVE.value
     if verdict.exterior_zero_count is None:
         return i, j, -1, verdict.status.value
     return i, j, int(verdict.exterior_zero_count), verdict.status.value
@@ -360,8 +364,12 @@ def sweep(
 
     Cells are independent; with ``jobs > 1`` they are computed in a process
     pool (the families must be picklable) and written back by index, so the
-    result is identical for any parallelism degree.
+    result is identical for any parallelism degree. A cell whose analysis
+    raises a :class:`~klstab.errors.KLStabError` is ``Inconclusive`` with
+    count -1 instead of aborting the sweep.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     lambda_grid = np.asarray(list(lambda_grid), dtype=float)
     sigma_grid = np.asarray(list(sigma_grid), dtype=float)
     if lambda_grid.size == 0 or sigma_grid.size == 0:

@@ -1,4 +1,4 @@
-"""Complex polynomial arithmetic, root finding and root clustering.
+"""Complex polynomials: trimming, evaluation, root finding and root clustering.
 
 Degrees in this package stay in the single digits (stencil widths and
 boundary orders), so dense coefficient arrays, companion-matrix eigenvalues
@@ -18,17 +18,27 @@ from .errors import DegenerateLeadingCoefficient
 NEG_INF = float("-inf")
 
 
+def _kept(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
+    """Mask of the coefficients that trimming keeps, per polynomial along the last axis.
+
+    A coefficient is kept when it, or one of higher power, exceeds
+    ``trim_rel`` times the largest coefficient of its polynomial.
+    """
+    mag = np.abs(coeffs)
+    significant = mag > trim_rel * np.maximum.reduce(mag, axis=-1, keepdims=True)
+    return np.logical_or.accumulate(significant[..., ::-1], axis=-1)[..., ::-1]
+
+
 def _trim(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
     """Drop trailing (leading-power) coefficients negligible vs the largest one."""
     if coeffs.size == 0:
         return coeffs
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return coeffs[:0]
-    significant = np.nonzero(np.abs(coeffs) > trim_rel * scale)[0]
-    if significant.size == 0:
-        return coeffs[:0]
-    return coeffs[: significant[-1] + 1]
+    return coeffs[: np.count_nonzero(_kept(coeffs, trim_rel))]
+
+
+def _trim_batch(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
+    """:func:`_trim` for a stack of polynomials along the last axis; dropped coefficients become 0."""
+    return np.where(_kept(coeffs, trim_rel), coeffs, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,21 +62,6 @@ class ComplexPolynomial:
     def from_coeffs(cls, coeffs: Iterable[complex], trim_rel: float = DEFAULT_TOLS.trim_rel) -> "ComplexPolynomial":
         arr = np.atleast_1d(np.asarray(list(coeffs), dtype=complex))
         return cls(_trim(arr, trim_rel))
-
-    @classmethod
-    def zero(cls) -> "ComplexPolynomial":
-        return cls(np.zeros(0, dtype=complex))
-
-    @classmethod
-    def one(cls) -> "ComplexPolynomial":
-        return cls(np.ones(1, dtype=complex))
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[complex], leading: complex = 1.0) -> "ComplexPolynomial":
-        coeffs = np.array([leading], dtype=complex)
-        for root in roots:
-            coeffs = np.convolve(coeffs, np.array([-root, 1.0], dtype=complex))
-        return cls(coeffs)
 
     @property
     def degree(self) -> Union[int, float]:
@@ -93,46 +88,10 @@ class ComplexPolynomial:
             acc = acc * zarr + c
         return acc
 
-    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=complex)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return ComplexPolynomial.from_coeffs(out) if n else ComplexPolynomial.zero()
-
-    def __sub__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=complex)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] -= other.coeffs
-        return ComplexPolynomial.from_coeffs(out) if n else ComplexPolynomial.zero()
-
-    def __neg__(self) -> "ComplexPolynomial":
-        return ComplexPolynomial(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexPolynomial):
-            if self.is_zero or other.is_zero:
-                return ComplexPolynomial.zero()
-            return ComplexPolynomial.from_coeffs(np.convolve(self.coeffs, other.coeffs))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, factor: complex) -> "ComplexPolynomial":
-        if factor == 0 or self.is_zero:
-            return ComplexPolynomial.zero()
-        return ComplexPolynomial(self.coeffs * factor)
-
     def derivative(self) -> "ComplexPolynomial":
         if self.coeffs.size <= 1:
-            return ComplexPolynomial.zero()
+            return ComplexPolynomial(np.zeros(0, dtype=complex))
         return ComplexPolynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
-
-    def monic(self) -> "ComplexPolynomial":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic normalization")
-        return ComplexPolynomial(self.coeffs / self.coeffs[-1])
 
 
 @dataclass(frozen=True)
@@ -158,11 +117,6 @@ class RootSet:
 
     def __len__(self):
         return len(self.roots)
-
-
-def poly_eval(p: ComplexPolynomial, z: complex) -> complex:
-    """Evaluate ``p`` at ``z`` (Horner)."""
-    return p(z)
 
 
 def _newton_refine(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:

@@ -12,6 +12,15 @@ eigenvalues obstructing strong stability. This module builds it
 
       Delta(z) = (-1)^(r(m-r)) det C(z) (a_{-r} / (a_0 - z))^(m-r).
 
+The elimination runs on one complex coefficient array of shape
+``(r, r + m, m + 1)`` (ascending powers of ``z``), one vectorized update per
+eliminated column. For ``r <= 4``, ``det C`` is the cofactor expansion of the
+remaining ``r x r`` block on 1-D coefficient arrays, every product and
+partial sum trimmed as :class:`ComplexPolynomial` normalizes its
+coefficients. For wider stencils that expansion cancels badly when
+``a_{-r}`` is small, so ``det C`` is evaluated at ``m + 1`` points of
+``|z| = 2`` and interpolated.
+
 The second route is authoritative: it is holomorphic by construction, cheap
 to evaluate along the unit circle, and its polynomial factor can be
 root-counted outright.
@@ -21,13 +30,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial, RootSet, poly_roots
+from .core_numerics import ComplexPolynomial, RootSet, _trim, _trim_batch, poly_roots
 from .errors import DegenerateLeadingCoefficient, DegreeMismatch, RootAtZero
 from .scheme import Scheme
 
@@ -63,18 +73,6 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Root
     return poly_roots(coeffs, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
 
 
-def hersh_violations(roots: RootSet, z: complex, tols: Tolerances = DEFAULT_TOLS) -> List[complex]:
-    """Roots incompatible with the root-separation property.
-
-    Away from the symbol curve (in particular for ``|z| > 1`` under Cauchy
-    stability) every characteristic root must lie strictly inside the unit
-    disk; a root at modulus >= 1 there signals a numerical breakdown.
-    """
-    if abs(z) <= 1.0 + tols.unit_circle_tol:
-        return []
-    return [complex(v) for v, _ in roots if abs(v) >= 1.0 - tols.unit_circle_tol]
-
-
 @dataclass(frozen=True, eq=False)
 class KMatrix:
     """Mode matrix: extraction of index lines ``i .. j`` of the modal basis.
@@ -108,13 +106,6 @@ def k_matrix(roots: RootSet, i: int, j: int, z: complex | None = None) -> KMatri
     return KMatrix(values=values, roots=roots, i=i, j=j, z=z)
 
 
-def kl_det_raw(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """Determinant of the boundary operator on the modal basis, unnormalized."""
-    roots = stable_roots(s, z, tols)
-    K = k_matrix(roots, -s.r, bc.m - 1, z=z)
-    return complex(np.linalg.det(assemble_B(bc) @ K.values))
-
-
 def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances = DEFAULT_TOLS) -> complex:
     """Intrinsic determinant from the defining formula.
 
@@ -136,15 +127,16 @@ class ReducedBoundary:
     """Reduction of a (scheme, boundary) pair to polynomial form.
 
     ``c_matrix`` is the r x r block left after eliminating the first ``m``
-    columns of ``[I_r | -b]`` against the interior recurrence; ``det_c`` is
-    its determinant, a polynomial of exact degree ``m``; ``sign`` is the
-    parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
+    columns of ``[I_r | -b]`` against the interior recurrence, as a read-only
+    ``(r, r, m + 1)`` array of polynomial coefficients in ascending powers;
+    ``det_c`` is its determinant, a polynomial of exact degree ``m``;
+    ``sign`` is the parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
     """
 
     r: int
     m: int
     sign: int
-    c_matrix: Tuple[Tuple[ComplexPolynomial, ...], ...]
+    c_matrix: np.ndarray
     det_c: ComplexPolynomial
 
     def det_c_json(self) -> str:
@@ -153,29 +145,36 @@ class ReducedBoundary:
         return json.dumps({"degree": int(self.det_c.degree), "coefficients": coeffs})
 
 
-def _poly_det_cofactor(matrix: Sequence[Sequence[ComplexPolynomial]]) -> ComplexPolynomial:
-    n = len(matrix)
-    if n == 1:
+def _det_cofactor(matrix: List[List[np.ndarray]], trim_rel: float) -> np.ndarray:
+    """Determinant of a square matrix of polynomials by expansion along the first row.
+
+    Entries are trimmed ascending coefficient arrays; every product and
+    partial sum is trimmed again.
+    """
+    if len(matrix) == 1:
         return matrix[0][0]
-    acc = ComplexPolynomial.zero()
-    for c in range(n):
-        minor = [list(row[:c]) + list(row[c + 1 :]) for row in matrix[1:]]
-        term = matrix[0][c] * _poly_det_cofactor(minor)
-        acc = acc + term if c % 2 == 0 else acc - term
+    acc = np.zeros(0, dtype=complex)
+    for c, entry in enumerate(matrix[0]):
+        minor = _det_cofactor([row[:c] + row[c + 1 :] for row in matrix[1:]], trim_rel)
+        if entry.size and minor.size:
+            term = _trim(np.convolve(entry, minor), trim_rel)
+            total = np.zeros(max(acc.size, term.size), dtype=complex)
+            total[: acc.size] += acc
+            total[: term.size] += term if c % 2 == 0 else -term
+            acc = _trim(total, trim_rel)
     return acc
 
 
-def _poly_det_interpolation(
-    matrix: Sequence[Sequence[ComplexPolynomial]], degree: int, trim_rel: float
-) -> ComplexPolynomial:
-    """Evaluate-and-interpolate determinant on |z| = 2, exact up to ``degree``."""
-    npts = degree + 1
+def _det_interpolation(c_matrix: np.ndarray, trim_rel: float) -> ComplexPolynomial:
+    """Determinant of an ``(r, r, m + 1)`` polynomial matrix, exact up to degree ``m``.
+
+    Evaluates ``det C`` at ``m + 1`` equispaced points of ``|z| = 2`` and
+    solves for the coefficients.
+    """
+    npts = c_matrix.shape[-1]
     nodes = 2.0 * np.exp(2j * np.pi * np.arange(npts) / npts)
-    values = np.array(
-        [np.linalg.det(np.array([[entry(zk) for entry in row] for row in matrix])) for zk in nodes]
-    )
-    vander = np.vander(nodes, npts, increasing=True)
-    coeffs = np.linalg.solve(vander, values)
+    values = np.linalg.det(np.moveaxis(polyval(nodes, np.moveaxis(c_matrix, -1, 0)), -1, 0))
+    coeffs = np.linalg.solve(np.vander(nodes, npts, increasing=True), values)
     return ComplexPolynomial.from_coeffs(coeffs, trim_rel)
 
 
@@ -203,33 +202,29 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT
     if abs(s.a_lead) <= tols.trim_rel * scale:
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
 
-    r, m = s.r, bc.m
-    lead = s.a_lead
-    zero = ComplexPolynomial.zero()
+    r, m, trim_rel = s.r, bc.m, tols.trim_rel
+    # Entries t = 1..r of the elimination row, a_{-r+t}/a_{-r}; the last,
+    # (a_0 - z)/a_{-r}, also has the z-term -1/a_{-r}.
+    row = (s.a[1:] / s.a_lead).astype(complex)
+    z_term = -1.0 / s.a_lead
 
-    # Elimination row (1, a_{-r+1}/a_{-r}, ..., a_{-1}/a_{-r}, (a_0 - z)/a_{-r}).
-    row = [ComplexPolynomial.one()]
-    row += [ComplexPolynomial.from_coeffs([s.a[t] / lead]) for t in range(1, r)]
-    row.append(ComplexPolynomial.from_coeffs([s.a_zero / lead, -1.0 / lead]))
-
-    B_full = assemble_B(bc)
-    work: List[List[ComplexPolynomial]] = [
-        [ComplexPolynomial.from_coeffs([B_full[i, c]]) for c in range(r + m)] for i in range(r)
-    ]
+    # work[i, c, k]: coefficient of z^k in entry (i, c) of the boundary matrix.
+    work = np.zeros((r, r + m, m + 1), dtype=complex)
+    work[:, :, 0] = assemble_B(bc)
     for j in range(m):
-        for i in range(r):
-            pivot = work[i][j]
-            if pivot.is_zero:
-                continue
-            for t in range(1, r + 1):
-                work[i][j + t] = work[i][j + t] - pivot * row[t]
-            work[i][j] = zero
-    c_matrix = tuple(tuple(work[i][m + t] for t in range(r)) for i in range(r))
+        pivot = work[:, j]
+        product = pivot[:, None, :] * row[:, None]
+        product[:, -1, 1:] += pivot[:, :-1] * z_term
+        block = work[:, j + 1 : j + r + 1]
+        block[...] = _trim_batch(block - _trim_batch(product, trim_rel), trim_rel)
+    c_matrix = work[:, m:]
+    c_matrix.setflags(write=False)
 
     if r <= 4:
-        det_c = _poly_det_cofactor(c_matrix)
+        entries = [[_trim(entry, trim_rel) for entry in c_row] for c_row in c_matrix]
+        det_c = ComplexPolynomial(_det_cofactor(entries, trim_rel))
     else:
-        det_c = _poly_det_interpolation(c_matrix, m, tols.trim_rel)
+        det_c = _det_interpolation(c_matrix, trim_rel)
     if det_c.degree != m:
         raise DegreeMismatch(
             f"det C has degree {det_c.degree}, expected {m}; the elimination broke down numerically"

@@ -11,8 +11,9 @@ are real; all presets in scope are real-valued.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -104,14 +105,32 @@ def scheme_from_descriptor(descriptor: dict, trim_rel: float = DEFAULT_TOLS.trim
     raise ValueError("scheme descriptor needs 'preset' or 'coefficients'")
 
 
+def _fourier_basis(xi: np.ndarray, r: int) -> np.ndarray:
+    """``exp(i k xi)`` for ``k = -r..0``, one row per frequency."""
+    return np.exp(1j * np.multiply.outer(xi, np.arange(-r, 1)))
+
+
 def symbol(s: Scheme, xi):
     """Amplification symbol ``sum_k a_k exp(i k xi)``; accepts arrays."""
     xi_arr = np.asarray(xi, dtype=float)
-    ks = np.arange(-s.r, 1)
-    values = np.exp(1j * np.multiply.outer(xi_arr, ks)) @ s.a
+    values = _fourier_basis(xi_arr, s.r) @ s.a
     if np.isscalar(xi) or xi_arr.ndim == 0:
         return complex(values)
     return values
+
+
+@functools.lru_cache(maxsize=8)
+def symbol_basis(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n`` uniform frequencies on ``[0, 2pi)`` and their Fourier basis for width ``r``.
+
+    ``basis @ s.a`` equals ``symbol(s, xi)`` bit for bit for any scheme of
+    width ``r``. Both arrays are cached and shared, hence read-only.
+    """
+    xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    basis = _fourier_basis(xi, r)
+    xi.setflags(write=False)
+    basis.setflags(write=False)
+    return xi, basis
 
 
 @dataclass(frozen=True)
@@ -164,8 +183,8 @@ def validate(s: Scheme, n_xi: int = 4096, tols: Tolerances = DEFAULT_TOLS) -> As
         raise ValueError("n_xi must be at least 64")
     h0 = abs(s.a_lead) > tols.trim_rel * float(np.max(np.abs(s.a)))
 
-    xi = np.linspace(0.0, 2.0 * np.pi, n_xi, endpoint=False)
-    max_mod = float(np.max(np.abs(symbol(s, xi))))
+    _, basis = symbol_basis(n_xi, s.r)
+    max_mod = float(np.max(np.abs(basis @ s.a)))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
     ks = np.arange(-s.r, 1)

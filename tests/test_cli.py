@@ -184,3 +184,35 @@ def test_library_errors_print_one_line(capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_sweep_records_failing_cells_as_inconclusive(tmp_path):
+    # within 1e-6 of CFL 1 the reduction of S2ILW3 raises DegreeMismatch; the
+    # sweep records those cells instead of aborting
+    args = [
+        "sweep", "--preset", "beam-warming", "--silw", "2", "3",
+        "--lambda-grid", "0.9999998:1.0000002:0.0000001", "--sigma-grid=0:0:1",
+    ]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(args + ["--out", str(out1), "--jobs", "1"]) == 0
+    assert run_cli(args + ["--out", str(out2), "--jobs", "2"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    rows = [line.split(",") for line in out1.read_text().strip().split("\n")[1:]]
+    assert [(float(lam), int(count), status) for lam, _, count, status in rows] == [
+        (0.9999998, -1, "Inconclusive"),
+        (0.9999999, -1, "Inconclusive"),
+        (1.0, -1, "UnstableBoundaryZero"),
+        (1.0000001, -1, "Inconclusive"),
+        (1.0000002, -1, "Inconclusive"),
+    ]
+
+
+def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    for jobs in ("0", "-2"):
+        argv = ["sweep", "--silw", "2", "3", "--lambda-grid", "0.5:0.6:0.1", "--jobs", jobs, "--out", str(out)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "jobs" in lines[0], lines
+    assert not out.exists()

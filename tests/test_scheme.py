@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize_scalar
+
+from klstab.analyzer import _distance_to_symbol_curve
 from klstab.scheme import (
     CurveSamples,
     Scheme,
@@ -8,6 +11,7 @@ from klstab.scheme import (
     sample_symbol_curve,
     scheme_from_descriptor,
     symbol,
+    symbol_basis,
     validate,
 )
 
@@ -134,3 +138,43 @@ def test_scheme_construction_guards():
         Scheme.from_coefficients([0.0, 0.0], lam=1.0)
     with pytest.raises(ValueError):
         Scheme.from_coefficients([1.0], lam=-0.5)
+
+
+def distance_from_symbol_formula(s, z0, coarse):
+    """Distance to the symbol curve with the frequencies and symbol values built per call."""
+    xi = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
+    dist = np.abs(symbol(s, xi) - z0)
+    k = int(np.argmin(dist))
+    h = 2.0 * np.pi / coarse
+    result = minimize_scalar(
+        lambda t: abs(symbol(s, float(t)) - z0), bounds=(xi[k] - h, xi[k] + h), method="bounded",
+        options={"xatol": 1e-14},
+    )
+    return float(min(dist[k], result.fun))
+
+
+def test_cached_symbol_basis_is_bit_identical_to_symbol(lagrange_upwind):
+    rng = np.random.default_rng(11)
+    for r in range(1, 6):
+        lam = float(rng.uniform(0.1, 0.9))
+        s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+        for n in (64, 4096):
+            xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+            direct = symbol(s, xi)
+            cached_xi, basis = symbol_basis(n, r)
+            assert np.array_equal(cached_xi, xi)
+            assert np.array_equal(basis @ s.a, direct)
+            report = validate(s, n_xi=n)
+            assert report.h2_max_symbol_modulus == float(np.max(np.abs(direct)))
+            for _ in range(3):
+                z0 = symbol(s, float(rng.uniform(0, 2 * np.pi))) + 0.01 * complex(*rng.normal(size=2))
+                assert _distance_to_symbol_curve(s, z0, coarse=n) == distance_from_symbol_formula(s, z0, n)
+
+
+def test_cached_symbol_basis_is_read_only():
+    xi, basis = symbol_basis(64, 2)
+    assert symbol_basis(64, 2)[1] is basis
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        xi[0] = 1.0

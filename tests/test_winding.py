@@ -299,13 +299,7 @@ def test_curve_csv_format():
     complex(float(re), float(im))
 
 
-def lagrange_upwind(r, lam):
-    """Coefficients a_-r .. a_0 of the upwind scheme interpolating U at x_j - lam on r + 1 cells."""
-    nodes = np.arange(-r, 1)
-    return [float(np.prod([(-lam - m) / (k - m) for m in nodes if m != k])) for k in nodes]
-
-
-def test_winding_and_direct_counts_agree_on_random_pairs():
+def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
     # consistent, Cauchy-stable upwind stencils of widths 1..5 with SkILWd
     # boundaries at random offsets, twelve pairs per width
     rng = np.random.default_rng(2207)
