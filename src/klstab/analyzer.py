@@ -29,7 +29,7 @@ from .kl import (
     reduce_boundary,
     stable_roots,
 )
-from .scheme import AssumptionReport, Scheme, symbol, symbol_basis, validate
+from .scheme import AssumptionReport, Scheme, _symbol_from_basis, symbol, symbol_basis, validate
 from .winding import (
     DEFAULT_POLICY,
     RefinementPolicy,
@@ -114,7 +114,7 @@ class StabilityVerdict:
 def _distance_to_symbol_curve(s: Scheme, z0: complex, coarse: int = 4096) -> float:
     """Distance from ``z0`` to the symbol curve: dense scan plus local polish."""
     xi, basis = symbol_basis(coarse, s.r)
-    dist = np.abs(basis @ s.a - z0)
+    dist = np.abs(_symbol_from_basis(basis, s.a) - z0)
     k = int(np.argmin(dist))
     h = 2.0 * np.pi / coarse
     lo, hi = xi[k] - h, xi[k] + h
@@ -362,11 +362,12 @@ def sweep(
 ) -> StabilityMap:
     """Run the decision procedure over a parameter grid.
 
-    Cells are independent; with ``jobs > 1`` they are computed in a process
-    pool (the families must be picklable) and written back by index, so the
-    result is identical for any parallelism degree. A cell whose analysis
-    raises a :class:`~klstab.errors.KLStabError` is ``Inconclusive`` with
-    count -1 instead of aborting the sweep.
+    Cells are independent; with ``jobs > 1`` they are computed in a pool of
+    ``min(jobs, cells)`` processes (the families must be picklable) and
+    written back by index, so the result is identical for any parallelism
+    degree. A cell whose analysis raises a
+    :class:`~klstab.errors.KLStabError` is ``Inconclusive`` with count -1
+    instead of aborting the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -382,9 +383,11 @@ def sweep(
         for i, lam in enumerate(lambda_grid)
         for j, sig in enumerate(sigma_grid)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+    # the pool forks all its workers up front, so it gets no more than there are cells
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         results = [_sweep_cell(task) for task in tasks]
     for i, j, count, status in results:

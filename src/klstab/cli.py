@@ -45,6 +45,12 @@ _STATUS_EXIT = {
 }
 
 
+# Tolerances settable by flag (--cluster-radius, ...) and by the config's "tolerances" keys
+_TOLERANCE_NAMES = (
+    "cluster_radius", "unit_circle_tol", "origin_tol", "gamma_tol", "kernel_tol", "cauchy_tol",
+)
+
+
 class UsageError(Exception):
     pass
 
@@ -86,9 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON file with {\"b\": [[...], ...]} extrapolation rows")
         p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
         p.add_argument("--out", help="output path (default stdout)")
-        for name in ("cluster-radius", "unit-circle-tol", "origin-tol", "gamma-tol",
-                     "kernel-tol", "cauchy-tol"):
-            p.add_argument(f"--{name}", type=float, help=f"override tolerance {name.replace('-', '_')}")
+        for name in _TOLERANCE_NAMES:
+            p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
 
     p_check = sub.add_parser("check", help="single stability verdict as JSON")
     add_common(p_check)
@@ -122,16 +127,8 @@ def _merged(args, config: dict, key: str, default=None):
 
 def _tolerances(args, config: dict) -> Tolerances:
     overrides = {}
-    mapping = {
-        "cluster_radius": "cluster_radius",
-        "unit_circle_tol": "unit_circle_tol",
-        "origin_tol": "origin_tol",
-        "gamma_tol": "gamma_tol",
-        "kernel_tol": "kernel_tol",
-        "cauchy_tol": "cauchy_tol",
-    }
     file_tols = config.get("tolerances", {})
-    for attr in mapping:
+    for attr in _TOLERANCE_NAMES:
         value = getattr(args, attr, None)
         if value is None:
             value = file_tols.get(attr)
@@ -312,6 +309,14 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 ),
             )
             _write(scan.to_csv(), out)
+            fallbacks = sum(scan.fd_derivative_fallbacks)
+            if fallbacks:
+                print(
+                    f"warning: S{kd}ILW{d} needs boundary-data derivatives the Gaussian pulse has "
+                    f"no closed form for; finite differences used at {fallbacks} of "
+                    f"{sigma_grid.size} offsets",
+                    file=sys.stderr,
+                )
             return EXIT_OK
 
         raise UsageError(f"unknown command {args.command!r}")

@@ -106,14 +106,28 @@ def scheme_from_descriptor(descriptor: dict, trim_rel: float = DEFAULT_TOLS.trim
 
 
 def _fourier_basis(xi: np.ndarray, r: int) -> np.ndarray:
-    """``exp(i k xi)`` for ``k = -r..0``, one row per frequency."""
-    return np.exp(1j * np.multiply.outer(xi, np.arange(-r, 1)))
+    """``exp(i k xi)`` for ``k = -r..0``, one row per ``k``."""
+    return np.exp(1j * np.multiply.outer(np.arange(-r, 1), xi))
+
+
+def _symbol_from_basis(basis: np.ndarray, a: np.ndarray):
+    """``sum_k a_k basis[k]``, summed row by row in ascending ``k``.
+
+    Every symbol evaluation goes through here, so a cached basis and a basis
+    built per call give bit-identical values. It is elementwise on purpose:
+    a matrix-vector product runs on a multithreaded BLAS, whose threads
+    contend for the cores with the workers of a parallel sweep.
+    """
+    values = basis[0] * a[0]
+    for k in range(1, a.size):
+        values += basis[k] * a[k]
+    return values
 
 
 def symbol(s: Scheme, xi):
     """Amplification symbol ``sum_k a_k exp(i k xi)``; accepts arrays."""
     xi_arr = np.asarray(xi, dtype=float)
-    values = _fourier_basis(xi_arr, s.r) @ s.a
+    values = _symbol_from_basis(_fourier_basis(xi_arr, s.r), s.a)
     if np.isscalar(xi) or xi_arr.ndim == 0:
         return complex(values)
     return values
@@ -123,8 +137,9 @@ def symbol(s: Scheme, xi):
 def symbol_basis(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``n`` uniform frequencies on ``[0, 2pi)`` and their Fourier basis for width ``r``.
 
-    ``basis @ s.a`` equals ``symbol(s, xi)`` bit for bit for any scheme of
-    width ``r``. Both arrays are cached and shared, hence read-only.
+    ``_symbol_from_basis(basis, s.a)`` equals ``symbol(s, xi)`` bit for bit
+    for any scheme of width ``r``. Both arrays are cached and shared, hence
+    read-only.
     """
     xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     basis = _fourier_basis(xi, r)
@@ -184,7 +199,7 @@ def validate(s: Scheme, n_xi: int = 4096, tols: Tolerances = DEFAULT_TOLS) -> As
     h0 = abs(s.a_lead) > tols.trim_rel * float(np.max(np.abs(s.a)))
 
     _, basis = symbol_basis(n_xi, s.r)
-    max_mod = float(np.max(np.abs(basis @ s.a)))
+    max_mod = float(np.max(np.abs(_symbol_from_basis(basis, s.a))))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
     ks = np.arange(-s.r, 1)

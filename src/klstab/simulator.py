@@ -80,6 +80,12 @@ class IBVPRun:
         f: Optional[np.ndarray] = None,
     ) -> "IBVPRun":
         """Choose dx = 1/J and the time step matching the scheme's CFL number."""
+        if J < 1:
+            raise ValueError(f"the run needs at least one interior cell, got J={J}")
+        if not T > 0:
+            raise ValueError(f"the final time must be positive, got T={T}")
+        if not a > 0:
+            raise ValueError(f"the advection velocity must be positive, got a={a}")
         dx = 1.0 / J
         dt = s.lam * dx / a
         if g_derivs is None:
@@ -197,13 +203,18 @@ def run_ibvp(
 
 @dataclass(frozen=True, eq=False)
 class SigmaScan:
-    """Final-time amplitude field over (x, sigma) plus per-sigma growth data."""
+    """Final-time amplitude field over (x, sigma) plus per-sigma growth data.
+
+    ``fd_derivative_fallbacks[i]`` flags that the run at ``sigma_grid[i]``
+    took some boundary-data derivative by finite differences.
+    """
 
     sigma_grid: np.ndarray
     x: np.ndarray
     profiles_clipped: np.ndarray
     max_amplitudes: np.ndarray
     blowup_steps: Tuple[Optional[int], ...]
+    fd_derivative_fallbacks: Tuple[bool, ...]
 
     def to_csv(self) -> str:
         lines = ["sigma,x,value_clipped,max_amplitude_unclipped"]
@@ -236,6 +247,7 @@ def sigma_scan(
     profiles = []
     max_amps = []
     blowups = []
+    fallbacks = []
     x = None
     for sigma in sigma_grid:
         bc = bc_family(float(sigma))
@@ -244,6 +256,7 @@ def sigma_scan(
         profiles.append(np.clip(result.final_profile, -clip_value, clip_value))
         max_amps.append(result.max_amplitude)
         blowups.append(result.blowup_step)
+        fallbacks.append(result.fd_derivative_fallback)
         x = result.x
     return SigmaScan(
         sigma_grid=sigma_grid,
@@ -251,4 +264,5 @@ def sigma_scan(
         profiles_clipped=np.asarray(profiles),
         max_amplitudes=np.asarray(max_amps),
         blowup_steps=tuple(blowups),
+        fd_derivative_fallbacks=tuple(fallbacks),
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from klstab import analyzer
 from klstab.analyzer import (
     BoundaryZeroType,
     StabilityStatus,
@@ -136,6 +137,35 @@ def test_sweep_grid_refinement_consistency():
     res_coarse = sweep(bw_family, s2ilw3_family, coarse, n0=256)
     res_fine = sweep(bw_family, s2ilw3_family, fine, n0=256)
     np.testing.assert_array_equal(res_coarse.zero_counts[:, 0], res_fine.zero_counts[::2, 0])
+
+
+def test_sweep_pool_never_exceeds_cells(monkeypatch):
+    created = []
+
+    class InProcessPool:
+        """Records the requested pool size and runs the cells in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(analyzer, "ProcessPoolExecutor", InProcessPool)
+    lams = [0.5, 1.4, 1.7]
+    serial = sweep(bw_family, s2ilw3_family, lams, (0.0,), n0=256)
+    for cells, jobs, pools in ((1, 8, []), (3, 8, [3]), (3, 2, [2])):
+        created.clear()
+        result = sweep(bw_family, s2ilw3_family, lams[:cells], (0.0,), n0=256, jobs=jobs)
+        assert created == pools
+        np.testing.assert_array_equal(result.zero_counts, serial.zero_counts[:cells])
+        np.testing.assert_array_equal(result.statuses, serial.statuses[:cells])
 
 
 def test_sweep_csv_schema():

@@ -5,7 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from klstab.boundary import silw_condition
 from klstab.cli import parse_grid, run_cli, UsageError
+from klstab.scheme import make_beam_warming
+from klstab.simulator import IBVPRun, sigma_scan
 
 
 def test_parse_grid_inclusive_endpoint():
@@ -123,6 +126,41 @@ def test_simulate_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "sigma,x,value_clipped,max_amplitude_unclipped"
     assert len(lines) == 1 + 3 * 202
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--grid-points", "0", "at least one interior cell"),
+    ("--velocity", "0", "velocity must be positive"),
+    ("--velocity", "-1", "velocity must be positive"),
+    ("--final-time", "-1", "final time must be positive"),
+])
+def test_simulate_rejects_bad_run_geometry(capsys, flag, value, message):
+    argv = ["simulate", "--lambda", "0.6", "--silw", "2", "3", "--sigma-grid=0:0:1", flag, value]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_simulate_warns_on_derivative_fallback(capsys):
+    # S5ILW6 needs a fourth derivative of the pulse, which has analytic ones up to the third
+    s = make_beam_warming(0.6)
+    scan = sigma_scan(
+        s,
+        bc_family=lambda sg: silw_condition(2, 5, 6, sg),
+        sigma_grid=[0.0, 0.1],
+        run_factory=lambda sg: IBVPRun.from_cfl(s, J=100, sigma=sg),
+    )
+    assert scan.fd_derivative_fallbacks == (True, True)
+    argv = ["simulate", "--lambda", "0.6", "--sigma-grid=0:0.1:0.1", "--grid-points", "100"]
+    assert run_cli(argv + ["--silw", "5", "6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == scan.to_csv()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ") and "2 of 2 offsets" in lines[0], lines
+    assert run_cli(argv + ["--silw", "2", "3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

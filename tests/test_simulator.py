@@ -110,6 +110,9 @@ def test_run_guards():
     )
     with pytest.raises(ValueError):
         run_ibvp(s, bc, mismatched_sigma)
+    for bad in ({"J": 0}, {"T": 0.0}, {"T": -1.0}, {"a": 0.0}, {"a": -1.0}):
+        with pytest.raises(ValueError):
+            IBVPRun.from_cfl(s, **bad)
 
 
 def test_sigma_scan_single_point_reduces_to_run():
@@ -125,6 +128,7 @@ def test_sigma_scan_single_point_reduces_to_run():
     )
     np.testing.assert_allclose(scan.profiles_clipped[0], np.clip(single.final_profile, -1, 1))
     assert scan.max_amplitudes[0] == single.max_amplitude
+    assert scan.fd_derivative_fallbacks == (single.fd_derivative_fallback,) == (False,)
 
 
 def test_sigma_scan_csv_schema():
