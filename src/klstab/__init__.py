@@ -2,7 +2,8 @@
 
 Builds the Kreiss-Lopatinskii determinant of a (scheme, boundary condition)
 pair on the half line, counts its zeros outside the closed unit disk via an
-adaptive winding number, cross-checks by direct polynomial root counting,
+adaptive winding number, cross-checks with the eigenvalues of the closed
+boundary block of the update matrix,
 classifies zeros on the unit circle, and corroborates verdicts with
 time-domain simulation.
 """
@@ -37,6 +38,7 @@ from .kl import (
     kl_det_explicit,
     reduce_boundary,
     stable_roots,
+    upwind_block,
 )
 from .winding import (
     RefinementPolicy,
@@ -115,6 +117,7 @@ __all__ = [
     "stable_roots",
     "sweep",
     "symbol",
+    "upwind_block",
     "validate",
     "winding_number",
 ]

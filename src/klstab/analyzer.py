@@ -1,10 +1,10 @@
 """End-to-end stability decision procedure and parameter sweeps.
 
 The verdict pipeline: gate the structural assumptions, reduce the boundary
-pair to its determinant polynomial, count exterior determinant zeros by
-winding, cross-check against direct root counting, and classify any zero
-sitting on the unit circle itself (eigenvalue away from the symbol curve,
-eigenvalue on it, or generalized eigenvalue).
+pair to its closed update block and determinant polynomial, count exterior
+determinant zeros by winding, cross-check against the block's eigenvalues,
+and classify any zero sitting on the unit circle itself (eigenvalue away
+from the symbol curve, eigenvalue on it, or generalized eigenvalue).
 """
 
 from __future__ import annotations
@@ -211,76 +211,44 @@ def analyze(
     if bc.r > s.r:
         bc = bc.restricted_to(s.r)
     report = validate(s, n_xi=n_xi, tols=tols)
-    if not report.all_pass:
-        return StabilityVerdict(
-            status=StabilityStatus.ASSUMPTION_VIOLATED,
-            exterior_zero_count=None,
-            boundary_zeros=(),
-            assumptions=report,
-            winding=None,
-            direct_count=None,
-            det_c_coeffs=None,
-        )
-
-    rb = reduce_boundary(s, bc, tols)
-    det_c_coeffs = tuple(complex(c) for c in rb.det_c.coeffs)
-    direct = exterior_zero_count_direct(rb, tols)
-
+    rb = direct = wres = count = None
+    zeros: Tuple[BoundaryZero, ...] = ()
     notes: List[str] = []
-    try:
-        wres = _wind_kl_curve(s, rb, n0, replace(policy, origin_rel_tol=tols.origin_tol))
-    except OriginOnCurve as exc:
-        zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
-        return StabilityVerdict(
-            status=StabilityStatus.UNSTABLE_BOUNDARY_ZERO,
-            exterior_zero_count=None,
-            boundary_zeros=zeros,
-            assumptions=report,
-            winding=exc.result,
-            direct_count=direct,
-            det_c_coeffs=det_c_coeffs,
-            notes=tuple(notes),
-        )
-    except RefinementBudgetExceeded as exc:
-        return StabilityVerdict(
-            status=StabilityStatus.INCONCLUSIVE,
-            exterior_zero_count=None,
-            boundary_zeros=(),
-            assumptions=report,
-            winding=None,
-            direct_count=direct,
-            det_c_coeffs=det_c_coeffs,
-            notes=(f"winding failed: {exc}",),
-        )
-
-    count = -wres.index
-    if direct.has_boundary_band:
-        notes.append(
-            "determinant roots inside the unit-circle band while the winding succeeded; "
-            "counts compare strictly-exterior roots only"
-        )
-    if count != direct.count:
-        return StabilityVerdict(
-            status=StabilityStatus.INCONCLUSIVE,
-            exterior_zero_count=None,
-            boundary_zeros=(),
-            assumptions=report,
-            winding=wres,
-            direct_count=direct,
-            det_c_coeffs=det_c_coeffs,
-            notes=tuple(notes + [f"winding count {count} != direct count {direct.count}"]),
-        )
-    status = (
-        StabilityStatus.STRONGLY_STABLE if count == 0 else StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE
-    )
+    if not report.all_pass:
+        status = StabilityStatus.ASSUMPTION_VIOLATED
+    else:
+        rb = reduce_boundary(s, bc, tols)
+        direct = exterior_zero_count_direct(rb, tols)
+        try:
+            wres = _wind_kl_curve(s, rb, n0, replace(policy, origin_rel_tol=tols.origin_tol))
+        except OriginOnCurve as exc:
+            status, wres = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, exc.result
+            zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
+        except RefinementBudgetExceeded as exc:
+            status = StabilityStatus.INCONCLUSIVE
+            notes.append(f"winding failed: {exc}")
+        else:
+            count = -wres.index
+            if direct.has_boundary_band:
+                notes.append(
+                    "determinant roots inside the unit-circle band while the winding succeeded; "
+                    "counts compare strictly-exterior roots only"
+                )
+            if count != direct.count:
+                notes.append(f"winding count {count} != direct count {direct.count}")
+                status, count = StabilityStatus.INCONCLUSIVE, None
+            elif count == 0:
+                status = StabilityStatus.STRONGLY_STABLE
+            else:
+                status = StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE
     return StabilityVerdict(
         status=status,
         exterior_zero_count=count,
-        boundary_zeros=(),
+        boundary_zeros=zeros,
         assumptions=report,
         winding=wres,
         direct_count=direct,
-        det_c_coeffs=det_c_coeffs,
+        det_c_coeffs=None if rb is None else tuple(complex(c) for c in rb.det_c.coeffs),
         notes=tuple(notes),
     )
 
@@ -295,8 +263,8 @@ def _classify_band_zeros(
 ) -> Tuple[BoundaryZero, ...]:
     """Locate and classify determinant zeros on (or numerically on) the circle.
 
-    Polynomial roots in the band around the unit circle are sharper than
-    curve-proximity estimates; if none are found the closest curve point is
+    Eigenvalues of the update block in the band around the unit circle are
+    sharper than curve-proximity estimates; if none are found the closest curve point is
     classified instead so the verdict still names a witness.
     """
     candidates = [complex(v) for v, _ in direct.boundary_band]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -64,6 +65,8 @@ def parse_grid(text: str) -> np.ndarray:
         a, b, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid values must be numeric: {text!r}") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise UsageError(f"grid bounds and step must be finite: {text!r}")
     if step <= 0 or b < a:
         raise UsageError(f"grid must ascend with positive step: {text!r}")
     n = int(np.floor((b - a) / step + 1e-9)) + 1

@@ -18,27 +18,15 @@ from .errors import DegenerateLeadingCoefficient
 NEG_INF = float("-inf")
 
 
-def _kept(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
-    """Mask of the coefficients that trimming keeps, per polynomial along the last axis.
+def _trim(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
+    """Drop trailing (leading-power) coefficients negligible vs the largest one.
 
     A coefficient is kept when it, or one of higher power, exceeds
-    ``trim_rel`` times the largest coefficient of its polynomial.
+    ``trim_rel`` times the largest coefficient.
     """
     mag = np.abs(coeffs)
-    significant = mag > trim_rel * np.maximum.reduce(mag, axis=-1, keepdims=True)
-    return np.logical_or.accumulate(significant[..., ::-1], axis=-1)[..., ::-1]
-
-
-def _trim(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
-    """Drop trailing (leading-power) coefficients negligible vs the largest one."""
-    if coeffs.size == 0:
-        return coeffs
-    return coeffs[: np.count_nonzero(_kept(coeffs, trim_rel))]
-
-
-def _trim_batch(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
-    """:func:`_trim` for a stack of polynomials along the last axis; dropped coefficients become 0."""
-    return np.where(_kept(coeffs, trim_rel), coeffs, 0)
+    significant = np.flatnonzero(mag > trim_rel * mag.max(initial=0.0))
+    return coeffs[: significant[-1] + 1 if significant.size else 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,6 @@ class RootAtZero(KLStabError):
     """A characteristic root sits at the origin, so negative powers are undefined."""
 
 
-class DegreeMismatch(KLStabError):
-    """The reduced determinant does not have the expected exact degree."""
-
-
 class OriginOnCurve(KLStabError):
     """The sampled curve passes through the origin; the winding index is undefined.
 

@@ -6,39 +6,35 @@ eigenvalues obstructing strong stability. This module builds it
 
 * directly from the characteristic roots and the mode matrix (the defining
   formula, used as a cross-check oracle), and
-* through a polynomial elimination that reduces the boundary matrix against
-  the interior recurrence, yielding an exact-degree polynomial ``det C(z)``
-  and the explicit rational form
+* from the closed top-left ``m x m`` block ``A`` of the half-line update
+  matrix. Row ``j`` of the update reads only ``U_{j-r..j}`` and the ghost
+  values read only ``U_0..U_{m-1}``, so rows ``0..m-1`` close on
+  themselves, and
 
-      Delta(z) = (-1)^(r(m-r)) det C(z) (a_{-r} / (a_0 - z))^(m-r).
+      det C(z) = (-1)^((r+1)m) a_{-r}^(-m) det(z I_m - A),
+      Delta(z) = (-1)^(r(m-r)) det C(z) (a_{-r} / (a_0 - z))^(m-r),
 
-The elimination runs on one complex coefficient array of shape
-``(r, r + m, m + 1)`` (ascending powers of ``z``), one vectorized update per
-eliminated column. For ``r <= 4``, ``det C`` is the cofactor expansion of the
-remaining ``r x r`` block on 1-D coefficient arrays, every product and
-partial sum trimmed as :class:`ComplexPolynomial` normalizes its
-coefficients. For wider stencils that expansion cancels badly when
-``a_{-r}`` is small, so ``det C`` is evaluated at ``m + 1`` points of
-``|z| = 2`` and interpolated.
+  where ``C(z)`` is the ``r x r`` matrix left by eliminating the boundary
+  matrix against the interior recurrence. ``det C`` has exact degree ``m``.
 
-The second route is authoritative: it is holomorphic by construction, cheap
-to evaluate along the unit circle, and its polynomial factor can be
-root-counted outright.
+The second route is authoritative. The direct count takes the eigenvalues
+of ``A``; the winding evaluates ``det C``, whose coefficients come from LU
+determinants of ``z I - A`` at the ``m + 1`` roots of unity and one FFT, so
+the two counts share no arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial, RootSet, _trim, _trim_batch, poly_roots
-from .errors import DegenerateLeadingCoefficient, DegreeMismatch, RootAtZero
+from .core_numerics import ComplexPolynomial, RootSet, _cluster, poly_roots
+from .errors import DegenerateLeadingCoefficient, RootAtZero
 from .scheme import Scheme
 
 
@@ -122,21 +118,37 @@ def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances
     return numerator / denominator
 
 
+def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
+    """Closed top-left ``m x m`` block ``A`` of the half-line update matrix.
+
+    Row ``j`` is the update of ``U_j``: ``a_k`` goes to column ``j + k`` when
+    that is an interior point and, spread by ``bc.ghost_row(j + k)``, over
+    columns ``0..m-1`` when it is a ghost point.
+    """
+    block = np.zeros((bc.m, bc.m))
+    for j in range(bc.m):
+        for offset, coeff in zip(range(-s.r, 1), s.a):
+            if j + offset >= 0:
+                block[j, j + offset] += coeff
+            else:
+                block[j] += coeff * bc.ghost_row(j + offset)
+    return block
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedBoundary:
     """Reduction of a (scheme, boundary) pair to polynomial form.
 
-    ``c_matrix`` is the r x r block left after eliminating the first ``m``
-    columns of ``[I_r | -b]`` against the interior recurrence, as a read-only
-    ``(r, r, m + 1)`` array of polynomial coefficients in ascending powers;
-    ``det_c`` is its determinant, a polynomial of exact degree ``m``;
-    ``sign`` is the parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
+    ``block`` is the read-only closed update block ``A`` of
+    :func:`upwind_block`; ``det_c`` is ``det C``, a polynomial of exact
+    degree ``m`` whose roots are the eigenvalues of ``A``; ``sign`` is the
+    parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
     """
 
     r: int
     m: int
     sign: int
-    c_matrix: np.ndarray
+    block: np.ndarray
     det_c: ComplexPolynomial
 
     def det_c_json(self) -> str:
@@ -145,48 +157,12 @@ class ReducedBoundary:
         return json.dumps({"degree": int(self.det_c.degree), "coefficients": coeffs})
 
 
-def _det_cofactor(matrix: List[List[np.ndarray]], trim_rel: float) -> np.ndarray:
-    """Determinant of a square matrix of polynomials by expansion along the first row.
-
-    Entries are trimmed ascending coefficient arrays; every product and
-    partial sum is trimmed again.
-    """
-    if len(matrix) == 1:
-        return matrix[0][0]
-    acc = np.zeros(0, dtype=complex)
-    for c, entry in enumerate(matrix[0]):
-        minor = _det_cofactor([row[:c] + row[c + 1 :] for row in matrix[1:]], trim_rel)
-        if entry.size and minor.size:
-            term = _trim(np.convolve(entry, minor), trim_rel)
-            total = np.zeros(max(acc.size, term.size), dtype=complex)
-            total[: acc.size] += acc
-            total[: term.size] += term if c % 2 == 0 else -term
-            acc = _trim(total, trim_rel)
-    return acc
-
-
-def _det_interpolation(c_matrix: np.ndarray, trim_rel: float) -> ComplexPolynomial:
-    """Determinant of an ``(r, r, m + 1)`` polynomial matrix, exact up to degree ``m``.
-
-    Evaluates ``det C`` at ``m + 1`` equispaced points of ``|z| = 2`` and
-    solves for the coefficients.
-    """
-    npts = c_matrix.shape[-1]
-    nodes = 2.0 * np.exp(2j * np.pi * np.arange(npts) / npts)
-    values = np.linalg.det(np.moveaxis(polyval(nodes, np.moveaxis(c_matrix, -1, 0)), -1, 0))
-    coeffs = np.linalg.solve(np.vander(nodes, npts, increasing=True), values)
-    return ComplexPolynomial.from_coeffs(coeffs, trim_rel)
-
-
 def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS) -> ReducedBoundary:
-    """Eliminate the boundary matrix against the interior recurrence.
+    """Reduce the pair to its closed update block and ``det C``.
 
-    Modal solutions satisfy ``U_{j-r} + (a_{-r+1}/a_{-r}) U_{j-r+1} + ...
-    + ((a_0 - z)/a_{-r}) U_j = 0``, so subtracting multiples of that row
-    zeroes the assembled boundary matrix column by column, left to right,
-    without changing its action on modal solutions. After ``m`` steps only
-    the last ``r`` columns remain; they form ``C(z)`` with polynomial
-    entries and ``deg det C = m`` exactly.
+    ``det(z I - A)`` is monic of degree ``m``; its values at the ``m + 1``
+    roots of unity determine its coefficients through one FFT, and
+    ``det C`` is that polynomial times ``(-1)^((r+1)m) a_{-r}^(-m)``.
     """
     if bc.r != s.r:
         raise ValueError(
@@ -202,35 +178,17 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT
     if abs(s.a_lead) <= tols.trim_rel * scale:
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
 
-    r, m, trim_rel = s.r, bc.m, tols.trim_rel
-    # Entries t = 1..r of the elimination row, a_{-r+t}/a_{-r}; the last,
-    # (a_0 - z)/a_{-r}, also has the z-term -1/a_{-r}.
-    row = (s.a[1:] / s.a_lead).astype(complex)
-    z_term = -1.0 / s.a_lead
-
-    # work[i, c, k]: coefficient of z^k in entry (i, c) of the boundary matrix.
-    work = np.zeros((r, r + m, m + 1), dtype=complex)
-    work[:, :, 0] = assemble_B(bc)
-    for j in range(m):
-        pivot = work[:, j]
-        product = pivot[:, None, :] * row[:, None]
-        product[:, -1, 1:] += pivot[:, :-1] * z_term
-        block = work[:, j + 1 : j + r + 1]
-        block[...] = _trim_batch(block - _trim_batch(product, trim_rel), trim_rel)
-    c_matrix = work[:, m:]
-    c_matrix.setflags(write=False)
-
-    if r <= 4:
-        entries = [[_trim(entry, trim_rel) for entry in c_row] for c_row in c_matrix]
-        det_c = ComplexPolynomial(_det_cofactor(entries, trim_rel))
-    else:
-        det_c = _det_interpolation(c_matrix, trim_rel)
-    if det_c.degree != m:
-        raise DegreeMismatch(
-            f"det C has degree {det_c.degree}, expected {m}; the elimination broke down numerically"
-        )
+    r, m = s.r, bc.m
+    block = upwind_block(s, bc)
+    block.setflags(write=False)
+    nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    values = np.linalg.det(nodes[:, None, None] * np.eye(m) - block)
+    # values[k] = sum_j c_j nodes[k]^j, an inverse DFT of the coefficients;
+    # A is real, so they are too
+    coeffs = np.fft.fft(values).real / (m + 1)
+    det_c = ComplexPolynomial((-1) ** ((r + 1) * m) * s.a_lead ** (-m) * coeffs)
     sign = -1 if (r * (m - r)) % 2 else 1
-    return ReducedBoundary(r=r, m=m, sign=sign, c_matrix=c_matrix, det_c=det_c)
+    return ReducedBoundary(r=r, m=m, sign=sign, block=block, det_c=det_c)
 
 
 def kl_det_explicit(rb: ReducedBoundary, s: Scheme, z):
@@ -261,11 +219,12 @@ def exterior_zero_count_direct(rb: ReducedBoundary, tols: Tolerances = DEFAULT_T
     """Count zeros of the determinant outside the closed unit disk.
 
     The rational prefactor never vanishes for ``|z| >= 1``, so those zeros
-    are exactly the roots of ``det C`` with modulus above 1. Roots inside
-    the ambiguity band around the unit circle are reported separately; the
-    caller decides whether to classify them as boundary zeros.
+    are exactly the eigenvalues of the update block with modulus above 1,
+    clustered with multiplicity. Eigenvalues inside the ambiguity band
+    around the unit circle are reported separately; the caller decides
+    whether to classify them as boundary zeros.
     """
-    roots = poly_roots(rb.det_c, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
+    roots = _cluster(np.linalg.eigvals(rb.block), tols.cluster_radius)
     exterior, band, interior = [], [], []
     for value, mult in roots:
         modulus = abs(value)

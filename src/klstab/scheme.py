@@ -12,6 +12,7 @@ are real; all presets in scope are real-valued.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -41,6 +42,7 @@ class Scheme:
     def from_coefficients(
         cls, coefficients: Iterable[float], lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel
     ) -> "Scheme":
+        _check_cfl(lam)
         arr = np.asarray(list(coefficients), dtype=float)
         if arr.size == 0:
             raise ValueError("a scheme needs at least one coefficient")
@@ -50,8 +52,6 @@ class Scheme:
         first = int(np.argmax(np.abs(arr) > trim_rel * scale))
         if arr.size - first < 1 or not np.any(np.abs(arr) > trim_rel * scale):
             raise ValueError("all scheme coefficients are negligible")
-        if lam <= 0:
-            raise ValueError("the CFL number must be positive")
         return cls(arr[first:].copy(), float(lam))
 
     @property
@@ -69,14 +69,20 @@ class Scheme:
         return float(self.a[-1])
 
 
+def _check_cfl(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"the CFL number must be finite, got {lam}")
+    if lam <= 0:
+        raise ValueError("the CFL number must be positive")
+
+
 def make_beam_warming(lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel) -> Scheme:
     """Second-order upwind (Beam-Warming) scheme for advection at CFL ``lam``.
 
     At ``lam = 1`` the leftmost coefficient vanishes and the stencil trims
     to the one-cell shift ``(1, 0)``.
     """
-    if lam <= 0:
-        raise ValueError("the CFL number must be positive")
+    _check_cfl(lam)
     a_m2 = lam * (lam - 1.0) / 2.0
     a_m1 = lam * (2.0 - lam)
     a_0 = (lam - 1.0) * (lam - 2.0) / 2.0

@@ -224,25 +224,68 @@ def test_library_errors_print_one_line(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--lambda", "nan", "--silw", "2", "3"], "CFL number must be finite, got nan"),
+    (["check", "--lambda", "inf", "--silw", "2", "3"], "CFL number must be finite, got inf"),
+    (["check", "--lambda=-inf", "--silw", "2", "3"], "CFL number must be finite, got -inf"),
+    (["check", "--coefficients", "0.5", "0.5", "--lambda", "nan", "--silw", "1", "1"],
+     "CFL number must be finite, got nan"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0.5:0.5:1", "--sigma-grid=nan:nan:1"],
+     "grid bounds and step must be finite: 'nan:nan:1'"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0.5:inf:0.1"],
+     "grid bounds and step must be finite: '0.5:inf:0.1'"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0.5:0.6:nan"],
+     "grid bounds and step must be finite: '0.5:0.6:nan'"),
+])
+def test_nonfinite_input_prints_one_line(capsys, argv, message):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_check_next_to_unit_cfl_prints_a_verdict(capsys):
+    # the block's spectral radius is 1 + 7e-8 here, inside the unit-circle band
+    assert run_cli(["check", "--lambda", "1.0000001", "--silw", "2", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["status"] == "Inconclusive"
+    assert len(payload["diagnostics"]["det_c_coefficients"]) == 4
+
+
 def test_sweep_records_failing_cells_as_inconclusive(tmp_path):
-    # within 1e-6 of CFL 1 the reduction of S2ILW3 raises DegreeMismatch; the
-    # sweep records those cells instead of aborting
-    args = [
-        "sweep", "--preset", "beam-warming", "--silw", "2", "3",
-        "--lambda-grid", "0.9999998:1.0000002:0.0000001", "--sigma-grid=0:0:1",
-    ]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(args + ["--out", str(out1), "--jobs", "1"]) == 0
-    assert run_cli(args + ["--out", str(out2), "--jobs", "2"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    rows = [line.split(",") for line in out1.read_text().strip().split("\n")[1:]]
-    assert [(float(lam), int(count), status) for lam, _, count, status in rows] == [
-        (0.9999998, -1, "Inconclusive"),
-        (0.9999999, -1, "Inconclusive"),
-        (1.0, -1, "UnstableBoundaryZero"),
-        (1.0000001, -1, "Inconclusive"),
-        (1.0000002, -1, "Inconclusive"),
-    ]
+    # At CFL 1e-12 the stencil trims to width 1 with a_0 = 1 - 1.5e-12, and
+    # classifying its boundary zero at z = 1 raises DegenerateLeadingCoefficient;
+    # the sweep records that cell instead of aborting. Next to CFL 1 every cell
+    # gets a verdict: at CFL 1 +- 1e-7 the block's spectral radius is
+    # 1 +- 7e-8, inside the unit-circle band, so the cells above 1 are
+    # Inconclusive by the count comparison, not by a raise.
+    grids = {
+        "0.000000000001:0.000000000002:0.000000000001": [
+            (1e-12, -1, "Inconclusive"),
+            (2e-12, -1, "UnstableBoundaryZero"),
+        ],
+        "0.9999998:1.0000002:0.0000001": [
+            (0.9999998, 0, "StronglyStable"),
+            (0.9999999, 0, "StronglyStable"),
+            (1.0, -1, "UnstableBoundaryZero"),
+            (1.0000001, -1, "Inconclusive"),
+            (1.0000002, -1, "Inconclusive"),
+        ],
+    }
+    for grid, expected in grids.items():
+        args = [
+            "sweep", "--preset", "beam-warming", "--silw", "2", "3",
+            "--lambda-grid", grid, "--sigma-grid=0:0:1",
+        ]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(args + ["--out", str(out1), "--jobs", "1"]) == 0
+        assert run_cli(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        rows = [line.split(",") for line in out1.read_text().strip().split("\n")[1:]]
+        assert [(float(lam), int(count), status) for lam, _, count, status in rows] == expected
 
 
 def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):

@@ -139,6 +139,11 @@ def test_scheme_construction_guards():
         Scheme.from_coefficients([0.0, 0.0], lam=1.0)
     with pytest.raises(ValueError):
         Scheme.from_coefficients([1.0], lam=-0.5)
+    for lam in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="CFL number must be finite"):
+            Scheme.from_coefficients([0.5, 0.5], lam=lam)
+        with pytest.raises(ValueError, match="CFL number must be finite"):
+            make_beam_warming(lam)
 
 
 def distance_from_symbol_formula(s, z0, coarse):

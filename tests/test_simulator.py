@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from klstab.boundary import custom_condition, silw_condition
-from klstab.scheme import make_beam_warming
+from klstab.kl import upwind_block
+from klstab.scheme import Scheme, make_beam_warming
 from klstab.simulator import GaussianPulse, IBVPRun, run_ibvp, sigma_scan
 
 
@@ -154,3 +155,41 @@ def test_custom_boundary_feeds_plain_trace():
     run = IBVPRun.from_cfl(s, J=30, T=0.02, g=lambda t: 1.0 if t > 0.005 else 0.0)
     result = run_ibvp(s, bc, run)
     assert result.values[-1][0] == 1.0
+
+
+def one_step_jacobian(s, bc, sigma):
+    """One simulator step restricted to cells 0..m-1, column k from f = e_k with zero boundary data."""
+    J = bc.m + 3
+    zero = lambda t: 0.0
+    columns = []
+    for k in range(bc.m):
+        run = IBVPRun.from_cfl(
+            s, J=J, T=s.lam / J, sigma=sigma, g=zero, g_derivs=(zero,) * 6, f=np.eye(J)[k]
+        )
+        result = run_ibvp(s, bc, run)
+        assert result.times.size == 2
+        columns.append(result.final_profile[s.r : s.r + bc.m])
+    return np.column_stack(columns)
+
+
+def test_upwind_block_is_one_simulator_step(lagrange_upwind):
+    # the block whose eigenvalues decide the verdict is the operator the simulator marches
+    cases = []
+    for lam in (0.3, 0.8, 1.0, 1.4, 1.9):
+        s = make_beam_warming(lam)
+        for kd, d in ((1, 2), (2, 3), (1, 4), (3, 4)):
+            for sigma in (-0.5, 0.0, 0.3):
+                cases.append((s, silw_condition(2, kd, d, sigma).restricted_to(s.r), sigma))
+    rng = np.random.default_rng(19)
+    for r in range(1, 6):
+        for _ in range(2):
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            b = rng.uniform(-1, 1, (r, int(rng.integers(r, r + 4))))
+            cases.append((s, custom_condition(b), 0.0))
+    for s, bc, sigma in cases:
+        block = upwind_block(s, bc)
+        assert block.shape == (bc.m, bc.m)
+        np.testing.assert_allclose(
+            one_step_jacobian(s, bc, sigma), block, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(block)))
+        )

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from klstab.analyzer import exterior_zero_count_winding
-from klstab.boundary import silw_condition
-from klstab.errors import DegreeMismatch, OriginOnCurve, RefinementBudgetExceeded
+from klstab.boundary import custom_condition, silw_condition
+from klstab.errors import OriginOnCurve, RefinementBudgetExceeded
 from klstab.kl import exterior_zero_count_direct, reduce_boundary
 from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
 from klstab.winding import (
@@ -300,8 +300,9 @@ def test_curve_csv_format():
 
 
 def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
-    # consistent, Cauchy-stable upwind stencils of widths 1..5 with SkILWd
-    # boundaries at random offsets, twelve pairs per width
+    # consistent, Cauchy-stable upwind stencils of widths 1..5, twelve pairs
+    # per width with SkILWd boundaries at random offsets, then twelve per width
+    # with random custom b, m = r..r+3
     rng = np.random.default_rng(2207)
     compared, skipped, counts = 0, 0, set()
     for r in range(1, 6):
@@ -315,11 +316,7 @@ def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
             d = int(rng.integers(1, 6))
             kd = int(rng.integers(0, d + 1))
             sigma = float(rng.uniform(-0.5, 0.5))
-            try:
-                rb = reduce_boundary(s, silw_condition(s.r, kd, d, sigma))
-            except DegreeMismatch:
-                skipped += 1
-                continue
+            rb = reduce_boundary(s, silw_condition(s.r, kd, d, sigma))
             direct = exterior_zero_count_direct(rb)
             if direct.has_boundary_band:
                 # k_d = 0 keeps constants, which puts a determinant root at z = 1
@@ -332,3 +329,26 @@ def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
             counts.add(count)
     assert (compared, skipped) == (41, 19)
     assert {0, 1, 2} <= counts
+
+    rng = np.random.default_rng(2208)
+    compared, skipped, counts = 0, 0, set()
+    for r in range(1, 6):
+        pairs = 0
+        while pairs < 12:
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            if s.r != r or not validate(s).all_pass:
+                continue
+            pairs += 1
+            b = rng.uniform(-1, 1, (r, int(rng.integers(r, r + 4))))
+            rb = reduce_boundary(s, custom_condition(b))
+            direct = exterior_zero_count_direct(rb)
+            if direct.has_boundary_band:
+                skipped += 1
+                continue
+            count = exterior_zero_count_winding(s, rb)
+            assert count == direct.count, (r, lam, b)
+            compared += 1
+            counts.add(count)
+    assert (compared, skipped) == (60, 0)
+    assert {0, 1, 2, 3, 4} <= counts
