@@ -31,7 +31,6 @@ from .kl import (
     ExteriorRootCount,
     KMatrix,
     ReducedBoundary,
-    characteristic_poly,
     exterior_zero_count_direct,
     k_matrix,
     kl_det_direct,
@@ -93,7 +92,6 @@ __all__ = [
     "assemble_B",
     "bisect_stability_edge",
     "boundary_from_descriptor",
-    "characteristic_poly",
     "classify_boundary_zero",
     "curve_to_csv",
     "custom_condition",

@@ -138,8 +138,7 @@ def classify_boundary_zero(
     eigenvalue. Raises :class:`IllConditionedKernel` when the kernel
     dimension is ambiguous at tolerance.
     """
-    if bc.r > s.r:
-        bc = bc.restricted_to(s.r)
+    bc = bc.restricted_to(s.r)
     if _distance_to_symbol_curve(s, z0) > tols.gamma_tol:
         return BoundaryZeroType.TYPE_II
 
@@ -208,8 +207,7 @@ def analyze(
     ``policy`` sets the refinement budget and split thresholds of the
     winding route; its origin threshold is ``tols.origin_tol``.
     """
-    if bc.r > s.r:
-        bc = bc.restricted_to(s.r)
+    bc = bc.restricted_to(s.r)
     report = validate(s, n_xi=n_xi, tols=tols)
     rb = direct = wres = count = None
     zeros: Tuple[BoundaryZero, ...] = ()

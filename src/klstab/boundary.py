@@ -62,11 +62,11 @@ class BoundaryCondition:
         return self.b[j + self.r]
 
     def restricted_to(self, new_r: int) -> "BoundaryCondition":
-        """Keep only the ghost rows ``-new_r .. -1`` (stencil trimmed schemes)."""
+        """Fit to a scheme with ``new_r`` ghost points: keep rows ``-new_r .. -1``, never add any."""
         if new_r == self.r:
             return self
         if not 1 <= new_r < self.r:
-            raise ValueError(f"cannot restrict {self.r} ghost rows to {new_r}")
+            raise ValueError(f"boundary condition has {self.r} ghost rows, scheme needs {new_r}")
         drop = self.r - new_r
         return BoundaryCondition(
             r=new_r,
@@ -146,7 +146,8 @@ def boundary_from_descriptor(descriptor: dict, r: int) -> BoundaryCondition:
 
     Either ``{"silw": {"kd": 2, "d": 3, "sigma": 0.0}}`` (``sigma`` optional)
     or ``{"custom": {"b": [[...], ...]}}``. ``r`` is the ghost-point count of
-    the scheme the condition will be paired with; custom matrices must match.
+    the scheme the condition will be paired with; a custom matrix is fitted
+    to it by :meth:`BoundaryCondition.restricted_to`.
     """
     if "silw" in descriptor:
         params = descriptor["silw"]
@@ -157,8 +158,5 @@ def boundary_from_descriptor(descriptor: dict, r: int) -> BoundaryCondition:
             sigma=float(params.get("sigma", 0.0)),
         )
     if "custom" in descriptor:
-        bc = custom_condition(descriptor["custom"]["b"])
-        if bc.r != r:
-            raise ValueError(f"custom boundary has {bc.r} ghost rows, scheme needs {r}")
-        return bc
+        return custom_condition(descriptor["custom"]["b"]).restricted_to(r)
     raise ValueError("boundary descriptor needs 'silw' or 'custom'")

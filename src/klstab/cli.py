@@ -6,6 +6,12 @@ Commands
     sweep      exterior-zero-count map over a lambda (and optional sigma) grid as CSV
     simulate   final-time amplitude field of a sigma scan as CSV
 
+Every command builds its (scheme, boundary) pairs one way: ``_descriptors``
+resolves flags over the ``--config`` file into two descriptors (one boundary:
+``--silw`` or ``--custom-b``, never both, else the file's ``boundary``), and
+the picklable builders ``scheme_at`` and ``boundary_at`` add the CFL number
+and offset and fit the boundary rows to the scheme.
+
 Exit codes: 0 success / strongly stable, 1 usage, config or input error
 (one ``error:`` line on stderr), 2 unstable, 3 assumption violated,
 4 inconclusive.
@@ -18,15 +24,15 @@ import functools
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .analyzer import StabilityStatus, analyze, sweep
-from .boundary import boundary_from_descriptor, custom_condition, silw_condition
+from .boundary import BoundaryCondition, boundary_from_descriptor
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import KLStabError
-from .scheme import Scheme, make_beam_warming, scheme_from_descriptor
+from .scheme import Scheme, scheme_from_descriptor
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
 from .winding import curve_to_csv, sample_kl_curve
 from .kl import reduce_boundary
@@ -69,7 +75,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"grid bounds and step must be finite: {text!r}")
     if step <= 0 or b < a:
         raise UsageError(f"grid must ascend with positive step: {text!r}")
-    n = int(np.floor((b - a) / step + 1e-9)) + 1
+    spans = (b - a) / step
+    if not math.isfinite(spans):
+        raise UsageError(f"grid has too many points: {text!r}")
+    n = int(np.floor(spans + 1e-9)) + 1
     # round away float accumulation noise so grid values print cleanly
     return np.round(a + step * np.arange(n), 12)
 
@@ -142,45 +151,50 @@ def _tolerances(args, config: dict) -> Tolerances:
     return tols
 
 
-def _scheme(args, config: dict) -> Scheme:
-    lam = _merged(args, config, "lam", config.get("scheme", {}).get("lambda"))
-    preset = _merged(args, config, "preset", config.get("scheme", {}).get("preset"))
-    coeffs = _merged(args, config, "coefficients", config.get("scheme", {}).get("coefficients"))
-    if lam is None:
-        raise UsageError("a CFL number is required (--lambda)")
-    descriptor = {"lambda": float(lam)}
-    if coeffs is not None:
-        descriptor["coefficients"] = list(coeffs)
-    else:
-        descriptor["preset"] = preset or "beam-warming"
-    try:
-        return scheme_from_descriptor(descriptor)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _descriptors(args, config: dict) -> Tuple[dict, dict]:
+    """Scheme and boundary descriptors from flags and config, without CFL number or offset.
 
-
-def _boundary(args, config: dict, s: Scheme, sigma: float):
+    Flags override the file. The boundary is ``--silw`` or ``--custom-b``
+    (each also readable from the file under its flag name), never both;
+    without either, the file's ``boundary`` descriptor.
+    """
+    from_file = config.get("scheme", {})
+    coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"))
+    preset = _merged(args, config, "preset", from_file.get("preset")) or "beam-warming"
+    scheme = {"preset": preset} if coeffs is None else {"coefficients": list(coeffs)}
     silw = _merged(args, config, "silw")
     custom_path = _merged(args, config, "custom_b")
-    file_bc = config.get("boundary")
     if silw is not None and custom_path is not None:
         raise UsageError("give either --silw or --custom-b, not both")
-    try:
-        if silw is not None:
-            kd, d = int(silw[0]), int(silw[1])
-            return silw_condition(s.r, kd, d, sigma)
-        if custom_path is not None:
-            with open(custom_path) as fh:
-                payload = json.load(fh)
-            bc = custom_condition(payload["b"])
-            if bc.r != s.r:
-                raise UsageError(f"custom boundary has {bc.r} ghost rows, scheme needs {s.r}")
-            return bc
-        if file_bc is not None:
-            return boundary_from_descriptor(file_bc, s.r)
-    except (ValueError, KeyError, OSError) as exc:
-        raise UsageError(f"bad boundary condition: {exc}") from exc
+    if silw is not None:
+        return scheme, {"silw": {"kd": int(silw[0]), "d": int(silw[1])}}
+    if custom_path is not None:
+        with open(custom_path) as fh:
+            return scheme, {"custom": json.load(fh)}
+    if "boundary" in config:
+        return scheme, config["boundary"]
     raise UsageError("a boundary condition is required (--silw KD D or --custom-b FILE)")
+
+
+def scheme_at(lam: float, scheme: dict) -> Scheme:
+    """The scheme of descriptor ``scheme`` at CFL ``lam`` (a sweep's ``scheme_family``)."""
+    return scheme_from_descriptor({**scheme, "lambda": lam})
+
+
+def boundary_at(lam: float, sigma: Optional[float], scheme: dict, boundary: dict) -> BoundaryCondition:
+    """The boundary of descriptor ``boundary`` fitted to ``scheme_at(lam, scheme)``.
+
+    A given ``sigma`` replaces the offset of a SILW descriptor; ``None``
+    keeps the descriptor's own (default 0). With ``scheme`` and
+    ``boundary`` bound this is a sweep's ``bc_family``.
+    """
+    r = scheme_at(lam, scheme).r
+    try:
+        if sigma is not None and "silw" in boundary:
+            boundary = {"silw": {**boundary["silw"], "sigma": sigma}}
+        return boundary_from_descriptor(boundary, r)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad boundary condition: {exc}") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -189,22 +203,6 @@ def _write(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _bw_scheme_family(lam: float) -> Scheme:
-    return make_beam_warming(lam)
-
-
-def _coeff_scheme_family(lam: float, coefficients=None) -> Scheme:
-    return Scheme.from_coefficients(coefficients, lam)
-
-
-def _silw_family(lam: float, sigma: float, kd: int = 2, d: int = 3, scheme_family=None) -> object:
-    return silw_condition(scheme_family(lam).r, kd, d, sigma)
-
-
-def _custom_family(lam: float, sigma: float, b=None):
-    return custom_condition(b)
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:
@@ -229,24 +227,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         n0 = int(_merged(args, config, "samples", 1024))
         out = _merged(args, config, "out")
 
-        if args.command == "check":
-            s = _scheme(args, config)
-            sigma = float(_merged(args, config, "sigma", 0.0))
-            bc = _boundary(args, config, s, sigma)
-            verdict = analyze(s, bc, tols=tols, n0=n0)
-            _write(verdict.to_json() + "\n", out)
-            return _STATUS_EXIT[verdict.status]
-
-        if args.command == "curve":
-            s = _scheme(args, config)
-            sigma = float(_merged(args, config, "sigma", 0.0))
-            bc = _boundary(args, config, s, sigma)
-            if bc.r > s.r:
-                bc = bc.restricted_to(s.r)
-            rb = reduce_boundary(s, bc, tols)
-            curve = sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)
-            _write(curve_to_csv(curve), out)
-            return EXIT_OK
+        scheme, boundary = _descriptors(args, config)
 
         if args.command == "sweep":
             lam_spec = _merged(args, config, "lambda_grid")
@@ -257,63 +238,36 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             sigma_grid = parse_grid(sig_spec) if sig_spec else np.array([0.0])
             if np.any(lambda_grid <= 0):
                 raise UsageError("all CFL grid values must be positive")
-
-            coeffs = _merged(args, config, "coefficients",
-                             config.get("scheme", {}).get("coefficients"))
-            if coeffs is not None:
-                scheme_family = functools.partial(_coeff_scheme_family, coefficients=tuple(coeffs))
-            else:
-                preset = _merged(args, config, "preset",
-                                 config.get("scheme", {}).get("preset", "beam-warming"))
-                if preset != "beam-warming":
-                    raise UsageError(f"unknown scheme preset {preset!r}")
-                scheme_family = _bw_scheme_family
-
-            silw = _merged(args, config, "silw")
-            file_bc = config.get("boundary", {})
-            if silw is not None:
-                bc_family = functools.partial(
-                    _silw_family, kd=int(silw[0]), d=int(silw[1]), scheme_family=scheme_family
-                )
-            elif "silw" in file_bc:
-                bc_family = functools.partial(
-                    _silw_family, kd=int(file_bc["silw"]["kd"]), d=int(file_bc["silw"]["d"]),
-                    scheme_family=scheme_family,
-                )
-            else:
-                custom_path = _merged(args, config, "custom_b")
-                if custom_path is None:
-                    raise UsageError("sweep needs --silw KD D or --custom-b FILE")
-                with open(custom_path) as fh:
-                    payload = json.load(fh)
-                bc_family = functools.partial(_custom_family, b=tuple(map(tuple, payload["b"])))
-
+            scheme_family = functools.partial(scheme_at, scheme=scheme)
+            bc_family = functools.partial(boundary_at, scheme=scheme, boundary=boundary)
+            # a bad scheme or boundary fails here, once, rather than in the pool
+            bc_family(float(lambda_grid[0]), float(sigma_grid[0]))
             result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid,
                            tols=tols, n0=n0, jobs=int(args.jobs))
             _write(result.to_csv(), out)
             return EXIT_OK
 
+        lam = _merged(args, config, "lam", config.get("scheme", {}).get("lambda"))
+        if lam is None:
+            raise UsageError("a CFL number is required (--lambda)")
+        s = scheme_at(float(lam), scheme)
+
         if args.command == "simulate":
-            s = _scheme(args, config)
-            sig_spec = _merged(args, config, "sigma_grid")
-            sigma_grid = parse_grid(sig_spec) if sig_spec else parse_grid("-0.5:0.48:0.02")
-            silw = _merged(args, config, "silw")
-            if silw is None:
-                raise UsageError("simulate needs --silw KD D")
-            kd, d = int(silw[0]), int(silw[1])
-            pulse = GaussianPulse()
+            sigma_grid = parse_grid(_merged(args, config, "sigma_grid") or "-0.5:0.48:0.02")
             scan = sigma_scan(
                 s,
-                bc_family=lambda sg: silw_condition(s.r, kd, d, sg),
+                bc_family=functools.partial(boundary_at, s.lam, scheme=scheme, boundary=boundary),
                 sigma_grid=sigma_grid,
                 run_factory=lambda sg: IBVPRun.from_cfl(
                     s, J=int(args.grid_points), T=float(args.final_time),
-                    a=float(args.velocity), sigma=sg, g=pulse,
+                    a=float(args.velocity), sigma=sg, g=GaussianPulse(),
                 ),
             )
             _write(scan.to_csv(), out)
             fallbacks = sum(scan.fd_derivative_fallbacks)
             if fallbacks:
+                # only SILW rows take derivatives of the boundary data
+                kd, d = int(boundary["silw"]["kd"]), int(boundary["silw"]["d"])
                 print(
                     f"warning: S{kd}ILW{d} needs boundary-data derivatives the Gaussian pulse has "
                     f"no closed form for; finite differences used at {fallbacks} of "
@@ -322,7 +276,16 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 )
             return EXIT_OK
 
-        raise UsageError(f"unknown command {args.command!r}")
+        # check and curve: one pair at the offset --sigma, else the file's
+        bc = boundary_at(s.lam, _merged(args, config, "sigma"), scheme, boundary)
+        if args.command == "check":
+            verdict = analyze(s, bc, tols=tols, n0=n0)
+            _write(verdict.to_json() + "\n", out)
+            return _STATUS_EXIT[verdict.status]
+        rb = reduce_boundary(s, bc, tols)
+        curve = sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)
+        _write(curve_to_csv(curve), out)
+        return EXIT_OK
     except (UsageError, OSError, ValueError, KLStabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

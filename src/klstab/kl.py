@@ -25,7 +25,6 @@ the two counts share no arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,23 +37,12 @@ from .errors import DegenerateLeadingCoefficient, RootAtZero
 from .scheme import Scheme
 
 
-def characteristic_poly(s: Scheme, z: complex) -> ComplexPolynomial:
-    """Characteristic polynomial in the spatial mode variable.
-
-    Inserting the modal solution ``U_j^n = z^n kappa^j`` into the interior
-    update gives a degree-``r`` polynomial in ``kappa`` with coefficients
-    ``(a_{-r}, ..., a_{-1}, a_0 - z)`` (ascending powers); the degree drops
-    only when ``z`` hits ``a_0``, which cannot happen for ``|z| >= 1`` when
-    ``|a_0| < 1``.
-    """
-    coeffs = np.asarray(s.a, dtype=complex).copy()
-    coeffs[-1] -= z
-    return ComplexPolynomial.from_coeffs(coeffs)
-
-
 def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> RootSet:
     """All ``r`` characteristic roots at ``z``, clustered with multiplicity.
 
+    Inserting the modal solution ``U_j^n = z^n kappa^j`` into the interior
+    update gives the degree-``r`` polynomial in ``kappa`` with ascending
+    coefficients ``(a_{-r}, ..., a_{-1}, a_0 - z)``; these are its roots.
     For a totally upwind stencil every root belongs to the decaying family,
     so nothing is discarded. Raises when ``a_0 - z`` degenerates (the
     polynomial would lose its leading term).
@@ -150,11 +138,6 @@ class ReducedBoundary:
     sign: int
     block: np.ndarray
     det_c: ComplexPolynomial
-
-    def det_c_json(self) -> str:
-        """Determinant coefficients as JSON (ascending, [re, im] pairs)."""
-        coeffs = [[float(c.real), float(c.imag)] for c in self.det_c.coeffs]
-        return json.dumps({"degree": int(self.det_c.degree), "coefficients": coeffs})
 
 
 def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS) -> ReducedBoundary:

@@ -44,15 +44,15 @@ class Scheme:
     ) -> "Scheme":
         _check_cfl(lam)
         arr = np.asarray(list(coefficients), dtype=float)
-        if arr.size == 0:
-            raise ValueError("a scheme needs at least one coefficient")
-        scale = float(np.max(np.abs(arr)))
-        if scale == 0.0:
-            raise ValueError("all scheme coefficients are zero")
-        first = int(np.argmax(np.abs(arr) > trim_rel * scale))
-        if arr.size - first < 1 or not np.any(np.abs(arr) > trim_rel * scale):
-            raise ValueError("all scheme coefficients are negligible")
-        return cls(arr[first:].copy(), float(lam))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"scheme coefficients must be finite, got {arr.tolist()}")
+        kept = np.flatnonzero(np.abs(arr) > trim_rel * np.max(np.abs(arr), initial=0.0))
+        if kept.size == 0:
+            raise ValueError("a scheme needs a nonzero coefficient")
+        if arr.size - kept[0] < 2:
+            raise ValueError(f"at CFL {lam} the trimmed stencil is the single coefficient a_0; "
+                             "a scheme needs at least two")
+        return cls(arr[kept[0]:].copy(), float(lam))
 
     @property
     def r(self) -> int:

@@ -14,7 +14,7 @@ from klstab.analyzer import (
 )
 from klstab.boundary import custom_condition, silw_condition
 from klstab.errors import IllConditionedKernel
-from klstab.kl import stable_roots
+from klstab.kl import reduce_boundary, stable_roots
 from klstab.scheme import make_beam_warming
 
 
@@ -216,3 +216,14 @@ def test_analyze_restricts_boundary_rows_at_unit_cfl():
     # passing the full two-row condition with the trimmed scheme must work
     verdict = analyze(make_beam_warming(1.0), silw_condition(2, 2, 3, 0.0))
     assert verdict.status is StabilityStatus.UNSTABLE_BOUNDARY_ZERO
+
+
+def test_verdict_json_exports_det_c_coefficients():
+    # det C of Beam-Warming with S2ILW3 has exact degree m = 3: four [re, im] pairs, ascending
+    s, bc = make_beam_warming(0.7), silw_condition(2, 2, 3, 0.0)
+    payload = json.loads(analyze(s, bc).to_json())
+    coefficients = payload["diagnostics"]["det_c_coefficients"]
+    assert len(coefficients) == 4 and all(len(c) == 2 for c in coefficients)
+    assert coefficients[-1] != [0.0, 0.0]
+    expected = reduce_boundary(s, bc).det_c.coeffs
+    np.testing.assert_array_equal([complex(*c) for c in coefficients], expected)

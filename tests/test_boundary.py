@@ -119,7 +119,8 @@ def test_restrict_rows_keeps_innermost_ghosts():
     one = bc.restricted_to(1)
     assert one.r == 1
     np.testing.assert_allclose(one.ghost_row(-1), bc.ghost_row(-1))
-    with pytest.raises(ValueError):
+    assert bc.restricted_to(2) is bc
+    with pytest.raises(ValueError, match="boundary condition has 2 ghost rows, scheme needs 3"):
         bc.restricted_to(3)
 
 
@@ -128,7 +129,10 @@ def test_descriptor_forms():
     np.testing.assert_allclose(bc.ghost_row(-1), [0.5, -1.0, 0.5])
     bc2 = boundary_from_descriptor({"custom": {"b": [[0.0, 0.0]]}}, r=1)
     assert bc2.m == 2
-    with pytest.raises(ValueError):
+    # a custom matrix keeps its innermost rows for a narrower scheme
+    bc3 = boundary_from_descriptor({"custom": {"b": [[1.0, 0.0], [0.5, 0.5]]}}, r=1)
+    np.testing.assert_allclose(bc3.b, [[0.5, 0.5]])
+    with pytest.raises(ValueError, match="boundary condition has 1 ghost rows, scheme needs 2"):
         boundary_from_descriptor({"custom": {"b": [[0.0]]}}, r=2)
     with pytest.raises(ValueError):
         boundary_from_descriptor({}, r=2)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from klstab.boundary import silw_condition
+from klstab.boundary import custom_condition, silw_condition
 from klstab.cli import parse_grid, run_cli, UsageError
 from klstab.scheme import make_beam_warming
 from klstab.simulator import IBVPRun, sigma_scan
@@ -26,7 +26,7 @@ def test_parse_grid_negative_values():
 
 
 def test_parse_grid_errors():
-    for bad in ("1:2", "a:b:c", "2:1:0.1", "0:1:-0.5"):
+    for bad in ("1:2", "a:b:c", "2:1:0.1", "0:1:-0.5", "0:1e300:1e-300"):
         with pytest.raises(UsageError):
             parse_grid(bad)
 
@@ -215,6 +215,7 @@ def test_library_errors_print_one_line(capsys):
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
         (["check", "--lambda", "0.7", "--silw", "4", "3"], "need 0 <= k_d <= d"),
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "-1"], "origin_tol must be positive"),
+        (["check", "--lambda", "1e-13", "--silw", "2", "3"], "at CFL 1e-13 the trimmed stencil"),
     ]
     for argv, message in cases:
         assert run_cli(argv) == 1
@@ -236,6 +237,12 @@ def test_library_errors_print_one_line(capsys):
      "grid bounds and step must be finite: '0.5:inf:0.1'"),
     (["sweep", "--silw", "2", "3", "--lambda-grid", "0.5:0.6:nan"],
      "grid bounds and step must be finite: '0.5:0.6:nan'"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0:1e300:1e-300"],
+     "grid has too many points: '0:1e300:1e-300'"),
+    (["check", "--coefficients", "nan", "0.5", "--lambda", "0.5", "--silw", "1", "1"],
+     "scheme coefficients must be finite, got [nan, 0.5]"),
+    (["check", "--coefficients", "0.5", "inf", "--lambda", "0.5", "--silw", "1", "1"],
+     "scheme coefficients must be finite, got [0.5, inf]"),
 ])
 def test_nonfinite_input_prints_one_line(capsys, argv, message):
     assert run_cli(argv) == 1
@@ -297,3 +304,83 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "jobs" in lines[0], lines
     assert not out.exists()
+
+
+def test_sigma_flag_overrides_config_silw_sigma(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3}}}))
+    code = run_cli(["check", "--config", str(config), "--lambda", "1.3", "--sigma", "0.3"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "StronglyStable"
+    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3, "sigma": 0.3}}}))
+    assert run_cli(["check", "--config", str(config), "--lambda", "1.3"]) == 0
+    assert run_cli(["check", "--config", str(config), "--lambda", "1.3", "--sigma", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_check_and_sweep_agree_on_wider_custom_boundary(tmp_path, capsys):
+    # at CFL 1 Beam-Warming trims to width 1, so the first of the two rows is dropped
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps({"b": [[0.3, -0.2, 0.1], [0.5, 0.1, -0.05]]}))
+    code = run_cli(["check", "--lambda", "1", "--custom-b", str(bfile)])
+    verdict = json.loads(capsys.readouterr().out)
+    out = tmp_path / "map.csv"
+    assert run_cli(["sweep", "--lambda-grid", "1:1:1", "--custom-b", str(bfile), "--out", str(out)]) == 0
+    _, _, count, status = out.read_text().strip().split("\n")[1].split(",")
+    assert code == 0 and verdict["status"] == status == "StronglyStable"
+    assert verdict["exterior_zero_count"] == int(count) == 0
+
+
+def test_sweep_rejects_silw_with_custom_b(tmp_path, capsys):
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps({"b": [[0.0, 0.0], [0.0, 0.0]]}))
+    argv = ["sweep", "--silw", "2", "3", "--custom-b", str(bfile), "--lambda-grid", "0.5:1.5:0.5"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not both" in lines[0], lines
+
+
+def test_sweep_takes_config_custom_boundary(tmp_path, capsys):
+    b = [[0.0, 0.0], [0.0, 0.0]]
+    bfile, config = tmp_path / "b.json", tmp_path / "config.json"
+    bfile.write_text(json.dumps({"b": b}))
+    config.write_text(json.dumps({"boundary": {"custom": {"b": b}}}))
+    argv = ["sweep", "--lambda-grid", "0.5:1.5:0.25"]
+    assert run_cli(argv + ["--config", str(config)]) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(argv + ["--custom-b", str(bfile)]) == 0
+    assert capsys.readouterr().out == from_config
+    assert len(from_config.strip().split("\n")) == 6
+
+
+def test_sweep_reports_a_bad_config_boundary_once(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2}}}))
+    argv = ["sweep", "--config", str(config), "--lambda-grid", "0.5:1.5:0.25", "--jobs", "2"]
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad boundary condition"), lines
+
+
+def test_simulate_takes_custom_and_config_boundaries(tmp_path, capsys):
+    argv = ["simulate", "--lambda", "0.6", "--sigma-grid=0:0.1:0.1", "--grid-points", "50"]
+    b = [[0.0, 1.0], [0.0, 1.0]]
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps({"b": b}))
+    assert run_cli(argv + ["--custom-b", str(bfile)]) == 0
+    s = make_beam_warming(0.6)
+    scan = sigma_scan(
+        s,
+        bc_family=lambda sg: custom_condition(b),
+        sigma_grid=[0.0, 0.1],
+        run_factory=lambda sg: IBVPRun.from_cfl(s, J=50, sigma=sg),
+    )
+    assert capsys.readouterr().out == scan.to_csv()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3}}}))
+    assert run_cli(argv + ["--config", str(config)]) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(argv + ["--silw", "2", "3"]) == 0
+    assert capsys.readouterr().out == from_config

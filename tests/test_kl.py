@@ -7,7 +7,6 @@ from klstab.core_numerics import ComplexPolynomial, RootSet, poly_roots
 from klstab.errors import DegenerateLeadingCoefficient, RootAtZero
 from klstab.kl import (
     ReducedBoundary,
-    characteristic_poly,
     exterior_zero_count_direct,
     k_matrix,
     kl_det_direct,
@@ -16,7 +15,7 @@ from klstab.kl import (
     stable_roots,
     upwind_block,
 )
-from klstab.scheme import Scheme, make_beam_warming, validate
+from klstab.scheme import Scheme, make_beam_warming, symbol, validate
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
@@ -37,27 +36,32 @@ def c_matrix_at(entries, z):
     return np.array([[ComplexPolynomial(entry)(z) for entry in row] for row in entries])
 
 
-def test_characteristic_poly_beam_warming():
-    p = characteristic_poly(make_beam_warming(0.5), 2.0)
-    np.testing.assert_allclose(p.coeffs, [-0.125, 0.75, -1.625])
+def test_stable_roots_beam_warming():
+    # at z = 2 the characteristic polynomial of Beam-Warming at CFL 0.5 is
+    # -0.125 + 0.75 kappa - 1.625 kappa^2
+    roots = stable_roots(make_beam_warming(0.5), 2.0)
+    assert roots.total_multiplicity == 2
+    for kappa, _ in roots:
+        assert abs(-0.125 + 0.75 * kappa - 1.625 * kappa**2) < 1e-14
+    product = np.prod([kappa**mult for kappa, mult in roots])
+    assert abs(product - 0.125 / 1.625) < 1e-14
 
 
-def test_characteristic_poly_symbol_curve_points():
+def test_stable_roots_symbol_curve_points():
     # z on the symbol curve makes e^{i xi} a characteristic root
     rng = np.random.default_rng(2)
     for lam in (0.4, 1.3, 1.9):
         s = make_beam_warming(lam)
         for xi in rng.uniform(0, 2 * np.pi, 5):
-            from klstab.scheme import symbol
-
             z = symbol(s, float(xi))
-            assert abs(characteristic_poly(s, z)(np.exp(1j * xi))) < 1e-12
+            gaps = [abs(kappa - np.exp(1j * xi)) for kappa, _ in stable_roots(s, z)]
+            assert min(gaps) < 1e-12
 
 
-def test_characteristic_poly_unit_cfl():
+def test_stable_roots_unit_cfl():
+    # the stencil trims to (1, 0), whose characteristic polynomial at z = 2 is 1 - 2 kappa
     s = make_beam_warming(1.0)
-    p = characteristic_poly(s, 2.0)
-    np.testing.assert_allclose(p.coeffs, [1.0, -2.0])
+    np.testing.assert_allclose(s.a, [1.0, 0.0])
     roots = stable_roots(s, 2.0)
     assert len(roots) == 1
     assert abs(roots.values[0] - 0.5) < 1e-12
@@ -512,12 +516,3 @@ def test_exterior_count_all_roots_at_origin():
     assert result.count == 0
     assert not result.boundary_band
     assert result.interior[0][1] == 3
-
-
-def test_det_c_json_export():
-    import json
-
-    rb = reduce_boundary(make_beam_warming(0.7), S2ILW3())
-    payload = json.loads(rb.det_c_json())
-    assert payload["degree"] == 3
-    assert len(payload["coefficients"]) == 4

@@ -139,6 +139,13 @@ def test_scheme_construction_guards():
         Scheme.from_coefficients([0.0, 0.0], lam=1.0)
     with pytest.raises(ValueError):
         Scheme.from_coefficients([1.0], lam=-0.5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="scheme coefficients must be finite"):
+            Scheme.from_coefficients([0.5, bad], lam=0.5)
+    # trimming Beam-Warming below CFL 5e-13 leaves a_0 alone; at 1e-12 a_-1 survives
+    with pytest.raises(ValueError, match="at CFL 1e-13 the trimmed stencil"):
+        make_beam_warming(1e-13)
+    assert make_beam_warming(1e-12).r == 1
     for lam in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="CFL number must be finite"):
             Scheme.from_coefficients([0.5, 0.5], lam=lam)
