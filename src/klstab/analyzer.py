@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
@@ -28,6 +28,7 @@ from .kl import (
     k_matrix,
     reduce_boundary,
     stable_roots,
+    upwind_block,
 )
 from .scheme import AssumptionReport, Scheme, _symbol_from_basis, symbol, symbol_basis, validate
 from .winding import (
@@ -364,6 +365,11 @@ def sweep(
     )
 
 
+# First step from the rho(A) = 1 crossing toward the verdict flip, which sits up
+# to 7.1e-8 inside the crossing on the stable side (the winding's origin_tol).
+_FLIP_SEARCH_STEP = 1.5e-7
+
+
 def bisect_stability_edge(
     scheme_family: Callable[[float], Scheme],
     bc_family: Callable[[float, float], BoundaryCondition],
@@ -374,24 +380,53 @@ def bisect_stability_edge(
     n0: int = 1024,
     max_iter: int = 30,
 ) -> float:
-    """Bisection refinement of a stability transition between two CFL values.
+    """Locate a stability transition between two CFL values.
 
     ``lam_a`` and ``lam_b`` must give different strong-stability verdicts;
-    the returned point brackets the transition to ``(lam_b - lam_a) / 2**max_iter``.
+    the returned point brackets the ``analyze`` verdict flip to
+    ``(lam_b - lam_a) / 2**max_iter``. The search starts where the spectral
+    radius of the closed block ``A`` crosses 1 (brentq on ``rho(A) - 1``):
+    one ``analyze`` there, then ``analyze`` steps of 1.5e-7, growing
+    eightfold, toward the other verdict close a short bracket, and
+    ``analyze`` bisection finishes it. When ``rho(A) - 1`` raises or keeps
+    its sign on the bracket (a tangency, a scheme failing validation), the
+    whole bracket is bisected.
     """
 
     def stable(lam: float) -> bool:
         verdict = analyze(scheme_family(lam), bc_family(lam, sigma), tols=tols, n0=n0)
         return verdict.status is StabilityStatus.STRONGLY_STABLE
 
+    def excess(lam: float) -> float:
+        s = scheme_family(lam)
+        block = upwind_block(s, bc_family(lam, sigma).restricted_to(s.r))
+        return float(np.max(np.abs(np.linalg.eigvals(block)))) - 1.0
+
     sa, sb = stable(lam_a), stable(lam_b)
     if sa == sb:
         raise ValueError(f"no transition: both endpoints have stable={sa}")
     lo, hi = float(lam_a), float(lam_b)
+    width = abs(hi - lo) / 2**max_iter
+
+    def probe(lam: float) -> bool:
+        """Verdict at ``lam``; moves the bracket end with the same verdict there."""
+        nonlocal lo, hi
+        verdict = stable(lam)
+        lo, hi = (lam, hi) if verdict == sa else (lo, lam)
+        return verdict
+
+    try:
+        x = brentq(excess, lo, hi)
+    except (KLStabError, ValueError, np.linalg.LinAlgError):
+        pass
+    else:
+        at_x = probe(x)
+        target = hi if at_x == sa else lo
+        step = _FLIP_SEARCH_STEP
+        while abs(target - x) > step and probe(x + (step if target > x else -step)) == at_x:
+            step *= 8.0
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if stable(mid) == sa:
-            lo = mid
-        else:
-            hi = mid
+        if abs(hi - lo) <= width:
+            break
+        probe(0.5 * (lo + hi))
     return 0.5 * (lo + hi)

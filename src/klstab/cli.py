@@ -52,6 +52,9 @@ _STATUS_EXIT = {
 }
 
 
+# Largest grid parse_grid builds; a finite grid can still be too large to allocate
+_MAX_GRID_POINTS = 10**7
+
 # Tolerances settable by flag (--cluster-radius, ...) and by the config's "tolerances" keys
 _TOLERANCE_NAMES = (
     "cluster_radius", "unit_circle_tol", "origin_tol", "gamma_tol", "kernel_tol", "cauchy_tol",
@@ -76,7 +79,7 @@ def parse_grid(text: str) -> np.ndarray:
     if step <= 0 or b < a:
         raise UsageError(f"grid must ascend with positive step: {text!r}")
     spans = (b - a) / step
-    if not math.isfinite(spans):
+    if not spans < _MAX_GRID_POINTS:
         raise UsageError(f"grid has too many points: {text!r}")
     n = int(np.floor(spans + 1e-9)) + 1
     # round away float accumulation noise so grid values print cleanly

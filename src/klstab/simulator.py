@@ -233,7 +233,9 @@ def sigma_scan(
     """One simulation per grid offset; profiles are clipped at +-clip_value for export.
 
     The unclipped running maximum per offset is kept alongside, which is what
-    the verdict-agreement checks consume.
+    the verdict-agreement checks consume. A boundary without an offset (a
+    custom ``b``) is simulated once for the whole grid: ``run_ibvp`` reads a
+    run's offset only to check it against the boundary's.
     """
     sigma_grid = np.asarray(list(sigma_grid), dtype=float)
     if sigma_grid.size == 0:
@@ -245,11 +247,16 @@ def sigma_scan(
     max_amps = []
     blowups = []
     fallbacks = []
-    x = None
+    x = offset_free = None
     for sigma in sigma_grid:
         bc = bc_family(float(sigma))
-        run = run_factory(float(sigma))
-        result = run_ibvp(s, bc, run, blowup_threshold=blowup_threshold, keep_history=False)
+        if bc.sigma is None and offset_free is not None:
+            result = offset_free
+        else:
+            run = run_factory(float(sigma))
+            result = run_ibvp(s, bc, run, blowup_threshold=blowup_threshold, keep_history=False)
+        if bc.sigma is None:
+            offset_free = result
         profiles.append(np.clip(result.final_profile, -clip_value, clip_value))
         max_amps.append(result.max_amplitude)
         blowups.append(result.blowup_step)

@@ -187,6 +187,84 @@ def test_bisect_stability_edge():
         bisect_stability_edge(bw_family, s2ilw3_family, 0.3, 0.5, n0=256)
 
 
+def _is_stable(lam, bc_family, n0=256):
+    verdict = analyze(make_beam_warming(lam), bc_family(lam, 0.0), n0=n0)
+    return verdict.status is StabilityStatus.STRONGLY_STABLE
+
+
+def _plain_bisection(bc_family, lo, hi, max_iter, n0=256):
+    """The oracle: halve the bracket ``max_iter`` times on ``analyze`` verdicts."""
+    stable_lo = _is_stable(lo, bc_family, n0)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if _is_stable(mid, bc_family, n0) == stable_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _counting_analyze(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return analyze(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "analyze", counted)
+    return calls
+
+
+def _silw_family(kd, d):
+    return lambda lam, sigma: silw_condition(2, kd, d, sigma)
+
+
+def _edge_brackets():
+    """Every verdict flip on a coarse CFL grid for S2ILW3 and S1ILW3, and the CFL-1 jump."""
+    lams = 0.05 + 0.1 * np.arange(20)
+    brackets = []
+    for kd, d in ((2, 3), (1, 3)):
+        stable = [_is_stable(lam, _silw_family(kd, d)) for lam in lams]
+        brackets += [
+            ((kd, d), float(lo), float(hi))
+            for lo, hi, s_lo, s_hi in zip(lams, lams[1:], stable, stable[1:])
+            if s_lo != s_hi
+        ]
+    return brackets + [((2, 3), 0.995, 1.005)]
+
+
+def test_bisect_stability_edge_matches_plain_bisection(monkeypatch):
+    brackets = _edge_brackets()
+    # S2ILW3: the CFL-1 jump and the Fig. 5 window 1.52-1.78; S1ILW3: three flips
+    assert len(brackets) == 7
+    max_iter = 20
+    for (kd, d), lo, hi in brackets:
+        family = _silw_family(kd, d)
+        oracle = _plain_bisection(family, lo, hi, max_iter)
+        calls = _counting_analyze(monkeypatch)
+        edge = bisect_stability_edge(bw_family, family, lo, hi, n0=256, max_iter=max_iter)
+        monkeypatch.undo()
+        width = (hi - lo) / 2**max_iter
+        assert abs(edge - oracle) <= width, (kd, d, lo, hi, edge, oracle)
+        assert len(calls) <= 10, (kd, d, lo, hi, len(calls))
+    # across the jump the verdict flips just below CFL 1, where the stencil loses a_-2
+    assert 1.0 - 1e-7 < edge < 1.0
+
+
+@pytest.mark.parametrize("fake_block", [
+    lambda s, bc: 0.5 * np.eye(bc.m),
+    lambda s, bc: np.full((bc.m, bc.m), np.nan),
+], ids=["no-sign-change", "eigvals-raises"])
+def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_block):
+    lo, hi, max_iter = 1.45, 1.55, 8
+    oracle = _plain_bisection(s2ilw3_family, lo, hi, max_iter)
+    monkeypatch.setattr(analyzer, "upwind_block", fake_block)
+    calls = _counting_analyze(monkeypatch)
+    edge = bisect_stability_edge(bw_family, s2ilw3_family, lo, hi, n0=256, max_iter=max_iter)
+    assert edge == oracle
+    assert len(calls) == 2 + max_iter
+
+
 def test_verdict_json_roundtrip():
     verdict = analyze(make_beam_warming(0.7), silw_condition(2, 2, 3, 0.0))
     payload = json.loads(verdict.to_json())

@@ -26,7 +26,7 @@ def test_parse_grid_negative_values():
 
 
 def test_parse_grid_errors():
-    for bad in ("1:2", "a:b:c", "2:1:0.1", "0:1:-0.5", "0:1e300:1e-300"):
+    for bad in ("1:2", "a:b:c", "2:1:0.1", "0:1:-0.5", "0:1e300:1e-300", "0:1e12:1"):
         with pytest.raises(UsageError):
             parse_grid(bad)
 
@@ -239,6 +239,8 @@ def test_library_errors_print_one_line(capsys):
      "grid bounds and step must be finite: '0.5:0.6:nan'"),
     (["sweep", "--silw", "2", "3", "--lambda-grid", "0:1e300:1e-300"],
      "grid has too many points: '0:1e300:1e-300'"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0:1e12:1"],
+     "grid has too many points: '0:1e12:1'"),
     (["check", "--coefficients", "nan", "0.5", "--lambda", "0.5", "--silw", "1", "1"],
      "scheme coefficients must be finite, got [nan, 0.5]"),
     (["check", "--coefficients", "0.5", "inf", "--lambda", "0.5", "--silw", "1", "1"],
@@ -384,3 +386,33 @@ def test_simulate_takes_custom_and_config_boundaries(tmp_path, capsys):
     from_config = capsys.readouterr().out
     assert run_cli(argv + ["--silw", "2", "3"]) == 0
     assert capsys.readouterr().out == from_config
+
+
+def test_simulate_runs_a_custom_boundary_once(tmp_path, capsys, monkeypatch):
+    from klstab import simulator
+
+    b = [[0.0, 1.0], [0.0, 1.0]]
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps({"b": b}))
+    s = make_beam_warming(0.6)
+    # the per-offset output: one scan per offset, rows concatenated under one header
+    scans = [
+        sigma_scan(
+            s,
+            bc_family=lambda _: custom_condition(b),
+            sigma_grid=[sg],
+            run_factory=lambda sg: IBVPRun.from_cfl(s, J=50, sigma=sg),
+        ).to_csv().split("\n", 1)
+        for sg in (0.0, 0.1, 0.2)
+    ]
+    per_offset = scans[0][0] + "\n" + "".join(body for _, body in scans)
+    calls = []
+    run_ibvp = simulator.run_ibvp
+    monkeypatch.setattr(simulator, "run_ibvp", lambda *a, **k: calls.append(a) or run_ibvp(*a, **k))
+    argv = ["simulate", "--lambda", "0.6", "--sigma-grid=0:0.2:0.1", "--grid-points", "50",
+            "--custom-b", str(bfile)]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == per_offset
+    assert captured.err == ""
+    assert len(calls) == 1
