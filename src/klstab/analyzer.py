@@ -20,7 +20,8 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import IllConditionedKernel, KLStabError, OriginOnCurve, RefinementBudgetExceeded
+from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
+from .errors import RefinementBudgetExceeded
 from .kl import (
     ExteriorRootCount,
     ReducedBoundary,
@@ -278,7 +279,7 @@ def _classify_band_zeros(
         z0_on_circle = z0 / abs(z0)
         try:
             classification = classify_boundary_zero(s, bc, z0_on_circle, tols)
-        except IllConditionedKernel:
+        except (IllConditionedKernel, DegenerateLeadingCoefficient):
             classification = BoundaryZeroType.UNRESOLVED
         zeros.append(BoundaryZero(z0=z0, classification=classification))
     return tuple(zeros)
@@ -305,12 +306,10 @@ class StabilityMap:
 
 
 def _sweep_cell(args) -> Tuple[int, int, int, str]:
-    """One grid cell; a cell whose analysis raises is recorded as inconclusive."""
+    """One grid cell; a cell whose construction or analysis raises is recorded as inconclusive."""
     scheme_family, bc_family, i, j, lam, sigma, tols, n0 = args
-    s = scheme_family(lam)
-    bc = bc_family(lam, sigma)
     try:
-        verdict = analyze(s, bc, tols=tols, n0=n0)
+        verdict = analyze(scheme_family(lam), bc_family(lam, sigma), tols=tols, n0=n0)
     except KLStabError:
         return i, j, -1, StabilityStatus.INCONCLUSIVE.value
     if verdict.exterior_zero_count is None:
@@ -332,7 +331,7 @@ def sweep(
     Cells are independent; with ``jobs > 1`` they are computed in a pool of
     ``min(jobs, cells)`` processes (the families must be picklable) and
     written back by index, so the result is identical for any parallelism
-    degree. A cell whose analysis raises a
+    degree. A cell whose families or analysis raise a
     :class:`~klstab.errors.KLStabError` is ``Inconclusive`` with count -1
     instead of aborting the sweep.
     """

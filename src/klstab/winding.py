@@ -12,8 +12,14 @@ split flag of every segment; segments that need no split are summed as
 they are. The flagged ones are refined one level at a time: all midpoints
 of a level go to the curve evaluator in one array call (near a stop, only
 part of a level), so an evaluator maps an array of parameters to an array
-of points. The refined polygon, the evaluation count and the error raised
-are those of a depth-first walk that splits segments in parameter order.
+of points. Each level's segments form their own block of arrays, and
+running scalars (split count, curve scale, smallest midpoint modulus and
+leaf distance) show whether anything known so far could stop the walk.
+While nothing can, a level costs work in proportion to its splits alone;
+only once a stop is possible are the blocks merged into depth-first order
+to find it. The refined polygon, the evaluation count and the error
+raised are those of a depth-first walk that splits segments in parameter
+order.
 """
 
 from __future__ import annotations
@@ -61,17 +67,9 @@ class WindingResult:
     origin_on_curve: bool
 
 
-# One record per segment of the refinement tree: its end parameters and
-# points, angle increment, distance to the origin, split flag, and the
-# modulus of its midpoint once evaluated (nan before that, and for leaves).
-_SEGMENT = np.dtype([
-    ("ta", float), ("tb", float), ("pa", complex), ("pb", complex),
-    ("increment", float), ("distance", float), ("split", bool), ("mid", float),
-])
-
-
-def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> np.ndarray:
-    """Segment records ``pa -> pb`` over ``[ta, tb]``, with their increments, distances and split flags."""
+def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
+    """Segments ``pa -> pb`` over ``[ta, tb]`` as a block of arrays, with their increments, distances,
+    split flags and midpoint moduli (nan until evaluated, and for leaves)."""
     d = pb - pa
     length = np.abs(d)
     len2 = length**2
@@ -80,13 +78,34 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> np.ndarray:
     distance = np.abs(pa + np.clip(t, 0.0, 1.0, out=t) * d)
     turn = pb * np.conjugate(pa)
     increment = np.arctan2(turn.imag, turn.real)
-    seg = np.empty(length.size, dtype=_SEGMENT)
-    seg["ta"], seg["tb"], seg["pa"], seg["pb"] = ta, tb, pa, pb
-    seg["increment"], seg["distance"], seg["mid"] = increment, distance, np.nan
-    seg["split"] = (length > 0.0) & (
+    split = (length > 0.0) & (
         (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
     )
-    return seg
+    return dict(
+        ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
+        mid=np.full(length.size, np.nan),
+    )
+
+
+def _pairs(left, right) -> np.ndarray:
+    """``left[0], right[0], left[1], right[1], ...``: the halves of each parent side by side."""
+    out = np.empty(2 * left.size, dtype=left.dtype)
+    out[0::2], out[1::2] = left, right
+    return out
+
+
+def _depth_first(blocks) -> dict:
+    """The segments of ``blocks`` merged in the order of the depth-first walk.
+
+    A split segment comes before its halves, the left half first, so the
+    order is ``ta`` ascending, then ``tb`` descending. A single block (the
+    first level, or one merged before) is already in that order.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    nodes = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    order = np.lexsort((-nodes["tb"], nodes["ta"]))
+    return {key: value[order] for key, value in nodes.items()}
 
 
 def _on_curve(distance: float, threshold: float, evaluations: int) -> OriginOnCurve:
@@ -134,28 +153,24 @@ def winding_number(
     if close.size:
         raise _on_curve(moduli[close[0]], rel * scale, n)
 
-    # ``seg`` lists the segments of the refinement tree in depth-first order:
-    # a split segment is followed by its two halves. Until some value comes
-    # near the origin or the budget runs short, every pending split is
-    # evaluated at once. Otherwise the depth-first walk is replayed over
-    # everything known so far; that fixes the evaluation count and running
-    # curve scale of each segment up to the first unevaluated split, finds
-    # the first segment that stops the walk (origin too close, or budget
-    # spent), and only the pending splits ahead of it are evaluated.
+    # While no stop is possible, the pending splits are those of the newest
+    # block. Once one is (it then stays possible), the replay over the merged
+    # blocks fixes the evaluation count and running scale of each segment up
+    # to the first unevaluated split and finds the first segment that stops
+    # the walk: a leaf by its distance, a split by its midpoint or the budget.
+    # Only the pending splits ahead of it are evaluated.
+    blocks, splits, top, low_mid, low_leaf, first = [], 0, scale, np.inf, np.inf, None
     seg = _segments(params[:-1], params[1:], points[:-1], points[1:], policy)
     while True:
-        split, mid, distance = seg["split"], seg["mid"], seg["distance"]
-        splits = int(np.count_nonzero(split))
-        top = float(np.fmax.reduce(mid, initial=scale))
-        if (
-            evaluator is not None
-            and n + splits <= policy.max_evaluations
-            and np.min(distance) >= rel * top
-            and np.fmin.reduce(mid, initial=np.inf) >= rel * top
-        ):
-            # no segment known so far can stop the walk
-            first = seg.size
+        blocks.append(seg)
+        splits += int(np.count_nonzero(seg["split"]))
+        low_leaf = float(np.min(seg["distance"][~seg["split"]], initial=low_leaf))
+        if evaluator is not None and n + splits <= policy.max_evaluations and min(low_leaf, low_mid) >= rel * top:
+            pending = np.flatnonzero(seg["split"])
         else:
+            seg = _depth_first(blocks)
+            blocks = [seg]
+            split, mid, distance = seg["split"], seg["mid"], seg["distance"]
             before = np.cumsum(split) - split
             scale_with = np.maximum.accumulate(np.fmax(mid, scale))
             scale_before = np.concatenate(([scale], scale_with[:-1]))
@@ -164,28 +179,20 @@ def winding_number(
                 stops = split | (distance < rel * scale_before)
             else:
                 stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
-            first = int(np.argmax(stops)) if stops.any() else seg.size
-        pending = np.flatnonzero(split[:first] & np.isnan(mid[:first]))
+            first = int(np.argmax(stops)) if stops.any() else None
+            pending = np.flatnonzero(split[:first] & np.isnan(mid[:first]))
         if pending.size == 0:
             break
-        parents = seg[pending]
-        tm = 0.5 * (parents["ta"] + parents["tb"])
+        ta, tb, pa, pb = (seg[key][pending] for key in ("ta", "tb", "pa", "pb"))
+        tm = 0.5 * (ta + tb)
         pm = np.asarray(evaluator(tm), dtype=complex)
-        seg["mid"][pending] = np.abs(pm)
-        halves = _segments(
-            np.concatenate((parents["ta"], tm)),
-            np.concatenate((tm, parents["tb"])),
-            np.concatenate((parents["pa"], pm)),
-            np.concatenate((pm, parents["pb"])),
-            policy,
-        )
-        counts = np.ones(seg.size, dtype=int)
-        counts[pending] = 3
-        left = np.cumsum(counts)[pending] - 2
-        seg = np.repeat(seg, counts)
-        seg[np.concatenate((left, left + 1))] = halves
+        modulus = np.abs(pm)
+        seg["mid"][pending] = modulus
+        top = float(np.fmax.reduce(modulus, initial=top))
+        low_mid = float(np.fmin.reduce(modulus, initial=low_mid))
+        seg = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
 
-    if first < seg.size:
+    if first is not None:
         evaluations = n + int(before[first])
         threshold = rel * scale_before[first]
         if not split[first]:
@@ -202,12 +209,10 @@ def winding_number(
             )
         raise _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
 
-    leaves = ~split
-    evaluations = n + splits
-    min_distance = float(np.min(distance[leaves]))
-    if min_distance < rel * top:
-        raise _on_curve(min_distance, rel * top, evaluations)
-    turns = float(np.sum(seg["increment"][leaves])) / (2.0 * math.pi)
+    if low_leaf < rel * top:
+        raise _on_curve(low_leaf, rel * top, n + splits)
+    seg = _depth_first(blocks)
+    turns = float(np.sum(seg["increment"][~seg["split"]])) / (2.0 * math.pi)
     index = round(turns)
     if abs(turns - index) > policy.integer_tol:
         raise RefinementBudgetExceeded(
@@ -215,8 +220,8 @@ def winding_number(
         )
     return WindingResult(
         index=int(index),
-        min_distance=min_distance,
-        samples_used=evaluations,
+        min_distance=low_leaf,
+        samples_used=n + splits,
         origin_on_curve=False,
     )
 

@@ -26,6 +26,11 @@ def s2ilw3_family(lam, sigma):
     return silw_condition(2, 2, 3, sigma)
 
 
+def s2ilw3_invalid_at_one_cfl(lam, sigma):
+    """S2ILW3, except at CFL 0.75, where k_d > d and building the boundary raises InvalidOrder."""
+    return silw_condition(2, 4 if lam == 0.75 else 2, 3, sigma)
+
+
 def test_analyze_stable():
     verdict = analyze(make_beam_warming(0.7), silw_condition(2, 2, 3, 0.0))
     assert verdict.status is StabilityStatus.STRONGLY_STABLE
@@ -129,6 +134,14 @@ def test_sweep_sentinels():
     assert result.statuses[0, 0] == "UnstableBoundaryZero"
     assert result.zero_counts[1, 0] == -1
     assert result.statuses[1, 0] == "AssumptionViolated"
+
+
+def test_sweep_records_a_cell_that_raises_as_inconclusive():
+    for jobs in (1, 2):
+        result = sweep(bw_family, s2ilw3_invalid_at_one_cfl, [0.5, 0.75, 1.4], (0.0,), n0=256, jobs=jobs)
+        assert result.zero_counts[:, 0].tolist() == [0, -1, 2]
+        statuses = ["StronglyStable", "Inconclusive", "UnstableExteriorEigenvalue"]
+        assert result.statuses[:, 0].tolist() == statuses
 
 
 def test_sweep_grid_refinement_consistency():

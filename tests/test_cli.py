@@ -57,6 +57,16 @@ def test_check_boundary_zero_exit_two(capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "UnstableBoundaryZero"
 
 
+def test_check_degenerate_boundary_zero_is_unresolved(capsys):
+    # at CFL 1e-12 the characteristic polynomial degenerates at the boundary
+    # zero z = 1, which leaves that zero unclassified but keeps the verdict
+    code = run_cli(["check", "--lambda", "1e-12", "--silw", "2", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["status"] == "UnstableBoundaryZero"
+    assert [zero["classification"] for zero in payload["boundary_zeros"]] == ["unresolved"]
+
+
 def test_check_with_sigma(capsys):
     code = run_cli(["check", "--lambda", "1.3", "--silw", "2", "3", "--sigma", "0.3"])
     assert code == 0
@@ -266,14 +276,15 @@ def test_check_next_to_unit_cfl_prints_a_verdict(capsys):
 
 def test_sweep_records_failing_cells_as_inconclusive(tmp_path):
     # At CFL 1e-12 the stencil trims to width 1 with a_0 = 1 - 1.5e-12, and
-    # classifying its boundary zero at z = 1 raises DegenerateLeadingCoefficient;
-    # the sweep records that cell instead of aborting. Next to CFL 1 every cell
-    # gets a verdict: at CFL 1 +- 1e-7 the block's spectral radius is
-    # 1 +- 7e-8, inside the unit-circle band, so the cells above 1 are
+    # classifying its boundary zero at z = 1 degenerates; the zero is recorded
+    # as unresolved, and the cell gets the verdict of its 2e-12 neighbour.
+    # (A cell that raises is covered by tests/test_analyzer.py.) Next to CFL 1
+    # every cell gets a verdict: at CFL 1 +- 1e-7 the block's spectral radius
+    # is 1 +- 7e-8, inside the unit-circle band, so the cells above 1 are
     # Inconclusive by the count comparison, not by a raise.
     grids = {
         "0.000000000001:0.000000000002:0.000000000001": [
-            (1e-12, -1, "Inconclusive"),
+            (1e-12, -1, "UnstableBoundaryZero"),
             (2e-12, -1, "UnstableBoundaryZero"),
         ],
         "0.9999998:1.0000002:0.0000001": [

@@ -195,19 +195,72 @@ def test_matches_depth_first_reference_on_random_curves():
             origin_rel_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
         )
         evaluator = None if rng.uniform() < 0.1 else fn
-        expected = depth_first_reference(curve, policy, evaluator)
-        try:
-            result = winding_number(curve, policy, evaluator=evaluator)
-            got = ("ok", result.samples_used, result.min_distance, result.index)
-        except OriginOnCurve as exc:
-            got = ("origin", exc.result.samples_used, exc.result.min_distance)
-        except RefinementBudgetExceeded:
-            got = ("budget",)
-        assert got[:2] == expected[:2] and got[3:] == expected[3:], (got, expected)
-        if len(got) > 2:
-            assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-300)
-        outcomes.add(got[0])
+        outcomes.add(assert_matches_reference(curve, policy, evaluator))
     assert outcomes == {"ok", "origin", "budget"}
+
+
+def assert_matches_reference(curve, policy, evaluator):
+    """Check ``winding_number`` against ``depth_first_reference``; returns the outcome."""
+    expected = depth_first_reference(curve, policy, evaluator)
+    try:
+        result = winding_number(curve, policy, evaluator=evaluator)
+        got = ("ok", result.samples_used, result.min_distance, result.index)
+    except OriginOnCurve as exc:
+        got = ("origin", exc.result.samples_used, exc.result.min_distance)
+    except RefinementBudgetExceeded:
+        got = ("budget",)
+    assert got[:2] == expected[:2] and got[3:] == expected[3:], (got, expected)
+    if len(got) > 2:
+        assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-300)
+    return got[0]
+
+
+# Beam-Warming CFL numbers within about 1e-8 of a stability edge, where the
+# determinant curve passes within about 1e-7 of the origin: (k_d, d), CFL and
+# the outcome of the winding there
+NEAR_EDGE = [((2, 3), 1.5175048439, "ok"), ((2, 3), 1.5175048345, "origin"), ((1, 4), 0.5299007398, "origin")]
+
+
+def near_edge_curve(orders, lam):
+    s = make_beam_warming(lam)
+    rb = reduce_boundary(s, silw_condition(s.r, *orders, 0.0))
+    return sample_kl_curve(s, rb, n0=1024), kl_curve_evaluator(s, rb)
+
+
+@pytest.mark.parametrize("orders, lam, outcome", NEAR_EDGE)
+def test_matches_depth_first_reference_near_stability_edges(orders, lam, outcome):
+    # the random curves above build shallow trees; these refine about 20 levels deep
+    curve, evaluator = near_edge_curve(orders, lam)
+    assert assert_matches_reference(curve, RefinementPolicy(), evaluator) == outcome
+
+
+@pytest.mark.parametrize("orders, lam", [(None, None)] + [entry[:2] for entry in NEAR_EDGE])
+def test_evaluator_gets_only_new_parameters(orders, lam):
+    # never an empty array, never a parameter twice, and on success exactly
+    # the midpoints that samples_used counts
+    if orders is None:
+        # the curve of test_coarse_start_refines_to_correct_index
+        fn = lambda t: np.exp(1j * t) - 0.985
+        curve, evaluator, levels = circle_curve(fn, 64), fn, 1
+    else:
+        (curve, evaluator), levels = near_edge_curve(orders, lam), 19
+    calls = []
+
+    def record(t):
+        calls.append(np.array(t, copy=True))
+        return evaluator(t)
+
+    try:
+        result = winding_number(curve, evaluator=record)
+    except OriginOnCurve:
+        result = None
+    assert len(calls) >= levels
+    assert all(t.size > 0 for t in calls)
+    evaluated = np.concatenate([curve.params[:-1]] + calls)
+    assert np.unique(evaluated).size == evaluated.size
+    if result is not None:
+        assert sum(t.size for t in calls) == result.samples_used - curve.params.size
+
 
 def test_scale_invariance_of_kl_curve_index():
     rng = np.random.default_rng(13)
