@@ -137,65 +137,109 @@ def run_ibvp(
     values plus the boundary-data terms, then every interior cell advances
     (the stencil never reads to the right of the current cell, so all ``J``
     interior cells update). Stops early once the amplitude passes the blowup
-    threshold; blowing up is data, not an error.
+    threshold or is not finite; blowing up is data, not an error. This is the
+    one-row call of :func:`march`.
     """
-    bc = bc.restricted_to(s.r)
-    expected_dt = s.lam * run.dx / run.a
-    if abs(run.dt - expected_dt) > 1e-12 * max(abs(run.dt), abs(expected_dt)):
-        raise ValueError(f"dt={run.dt} does not match lambda*dx/a={expected_dt}")
-    if bc.sigma is not None and abs(bc.sigma - run.sigma) > 1e-12:
-        raise ValueError(f"boundary built for sigma={bc.sigma}, run declares sigma={run.sigma}")
-    r, m, J = s.r, bc.m, run.J
-    if m > J:
-        raise ValueError(f"boundary uses {m} interior points but the run has only {J}")
+    return march(s, [(bc, run)], blowup_threshold, keep_history)[0]
 
-    n_steps = int(math.ceil(run.T / run.dt - 1e-9))
-    U = np.zeros(J + r)
-    if run.f is not None:
-        U[r:] = np.asarray(run.f, dtype=float)
 
-    dx_over_a = run.dx / run.a
-    used_fd = False
-    history: List[np.ndarray] = []
-    times: List[float] = []
-    max_amplitude = 0.0
-    blowup_step: Optional[int] = None
+def march(
+    s: Scheme,
+    pairs: Sequence[Tuple[BoundaryCondition, IBVPRun]],
+    blowup_threshold: float = 1e6,
+    keep_history: bool = False,
+) -> List[SolutionField]:
+    """Run every (boundary, run) pair with scheme ``s``; one result per pair, in order.
 
+    Pairs that share ``J``, the step count and the boundary width ``m`` march
+    together as the rows of one ``(rows, J + r)`` array, each row doing the
+    arithmetic of a run on its own. A row that blows up is recorded at that
+    step and leaves the array.
+    """
+    groups: dict = {}
+    for index, (bc, run) in enumerate(pairs):
+        bc = bc.restricted_to(s.r)
+        expected_dt = s.lam * run.dx / run.a
+        if abs(run.dt - expected_dt) > 1e-12 * max(abs(run.dt), abs(expected_dt)):
+            raise ValueError(f"dt={run.dt} does not match lambda*dx/a={expected_dt}")
+        if bc.sigma is not None and abs(bc.sigma - run.sigma) > 1e-12:
+            raise ValueError(f"boundary built for sigma={bc.sigma}, run declares sigma={run.sigma}")
+        if bc.m > run.J:
+            raise ValueError(f"boundary uses {bc.m} interior points but the run has only {run.J}")
+        if run.f is not None and not np.all(np.isfinite(run.f)):
+            raise ValueError("the initial data f must be finite")
+        n_steps = int(math.ceil(run.T / run.dt - 1e-9))
+        groups.setdefault((run.J, n_steps, bc.m), []).append((index, bc, run))
+    results = {}
+    for (J, n_steps, m), rows in groups.items():
+        fields = _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history)
+        results.update(zip([index for index, _, _ in rows], fields))
+    return [results[index] for index in range(len(pairs))]
+
+
+def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
+    """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each step, row and ghost, summed in plan order.
+
+    Each row calls its own ``g_derivative`` once a step for each order its plan
+    uses; the second result flags the rows that fell back to finite differences.
+    """
+    table, fallbacks = np.zeros((n_steps + 1, len(rows), r)), []
+    for i, (_, bc, run) in enumerate(rows):
+        orders = {k for plan in bc.g_plan for k, _ in plan}
+        samples = {k: [run.g_derivative(k, n * run.dt) for n in range(n_steps + 1)] for k in orders}
+        fallbacks.append(any(fd for values in samples.values() for _, fd in values))
+        for j, plan in enumerate(bc.g_plan):
+            for k, weight in plan:
+                table[:, i, j] += weight * (run.dx / run.a) ** k * np.array([v for v, _ in samples[k]])
+    return table, fallbacks
+
+
+def _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history) -> List[SolutionField]:
+    """March the rows of one group of :func:`march` as one array."""
+    r, count = s.r, len(rows)
+    U = np.zeros((count, J + r))
+    for i, (_, _, run) in enumerate(rows):
+        U[i, r:] = 0.0 if run.f is None else run.f
+    V, term = np.empty_like(U), np.empty(U.size - r)
+    B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
+    G, fallbacks = _data_table(rows, r, n_steps)
+    ids, amplitudes = np.arange(count), np.empty((n_steps + 1, count))
+    recorded: List[list] = [[] for _ in rows]
+    peaks, blowup_steps = [0.0] * count, [None] * count
     for n in range(n_steps + 1):
-        t = n * run.dt
-        g_terms = np.zeros(r)
-        for i in range(r):
-            for k, weight in bc.g_plan[i]:
-                value, fd = run.g_derivative(k, t)
-                used_fd = used_fd or fd
-                g_terms[i] += weight * dx_over_a**k * value
-        U[:r] = bc.b @ U[r : r + m] + g_terms
-
-        amplitude = float(np.max(np.abs(U)))
-        max_amplitude = max(max_amplitude, amplitude)
-        final = n == n_steps or amplitude > blowup_threshold
-        if keep_history or final:
-            history.append(U.copy())
-            times.append(t)
-        if amplitude > blowup_threshold:
-            blowup_step = n
-            break
-        if final:
-            break
-        new_interior = np.zeros(J)
-        for k in range(r + 1):
-            new_interior += s.a[k] * U[k : k + J]
-        U[r:] = new_interior
-
-    x = (np.arange(-r, J)) * run.dx
-    return SolutionField(
-        values=np.asarray(history),
-        times=np.asarray(times),
-        x=x,
-        max_amplitude=max_amplitude,
-        blowup_step=blowup_step,
-        fd_derivative_fallback=used_fd,
-    )
+        np.matmul(B, U[:, r : r + m, None], out=ghosts)
+        np.add(ghosts[:, :, 0], G[n], out=U[:, :r])
+        amplitude = np.abs(U, out=V).max(axis=1, out=amplitudes[n])
+        if keep_history:
+            for i, row in enumerate(ids):
+                recorded[row].append((n, U[i].copy()))
+        if n == n_steps or not amplitude.max() <= blowup_threshold:  # true for NaN data too
+            amplitude[np.isnan(amplitude)] = np.inf
+            done = (amplitude > blowup_threshold) | (n == n_steps)
+            for i in np.flatnonzero(done):
+                if not keep_history:
+                    recorded[ids[i]].append((n, U[i].copy()))
+                peaks[ids[i]] = float(amplitudes[: n + 1, i].max())
+                blowup_steps[ids[i]] = n if amplitude[i] > blowup_threshold else None
+            if done.all():
+                break
+            U, V, B, G, ghosts = U[~done], V[~done], B[~done], G[:, ~done], ghosts[~done]
+            ids, amplitudes, term = ids[~done], amplitudes[:, ~done], term[: U.size - r]
+        # One flat pass for all rows, summed from zero: an interior cell reads only
+        # its own row, and the ghost slots it overwrites are refilled before use.
+        u, v = U.reshape(-1), V.reshape(-1)
+        interior = v[r:]
+        np.add(0.0, np.multiply(s.a[0], u[:-r], out=term), out=interior)
+        for k in range(1, r + 1):
+            np.add(interior, np.multiply(s.a[k], u[k : k + term.size], out=term), out=interior)
+        U, V = V, U
+    return [
+        SolutionField(
+            np.asarray([u for _, u in record]), np.asarray([n * run.dt for n, _ in record]),
+            np.arange(-r, J) * run.dx, peak, step, fd,
+        )
+        for (_, _, run), record, peak, step, fd in zip(rows, recorded, peaks, blowup_steps, fallbacks)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,9 +277,10 @@ def sigma_scan(
     """One simulation per grid offset; profiles are clipped at +-clip_value for export.
 
     The unclipped running maximum per offset is kept alongside, which is what
-    the verdict-agreement checks consume. A boundary without an offset (a
-    custom ``b``) is simulated once for the whole grid: ``run_ibvp`` reads a
-    run's offset only to check it against the boundary's.
+    the verdict-agreement checks consume. All offsets go to one :func:`march`
+    call. A boundary without an offset (a custom ``b``) is simulated once for
+    the whole grid: a run's offset is read only to check it against the
+    boundary's.
     """
     sigma_grid = np.asarray(list(sigma_grid), dtype=float)
     if sigma_grid.size == 0:
@@ -243,30 +288,17 @@ def sigma_scan(
     if run_factory is None:
         run_factory = lambda sigma: IBVPRun.from_cfl(s, sigma=sigma)
 
-    profiles = []
-    max_amps = []
-    blowups = []
-    fallbacks = []
-    x = offset_free = None
-    for sigma in sigma_grid:
-        bc = bc_family(float(sigma))
-        if bc.sigma is None and offset_free is not None:
-            result = offset_free
-        else:
-            run = run_factory(float(sigma))
-            result = run_ibvp(s, bc, run, blowup_threshold=blowup_threshold, keep_history=False)
-        if bc.sigma is None:
-            offset_free = result
-        profiles.append(np.clip(result.final_profile, -clip_value, clip_value))
-        max_amps.append(result.max_amplitude)
-        blowups.append(result.blowup_step)
-        fallbacks.append(result.fd_derivative_fallback)
-        x = result.x
+    bcs = [bc_family(float(sigma)) for sigma in sigma_grid]
+    offset_free = [i for i, bc in enumerate(bcs) if bc.sigma is None][:1]
+    marched = [i for i, bc in enumerate(bcs) if bc.sigma is not None or i in offset_free]
+    pairs = [(bcs[i], run_factory(float(sigma_grid[i]))) for i in marched]
+    fields = dict(zip(marched, march(s, pairs, blowup_threshold)))
+    results = [fields[i if bc.sigma is not None else offset_free[0]] for i, bc in enumerate(bcs)]
     return SigmaScan(
         sigma_grid=sigma_grid,
-        x=x,
-        profiles_clipped=np.asarray(profiles),
-        max_amplitudes=np.asarray(max_amps),
-        blowup_steps=tuple(blowups),
-        fd_derivative_fallbacks=tuple(fallbacks),
+        x=results[-1].x,
+        profiles_clipped=np.asarray([np.clip(f.final_profile, -clip_value, clip_value) for f in results]),
+        max_amplitudes=np.asarray([f.max_amplitude for f in results]),
+        blowup_steps=tuple(f.blowup_step for f in results),
+        fd_derivative_fallbacks=tuple(f.fd_derivative_fallback for f in results),
     )

@@ -417,13 +417,13 @@ def test_simulate_runs_a_custom_boundary_once(tmp_path, capsys, monkeypatch):
         for sg in (0.0, 0.1, 0.2)
     ]
     per_offset = scans[0][0] + "\n" + "".join(body for _, body in scans)
-    calls = []
-    run_ibvp = simulator.run_ibvp
-    monkeypatch.setattr(simulator, "run_ibvp", lambda *a, **k: calls.append(a) or run_ibvp(*a, **k))
+    marched = []
+    march = simulator.march
+    monkeypatch.setattr(simulator, "march", lambda s, pairs, *a: marched.append(len(pairs)) or march(s, pairs, *a))
     argv = ["simulate", "--lambda", "0.6", "--sigma-grid=0:0.2:0.1", "--grid-points", "50",
             "--custom-b", str(bfile)]
     assert run_cli(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == per_offset
     assert captured.err == ""
-    assert len(calls) == 1
+    assert marched == [1]

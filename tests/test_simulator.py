@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from klstab.analyzer import analyze
 from klstab.boundary import custom_condition, silw_condition
 from klstab.kl import upwind_block
-from klstab.scheme import Scheme, make_beam_warming
-from klstab.simulator import GaussianPulse, IBVPRun, run_ibvp, sigma_scan
+from klstab.scheme import Scheme, make_beam_warming, validate
+from klstab.simulator import GaussianPulse, IBVPRun, march, run_ibvp, sigma_scan
 
 
 def test_zero_data_stays_zero():
@@ -193,3 +194,121 @@ def test_upwind_block_is_one_simulator_step(lagrange_upwind):
         np.testing.assert_allclose(
             one_step_jacobian(s, bc, sigma), block, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(block)))
         )
+
+
+def assert_scan_is_per_offset_runs(s, bc_family, grid, run_factory):
+    """The batched scan equals one ``run_ibvp`` per offset, bit for bit."""
+    scan = sigma_scan(s, bc_family, grid, run_factory)
+    for i, sigma in enumerate(grid):
+        one = run_ibvp(s, bc_family(sigma), run_factory(sigma), keep_history=False)
+        assert scan.max_amplitudes[i].tobytes() == np.float64(one.max_amplitude).tobytes()
+        assert scan.profiles_clipped[i].tobytes() == np.clip(one.final_profile, -1, 1).tobytes()
+        assert scan.blowup_steps[i] == one.blowup_step
+        assert scan.fd_derivative_fallbacks[i] == one.fd_derivative_fallback
+    return scan
+
+
+def test_batched_scan_matches_runs_with_staggered_blowups():
+    s = make_beam_warming(1.3)
+    scan = assert_scan_is_per_offset_runs(
+        s,
+        lambda sg: silw_condition(2, 2, 3, sg),
+        np.linspace(-0.5, 0.45, 8),
+        lambda sg: IBVPRun.from_cfl(s, J=100, T=3.0, sigma=sg),
+    )
+    steps = [step for step in scan.blowup_steps if step is not None]
+    assert len(steps) >= 3 and len(set(steps)) == len(steps)
+    assert None in scan.blowup_steps
+
+
+def test_batched_scan_flags_fd_fallback_per_offset():
+    s = make_beam_warming(0.6)
+
+    def run_factory(sigma):
+        derivs = () if sigma < 0 else (lambda t: 10 * math.cos(10 * t),)
+        return IBVPRun.from_cfl(s, J=50, T=0.05, sigma=sigma, g=lambda t: math.sin(10 * t), g_derivs=derivs)
+
+    scan = assert_scan_is_per_offset_runs(
+        s, lambda sg: silw_condition(2, 2, 3, sg), [-0.3, -0.1, 0.1, 0.3], run_factory
+    )
+    assert scan.fd_derivative_fallbacks == (True, True, False, False)
+
+
+def test_batched_scan_marches_a_custom_boundary_once(monkeypatch):
+    from klstab import simulator
+
+    s = make_beam_warming(0.6)
+    bc = custom_condition([[0.5, 0.25], [0.0, 1.0]])
+    run_factory = lambda sg: IBVPRun.from_cfl(s, J=50, T=0.1, sigma=sg)
+    marched = []
+    march = simulator.march
+    monkeypatch.setattr(simulator, "march", lambda s, pairs, *a: marched.append(len(pairs)) or march(s, pairs, *a))
+    scan = sigma_scan(s, lambda sg: bc, [0.0, 0.1, 0.2], run_factory)
+    assert marched == [1]
+    assert scan.blowup_steps == (None,) * 3
+    assert_scan_is_per_offset_runs(s, lambda sg: bc, [0.0, 0.1, 0.2], run_factory)
+
+
+def test_batched_scan_groups_runs_of_different_geometry():
+    # offsets whose runs differ in T or a march in separate groups (or together
+    # when the step counts agree); a J that varies cannot share one profile array
+    s = make_beam_warming(0.8)
+    family = lambda sg: silw_condition(2, 2, 3, sg)
+    geometry = {
+        -0.3: dict(T=0.2), -0.2: dict(T=0.05), -0.1: dict(T=0.05),
+        0.0: dict(T=0.08), 0.2: dict(T=0.05, a=2.0), 0.3: dict(T=0.1, a=2.0),
+    }
+    scan = assert_scan_is_per_offset_runs(
+        s, family, list(geometry), lambda sg: IBVPRun.from_cfl(s, J=40, sigma=sg, **geometry[sg])
+    )
+    assert scan.profiles_clipped.shape == (6, 42)
+    with pytest.raises(ValueError):
+        sigma_scan(s, family, [0.0, 0.2], lambda sg: IBVPRun.from_cfl(s, J=40 if sg == 0 else 50, sigma=sg))
+
+
+def test_non_finite_initial_data_is_rejected():
+    s = make_beam_warming(0.8)
+    for bad in (math.nan, math.inf):
+        f = np.zeros(40)
+        f[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_ibvp(s, silw_condition(2, 2, 3, 0.0), IBVPRun.from_cfl(s, J=40, T=0.02, f=f))
+
+
+def test_nan_boundary_data_counts_as_blowup():
+    s = make_beam_warming(0.8)
+    run = IBVPRun.from_cfl(s, J=40, T=0.1, g=lambda t: math.nan if t > 0.05 else 0.0)
+    result = run_ibvp(s, custom_condition(np.zeros((2, 2))), run)
+    first_nan_step = next(n for n in range(10**3) if n * run.dt > 0.05)
+    assert result.blowup_step == first_nan_step
+    assert result.max_amplitude == math.inf
+    assert result.times.size == first_nan_step + 1
+
+
+def test_blowup_happens_exactly_at_positive_exterior_count(lagrange_upwind):
+    # Random Cauchy-stable Lagrange upwind schemes of widths 1..4 (width 5 never
+    # validates) with random custom b, m = 1..3, and random initial data: each
+    # pair whose update-block eigenvalues stay 1e-2 away from the unit circle
+    # blows up within 1,500 steps exactly when analyze counts a determinant
+    # zero outside the unit disk.
+    rng = np.random.default_rng(0)
+    J, steps = 40, 1500
+    blowups = 0
+    for r in range(1, 5):
+        while True:
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            if s.r == r and validate(s).all_pass:
+                break
+        pairs, unstable = [], []
+        while len(pairs) < 15:
+            bc = custom_condition(rng.uniform(-1, 1, (r, int(rng.integers(1, 4)))))
+            if np.min(np.abs(np.abs(np.linalg.eigvals(upwind_block(s, bc))) - 1)) <= 1e-2:
+                continue
+            f = rng.uniform(-1, 1, J)
+            pairs.append((bc, IBVPRun.from_cfl(s, J=J, T=(steps - 0.5) * s.lam / J, g=lambda t: 0.0, f=f)))
+            unstable.append(analyze(s, bc).exterior_zero_count > 0)
+        blew_up = [field.blowup_step is not None for field in march(s, pairs)]
+        assert blew_up == unstable, (r, lam)
+        blowups += sum(blew_up)
+    assert blowups > 0
