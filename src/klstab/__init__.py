@@ -8,6 +8,8 @@ classifies zeros on the unit circle, and corroborates verdicts with
 time-domain simulation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import DEFAULT_TOLS, Tolerances
 from .core_numerics import ComplexPolynomial, RootSet, poly_roots
 from .scheme import (
@@ -15,7 +17,6 @@ from .scheme import (
     CurveSamples,
     Scheme,
     make_beam_warming,
-    sample_symbol_curve,
     scheme_from_descriptor,
     symbol,
     validate,
@@ -29,11 +30,9 @@ from .boundary import (
 )
 from .kl import (
     ExteriorRootCount,
-    KMatrix,
     ReducedBoundary,
     exterior_zero_count_direct,
     k_matrix,
-    kl_det_direct,
     kl_det_explicit,
     reduce_boundary,
     stable_roots,
@@ -56,7 +55,6 @@ from .analyzer import (
     analyze,
     bisect_stability_edge,
     classify_boundary_zero,
-    exterior_zero_count_winding,
     sweep,
 )
 from .simulator import GaussianPulse, IBVPRun, SigmaScan, SolutionField, run_ibvp, sigma_scan
@@ -65,57 +63,7 @@ from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionReport",
-    "BoundaryCondition",
-    "BoundaryZero",
-    "BoundaryZeroType",
-    "ComplexPolynomial",
-    "CurveSamples",
-    "DEFAULT_TOLS",
-    "ExteriorRootCount",
-    "GaussianPulse",
-    "IBVPRun",
-    "KMatrix",
-    "ReducedBoundary",
-    "RefinementPolicy",
-    "RootSet",
-    "Scheme",
-    "SigmaScan",
-    "SolutionField",
-    "StabilityMap",
-    "StabilityStatus",
-    "StabilityVerdict",
-    "Tolerances",
-    "WindingResult",
-    "analyze",
-    "assemble_B",
-    "bisect_stability_edge",
-    "boundary_from_descriptor",
-    "classify_boundary_zero",
-    "curve_to_csv",
-    "custom_condition",
-    "errors",
-    "exterior_zero_count_direct",
-    "exterior_zero_count_winding",
-    "k_matrix",
-    "kl_curve_evaluator",
-    "kl_det_direct",
-    "kl_det_explicit",
-    "make_beam_warming",
-    "poly_roots",
-    "reduce_boundary",
-    "run_cli",
-    "run_ibvp",
-    "sample_kl_curve",
-    "sample_symbol_curve",
-    "scheme_from_descriptor",
-    "sigma_scan",
-    "silw_condition",
-    "stable_roots",
-    "sweep",
-    "symbol",
-    "upwind_block",
-    "validate",
-    "winding_number",
-]
+# the public names are those imported above; the submodules are not, except errors
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["errors"]

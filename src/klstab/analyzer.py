@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
@@ -31,7 +31,7 @@ from .kl import (
     stable_roots,
     upwind_block,
 )
-from .scheme import AssumptionReport, Scheme, _symbol_from_basis, symbol, symbol_basis, validate
+from .scheme import AssumptionReport, Scheme, validate
 from .winding import (
     DEFAULT_POLICY,
     RefinementPolicy,
@@ -113,87 +113,44 @@ class StabilityVerdict:
         return json.dumps(payload, sort_keys=True)
 
 
-def _distance_to_symbol_curve(s: Scheme, z0: complex, coarse: int = 4096) -> float:
-    """Distance from ``z0`` to the symbol curve: dense scan plus local polish."""
-    xi, basis = symbol_basis(coarse, s.r)
-    dist = np.abs(_symbol_from_basis(basis, s.a) - z0)
-    k = int(np.argmin(dist))
-    h = 2.0 * np.pi / coarse
-    lo, hi = xi[k] - h, xi[k] + h
-    result = minimize_scalar(
-        lambda t: abs(symbol(s, float(t)) - z0), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(min(dist[k], result.fun))
-
-
 def classify_boundary_zero(
     s: Scheme, bc: BoundaryCondition, z0: complex, tols: Tolerances = DEFAULT_TOLS
 ) -> BoundaryZeroType:
     """Classify a determinant zero sitting on the unit circle.
 
-    Away from the symbol curve the decaying modes all lie strictly inside
-    the unit disk, so the zero is a genuine eigenvalue on the circle. On
-    the curve the verdict depends on whether the kernel vector of the
-    boundary operator loads the unit-modulus root: an unloaded unit root
+    ``z0`` lies on the symbol curve exactly when a characteristic root there
+    has modulus 1. Without such a root the decaying modes all lie strictly
+    inside the unit disk, so the zero is a genuine eigenvalue on the circle.
+    With one, the verdict depends on whether the kernel vector of the
+    boundary operator loads a unit-modulus root: an unloaded unit root
     leaves a square-summable eigenfunction, a loaded one only a generalized
     eigenvalue. Raises :class:`IllConditionedKernel` when the kernel
     dimension is ambiguous at tolerance.
     """
     bc = bc.restricted_to(s.r)
-    if _distance_to_symbol_curve(s, z0) > tols.gamma_tol:
+    roots = stable_roots(s, z0, tols)
+    unit = np.array(
+        [abs(abs(value) - 1.0) <= tols.unit_circle_tol for value, mult in roots for _ in range(mult)]
+    )
+    if not unit.any():
         return BoundaryZeroType.TYPE_II
 
-    roots = stable_roots(s, z0, tols)
-    K = k_matrix(roots, -s.r, bc.m - 1, z=z0)
+    K = k_matrix(roots, -s.r, bc.m - 1)
     B = assemble_B(bc)
-    M = B @ K.values
+    M = B @ K
     _, svals, vh = np.linalg.svd(M)
     # The null direction is trusted only when exactly one singular value is
     # small relative to the operator's natural scale.
-    reference = float(np.linalg.norm(B) * np.linalg.norm(K.values))
+    reference = float(np.linalg.norm(B) * np.linalg.norm(K))
     if reference == 0.0 or (len(svals) >= 2 and svals[-2] <= tols.kernel_tol * reference):
         raise IllConditionedKernel(
             f"kernel dimension at z0={z0} is ambiguous (singular values {svals})"
         )
     kernel = vh[-1].conjugate()
     kernel = kernel / np.linalg.norm(kernel)
-
-    unit_cols = []
-    col = 0
-    for value, mult in roots:
-        on_circle = abs(abs(value) - 1.0) <= tols.unit_circle_tol
-        for _ in range(mult):
-            if on_circle:
-                unit_cols.append(col)
-            col += 1
-    if not unit_cols:
-        return BoundaryZeroType.TYPE_III
-    loaded = float(np.max(np.abs(kernel[unit_cols])))
-    if loaded <= tols.kernel_tol:
+    if float(np.max(np.abs(kernel[unit]))) <= tols.kernel_tol:
         return BoundaryZeroType.TYPE_III
     return BoundaryZeroType.TYPE_IV
-
-
-def _wind_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int, policy: RefinementPolicy) -> WindingResult:
-    """Winding result of the normalized determinant curve sampled at ``n0 + 1`` points."""
-    curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
-    return winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True))
-
-
-def exterior_zero_count_winding(
-    s: Scheme,
-    rb: ReducedBoundary,
-    n0: int = 1024,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> int:
-    """Zero count of the determinant outside the closed unit disk, by winding.
-
-    Equals ``r`` minus the index of the raw determinant curve; on the
-    normalized curve used here that is just minus the index. Propagates
-    :class:`OriginOnCurve` when a zero sits on the unit circle itself.
-    """
-    return -_wind_kl_curve(s, rb, n0, policy).index
 
 
 def analyze(
@@ -201,7 +158,6 @@ def analyze(
     bc: BoundaryCondition,
     tols: Tolerances = DEFAULT_TOLS,
     n0: int = 1024,
-    n_xi: int = 4096,
     policy: RefinementPolicy = DEFAULT_POLICY,
 ) -> StabilityVerdict:
     """Full decision procedure for one (scheme, boundary condition) pair.
@@ -210,7 +166,7 @@ def analyze(
     winding route; its origin threshold is ``tols.origin_tol``.
     """
     bc = bc.restricted_to(s.r)
-    report = validate(s, n_xi=n_xi, tols=tols)
+    report = validate(s, tols=tols)
     rb = direct = wres = count = None
     zeros: Tuple[BoundaryZero, ...] = ()
     notes: List[str] = []
@@ -219,8 +175,13 @@ def analyze(
     else:
         rb = reduce_boundary(s, bc, tols)
         direct = exterior_zero_count_direct(rb, tols)
+        curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
         try:
-            wres = _wind_kl_curve(s, rb, n0, replace(policy, origin_rel_tol=tols.origin_tol))
+            wres = winding_number(
+                curve,
+                replace(policy, origin_rel_tol=tols.origin_tol),
+                evaluator=kl_curve_evaluator(s, rb, normalize=True),
+            )
         except OriginOnCurve as exc:
             status, wres = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, exc.result
             zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
@@ -228,6 +189,7 @@ def analyze(
             status = StabilityStatus.INCONCLUSIVE
             notes.append(f"winding failed: {exc}")
         else:
+            # dividing by z^r shifts the index by -r, leaving minus the exterior zero count
             count = -wres.index
             if direct.has_boundary_band:
                 notes.append(

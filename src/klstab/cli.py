@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -56,9 +57,7 @@ _STATUS_EXIT = {
 _MAX_GRID_POINTS = 10**7
 
 # Tolerances settable by flag (--cluster-radius, ...) and by the config's "tolerances" keys
-_TOLERANCE_NAMES = (
-    "cluster_radius", "unit_circle_tol", "origin_tol", "gamma_tol", "kernel_tol", "cauchy_tol",
-)
+_TOLERANCE_NAMES = ("cluster_radius", "unit_circle_tol", "origin_tol", "kernel_tol", "cauchy_tol")
 
 
 class UsageError(Exception):
@@ -105,10 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sigma", type=float, help="grid offset in [-1/2, 1/2), default 0")
         p.add_argument("--custom-b", metavar="FILE",
                        help="JSON file with {\"b\": [[...], ...]} extrapolation rows")
-        p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
         p.add_argument("--out", help="output path (default stdout)")
-        for name in _TOLERANCE_NAMES:
-            p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
 
     p_check = sub.add_parser("check", help="single stability verdict as JSON")
     add_common(p_check)
@@ -130,6 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-points", type=int, default=1000, help="interior cells J (default 1000)")
     p_sim.add_argument("--final-time", type=float, default=0.3, help="time horizon T (default 0.3)")
     p_sim.add_argument("--velocity", type=float, default=1.0, help="advection velocity a (default 1)")
+
+    # only the commands that read them get these flags
+    for p in (p_check, p_curve, p_sweep):
+        p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
+    for p in (p_check, p_sweep):
+        for name in _TOLERANCE_NAMES:
+            p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
     return parser
 
 
@@ -140,16 +143,28 @@ def _merged(args, config: dict, key: str, default=None):
     return config.get(key.replace("_", "-"), config.get(key, default))
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise UsageError(f"{what} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _tolerances(args, config: dict) -> Tolerances:
     overrides = {}
-    file_tols = config.get("tolerances", {})
+    file_tols = _json_object(config.get("tolerances", {}), 'config key "tolerances"')
+    unknown = sorted(set(file_tols) - set(_TOLERANCE_NAMES))
+    if unknown:
+        raise UsageError(
+            f"config tolerances {', '.join(unknown)} cannot be set; "
+            f"settable: {', '.join(_TOLERANCE_NAMES)}"
+        )
     for attr in _TOLERANCE_NAMES:
         value = getattr(args, attr, None)
         if value is None:
             value = file_tols.get(attr)
         if value is not None:
             overrides[attr] = float(value)
-    tols = DEFAULT_TOLS.replace(**overrides)
+    tols = replace(DEFAULT_TOLS, **overrides)
     tols.validate()
     return tols
 
@@ -161,7 +176,7 @@ def _descriptors(args, config: dict) -> Tuple[dict, dict]:
     (each also readable from the file under its flag name), never both;
     without either, the file's ``boundary`` descriptor.
     """
-    from_file = config.get("scheme", {})
+    from_file = _json_object(config.get("scheme", {}), 'config key "scheme"')
     coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"))
     preset = _merged(args, config, "preset", from_file.get("preset")) or "beam-warming"
     scheme = {"preset": preset} if coeffs is None else {"coefficients": list(coeffs)}
@@ -224,7 +239,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         config = {}
         if getattr(args, "config", None):
             with open(args.config) as fh:
-                config = json.load(fh)
+                config = _json_object(json.load(fh), "a config file")
 
         tols = _tolerances(args, config)
         n0 = int(_merged(args, config, "samples", 1024))

@@ -21,12 +21,12 @@ class Tolerances:
         when normalizing polynomials and stencils.
     unit_circle_tol:
         Half-width of the ambiguity band around the unit circle used when
-        classifying roots as interior / on-circle / exterior.
+        classifying roots as interior / on-circle / exterior; a boundary
+        zero lies on the symbol curve when a characteristic root there is
+        in this band.
     origin_tol:
         Relative closest-approach threshold for the winding computation; the
         absolute threshold is ``origin_tol * max(|curve point|)``.
-    gamma_tol:
-        Distance threshold for membership of a point in the symbol curve.
     kernel_tol:
         Relative size below which a kernel-vector component counts as zero
         in the boundary-zero classification.
@@ -41,15 +41,9 @@ class Tolerances:
     trim_rel: float = 1e-12
     unit_circle_tol: float = 1e-6
     origin_tol: float = 1e-8
-    gamma_tol: float = 1e-6
     kernel_tol: float = 1e-7
     cauchy_tol: float = 1e-10
     consistency_tol: float = 1e-10
-
-    def replace(self, **kwargs) -> "Tolerances":
-        current = {f.name: getattr(self, f.name) for f in fields(self)}
-        current.update(kwargs)
-        return Tolerances(**current)
 
     def validate(self) -> None:
         for f in fields(self):

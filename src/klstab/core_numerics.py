@@ -1,4 +1,4 @@
-"""Complex polynomials: trimming, evaluation, root finding and root clustering.
+"""Complex polynomials: evaluation, root finding and root clustering.
 
 Degrees in this package stay in the single digits (stencil widths and
 boundary orders), so dense coefficient arrays, companion-matrix eigenvalues
@@ -8,36 +8,17 @@ and quadratic-cost clustering are reliable and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import DegenerateLeadingCoefficient
 
-NEG_INF = float("-inf")
-
-
-def _trim(coeffs: np.ndarray, trim_rel: float) -> np.ndarray:
-    """Drop trailing (leading-power) coefficients negligible vs the largest one.
-
-    A coefficient is kept when it, or one of higher power, exceeds
-    ``trim_rel`` times the largest coefficient.
-    """
-    mag = np.abs(coeffs)
-    significant = np.flatnonzero(mag > trim_rel * mag.max(initial=0.0))
-    return coeffs[: significant[-1] + 1 if significant.size else 0]
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
-    """Dense complex polynomial, coefficients in ascending power order.
-
-    The representation is normalized: trailing coefficients negligible
-    relative to the largest one are trimmed, so the leading coefficient is
-    always significant. The zero polynomial is the empty coefficient array
-    and reports degree ``-inf``.
-    """
+    """Dense complex polynomial, coefficients in ascending power order."""
 
     coeffs: np.ndarray
 
@@ -46,25 +27,8 @@ class ComplexPolynomial:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[complex], trim_rel: float = DEFAULT_TOLS.trim_rel) -> "ComplexPolynomial":
-        arr = np.atleast_1d(np.asarray(list(coeffs), dtype=complex))
-        return cls(_trim(arr, trim_rel))
-
-    @property
-    def degree(self) -> Union[int, float]:
-        return self.coeffs.size - 1 if self.coeffs.size else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs.size == 0
-
     def __call__(self, z):
         """Horner evaluation; accepts scalars or arrays."""
-        if self.is_zero:
-            if np.isscalar(z):
-                return 0j
-            return np.zeros_like(np.asarray(z, dtype=complex))
         if np.isscalar(z):
             acc = 0j
             for c in self.coeffs[::-1]:

@@ -1,26 +1,25 @@
-"""Kreiss-Lopatinskii determinant construction, two independent ways.
+"""Kreiss-Lopatinskii determinant construction.
 
 The boundary operator restricted to the decaying modal solutions has a
 determinant whose zeros in ``|z| >= 1`` are exactly the (generalized)
-eigenvalues obstructing strong stability. This module builds it
+eigenvalues obstructing strong stability. The defining formula applies the
+boundary matrix to the mode matrix of the characteristic roots; this module
+builds the determinant instead from the closed top-left ``m x m`` block
+``A`` of the half-line update matrix. Row ``j`` of the update reads only
+``U_{j-r..j}`` and the ghost values read only ``U_0..U_{m-1}``, so rows
+``0..m-1`` close on themselves, and
 
-* directly from the characteristic roots and the mode matrix (the defining
-  formula, used as a cross-check oracle), and
-* from the closed top-left ``m x m`` block ``A`` of the half-line update
-  matrix. Row ``j`` of the update reads only ``U_{j-r..j}`` and the ghost
-  values read only ``U_0..U_{m-1}``, so rows ``0..m-1`` close on
-  themselves, and
+    det C(z) = (-1)^((r+1)m) a_{-r}^(-m) det(z I_m - A),
+    Delta(z) = (-1)^(r(m-r)) det C(z) (a_{-r} / (a_0 - z))^(m-r),
 
-      det C(z) = (-1)^((r+1)m) a_{-r}^(-m) det(z I_m - A),
-      Delta(z) = (-1)^(r(m-r)) det C(z) (a_{-r} / (a_0 - z))^(m-r),
+where ``C(z)`` is the ``r x r`` matrix left by eliminating the boundary
+matrix against the interior recurrence. ``det C`` has exact degree ``m``.
 
-  where ``C(z)`` is the ``r x r`` matrix left by eliminating the boundary
-  matrix against the interior recurrence. ``det C`` has exact degree ``m``.
-
-The second route is authoritative. The direct count takes the eigenvalues
-of ``A``; the winding evaluates ``det C``, whose coefficients come from LU
-determinants of ``z I - A`` at the ``m + 1`` roots of unity and one FFT, so
-the two counts share no arithmetic.
+The direct count takes the eigenvalues of ``A``; the winding evaluates
+``det C``, whose coefficients come from LU determinants of ``z I - A`` at
+the ``m + 1`` roots of unity and one FFT, so the two counts share no
+arithmetic. The characteristic roots and their mode matrix remain for
+classifying zeros on the unit circle.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .boundary import BoundaryCondition, assemble_B
+from .boundary import BoundaryCondition
 from .config import DEFAULT_TOLS, Tolerances
 from .core_numerics import ComplexPolynomial, RootSet, _cluster, poly_roots
 from .errors import DegenerateLeadingCoefficient, RootAtZero
@@ -57,24 +56,13 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Root
     return poly_roots(coeffs, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
 
 
-@dataclass(frozen=True, eq=False)
-class KMatrix:
-    """Mode matrix: extraction of index lines ``i .. j`` of the modal basis.
+def k_matrix(roots: RootSet, i: int, j: int) -> np.ndarray:
+    """Mode matrix: index lines ``i`` through ``j`` inclusive of the modal basis.
 
     One column per root and multiplicity power: a root ``kappa`` of
     multiplicity ``beta`` contributes the columns ``(l^q kappa^l)_{l=i..j}``
     for ``q = 0 .. beta-1``, with the convention ``0^0 = 1`` at line 0.
     """
-
-    values: np.ndarray
-    roots: RootSet
-    i: int
-    j: int
-    z: complex | None = None
-
-
-def k_matrix(roots: RootSet, i: int, j: int, z: complex | None = None) -> KMatrix:
-    """Build the mode matrix for index lines ``i`` through ``j`` inclusive."""
     if j < i:
         raise ValueError(f"need j >= i, got i={i}, j={j}")
     lines = np.arange(i, j + 1)
@@ -86,24 +74,7 @@ def k_matrix(roots: RootSet, i: int, j: int, z: complex | None = None) -> KMatri
         for q in range(mult):
             weights = np.array([float(l) ** q if (l, q) != (0, 0) else 1.0 for l in lines])
             cols.append(weights * powers)
-    values = np.column_stack(cols)
-    return KMatrix(values=values, roots=roots, i=i, j=j, z=z)
-
-
-def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances = DEFAULT_TOLS) -> complex:
-    """Intrinsic determinant from the defining formula.
-
-    Dividing the raw determinant by the mode matrix of lines ``0 .. r-1``
-    removes the basis dependence. Root clustering makes this route
-    ill-conditioned near multiple roots; it serves as the independent oracle
-    for :func:`kl_det_explicit`.
-    """
-    roots = stable_roots(s, z, tols)
-    K_all = k_matrix(roots, -s.r, bc.m - 1, z=z)
-    K_norm = k_matrix(roots, 0, s.r - 1, z=z)
-    numerator = complex(np.linalg.det(assemble_B(bc) @ K_all.values))
-    denominator = complex(np.linalg.det(K_norm.values))
-    return numerator / denominator
+    return np.column_stack(cols)
 
 
 def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:

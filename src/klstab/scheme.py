@@ -249,18 +249,3 @@ class CurveSamples:
         points.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "points", points)
-
-
-def sample_symbol_curve(s: Scheme, n: int) -> CurveSamples:
-    """Sample the closed symbol curve at ``n + 1`` uniform parameters on [0, 2pi].
-
-    Coarse samplings are allowed (the curve is a tiny trigonometric
-    polynomial); use a few hundred points when the image matters.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    params = np.linspace(0.0, 2.0 * np.pi, n + 1)
-    points = symbol(s, params)
-    points = points.copy()
-    points[-1] = points[0]
-    return CurveSamples(params=params, points=points, closed=True)

@@ -1,0 +1,31 @@
+"""Reference routes the tests check klstab against; not part of the package."""
+
+import numpy as np
+
+from klstab.boundary import BoundaryCondition, assemble_B
+from klstab.config import DEFAULT_TOLS, Tolerances
+from klstab.kl import k_matrix, stable_roots
+from klstab.scheme import Scheme
+from klstab.winding import DEFAULT_POLICY, kl_curve_evaluator, sample_kl_curve, winding_number
+
+
+def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances = DEFAULT_TOLS) -> complex:
+    """Intrinsic determinant from the defining formula.
+
+    Dividing the raw determinant by the mode matrix of lines ``0 .. r-1``
+    removes the basis dependence. Root clustering makes this route
+    ill-conditioned near multiple roots; it serves as the independent oracle
+    for :func:`klstab.kl.kl_det_explicit`.
+    """
+    roots = stable_roots(s, z, tols)
+    K_all = k_matrix(roots, -s.r, bc.m - 1)
+    K_norm = k_matrix(roots, 0, s.r - 1)
+    numerator = complex(np.linalg.det(assemble_B(bc) @ K_all))
+    denominator = complex(np.linalg.det(K_norm))
+    return numerator / denominator
+
+
+def winding_count(s, rb, n0=1024, policy=DEFAULT_POLICY):
+    """Exterior zero count by winding: minus the index of the normalized curve, as in ``analyze``."""
+    curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
+    return -winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True)).index

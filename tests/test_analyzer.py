@@ -80,6 +80,17 @@ def test_classify_type_ii_away_from_symbol_curve():
     assert classification is BoundaryZeroType.TYPE_II
 
 
+def test_classify_type_ii_near_but_off_symbol_curve():
+    # z0 = e^{0.02i} passes 6.1e-7 from the symbol curve of Beam-Warming at
+    # CFL 0.3, but its nearest characteristic root is 2.04e-6 off the unit
+    # circle: no unit root, so an eigenvalue on the circle, not type III
+    s = make_beam_warming(0.3)
+    z0 = complex(np.exp(0.02j))
+    gaps = sorted(abs(abs(v) - 1.0) for v in stable_roots(s, z0).values)
+    assert 2.0e-6 < gaps[0] < 2.1e-6
+    assert classify_boundary_zero(s, silw_condition(2, 2, 3), z0) is BoundaryZeroType.TYPE_II
+
+
 def test_classify_type_iii_unit_root_unloaded():
     # at z0 = 1 the roots are 1 and an interior root k2; kill the k2 column so
     # the kernel loads only the decaying mode: a true eigenvalue on the curve

@@ -427,3 +427,54 @@ def test_simulate_runs_a_custom_boundary_once(tmp_path, capsys, monkeypatch):
     assert captured.out == per_offset
     assert captured.err == ""
     assert marched == [1]
+
+
+CHECK = ["check", "--lambda", "0.7", "--silw", "2", "3"]
+SWEEP = ["sweep", "--silw", "2", "3", "--lambda-grid", "0.7:0.7:1"]
+COMMANDS = {
+    "check": CHECK,
+    "sweep": SWEEP,
+    "curve": ["curve", "--lambda", "0.7", "--silw", "2", "3"],
+    "simulate": ["simulate", "--lambda", "0.6", "--silw", "2", "3", "--sigma-grid=0:0:1"],
+}
+
+
+@pytest.mark.parametrize("flag, value, rejected_by", [
+    ("--samples", "1024", ("simulate",)),
+    ("--cluster-radius", "1e-7", ("simulate", "curve")),
+    ("--unit-circle-tol", "1e-6", ("simulate", "curve")),
+    ("--origin-tol", "1e-8", ("simulate", "curve")),
+    ("--kernel-tol", "1e-7", ("simulate", "curve")),
+    ("--cauchy-tol", "1e-10", ("simulate", "curve")),
+])
+def test_flags_only_on_commands_that_use_them(flag, value, rejected_by):
+    for command in rejected_by:
+        assert run_cli(COMMANDS[command] + [flag, value]) == 1, command
+    assert run_cli(CHECK + [flag, value]) == 0
+    assert run_cli(SWEEP + [flag, value]) == 0
+
+
+def test_gamma_tol_flag_is_gone(capsys):
+    for argv in COMMANDS.values():
+        assert run_cli(argv + ["--gamma-tol", "1e-6"]) == 1
+    assert "--gamma-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"tolerances": {"origin_tl": 1e-8}}, "config tolerances origin_tl cannot be set; settable: "),
+    ({"tolerances": {"trim_rel": 1e-12}}, "config tolerances trim_rel cannot be set; settable: "),
+    ({"tolerances": {"gamma_tol": 1e-6}}, "config tolerances gamma_tol cannot be set; settable: "),
+    ([1, 2], "a config file must be a JSON object, got [1, 2]"),
+    ({"tolerances": [1, 2]}, 'config key "tolerances" must be a JSON object, got [1, 2]'),
+    ({"scheme": [1]}, 'config key "scheme" must be a JSON object, got [1]'),
+])
+def test_config_errors_print_one_line(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(CHECK + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+    if "settable" in message:
+        assert lines[0].endswith("cluster_radius, unit_circle_tol, origin_tol, kernel_tol, cauchy_tol")

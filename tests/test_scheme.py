@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from scipy.optimize import minimize_scalar
-
-from klstab.analyzer import _distance_to_symbol_curve
 from klstab.scheme import (
     CurveSamples,
     Scheme,
     make_beam_warming,
-    sample_symbol_curve,
     _symbol_from_basis,
     scheme_from_descriptor,
     symbol,
@@ -94,22 +90,26 @@ def test_validate_rejects_tiny_sampling():
         validate(make_beam_warming(0.5), n_xi=32)
 
 
+def symbol_curve(s, n):
+    """The symbol at ``n + 1`` uniform frequencies on [0, 2pi]."""
+    return symbol(s, np.linspace(0.0, 2.0 * np.pi, n + 1))
+
+
 def test_sample_symbol_curve_pure_shift():
-    curve = sample_symbol_curve(make_beam_warming(2.0), 4)
-    np.testing.assert_allclose(curve.points, [1, -1, 1, -1, 1], atol=1e-12)
-    np.testing.assert_allclose(curve.params, np.linspace(0, 2 * np.pi, 5))
-    assert curve.closed
+    points = symbol_curve(make_beam_warming(2.0), 4)
+    np.testing.assert_allclose(points, [1, -1, 1, -1, 1], atol=1e-12)
+    assert abs(points[-1] - points[0]) < 1e-12
 
 
 def test_sample_symbol_curve_starts_at_one():
-    curve = sample_symbol_curve(make_beam_warming(0.7), 64)
-    assert abs(curve.points[0] - 1.0) < 1e-14
+    points = symbol_curve(make_beam_warming(0.7), 64)
+    assert abs(points[0] - 1.0) < 1e-14
 
 
 def test_symbol_curve_inside_disk_tangent_at_one():
-    curve = sample_symbol_curve(make_beam_warming(1.8), 100)
-    assert np.max(np.abs(curve.points)) <= 1.0 + 1e-10
-    assert abs(curve.points[0] - 1.0) < 1e-14
+    points = symbol_curve(make_beam_warming(1.8), 100)
+    assert np.max(np.abs(points)) <= 1.0 + 1e-10
+    assert abs(points[0] - 1.0) < 1e-14
 
 
 def test_curve_samples_validation():
@@ -153,19 +153,6 @@ def test_scheme_construction_guards():
             make_beam_warming(lam)
 
 
-def distance_from_symbol_formula(s, z0, coarse):
-    """Distance to the symbol curve with the frequencies and symbol values built per call."""
-    xi = np.linspace(0.0, 2.0 * np.pi, coarse, endpoint=False)
-    dist = np.abs(symbol(s, xi) - z0)
-    k = int(np.argmin(dist))
-    h = 2.0 * np.pi / coarse
-    result = minimize_scalar(
-        lambda t: abs(symbol(s, float(t)) - z0), bounds=(xi[k] - h, xi[k] + h), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(min(dist[k], result.fun))
-
-
 def test_cached_symbol_basis_is_bit_identical_to_symbol(lagrange_upwind):
     rng = np.random.default_rng(11)
     eps = np.finfo(float).eps
@@ -182,9 +169,6 @@ def test_cached_symbol_basis_is_bit_identical_to_symbol(lagrange_upwind):
             assert np.max(np.abs(direct - s.a @ basis)) <= 4 * eps * np.max(np.abs(direct))
             report = validate(s, n_xi=n)
             assert report.h2_max_symbol_modulus == float(np.max(np.abs(direct)))
-            for _ in range(3):
-                z0 = symbol(s, float(rng.uniform(0, 2 * np.pi))) + 0.01 * complex(*rng.normal(size=2))
-                assert _distance_to_symbol_curve(s, z0, coarse=n) == distance_from_symbol_formula(s, z0, n)
 
 
 def test_cached_symbol_basis_is_read_only():
