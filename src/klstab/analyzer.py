@@ -5,41 +5,33 @@ pair to its closed update block and determinant polynomial, count exterior
 determinant zeros by winding, cross-check against the block's eigenvalues,
 and classify any zero sitting on the unit circle itself (eigenvalue away
 from the symbol curve, eigenvalue on it, or generalized eigenvalue).
+``analyze_many`` runs it for many pairs as stacked arrays; ``analyze`` is its one-pair call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
+from .core_numerics import ComplexPolynomial
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
 from .errors import RefinementBudgetExceeded
-from .kl import (
-    ExteriorRootCount,
-    ReducedBoundary,
-    exterior_zero_count_direct,
-    k_matrix,
-    reduce_boundary,
-    stable_roots,
-    upwind_block,
-)
-from .scheme import AssumptionReport, Scheme, validate
-from .winding import (
-    DEFAULT_POLICY,
-    RefinementPolicy,
-    WindingResult,
-    kl_curve_evaluator,
-    sample_kl_curve,
-    winding_number,
-)
+from .kl import ExteriorRootCount, ReducedBoundary, exterior_counts, k_matrix, parity, reduce_stack
+from .kl import stable_roots, upwind_block
+from .scheme import AssumptionReport, CurveSamples, Scheme, validate
+from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, kl_curve_evaluator
+from .winding import sample_kl_curves, winding_number
+# one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
+from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
+from .winding import sample_kl_curve  # noqa: F401
 
 
 class StabilityStatus(str, Enum):
@@ -71,42 +63,34 @@ class StabilityVerdict:
     exterior_zero_count: Optional[int]
     boundary_zeros: Tuple[BoundaryZero, ...]
     assumptions: AssumptionReport
-    winding: Optional[WindingResult]
-    direct_count: Optional[ExteriorRootCount]
-    det_c_coeffs: Optional[Tuple[complex, ...]]
+    winding: Optional[WindingResult] = None
+    direct_count: Optional[ExteriorRootCount] = None
+    det_c_coeffs: Optional[Tuple[complex, ...]] = None
     notes: Tuple[str, ...] = ()
 
     def to_json(self) -> str:
         def cplx(z):
             return [float(np.real(z)), float(np.imag(z))]
 
+        def roots(pairs):
+            return [[cplx(v), m] for v, m in pairs]
+
+        direct = self.direct_count
         payload = {
             "status": self.status.value,
             "exterior_zero_count": self.exterior_zero_count,
             "boundary_zeros": [
-                {"z0": cplx(b.z0), "classification": b.classification.value}
-                for b in self.boundary_zeros
+                {"z0": cplx(b.z0), "classification": b.classification.value} for b in self.boundary_zeros
             ],
             "diagnostics": {
-                "assumptions": self.assumptions.to_dict(),
-                "winding": None
-                if self.winding is None
-                else {
-                    "index": self.winding.index,
-                    "min_distance": self.winding.min_distance,
-                    "samples_used": self.winding.samples_used,
-                    "origin_on_curve": self.winding.origin_on_curve,
+                "assumptions": asdict(self.assumptions),
+                "winding": None if self.winding is None else asdict(self.winding),
+                "direct_count": None if direct is None else {
+                    "count": direct.count,
+                    "exterior_roots": roots(direct.exterior),
+                    "boundary_band_roots": roots(direct.boundary_band),
                 },
-                "direct_count": None
-                if self.direct_count is None
-                else {
-                    "count": self.direct_count.count,
-                    "exterior_roots": [[cplx(v), m] for v, m in self.direct_count.exterior],
-                    "boundary_band_roots": [[cplx(v), m] for v, m in self.direct_count.boundary_band],
-                },
-                "det_c_coefficients": None
-                if self.det_c_coeffs is None
-                else [cplx(c) for c in self.det_c_coeffs],
+                "det_c_coefficients": None if self.det_c_coeffs is None else [cplx(c) for c in self.det_c_coeffs],
                 "notes": list(self.notes),
             },
         }
@@ -153,76 +137,119 @@ def classify_boundary_zero(
     return BoundaryZeroType.TYPE_IV
 
 
-def analyze(
-    s: Scheme,
-    bc: BoundaryCondition,
-    tols: Tolerances = DEFAULT_TOLS,
-    n0: int = 1024,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-) -> StabilityVerdict:
-    """Full decision procedure for one (scheme, boundary condition) pair.
+# Cells decided by one stacked reduction and eigvals call. Their curves are sampled and
+# wound 8 rows at a time: an (8, n0 + 1) temporary stays near 128 KiB, where numpy gets
+# reused memory instead of fresh pages, which cost more than the arithmetic on them.
+_BLOCK, _CURVE_ROWS = 64, 8
 
-    ``policy`` sets the refinement budget and split thresholds of the
-    winding route; its origin threshold is ``tols.origin_tol``.
+# Errors that make a pair's outcome an error rather than a verdict
+_ROW_ERRORS = (KLStabError, ValueError, ArithmeticError)
+
+
+def analyze(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
+            policy: RefinementPolicy = DEFAULT_POLICY) -> StabilityVerdict:
+    """Full decision procedure for one (scheme, boundary condition) pair: its :func:`analyze_many`.
+
+    ``policy`` sets the refinement budget and split thresholds of the winding route; its origin
+    threshold is ``tols.origin_tol``."""
+    (outcome,) = analyze_many([(s, bc)], tols, n0, policy)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
+                 policy: RefinementPolicy = DEFAULT_POLICY) -> List[Union[StabilityVerdict, Exception]]:
+    """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
+
+    Each boundary is fitted to its scheme and each distinct scheme validated
+    once. The pairs that pass are grouped by ``(r, m)`` and decided in
+    stacked blocks; only the curves whose first winding level needs a split
+    or comes near the origin take the walk one at a time. Each verdict is
+    bit for bit the one the pair gets alone.
     """
-    bc = bc.restricted_to(s.r)
-    report = validate(s, tols=tols)
-    rb = direct = wres = count = None
+    outcomes: List = [None] * len(pairs)
+    reports, groups = {}, {}
+    for k, (s, bc) in enumerate(pairs):
+        try:
+            bc = bc.restricted_to(s.r)
+            report = reports[id(s)] = reports.get(id(s)) or validate(s, tols=tols)
+        except _ROW_ERRORS as exc:
+            outcomes[k] = exc
+            continue
+        if report.all_pass:
+            groups.setdefault((s.r, bc.m), []).append((k, s, bc, report))
+        else:
+            outcomes[k] = StabilityVerdict(StabilityStatus.ASSUMPTION_VIOLATED, None, (), report)
+    policy = replace(policy, origin_rel_tol=tols.origin_tol)
+    for rows in groups.values():
+        for start in range(0, len(rows), _BLOCK):
+            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, policy)
+    return outcomes
+
+
+def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: RefinementPolicy) -> None:
+    """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
+    a = np.array([s.a for _, s, _, _ in block])
+    try:
+        blocks, det_c = reduce_stack(a, np.array([bc.b for _, _, bc, _ in block]))
+        directs = exterior_counts(blocks, tols)
+    except _ROW_ERRORS as exc:
+        # a row whose factor a_{-r}^(-m) overflows, or whose block is not finite, fails the stacked
+        # calls; alone, that is its error, and in a block the rows are decided one at a time
+        if len(block) == 1:
+            outcomes[block[0][0]] = exc
+        else:
+            for row in block:
+                _decide_block([row], outcomes, tols, n0, policy)
+        return
+    for start in range(0, len(block), _CURVE_ROWS):
+        part = slice(start, start + _CURVE_ROWS)
+        params, points = sample_kl_curves(det_c[part], a[part, 0], a[part, -1], a.shape[1] - 1, n0)
+        index, low, decided, level = first_pass(params, points, policy)
+        for i, (k, s, bc, report) in enumerate(block[part]):
+            first = (WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if decided[i]
+                     else (CurveSamples(params=params, points=points[i], closed=True), level(i)))
+            try:
+                outcomes[k] = _verdict(s, bc, report, blocks[start + i], det_c[start + i], directs[start + i],
+                                       first, tols, policy)
+            except _ROW_ERRORS as exc:
+                outcomes[k] = exc
+
+
+def _verdict(s, bc, report, block, det_c, direct, first, tols, policy) -> StabilityVerdict:
+    """The verdict of a validated pair from its reduction, its direct count and either its
+    first-pass winding result or its sampled curve and first level, which the walk starts from."""
     zeros: Tuple[BoundaryZero, ...] = ()
     notes: List[str] = []
-    if not report.all_pass:
-        status = StabilityStatus.ASSUMPTION_VIOLATED
-    else:
-        rb = reduce_boundary(s, bc, tols)
-        direct = exterior_zero_count_direct(rb, tols)
-        curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
+    count, wres = None, first
+    if not isinstance(first, WindingResult):
+        rb = ReducedBoundary(r=s.r, m=bc.m, sign=parity(s.r, bc.m), block=block, det_c=ComplexPolynomial(det_c))
+        curve, level = first
         try:
-            wres = winding_number(
-                curve,
-                replace(policy, origin_rel_tol=tols.origin_tol),
-                evaluator=kl_curve_evaluator(s, rb, normalize=True),
-            )
+            wres = winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb), first_level=level)
         except OriginOnCurve as exc:
             status, wres = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, exc.result
             zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
         except RefinementBudgetExceeded as exc:
-            status = StabilityStatus.INCONCLUSIVE
+            status, wres = StabilityStatus.INCONCLUSIVE, None
             notes.append(f"winding failed: {exc}")
+    if wres is not None and not wres.origin_on_curve:
+        # dividing by z^r shifts the index by -r, leaving minus the exterior zero count
+        count = -wres.index
+        if direct.has_boundary_band:
+            notes.append("determinant roots inside the unit-circle band while the winding succeeded; "
+                         "counts compare strictly-exterior roots only")
+        if count != direct.count:
+            notes.append(f"winding count {count} != direct count {direct.count}")
+            status, count = StabilityStatus.INCONCLUSIVE, None
         else:
-            # dividing by z^r shifts the index by -r, leaving minus the exterior zero count
-            count = -wres.index
-            if direct.has_boundary_band:
-                notes.append(
-                    "determinant roots inside the unit-circle band while the winding succeeded; "
-                    "counts compare strictly-exterior roots only"
-                )
-            if count != direct.count:
-                notes.append(f"winding count {count} != direct count {direct.count}")
-                status, count = StabilityStatus.INCONCLUSIVE, None
-            elif count == 0:
-                status = StabilityStatus.STRONGLY_STABLE
-            else:
-                status = StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE
-    return StabilityVerdict(
-        status=status,
-        exterior_zero_count=count,
-        boundary_zeros=zeros,
-        assumptions=report,
-        winding=wres,
-        direct_count=direct,
-        det_c_coeffs=None if rb is None else tuple(complex(c) for c in rb.det_c.coeffs),
-        notes=tuple(notes),
-    )
+            status = StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE if count else StabilityStatus.STRONGLY_STABLE
+    return StabilityVerdict(status, count, zeros, report, wres, direct, tuple(det_c.tolist()), tuple(notes))
 
 
-def _classify_band_zeros(
-    s: Scheme,
-    bc: BoundaryCondition,
-    rb: ReducedBoundary,
-    direct: ExteriorRootCount,
-    tols: Tolerances,
-    notes: List[str],
-) -> Tuple[BoundaryZero, ...]:
+def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, rb: ReducedBoundary, direct: ExteriorRootCount,
+                         tols: Tolerances, notes: List[str]) -> Tuple[BoundaryZero, ...]:
     """Locate and classify determinant zeros on (or numerically on) the circle.
 
     Eigenvalues of the update block in the band around the unit circle are
@@ -260,42 +287,41 @@ class StabilityMap:
         lines = ["lambda,sigma,zero_count,status"]
         for i, lam in enumerate(self.lambda_grid):
             for j, sig in enumerate(self.sigma_grid):
-                lines.append(
-                    f"{float(lam)!r},{float(sig)!r},{int(self.zero_counts[i, j])},"
-                    f"{self.statuses[i, j]}"
-                )
+                lines.append(f"{float(lam)!r},{float(sig)!r},{int(self.zero_counts[i, j])},{self.statuses[i, j]}")
         return "\n".join(lines) + "\n"
 
 
-def _sweep_cell(args) -> Tuple[int, int, int, str]:
-    """One grid cell; a cell whose construction or analysis raises is recorded as inconclusive."""
-    scheme_family, bc_family, i, j, lam, sigma, tols, n0 = args
-    try:
-        verdict = analyze(scheme_family(lam), bc_family(lam, sigma), tols=tols, n0=n0)
-    except KLStabError:
-        return i, j, -1, StabilityStatus.INCONCLUSIVE.value
-    if verdict.exterior_zero_count is None:
-        return i, j, -1, verdict.status.value
-    return i, j, int(verdict.exterior_zero_count), verdict.status.value
+def _sweep_chunk(scheme_family, bc_family, tols: Tolerances, n0: int, cells) -> List[Tuple[int, str]]:
+    """``(count, status)`` of each ``(lambda, sigma)`` cell, from one :func:`analyze_many` call."""
+    schemes, pairs, index = {}, [], []
+    for k, (lam, sigma) in enumerate(cells):
+        try:
+            schemes[lam] = schemes.get(lam) or scheme_family(lam)
+            pairs.append((schemes[lam], bc_family(lam, sigma)))
+            index.append(k)
+        except KLStabError:
+            pass
+    results = [(-1, StabilityStatus.INCONCLUSIVE.value)] * len(cells)
+    for k, verdict in zip(index, analyze_many(pairs, tols, n0)):
+        if isinstance(verdict, StabilityVerdict):
+            count = verdict.exterior_zero_count
+            results[k] = (-1 if count is None else count, verdict.status.value)
+    return results
 
 
-def sweep(
-    scheme_family: Callable[[float], Scheme],
-    bc_family: Callable[[float, float], BoundaryCondition],
-    lambda_grid: Sequence[float],
-    sigma_grid: Sequence[float] = (0.0,),
-    tols: Tolerances = DEFAULT_TOLS,
-    n0: int = 1024,
-    jobs: int = 1,
-) -> StabilityMap:
+def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, float], BoundaryCondition],
+          lambda_grid: Sequence[float], sigma_grid: Sequence[float] = (0.0,), tols: Tolerances = DEFAULT_TOLS,
+          n0: int = 1024, jobs: int = 1) -> StabilityMap:
     """Run the decision procedure over a parameter grid.
 
-    Cells are independent; with ``jobs > 1`` they are computed in a pool of
-    ``min(jobs, cells)`` processes (the families must be picklable) and
-    written back by index, so the result is identical for any parallelism
-    degree. A cell whose families or analysis raise a
-    :class:`~klstab.errors.KLStabError` is ``Inconclusive`` with count -1
-    instead of aborting the sweep.
+    The cells, in row-major order, are cut into contiguous chunks of
+    ``max(1, cells // (4 * workers))``, and each chunk is decided by one
+    :func:`analyze_many` call, with one scheme built per CFL value. With
+    ``jobs > 1`` the chunks run in a pool of ``workers = min(jobs, cells)``
+    processes (the families must be picklable) and come back in order, so
+    the result is identical for any parallelism degree. A cell whose
+    families raise a :class:`~klstab.errors.KLStabError`, or whose pair
+    raises, is ``Inconclusive`` with count -1 instead of aborting the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -303,26 +329,23 @@ def sweep(
     sigma_grid = np.asarray(list(sigma_grid), dtype=float)
     if lambda_grid.size == 0 or sigma_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    counts = np.zeros((lambda_grid.size, sigma_grid.size), dtype=int)
-    statuses = np.empty((lambda_grid.size, sigma_grid.size), dtype=object)
-
-    tasks = [
-        (scheme_family, bc_family, i, j, float(lam), float(sig), tols, n0)
-        for i, lam in enumerate(lambda_grid)
-        for j, sig in enumerate(sigma_grid)
-    ]
+    cells = [(float(lam), float(sig)) for lam in lambda_grid for sig in sigma_grid]
     # the pool forks all its workers up front, so it gets no more than there are cells
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(cells))
+    size = max(1, len(cells) // (4 * workers))
+    chunks = [cells[k:k + size] for k in range(0, len(cells), size)]
+    decide = functools.partial(_sweep_chunk, scheme_family, bc_family, tols, n0)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            results = [cell for chunk in pool.map(decide, chunks) for cell in chunk]
     else:
-        results = [_sweep_cell(task) for task in tasks]
-    for i, j, count, status in results:
-        counts[i, j] = count
-        statuses[i, j] = status
+        results = [cell for chunk in map(decide, chunks) for cell in chunk]
+    shape = (lambda_grid.size, sigma_grid.size)
     return StabilityMap(
-        lambda_grid=lambda_grid, sigma_grid=sigma_grid, zero_counts=counts, statuses=statuses
+        lambda_grid=lambda_grid,
+        sigma_grid=sigma_grid,
+        zero_counts=np.array([count for count, _ in results], dtype=int).reshape(shape),
+        statuses=np.array([status for _, status in results], dtype=object).reshape(shape),
     )
 
 
@@ -331,22 +354,16 @@ def sweep(
 _FLIP_SEARCH_STEP = 1.5e-7
 
 
-def bisect_stability_edge(
-    scheme_family: Callable[[float], Scheme],
-    bc_family: Callable[[float, float], BoundaryCondition],
-    lam_a: float,
-    lam_b: float,
-    sigma: float = 0.0,
-    tols: Tolerances = DEFAULT_TOLS,
-    n0: int = 1024,
-    max_iter: int = 30,
-) -> float:
+def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
+                          bc_family: Callable[[float, float], BoundaryCondition], lam_a: float, lam_b: float,
+                          sigma: float = 0.0, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
+                          max_iter: int = 30) -> float:
     """Locate a stability transition between two CFL values.
 
     ``lam_a`` and ``lam_b`` must give different strong-stability verdicts;
     the returned point brackets the ``analyze`` verdict flip to
     ``(lam_b - lam_a) / 2**max_iter``. The search starts where the spectral
-    radius of the closed block ``A`` crosses 1 (brentq on ``rho(A) - 1``):
+    radius of the closed block ``A`` crosses 1 (:func:`_illinois` on ``rho(A) - 1``):
     one ``analyze`` there, then ``analyze`` steps of 1.5e-7, growing
     eightfold, toward the other verdict close a short bracket, and
     ``analyze`` bisection finishes it. When ``rho(A) - 1`` raises or keeps
@@ -377,8 +394,8 @@ def bisect_stability_edge(
         return verdict
 
     try:
-        x = brentq(excess, lo, hi)
-    except (KLStabError, ValueError, np.linalg.LinAlgError):
+        x = _illinois(excess, lo, hi)
+    except (KLStabError, ValueError):
         pass
     else:
         at_x = probe(x)
@@ -391,3 +408,30 @@ def bisect_stability_edge(
             break
         probe(0.5 * (lo + hi))
     return 0.5 * (lo + hi)
+
+
+def _illinois(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+              rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """A root of ``f`` on ``[a, b]`` by the Illinois variant of regula falsi.
+
+    It stops where ``f`` vanishes or once the bracket is narrower than
+    ``xtol + rtol * |x|``, brentq's default tolerance. Raises ``ValueError``
+    when ``f`` has the same sign at both ends.
+    """
+    fa, fb = f(a), f(b)
+    if np.sign(fa) == np.sign(fb) != 0.0:
+        raise ValueError("f must have different signs at the ends of the bracket")
+    x, side = a, 0
+    for _ in range(maxiter):
+        x = b - fb * (b - a) / (fb - fa)
+        fx = f(x)
+        if fx == 0.0:
+            break
+        # x replaces the end where f has its sign; the other end's value is halved when kept twice in a row
+        if np.sign(fx) == np.sign(fb):
+            b, fb, fa, side = x, fx, fa * (0.5 if side == -1 else 1.0), -1
+        else:
+            a, fa, fb, side = x, fx, fb * (0.5 if side == 1 else 1.0), 1
+        if abs(b - a) < xtol + rtol * abs(x):
+            break
+    return x

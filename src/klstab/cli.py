@@ -136,11 +136,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(args, config: dict, key: str, default=None):
+# JSON types of config values, as (description, test)
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
+_ORDERS = ("two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v))
+
+
+def _merged(args, config: dict, key: str, default=None, kind=None):
+    """The flag ``key`` if given, else its config value (or ``default``), which must be of JSON type ``kind``."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    return config.get(key.replace("_", "-"), config.get(key, default))
+    name = key.replace("_", "-")
+    value = config.get(name, config.get(key, default))
+    if value is not None and kind is not None and not kind[1](value):
+        raise UsageError(f'config key "{name}" must be {kind[0]}, got {json.dumps(value)}')
+    return value
 
 
 def _json_object(value, what: str) -> dict:
@@ -162,6 +174,8 @@ def _tolerances(args, config: dict) -> Tolerances:
         value = getattr(args, attr, None)
         if value is None:
             value = file_tols.get(attr)
+            if value is not None and not _NUMBER[1](value):
+                raise UsageError(f"config tolerance {attr} must be a number, got {json.dumps(value)}")
         if value is not None:
             overrides[attr] = float(value)
     tols = replace(DEFAULT_TOLS, **overrides)
@@ -177,11 +191,11 @@ def _descriptors(args, config: dict) -> Tuple[dict, dict]:
     without either, the file's ``boundary`` descriptor.
     """
     from_file = _json_object(config.get("scheme", {}), 'config key "scheme"')
-    coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"))
-    preset = _merged(args, config, "preset", from_file.get("preset")) or "beam-warming"
-    scheme = {"preset": preset} if coeffs is None else {"coefficients": list(coeffs)}
-    silw = _merged(args, config, "silw")
-    custom_path = _merged(args, config, "custom_b")
+    coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"), _NUMBERS)
+    preset = _merged(args, config, "preset", from_file.get("preset"), _TEXT) or "beam-warming"
+    scheme = (("preset", preset),) if coeffs is None else (("coefficients", tuple(coeffs)),)
+    silw = _merged(args, config, "silw", kind=_ORDERS)
+    custom_path = _merged(args, config, "custom_b", kind=_TEXT)
     if silw is not None and custom_path is not None:
         raise UsageError("give either --silw or --custom-b, not both")
     if silw is not None:
@@ -194,12 +208,16 @@ def _descriptors(args, config: dict) -> Tuple[dict, dict]:
     raise UsageError("a boundary condition is required (--silw KD D or --custom-b FILE)")
 
 
-def scheme_at(lam: float, scheme: dict) -> Scheme:
-    """The scheme of descriptor ``scheme`` at CFL ``lam`` (a sweep's ``scheme_family``)."""
-    return scheme_from_descriptor({**scheme, "lambda": lam})
+@functools.lru_cache(maxsize=1024)
+def scheme_at(lam: float, scheme: tuple) -> Scheme:
+    """The scheme of descriptor ``scheme``, given as its items, at CFL ``lam`` (a sweep's ``scheme_family``).
+
+    Cached, so that the boundaries of a CFL value reuse the scheme built for it.
+    """
+    return scheme_from_descriptor({**dict(scheme), "lambda": lam})
 
 
-def boundary_at(lam: float, sigma: Optional[float], scheme: dict, boundary: dict) -> BoundaryCondition:
+def boundary_at(lam: float, sigma: Optional[float], scheme: tuple, boundary: dict) -> BoundaryCondition:
     """The boundary of descriptor ``boundary`` fitted to ``scheme_at(lam, scheme)``.
 
     A given ``sigma`` replaces the offset of a SILW descriptor; ``None``
@@ -241,18 +259,22 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             with open(args.config) as fh:
                 config = _json_object(json.load(fh), "a config file")
 
+        # the config keys of knobs a command does not have are refused, as the flags are
+        for key in {"curve": ("tolerances",), "simulate": ("samples", "tolerances")}.get(args.command, ()):
+            if key in config:
+                raise UsageError(f'config key "{key}" does not act on {args.command}')
         tols = _tolerances(args, config)
-        n0 = int(_merged(args, config, "samples", 1024))
-        out = _merged(args, config, "out")
+        n0 = int(_merged(args, config, "samples", 1024, _NUMBER))
+        out = _merged(args, config, "out", kind=_TEXT)
 
         scheme, boundary = _descriptors(args, config)
 
         if args.command == "sweep":
-            lam_spec = _merged(args, config, "lambda_grid")
+            lam_spec = _merged(args, config, "lambda_grid", kind=_TEXT)
             if lam_spec is None:
                 raise UsageError("sweep needs --lambda-grid A:B:STEP")
             lambda_grid = parse_grid(lam_spec)
-            sig_spec = _merged(args, config, "sigma_grid")
+            sig_spec = _merged(args, config, "sigma_grid", kind=_TEXT)
             sigma_grid = parse_grid(sig_spec) if sig_spec else np.array([0.0])
             if np.any(lambda_grid <= 0):
                 raise UsageError("all CFL grid values must be positive")
@@ -265,13 +287,13 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             _write(result.to_csv(), out)
             return EXIT_OK
 
-        lam = _merged(args, config, "lam", config.get("scheme", {}).get("lambda"))
+        lam = _merged(args, config, "lam", config.get("scheme", {}).get("lambda"), _NUMBER)
         if lam is None:
             raise UsageError("a CFL number is required (--lambda)")
         s = scheme_at(float(lam), scheme)
 
         if args.command == "simulate":
-            sigma_grid = parse_grid(_merged(args, config, "sigma_grid") or "-0.5:0.48:0.02")
+            sigma_grid = parse_grid(_merged(args, config, "sigma_grid", kind=_TEXT) or "-0.5:0.48:0.02")
             scan = sigma_scan(
                 s,
                 bc_family=functools.partial(boundary_at, s.lam, scheme=scheme, boundary=boundary),
@@ -295,7 +317,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         # check and curve: one pair at the offset --sigma, else the file's
-        bc = boundary_at(s.lam, _merged(args, config, "sigma"), scheme, boundary)
+        bc = boundary_at(s.lam, _merged(args, config, "sigma", kind=_NUMBER), scheme, boundary)
         if args.command == "check":
             verdict = analyze(s, bc, tols=tols, n0=n0)
             _write(verdict.to_json() + "\n", out)

@@ -8,7 +8,7 @@ and quadratic-cost clustering are reliable and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,11 +29,6 @@ class ComplexPolynomial:
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or arrays."""
-        if np.isscalar(z):
-            acc = 0j
-            for c in self.coeffs[::-1]:
-                acc = acc * z + c
-            return acc
         zarr = np.asarray(z, dtype=complex)
         acc = np.zeros_like(zarr)
         for c in self.coeffs[::-1]:
@@ -51,18 +46,6 @@ class RootSet:
     """Clustered roots with multiplicities; multiplicities sum to the degree."""
 
     roots: Tuple[Tuple[complex, int], ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for v, _ in self.roots], dtype=complex)
-
-    @property
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.roots], dtype=int)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return int(sum(m for _, m in self.roots))
 
     def __iter__(self):
         return iter(self.roots)
@@ -86,7 +69,30 @@ def _newton_refine(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np
     return roots
 
 
-def _cluster(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int], ...]:
+# Relative margin by which the pairs of a row must clear the cluster radius for the vectorized
+# path: numpy's stacked modulus may differ from the scalar one in the last bit.
+_CLUSTER_MARGIN = 1e-9
+
+
+def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int], ...]]:
+    """Each row of ``values`` as ``(mean, multiplicity)`` pairs of its values closer than ``radius``,
+    sorted by real, then imaginary part. Rows of finite values whose pairs all clear the radius are
+    singletons, sorted in one vectorized pass, when no real part is 0 and no imaginary part -0.0
+    (the mean of one member would change a zero's sign); the others go through union-find."""
+    gaps = np.abs(values[:, :, None] - values[:, None, :])
+    apart = (gaps > radius * (1.0 + _CLUSTER_MARGIN)) | np.eye(values.shape[1], dtype=bool)
+    imag = values.imag
+    plain = np.isfinite(values) & (values.real != 0.0) & ((imag != 0.0) | ~np.signbit(imag))
+    simple = np.logical_and.reduce(apart, axis=(1, 2)) & np.logical_and.reduce(plain, axis=1)
+    order = np.lexsort((imag, values.real), axis=-1)
+    ordered = values[np.arange(values.shape[0])[:, None], order].astype(complex).tolist()
+    return [
+        tuple((value, 1) for value in ordered[i]) if simple[i] else _union_find(values[i], radius)
+        for i in range(values.shape[0])
+    ]
+
+
+def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int], ...]:
     """Merge values pairwise closer than ``radius`` (transitively, union-find)."""
     n = values.size
     parent = list(range(n))
@@ -138,4 +144,4 @@ def poly_roots(
 
     raw = np.roots(coeffs[::-1])
     raw = _newton_refine(coeffs, raw)
-    return RootSet(_cluster(raw, cluster_radius))
+    return RootSet(_cluster(raw[None], cluster_radius)[0])

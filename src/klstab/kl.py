@@ -25,7 +25,7 @@ classifying zeros on the unit circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -84,14 +84,28 @@ def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
     that is an interior point and, spread by ``bc.ghost_row(j + k)``, over
     columns ``0..m-1`` when it is a ghost point.
     """
-    block = np.zeros((bc.m, bc.m))
-    for j in range(bc.m):
-        for offset, coeff in zip(range(-s.r, 1), s.a):
+    return upwind_blocks(s.a[None], bc.b[None])[0]
+
+
+def upwind_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`upwind_block`, bit for bit, of each pair of stencils ``a`` (N, r+1) and boundaries ``b`` (N, r', m)."""
+    r, ghosts, m = a.shape[1] - 1, b.shape[1], b.shape[2]
+    if ghosts < r:
+        raise ValueError(f"boundary condition has {ghosts} ghost rows, scheme needs {r}")
+    blocks = np.zeros((a.shape[0], m, m))
+    for j in range(m):
+        for offset in range(-r, 1):
+            coeff = a[:, offset + r]
             if j + offset >= 0:
-                block[j, j + offset] += coeff
+                blocks[:, j, j + offset] += coeff
             else:
-                block[j] += coeff * bc.ghost_row(j + offset)
-    return block
+                blocks[:, j] += coeff[:, None] * b[:, j + offset + ghosts]
+    return blocks
+
+
+def parity(r: int, m: int) -> int:
+    """The prefactor ``(-1)^(r(m-r))`` of the explicit formula."""
+    return -1 if (r * (m - r)) % 2 else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,47 +126,52 @@ class ReducedBoundary:
 
 
 def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS) -> ReducedBoundary:
-    """Reduce the pair to its closed update block and ``det C``.
-
-    ``det(z I - A)`` is monic of degree ``m``; its values at the ``m + 1``
-    roots of unity determine its coefficients through one FFT, and
-    ``det C`` is that polynomial times ``(-1)^((r+1)m) a_{-r}^(-m)``.
-    """
+    """Reduce the pair to its closed update block and ``det C``."""
     if bc.r != s.r:
-        raise ValueError(
-            f"boundary condition has {bc.r} ghost rows but the scheme needs {s.r}; "
-            "restrict the rows first"
-        )
+        raise ValueError(f"boundary condition has {bc.r} ghost rows but the scheme needs {s.r}; "
+                         "restrict the rows first")
     if abs(s.a_zero) >= 1.0:
-        raise ValueError(
-            f"the reduction requires |a_0| < 1 (Cauchy-stable consistent schemes satisfy this); "
-            f"got a_0 = {s.a_zero}"
-        )
+        raise ValueError(f"the reduction requires |a_0| < 1 (Cauchy-stable consistent schemes satisfy this); "
+                         f"got a_0 = {s.a_zero}")
     scale = float(np.max(np.abs(s.a)))
     if abs(s.a_lead) <= tols.trim_rel * scale:
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
+    blocks, det_c = reduce_stack(s.a[None], bc.b[None])
+    return ReducedBoundary(s.r, bc.m, parity(s.r, bc.m), blocks[0], ComplexPolynomial(det_c[0]))
 
-    r, m = s.r, bc.m
-    block = upwind_block(s, bc)
-    block.setflags(write=False)
+
+def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only closed blocks ``A`` (N, m, m) and ``det C`` coefficients (N, m+1) of a stack of pairs.
+
+    ``det(z I - A)`` is monic of degree ``m``; its values at the ``m + 1``
+    roots of unity (one stacked LU call) give its coefficients through one
+    FFT, and ``det C`` is that polynomial times ``(-1)^((r+1)m) a_{-r}^(-m)``.
+    """
+    r, m = a.shape[1] - 1, b.shape[2]
+    blocks = upwind_blocks(a, b)
+    blocks.setflags(write=False)
     nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-    values = np.linalg.det(nodes[:, None, None] * np.eye(m) - block)
+    values = np.linalg.det(nodes[:, None, None] * np.eye(m) - blocks[:, None])
     # values[k] = sum_j c_j nodes[k]^j, an inverse DFT of the coefficients;
     # A is real, so they are too
-    coeffs = np.fft.fft(values).real / (m + 1)
-    det_c = ComplexPolynomial((-1) ** ((r + 1) * m) * s.a_lead ** (-m) * coeffs)
-    sign = -1 if (r * (m - r)) % 2 else 1
-    return ReducedBoundary(r=r, m=m, sign=sign, block=block, det_c=det_c)
+    coeffs = np.fft.fft(values, axis=-1).real / (m + 1)
+    factor = np.array([(-1) ** ((r + 1) * m) * float(lead) ** (-m) for lead in a[:, 0]])  # as Python floats
+    return blocks, (factor[:, None] * coeffs).astype(complex)
 
 
-def kl_det_explicit(rb: ReducedBoundary, s: Scheme, z):
-    """Intrinsic determinant via the explicit rational formula; vectorized in ``z``."""
-    exponent = rb.m - rb.r
-    prefactor = (s.a_lead / (s.a_zero - np.asarray(z, dtype=complex))) ** exponent
-    value = rb.sign * rb.det_c(z) * prefactor
-    if np.isscalar(z):
-        return complex(value)
-    return value
+def kl_det_stack(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndarray) -> np.ndarray:
+    """The intrinsic determinant ``sign * det C(z) * (a_{-r} / (a_0 - z))^(m-r)`` at the points ``z`` (n,),
+    for ``det C`` coefficients ``coeffs`` (..., m+1) and stencil ends ``a_lead``, ``a_zero`` (...).
+
+    A stack's row is bit for bit its one-pair evaluation when ``n > 1`` (a length-1 row takes another
+    numpy kernel). Products are explicit ufunc calls: numpy may evaluate ``x * y`` with a large
+    temporary ``y`` as ``y * x`` in place, which rounds differently."""
+    m = coeffs.shape[-1] - 1
+    acc = np.zeros(coeffs.shape[:-1] + z.shape, dtype=complex)
+    for k in range(m, -1, -1):
+        acc = np.multiply(acc, z) + coeffs[..., k, None]
+    prefactor = (np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)) ** (m - r)
+    return np.multiply(parity(r, m) * acc, prefactor)
 
 
 @dataclass(frozen=True)
@@ -178,7 +197,23 @@ def exterior_zero_count_direct(rb: ReducedBoundary, tols: Tolerances = DEFAULT_T
     around the unit circle are reported separately; the caller decides
     whether to classify them as boundary zeros.
     """
-    roots = _cluster(np.linalg.eigvals(rb.block), tols.cluster_radius)
+    return exterior_counts(rb.block[None], tols)[0]
+
+
+def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List[ExteriorRootCount]:
+    """:func:`exterior_zero_count_direct` of each block of a stack (N, m, m), from one ``eigvals`` call."""
+    eigenvalues = np.linalg.eigvals(blocks)
+    # a block's own eigvals call returns real values exactly when all its imaginary parts are 0
+    real = np.logical_and.reduce(eigenvalues.imag == 0.0, axis=-1)
+    roots: List = [None] * len(blocks)
+    for rows, values in ((real, eigenvalues.real), (~real, eigenvalues)):
+        if rows.any():
+            for i, clustered in zip(np.flatnonzero(rows), _cluster(values[rows], tols.cluster_radius)):
+                roots[i] = clustered
+    return [_split_by_modulus(row, tols) for row in roots]
+
+
+def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:
     exterior, band, interior = [], [], []
     for value, mult in roots:
         modulus = abs(value)

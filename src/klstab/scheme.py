@@ -173,24 +173,7 @@ class AssumptionReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.h0_nondegenerate
-            and self.h2_cauchy_stable
-            and self.h3_consistent
-            and self.a0_interior
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "h0_nondegenerate": self.h0_nondegenerate,
-            "h2_cauchy_stable": self.h2_cauchy_stable,
-            "h2_max_symbol_modulus": self.h2_max_symbol_modulus,
-            "h3_consistent": self.h3_consistent,
-            "h3_residual_sum": self.h3_residual_sum,
-            "h3_residual_order1": self.h3_residual_order1,
-            "a0_interior": self.a0_interior,
-            "a0": self.a0,
-        }
+        return self.h0_nondegenerate and self.h2_cauchy_stable and self.h3_consistent and self.a0_interior
 
 
 def validate(s: Scheme, n_xi: int = 4096, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:

@@ -24,15 +24,16 @@ order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import OriginOnCurve, RefinementBudgetExceeded
-from .kl import ReducedBoundary, kl_det_explicit
+from .kl import ReducedBoundary, kl_det_stack
 from .scheme import CurveSamples, Scheme
 
 
@@ -73,17 +74,18 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
     d = pb - pa
     length = np.abs(d)
     len2 = length**2
-    # parameter of the point of the segment closest to the origin; 0 when degenerate
-    t = np.divide(-(pa * np.conjugate(d)).real, len2, out=np.zeros(len2.shape), where=len2 > 0.0)
+    # parameter of the point of the segment closest to the origin; 0 when degenerate;
+    # explicit products, as in kl_det_stack, so stacked curves round like single ones
+    t = np.divide(-np.multiply(pa, np.conjugate(d)).real, len2, out=np.zeros(len2.shape), where=len2 > 0.0)
     distance = np.abs(pa + np.clip(t, 0.0, 1.0, out=t) * d)
-    turn = pb * np.conjugate(pa)
+    turn = np.multiply(pb, np.conjugate(pa))
     increment = np.arctan2(turn.imag, turn.real)
     split = (length > 0.0) & (
         (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
     )
     return dict(
         ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
-        mid=np.full(length.size, np.nan),
+        mid=np.full(length.shape, np.nan),
     )
 
 
@@ -117,19 +119,19 @@ def _on_curve(distance: float, threshold: float, evaluations: int) -> OriginOnCu
     )
 
 
-def winding_number(
-    curve: CurveSamples,
-    policy: RefinementPolicy = DEFAULT_POLICY,
-    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> WindingResult:
+def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLICY,
+                   evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                   first_level: Optional[dict] = None) -> WindingResult:
     """Signed number of turns of a closed sampled curve around the origin.
 
     ``evaluator`` maps an array of parameter values to the array of curve
     points; it is called with arrays of midpoints, batched by refinement
     level, and without it any segment that needs refinement is a hard
-    error. ``samples_used`` counts the evaluations of the depth-first walk
-    alone. Raises :class:`OriginOnCurve` when the refined polygon comes
-    closer to the origin than the relative threshold, and
+    error. ``first_level`` is the first level of segments when
+    :func:`first_pass` has built it. ``samples_used`` counts the
+    evaluations of the depth-first walk alone. Raises
+    :class:`OriginOnCurve` when the refined polygon comes closer to the
+    origin than the relative threshold, and
     :class:`RefinementBudgetExceeded` when the angle sum cannot be trusted
     within the evaluation budget.
     """
@@ -160,7 +162,7 @@ def winding_number(
     # the walk: a leaf by its distance, a split by its midpoint or the budget.
     # Only the pending splits ahead of it are evaluated.
     blocks, splits, top, low_mid, low_leaf, first = [], 0, scale, np.inf, np.inf, None
-    seg = _segments(params[:-1], params[1:], points[:-1], points[1:], policy)
+    seg = first_level or _segments(params[:-1], params[1:], points[:-1], points[1:], policy)
     while True:
         blocks.append(seg)
         splits += int(np.count_nonzero(seg["split"]))
@@ -226,9 +228,40 @@ def winding_number(
     )
 
 
-def kl_curve_evaluator(
-    s: Scheme, rb: ReducedBoundary, normalize: bool = True
-) -> Callable[[np.ndarray], np.ndarray]:
+def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy = DEFAULT_POLICY):
+    """The first level of :func:`winding_number` on each row of ``points``, a closed curve at ``params``.
+
+    Returns each row's index and ``min_distance``, a mask of the rows that
+    ``winding_number`` returns from that level unrefined (the values are
+    then bit for bit its own), and a map from a row to its first level.
+    """
+    rows, n = points.shape
+    # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
+    flat = points.ravel()
+    seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
+    increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
+    moduli = np.abs(points)
+    threshold = policy.origin_rel_tol * np.maximum.reduce(moduli, axis=1)
+    low = np.minimum.reduce(distance, axis=1)
+    turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
+    index = np.rint(turns)
+    decided = (
+        (threshold > 0.0)
+        & np.logical_and.reduce(moduli >= threshold[:, None], axis=1)
+        & ~np.logical_or.reduce(split, axis=1)
+        & (low >= threshold)
+        & (np.abs(turns - index) <= policy.integer_tol)
+    )
+
+    def level(i: int) -> dict:
+        part = slice(i * n, (i + 1) * n - 1)
+        return dict({key: seg[key][part] for key in ("pa", "pb", "increment", "distance", "split", "mid")},
+                    ta=params[:-1], tb=params[1:])
+
+    return index, low, decided, level
+
+
+def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True) -> Callable:
     """Parameter-to-point map for the determinant curve on the unit circle; vectorized.
 
     With ``normalize`` the determinant is divided by ``z**r``, which shifts
@@ -237,7 +270,7 @@ def kl_curve_evaluator(
 
     def evaluate(theta):
         z = np.exp(1j * np.asarray(theta, dtype=float))
-        value = kl_det_explicit(rb, s, z)
+        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, z)
         if normalize:
             value = value / z**rb.r
         return value
@@ -245,19 +278,33 @@ def kl_curve_evaluator(
     return evaluate
 
 
-def sample_kl_curve(
-    s: Scheme,
-    rb: ReducedBoundary,
-    n0: int = 1024,
-    normalize: bool = True,
-) -> CurveSamples:
+@functools.lru_cache(maxsize=8)
+def _circle(n0: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n0 + 1`` uniform parameters on [0, 2pi], their points ``z`` and ``z**r``; read-only."""
+    params = np.linspace(0.0, 2.0 * np.pi, n0 + 1)
+    arrays = (params, np.exp(1j * params), np.exp(1j * params) ** r)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def sample_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int = 1024, normalize: bool = True) -> CurveSamples:
     """Sample the determinant curve at ``n0 + 1`` uniform parameters on [0, 2pi]."""
+    params, points = sample_kl_curves(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, n0, normalize)
+    return CurveSamples(params=params, points=points, closed=True)
+
+
+def sample_kl_curves(coeffs: np.ndarray, a_lead, a_zero, r: int, n0: int = 1024, normalize: bool = True):
+    """The parameters and points of :func:`sample_kl_curve` for ``det C`` coefficients ``coeffs``
+    (..., m+1) and stencil ends (...): a stack gives one row of points per pair."""
     if n0 < 64:
         raise ValueError("n0 must be at least 64")
-    params = np.linspace(0.0, 2.0 * np.pi, n0 + 1)
-    points = np.asarray(kl_curve_evaluator(s, rb, normalize)(params), dtype=complex)
-    points[-1] = points[0]
-    return CurveSamples(params=params, points=points, closed=True)
+    params, z, zr = _circle(n0, r)
+    points = kl_det_stack(coeffs, a_lead, a_zero, r, z)
+    if normalize:
+        points = points / zr
+    points[..., -1] = points[..., 0]
+    return params, points
 
 
 def curve_to_csv(curve: CurveSamples) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
-from klstab.kl import k_matrix, stable_roots
+from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, stable_roots
 from klstab.scheme import Scheme
 from klstab.winding import DEFAULT_POLICY, kl_curve_evaluator, sample_kl_curve, winding_number
 
@@ -15,7 +15,7 @@ def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances
     Dividing the raw determinant by the mode matrix of lines ``0 .. r-1``
     removes the basis dependence. Root clustering makes this route
     ill-conditioned near multiple roots; it serves as the independent oracle
-    for :func:`klstab.kl.kl_det_explicit`.
+    for :func:`kl_det_explicit`.
     """
     roots = stable_roots(s, z, tols)
     K_all = k_matrix(roots, -s.r, bc.m - 1)
@@ -23,6 +23,13 @@ def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances
     numerator = complex(np.linalg.det(assemble_B(bc) @ K_all))
     denominator = complex(np.linalg.det(K_norm))
     return numerator / denominator
+
+
+def kl_det_explicit(rb: ReducedBoundary, s: Scheme, z):
+    """Intrinsic determinant via the explicit rational formula, as the winding route evaluates it."""
+    zs = np.asarray(z, dtype=complex)
+    value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, zs.ravel()).reshape(zs.shape)
+    return complex(value) if np.isscalar(z) else value
 
 
 def winding_count(s, rb, n0=1024, policy=DEFAULT_POLICY):

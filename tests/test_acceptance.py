@@ -27,13 +27,12 @@ from klstab.errors import OriginOnCurve
 from klstab.kl import (
     exterior_zero_count_direct,
     k_matrix,
-    kl_det_explicit,
     reduce_boundary,
     stable_roots,
 )
 from klstab.scheme import make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, sigma_scan
-from oracles import kl_det_direct, winding_count
+from oracles import kl_det_direct, kl_det_explicit, winding_count
 
 FIG6_PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
 NO_WINDOW_PRESET = (1, 4)  # S1ILW4: unstable on the whole of (1, 2)
@@ -174,7 +173,7 @@ def test_acceptance_3_oracle_equivalence():
         s = bw(lam)
         bc = s2ilw3(lam)
         z = rng.uniform(1.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        values = stable_roots(s, z).values
+        values = [v for v, _ in stable_roots(s, z).roots]
         if len(values) > 1:
             gaps = np.abs(np.subtract.outer(values, values))
             if np.min(gaps[~np.eye(len(values), dtype=bool)]) < 1e-6:
@@ -255,7 +254,7 @@ def test_acceptance_5_lemma_invariants():
         s = bw(lam)
         for _ in range(100):
             z = rng.uniform(1.05 + 1e-12, 3.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            if any(abs(v) >= 1.0 for v in stable_roots(s, z).values):
+            if any(abs(v) >= 1.0 for v in [v for v, _ in stable_roots(s, z).roots]):
                 failures.append(f"root modulus >= 1 at lambda={lam}, z={z:.3f}")
 
     # multiplicity-weighted root product identity

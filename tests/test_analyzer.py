@@ -7,15 +7,18 @@ from klstab import analyzer
 from klstab.analyzer import (
     BoundaryZeroType,
     StabilityStatus,
+    StabilityVerdict,
     analyze,
+    analyze_many,
     bisect_stability_edge,
     classify_boundary_zero,
     sweep,
 )
 from klstab.boundary import custom_condition, silw_condition
 from klstab.errors import IllConditionedKernel
-from klstab.kl import reduce_boundary, stable_roots
-from klstab.scheme import make_beam_warming
+from klstab.kl import exterior_zero_count_direct, reduce_boundary, stable_roots
+from klstab.scheme import Scheme, make_beam_warming
+from klstab.winding import kl_curve_evaluator, sample_kl_curve, winding_number
 
 
 def bw_family(lam):
@@ -71,7 +74,7 @@ def test_classify_type_ii_away_from_symbol_curve():
     s = make_beam_warming(0.5)
     z0 = -1.0 + 0j
     roots = stable_roots(s, z0)
-    k1, k2 = sorted(roots.values, key=lambda v: v.real)
+    k1, k2 = sorted([v for v, _ in roots.roots], key=lambda v: v.real)
     b = np.zeros((2, 2))
     b[0, 0] = (k2**-2).real
     b[1, 0] = (k2**-1).real
@@ -86,7 +89,7 @@ def test_classify_type_ii_near_but_off_symbol_curve():
     # circle: no unit root, so an eigenvalue on the circle, not type III
     s = make_beam_warming(0.3)
     z0 = complex(np.exp(0.02j))
-    gaps = sorted(abs(abs(v) - 1.0) for v in stable_roots(s, z0).values)
+    gaps = sorted(abs(abs(v) - 1.0) for v in [v for v, _ in stable_roots(s, z0).roots])
     assert 2.0e-6 < gaps[0] < 2.1e-6
     assert classify_boundary_zero(s, silw_condition(2, 2, 3), z0) is BoundaryZeroType.TYPE_II
 
@@ -97,7 +100,7 @@ def test_classify_type_iii_unit_root_unloaded():
     s = make_beam_warming(0.5)
     z0 = 1.0 + 0j
     roots = stable_roots(s, z0)
-    values = sorted(roots.values, key=lambda v: abs(v - 1.0))
+    values = sorted([v for v, _ in roots.roots], key=lambda v: abs(v - 1.0))
     k2 = values[1]
     assert abs(k2) < 1.0
     b = np.array([[(k2**-2).real, 0.0], [(k2**-1).real, 0.0]])
@@ -121,7 +124,7 @@ def test_classify_ambiguous_kernel_raises():
     s = make_beam_warming(0.5)
     z0 = 1.0 + 0j
     roots = stable_roots(s, z0)
-    k1, k2 = roots.values
+    k1, k2 = [v for v, _ in roots.roots]
     vander = np.array([[1.0, k1.real], [1.0, k2.real]])
     b = np.zeros((2, 2))
     for row in range(2):
@@ -329,3 +332,82 @@ def test_verdict_json_exports_det_c_coefficients():
     assert coefficients[-1] != [0.0, 0.0]
     expected = reduce_boundary(s, bc).det_c.coeffs
     np.testing.assert_array_equal([complex(*c) for c in coefficients], expected)
+
+
+def _alone(pair, n0=1024):
+    """``analyze`` of one pair, or the error it raises."""
+    try:
+        return analyze(*pair, n0=n0)
+    except Exception as exc:
+        return exc
+
+
+def _comparable(outcome):
+    return outcome.to_json() if isinstance(outcome, StabilityVerdict) else (type(outcome), str(outcome))
+
+
+def test_analyze_many_matches_one_pair_at_a_time(lagrange_upwind):
+    pairs = []
+    # the six Fig. 6 presets over 15 CFL values: more cells of one shape than a stacked block holds
+    for kd, d in ((1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)):
+        for lam in np.linspace(0.07, 1.93, 15):
+            s = make_beam_warming(float(lam))
+            pairs.append((s, silw_condition(s.r, kd, d, 0.0)))
+    # Cauchy-unstable, a boundary zero, and a curve that needs refinement next to the Fig. 5 edge
+    for lam in (2.1, 1.5175048345, 1.5175048439, 1.0):
+        pairs.append((make_beam_warming(lam), silw_condition(2, 2, 3, 0.0)))
+    rng = np.random.default_rng(31)
+    for r in range(1, 5):
+        for _ in range(6):
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            m = int(rng.integers(1, 6))
+            bc = silw_condition(r, int(rng.integers(0, m + 1)), m, float(rng.uniform(-0.5, 0.49)))
+            pairs.append((s, bc if rng.uniform() < 0.5 else custom_condition(rng.uniform(-1, 1, (r, m)))))
+    # a boundary with fewer ghost rows than the scheme needs raises, and so does a_{-r}^(-m) beyond the
+    # float range, in a block with a pair that does not
+    pairs.append((make_beam_warming(0.7), custom_condition(np.zeros((1, 3)))))
+    pairs.append((make_beam_warming(1e-9), custom_condition(np.full((2, 40), 0.1))))
+    pairs.append((make_beam_warming(0.7), custom_condition(np.full((2, 40), 0.01))))
+
+    expected = [_comparable(_alone(pair)) for pair in pairs]
+    assert [e[0] for e in expected if isinstance(e, tuple)] == [ValueError, OverflowError]
+    statuses = {json.loads(e)["status"] for e in expected if isinstance(e, str)}
+    assert statuses >= {"StronglyStable", "UnstableExteriorEigenvalue", "UnstableBoundaryZero", "AssumptionViolated"}
+    assert any(isinstance(e, str) and json.loads(e)["diagnostics"]["winding"] is not None
+               and json.loads(e)["diagnostics"]["winding"]["samples_used"] > 1025 for e in expected)
+    batched = analyze_many(pairs)
+    assert [_comparable(o) for o in batched] == expected
+    order = rng.permutation(len(pairs))
+    shuffled = analyze_many([pairs[k] for k in order])
+    assert [_comparable(o) for o in shuffled] == [expected[k] for k in order]
+    # with n0 = 4096 a stack of curves is large enough for numpy to reuse temporaries in place
+    some = pairs[::4]
+    assert [_comparable(o) for o in analyze_many(some, n0=4096)] == [_comparable(_alone(p, 4096)) for p in some]
+    # the stacked stages against the one-pair routes: the direct count, and the winding walk from scratch
+    for (s, bc), verdict in zip(pairs, batched):
+        if isinstance(verdict, StabilityVerdict) and verdict.direct_count is not None:
+            rb = reduce_boundary(s, bc.restricted_to(s.r))
+            assert verdict.direct_count == exterior_zero_count_direct(rb)
+            if verdict.status is not StabilityStatus.UNSTABLE_BOUNDARY_ZERO:
+                curve = sample_kl_curve(s, rb)
+                assert verdict.winding == winding_number(curve, evaluator=kl_curve_evaluator(s, rb))
+
+
+def test_illinois_finds_a_bracketed_root():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x**3 - 2.0
+
+    root = analyzer._illinois(f, 1.0, 2.0)
+    assert abs(root - 2.0 ** (1 / 3)) < 1e-11 and len(calls) <= 12
+    with pytest.raises(ValueError):
+        analyzer._illinois(f, 2.0, 3.0)
+
+
+def test_sweep_csv_is_the_same_for_any_jobs():
+    lams, sigmas = np.linspace(0.1, 1.9, 7), np.linspace(-0.5, 0.4, 4)
+    serial = sweep(bw_family, s2ilw3_family, lams, sigmas, jobs=1).to_csv()
+    assert sweep(bw_family, s2ilw3_family, lams, sigmas, jobs=2).to_csv() == serial

@@ -478,3 +478,40 @@ def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
     if "settable" in message:
         assert lines[0].endswith("cluster_radius, unit_circle_tol, origin_tol, kernel_tol, cauchy_tol")
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (CHECK, {"tolerances": {"origin_tol": [1]}}, "config tolerance origin_tol must be a number, got [1]"),
+    (CHECK, {"samples": [1]}, 'config key "samples" must be a number, got [1]'),
+    (["check", "--lambda", "0.7"], {"silw": 5}, 'config key "silw" must be two integers, got 5'),
+    (["sweep", "--silw", "2", "3"], {"lambda-grid": 5}, 'config key "lambda-grid" must be a string, got 5'),
+])
+def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(argv + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "samples", 5),
+    ("simulate", "tolerances", {"origin_tol": 0.9}),
+    ("curve", "tolerances", {"origin_tol": 0.9}),
+])
+def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    assert run_cli(COMMANDS[command] + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f'error: config key "{key}" does not act on {command}']
+
+
+def test_import_leaves_scipy_unloaded():
+    # the package runs on numpy alone, so a cold start does not pay for importing scipy
+    code = "import sys, klstab; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

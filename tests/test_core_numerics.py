@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from klstab.core_numerics import ComplexPolynomial, poly_roots
+from klstab.core_numerics import ComplexPolynomial, _cluster, _union_find, poly_roots
 from klstab.errors import DegenerateLeadingCoefficient
 
 
@@ -37,8 +37,8 @@ def test_arithmetic_sanity():
 
 def test_roots_factored_quadratic():
     roots = poly_roots(ComplexPolynomial([-1.0, 0.0, 1.0]), cluster_radius=1e-8)
-    values = sorted(roots.values, key=lambda z: z.real)
-    assert roots.multiplicities.tolist() == [1, 1]
+    values = sorted([v for v, _ in roots.roots], key=lambda z: z.real)
+    assert [m for _, m in roots.roots] == [1, 1]
     np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
 
 
@@ -57,7 +57,7 @@ def test_roots_beam_warming_quadratic_against_formula():
     disc = np.sqrt(complex(b * b - 4 * a * c))
     expected = sorted([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], key=lambda z: z.imag)
     roots = poly_roots(coeffs)
-    got = sorted(roots.values, key=lambda z: z.imag)
+    got = sorted([v for v, _ in roots.roots], key=lambda z: z.imag)
     np.testing.assert_allclose(got, expected, atol=1e-12)
     for v in got:
         assert abs(abs(v) ** 2 - 0.8125 / 10.5625) < 1e-12
@@ -83,7 +83,7 @@ def test_reexpansion_of_random_polynomials():
             coeffs[-1] = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
         p = ComplexPolynomial(coeffs)
         roots = poly_roots(p)
-        assert roots.total_multiplicity == p.coeffs.size - 1
+        assert sum(m for _, m in roots.roots) == p.coeffs.size - 1
         expanded = np.poly([v for v, m in roots for _ in range(m)])[::-1]
         monic = p.coeffs / p.coeffs[-1]
         err = np.max(np.abs(expanded - monic))
@@ -115,9 +115,23 @@ def test_root_set_invariant_under_scaling():
         scalar = rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         base = poly_roots(ComplexPolynomial(coeffs))
         scaled = poly_roots(ComplexPolynomial(coeffs * scalar))
-        assert base.multiplicities.tolist() == scaled.multiplicities.tolist()
+        assert [m for _, m in base.roots] == [m for _, m in scaled.roots]
         np.testing.assert_allclose(
-            sorted(base.values, key=lambda z: (z.real, z.imag)),
-            sorted(scaled.values, key=lambda z: (z.real, z.imag)),
+            sorted([v for v, _ in base.roots], key=lambda z: (z.real, z.imag)),
+            sorted([v for v, _ in scaled.roots], key=lambda z: (z.real, z.imag)),
             atol=1e-6,
         )
+
+
+def test_cluster_vectorized_rows_match_union_find():
+    # the vectorized path of each row against the union-find it replaces, mean and order included
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
+    rows[::4, 1] = rows[::4, 0] + 5e-8  # a pair inside the radius
+    rows.imag[1::4, 2] = -0.0  # a real value with the imaginary part -0.0
+    rows[2::4, 3] = 0.0 + 1j * rows[2::4, 3].imag  # a zero real part
+    real = rng.normal(size=(10, 4))
+    real[::3, 0] = -0.0
+    for values in (rows, real, np.sort(real, axis=1)):
+        # repr tells the signs of zeros apart
+        assert repr(_cluster(values, 1e-7)) == repr([_union_find(row, 1e-7) for row in values])
