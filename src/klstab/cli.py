@@ -12,8 +12,9 @@ resolves flags over the ``--config`` file into two descriptors (one boundary:
 the picklable builders ``scheme_at`` and ``boundary_at`` add the CFL number
 and offset and fit the boundary rows to the scheme.
 
-Exit codes: 0 success / strongly stable, 1 usage, config or input error
-(one ``error:`` line on stderr), 2 unstable, 3 assumption violated,
+Exit codes: 0 success / strongly stable, 1 usage, config or input error,
+including a pair whose reduction leaves the float range (one ``error:``
+line on stderr), 2 unstable, 3 assumption violated,
 4 inconclusive.
 """
 
@@ -326,7 +327,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         curve = sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)
         _write(curve_to_csv(curve), out)
         return EXIT_OK
-    except (UsageError, OSError, ValueError, KLStabError) as exc:
+    except (UsageError, OSError, ValueError, ArithmeticError, KLStabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -155,7 +155,11 @@ def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     # values[k] = sum_j c_j nodes[k]^j, an inverse DFT of the coefficients;
     # A is real, so they are too
     coeffs = np.fft.fft(values, axis=-1).real / (m + 1)
-    factor = np.array([(-1) ** ((r + 1) * m) * float(lead) ** (-m) for lead in a[:, 0]])  # as Python floats
+    try:
+        factor = np.array([(-1) ** ((r + 1) * m) * float(lead) ** (-m) for lead in a[:, 0]])  # as Python floats
+    except OverflowError:
+        lead = float(min(a[:, 0], key=abs))
+        raise OverflowError(f"a_{{-r}}^(-m) = ({lead!r})^(-{m}) is beyond the float range") from None
     return blocks, (factor[:, None] * coeffs).astype(complex)
 
 

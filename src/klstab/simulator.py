@@ -44,8 +44,20 @@ class GaussianPulse:
             return (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g
         raise ValueError(f"analytic derivatives available up to order 3, requested {k}")
 
-    def derivatives(self, up_to: int) -> Tuple[Callable[[float], float], ...]:
-        return tuple((lambda t, kk=k: self.derivative(kk, t)) for k in range(1, up_to + 1))
+    def derivatives(self, up_to: int) -> Tuple["PulseDerivative", ...]:
+        """The derivatives of orders 1..``up_to`` as callables, equal and hashing equal for equal pulses."""
+        return tuple(PulseDerivative(self, k) for k in range(1, up_to + 1))
+
+
+@dataclass(frozen=True)
+class PulseDerivative:
+    """The ``k``-th derivative of ``pulse`` as a callable of ``t``."""
+
+    pulse: GaussianPulse
+    k: int
+
+    def __call__(self, t: float) -> float:
+        return self.pulse.derivative(self.k, t)
 
 
 @dataclass(frozen=True)
@@ -54,7 +66,10 @@ class IBVPRun:
 
     ``g_derivs[k-1]`` is the k-th derivative of ``g``; missing derivatives
     fall back to centered finite differences with step ``dt/10`` and the
-    fallback is flagged on the result.
+    fallback is flagged on the result. Runs marched together that have the
+    same ``dt`` and equal ``g`` and ``g_derivs`` share their boundary-data
+    samples: a hashable callable is compared by value (the derivatives of
+    equal :class:`GaussianPulse` objects are equal), any other by identity.
     """
 
     J: int
@@ -180,18 +195,33 @@ def march(
 def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
     """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each step, row and ghost, summed in plan order.
 
-    Each row calls its own ``g_derivative`` once a step for each order its plan
-    uses; the second result flags the rows that fell back to finite differences.
+    Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g``, ``g_derivs``
+    and ``dt`` and the order ``k``, is sampled once (one ``g_derivative`` call a
+    step) and shared by every row with that key; the second result flags the
+    rows whose columns fell back to finite differences.
     """
-    table, fallbacks = np.zeros((n_steps + 1, len(rows), r)), []
+    table, fallbacks, columns = np.zeros((n_steps + 1, len(rows), r)), [], {}
     for i, (_, bc, run) in enumerate(rows):
+        data = (_by_value(run.g), tuple(map(_by_value, run.g_derivs)), run.dt)
         orders = {k for plan in bc.g_plan for k, _ in plan}
-        samples = {k: [run.g_derivative(k, n * run.dt) for n in range(n_steps + 1)] for k in orders}
-        fallbacks.append(any(fd for values in samples.values() for _, fd in values))
+        for k in orders:
+            if data + (k,) not in columns:
+                samples = [run.g_derivative(k, n * run.dt) for n in range(n_steps + 1)]
+                columns[data + (k,)] = np.array([v for v, _ in samples]), any(fd for _, fd in samples)
+        fallbacks.append(any(columns[data + (k,)][1] for k in orders))
         for j, plan in enumerate(bc.g_plan):
             for k, weight in plan:
-                table[:, i, j] += weight * (run.dx / run.a) ** k * np.array([v for v, _ in samples[k]])
+                table[:, i, j] += weight * (run.dx / run.a) ** k * columns[data + (k,)][0]
     return table, fallbacks
+
+
+def _by_value(f):
+    """``f`` itself when it can be hashed, so that equal callables share a key; else its identity."""
+    try:
+        hash(f)
+    except TypeError:
+        return ("id", id(f))
+    return f
 
 
 def _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history) -> List[SolutionField]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -138,6 +139,15 @@ def test_simulate_csv(tmp_path):
     assert len(lines) == 1 + 3 * 202
 
 
+def test_simulate_matches_the_readme_csv(capsys):
+    # the README example, whose output earlier releases printed byte for byte
+    assert run_cli(["simulate", "--lambda", "0.6", "--silw", "2", "3", "--sigma-grid=-0.5:0.48:0.02"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44515b629bbebaf05ac55111bf140346ab3efe6933ebc719d2922f87d351f7dd"
+    )
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--grid-points", "0", "at least one interior cell"),
     ("--velocity", "0", "velocity must be positive"),
@@ -233,6 +243,21 @@ def test_library_errors_print_one_line(capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
+    # a_{-2} is about -5e-10 at CFL 1e-9, so a_{-r}^(-m) with m = 40 overflows
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"b": [[0.1] * 40] * 2}))
+    for command in ("check", "curve"):
+        assert run_cli([command, "--lambda", "1e-9", "--custom-b", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "beyond the float range" in lines[0], lines
+    out = tmp_path / "map.csv"
+    assert run_cli(["sweep", "--lambda-grid", "1e-9:1e-9:1", "--custom-b", str(path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == ["1e-09,0.0,-1,Inconclusive"]
 
 
 @pytest.mark.parametrize("argv, message", [

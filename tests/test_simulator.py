@@ -266,6 +266,61 @@ def test_batched_scan_groups_runs_of_different_geometry():
         sigma_scan(s, family, [0.0, 0.2], lambda sg: IBVPRun.from_cfl(s, J=40 if sg == 0 else 50, sigma=sg))
 
 
+def test_equal_pulses_have_equal_derivatives():
+    first, second = GaussianPulse().derivatives(3), GaussianPulse().derivatives(3)
+    assert first == second and hash(first) == hash(second)
+    assert first != GaussianPulse(width=100.0).derivatives(3)
+    assert [d(0.2) for d in first] == [GaussianPulse().derivative(k, 0.2) for k in (1, 2, 3)]
+
+
+def test_scan_samples_a_shared_pulse_once_per_step(monkeypatch):
+    # 50 offsets with equal Gaussian pulses at one dt share each derivative column
+    calls = []
+    derivative = GaussianPulse.derivative
+    monkeypatch.setattr(GaussianPulse, "derivative", lambda self, k, t: calls.append(k) or derivative(self, k, t))
+    s = make_beam_warming(0.6)
+    grid = np.linspace(-0.5, 0.48, 50)
+    run_factory = lambda sg: IBVPRun.from_cfl(s, J=100, T=0.3, sigma=sg)
+    sigma_scan(s, lambda sg: silw_condition(2, 2, 3, sg), grid, run_factory)
+    run = run_factory(0.0)
+    steps = int(math.ceil(run.T / run.dt - 1e-9))
+    orders = {k for plan in silw_condition(2, 2, 3, 0.0).g_plan for k, _ in plan}
+    assert 0 < len(calls) <= (steps + 1) * len(orders)
+
+
+class UnhashablePulse:
+    """A Gaussian pulse that compares equal to any other, whatever its width, and cannot be hashed."""
+
+    def __init__(self, width=200.0):
+        self.pulse = GaussianPulse(width=width)
+
+    def __call__(self, t):
+        return self.pulse(t)
+
+    def __eq__(self, other):
+        return isinstance(other, UnhashablePulse)
+
+
+def test_batched_scan_mixes_shared_and_separate_boundary_data():
+    # shared pulses, another width, a plain callable and unhashable callables
+    # (one object on two rows; equal ones of another width, and with derivatives) in one scan
+    s = make_beam_warming(0.6)
+    shared = UnhashablePulse()
+    data = {
+        -0.4: dict(), -0.3: dict(), -0.2: dict(),
+        -0.1: dict(g=GaussianPulse(width=100.0)),
+        0.0: dict(g=lambda t: math.sin(10 * t), g_derivs=()),
+        0.1: dict(g=shared, g_derivs=()), 0.2: dict(g=shared, g_derivs=()),
+        0.3: dict(g=UnhashablePulse(width=100.0), g_derivs=()),
+        0.4: dict(g=UnhashablePulse(), g_derivs=GaussianPulse().derivatives(3)),
+    }
+    scan = assert_scan_is_per_offset_runs(
+        s, lambda sg: silw_condition(2, 2, 3, sg), list(data),
+        lambda sg: IBVPRun.from_cfl(s, J=100, T=0.3, sigma=sg, **data[sg]),
+    )
+    assert scan.fd_derivative_fallbacks == (False,) * 4 + (True,) * 4 + (False,)
+
+
 def test_non_finite_initial_data_is_rejected():
     s = make_beam_warming(0.8)
     for bad in (math.nan, math.inf):
