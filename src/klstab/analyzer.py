@@ -25,13 +25,12 @@ from .core_numerics import ComplexPolynomial
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
 from .errors import RefinementBudgetExceeded
 from .kl import ExteriorRootCount, ReducedBoundary, exterior_counts, k_matrix, parity, reduce_stack
-from .kl import stable_roots, upwind_block
+from .kl import reduce_boundary, stable_roots, upwind_block
 from .scheme import AssumptionReport, CurveSamples, Scheme, validate
 from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, kl_curve_evaluator
-from .winding import sample_kl_curves, winding_number
-# one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
-from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
-from .winding import sample_kl_curve  # noqa: F401
+from .winding import sample_kl_curve, sample_kl_curves, winding_number
+# a one-pair stage that the engine runs stacked, bound here for perfbench/tracing.py to wrap
+from .kl import exterior_zero_count_direct  # noqa: F401
 
 
 class StabilityStatus(str, Enum):
@@ -349,11 +348,6 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
     )
 
 
-# First step from the rho(A) = 1 crossing toward the verdict flip, which sits up
-# to 7.1e-8 inside the crossing on the stable side (the winding's origin_tol).
-_FLIP_SEARCH_STEP = 1.5e-7
-
-
 def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
                           bc_family: Callable[[float, float], BoundaryCondition], lam_a: float, lam_b: float,
                           sigma: float = 0.0, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
@@ -362,13 +356,15 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
 
     ``lam_a`` and ``lam_b`` must give different strong-stability verdicts;
     the returned point brackets the ``analyze`` verdict flip to
-    ``(lam_b - lam_a) / 2**max_iter``. The search starts where the spectral
-    radius of the closed block ``A`` crosses 1 (:func:`_illinois` on ``rho(A) - 1``):
-    one ``analyze`` there, then ``analyze`` steps of 1.5e-7, growing
-    eightfold, toward the other verdict close a short bracket, and
-    ``analyze`` bisection finishes it. When ``rho(A) - 1`` raises or keeps
-    its sign on the bracket (a tangency, a scheme failing validation), the
-    whole bracket is bisected.
+    ``width = |lam_b - lam_a| / 2**max_iter``. :func:`_predict_flip` predicts
+    the flip from where the spectral radius of the closed block ``A`` crosses
+    1 (:func:`_illinois` on ``rho(A) - 1``). One ``analyze`` runs ``0.45 * width``
+    short of the prediction; ``analyze`` steps of ``0.9 * width``, growing
+    eightfold, toward the other verdict close a bracket (the first one does
+    when the prediction holds), and ``analyze`` bisection finishes it. When
+    the prediction raises, the crossing stands in for it; when
+    ``rho(A) - 1`` raises or keeps its sign on the bracket, the whole bracket
+    is bisected.
     """
 
     def stable(lam: float) -> bool:
@@ -398,16 +394,45 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     except (KLStabError, ValueError):
         pass
     else:
-        at_x = probe(x)
-        target = hi if at_x == sa else lo
-        step = _FLIP_SEARCH_STEP
-        while abs(target - x) > step and probe(x + (step if target > x else -step)) == at_x:
+        # the flip lies on the stable side of the crossing, within 7.1e-8 (the winding's origin_tol)
+        stable_end = lo if sa else hi
+        toward = 1.0 if stable_end > x else -1.0
+        end = x + toward * min(1e-5, abs(stable_end - x))
+        try:
+            flip = _predict_flip(scheme_family, bc_family, sigma, x, end, tols, n0)
+        except _ROW_ERRORS:
+            flip = x
+        start, step = flip - toward * 0.45 * width, 0.9 * width
+        at_start = probe(start)
+        target = hi if at_start == sa else lo
+        while abs(target - start) > step and probe(start + (step if target > start else -step)) == at_start:
             step *= 8.0
     for _ in range(max_iter):
         if abs(hi - lo) <= width:
             break
         probe(0.5 * (lo + hi))
     return 0.5 * (lo + hi)
+
+
+def _predict_flip(scheme_family, bc_family, sigma: float, x: float, end: float, tols: Tolerances,
+                  n0: int) -> float:
+    """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve at
+    ``mu / |mu|``, ``mu`` the block eigenvalue nearest the unit circle, is ``origin_tol`` times the largest
+    first-pass sample at ``x`` away from the origin: there the winding's origin test stops firing.
+    Raises ``ValueError`` when that distance does not cross the threshold between ``x`` and ``end``."""
+
+    def reduced(lam: float):
+        s = scheme_family(lam)
+        return s, reduce_boundary(s, bc_family(lam, sigma).restricted_to(s.r), tols)
+
+    scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0).points)))
+
+    def gap(lam: float) -> float:
+        s, rb = reduced(lam)
+        mu = min(np.linalg.eigvals(rb.block), key=lambda v: abs(abs(v) - 1.0))
+        return float(abs(kl_curve_evaluator(s, rb)(np.angle([mu]))[0])) / scale - tols.origin_tol
+
+    return _illinois(gap, x, end)
 
 
 def _illinois(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,

@@ -295,14 +295,17 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
 
         if args.command == "simulate":
             sigma_grid = parse_grid(_merged(args, config, "sigma_grid", kind=_TEXT) or "-0.5:0.48:0.02")
+            make_run = functools.partial(IBVPRun.from_cfl, s, J=int(args.grid_points), T=float(args.final_time),
+                                         a=float(args.velocity), g=GaussianPulse())
+            try:
+                make_run()  # a bad run geometry fails here, once, naming the flags that set it
+            except ValueError as exc:
+                raise UsageError(f"--grid-points, --final-time or --velocity: {exc}") from None
             scan = sigma_scan(
                 s,
                 bc_family=functools.partial(boundary_at, s.lam, scheme=scheme, boundary=boundary),
                 sigma_grid=sigma_grid,
-                run_factory=lambda sg: IBVPRun.from_cfl(
-                    s, J=int(args.grid_points), T=float(args.final_time),
-                    a=float(args.velocity), sigma=sg, g=GaussianPulse(),
-                ),
+                run_factory=lambda sg: make_run(sigma=sg),
             )
             _write(scan.to_csv(), out)
             fallbacks = sum(scan.fd_derivative_fallbacks)

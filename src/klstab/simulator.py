@@ -60,7 +60,7 @@ class PulseDerivative:
         return self.pulse.derivative(self.k, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IBVPRun:
     """Geometry, time horizon and boundary data for one simulation.
 
@@ -70,6 +70,7 @@ class IBVPRun:
     same ``dt`` and equal ``g`` and ``g_derivs`` share their boundary-data
     samples: a hashable callable is compared by value (the derivatives of
     equal :class:`GaussianPulse` objects are equal), any other by identity.
+    Runs themselves compare by identity, as ``f`` is an array.
     """
 
     J: int
@@ -94,7 +95,7 @@ class IBVPRun:
         g_derivs: Optional[Tuple[Callable[[float], float], ...]] = None,
         f: Optional[np.ndarray] = None,
     ) -> "IBVPRun":
-        """Choose dx = 1/J and the time step matching the scheme's CFL number."""
+        """Choose dx = 1/J and the time step matching the scheme's CFL number; refuse 10**7 steps or more."""
         if J < 1:
             raise ValueError(f"the run needs at least one interior cell, got J={J}")
         if not T > 0:
@@ -103,6 +104,9 @@ class IBVPRun:
             raise ValueError(f"the advection velocity must be positive, got a={a}")
         dx = 1.0 / J
         dt = s.lam * dx / a
+        # the march takes ceil(T/dt - 1e-9) steps, fewer than parse_grid's 10**7 points (inf fails too)
+        if not T / dt - 1e-9 <= 10**7 - 1:
+            raise ValueError(f"the final time T={T!r} takes {T / dt:.3g} steps of dt={dt:.3g}; the limit is 10**7 - 1")
         if g_derivs is None:
             g_derivs = g.derivatives(3) if isinstance(g, GaussianPulse) else ()
         return cls(J=J, T=T, dx=dx, dt=dt, a=a, sigma=sigma, g=g, g_derivs=tuple(g_derivs), f=f)

@@ -153,6 +153,8 @@ def test_simulate_matches_the_readme_csv(capsys):
     ("--velocity", "0", "velocity must be positive"),
     ("--velocity", "-1", "velocity must be positive"),
     ("--final-time", "-1", "final time must be positive"),
+    # 1.7e303 steps: the data table would exceed numpy's largest dimension
+    ("--final-time", "1e300", "--final-time or --velocity: the final time T=1e+300"),
 ])
 def test_simulate_rejects_bad_run_geometry(capsys, flag, value, message):
     argv = ["simulate", "--lambda", "0.6", "--silw", "2", "3", "--sigma-grid=0:0:1", flag, value]

@@ -117,6 +117,24 @@ def test_run_guards():
             IBVPRun.from_cfl(s, **bad)
 
 
+def test_run_refuses_ten_million_steps():
+    s = make_beam_warming(0.5)
+    dt = IBVPRun.from_cfl(s, J=10).dt
+    assert IBVPRun.from_cfl(s, J=10, T=(10**7 - 1) * dt).T == (10**7 - 1) * dt
+    for T in (10**7 * dt, 1e300, math.inf):
+        with pytest.raises(ValueError, match=r"^the final time T=") as info:
+            IBVPRun.from_cfl(s, J=10, T=T)
+        assert "\n" not in str(info.value)
+
+
+def test_runs_with_initial_data_compare_by_identity():
+    s = make_beam_warming(0.8)
+    run = IBVPRun.from_cfl(s, J=10, f=np.zeros(10))
+    copy = IBVPRun.from_cfl(s, J=10, f=np.zeros(10))
+    assert run == run
+    assert run != copy
+
+
 def test_sigma_scan_single_point_reduces_to_run():
     s = make_beam_warming(0.6)
     bc = silw_condition(2, 2, 3, 0.0)
