@@ -60,6 +60,13 @@ class PulseDerivative:
         return self.pulse.derivative(self.k, t)
 
 
+def _step_count(T: float, dt: float) -> int:
+    """The march's ``ceil(T/dt - 1e-9)`` steps, refused at parse_grid's 10**7 or more (inf and NaN too)."""
+    if not T / dt - 1e-9 <= 10**7 - 1:
+        raise ValueError(f"the final time T={T!r} takes {T / dt:.3g} steps of dt={dt:.3g}; the limit is 10**7 - 1")
+    return int(math.ceil(T / dt - 1e-9))
+
+
 @dataclass(frozen=True, eq=False)
 class IBVPRun:
     """Geometry, time horizon and boundary data for one simulation.
@@ -104,9 +111,7 @@ class IBVPRun:
             raise ValueError(f"the advection velocity must be positive, got a={a}")
         dx = 1.0 / J
         dt = s.lam * dx / a
-        # the march takes ceil(T/dt - 1e-9) steps, fewer than parse_grid's 10**7 points (inf fails too)
-        if not T / dt - 1e-9 <= 10**7 - 1:
-            raise ValueError(f"the final time T={T!r} takes {T / dt:.3g} steps of dt={dt:.3g}; the limit is 10**7 - 1")
+        _step_count(T, dt)
         if g_derivs is None:
             g_derivs = g.derivatives(3) if isinstance(g, GaussianPulse) else ()
         return cls(J=J, T=T, dx=dx, dt=dt, a=a, sigma=sigma, g=g, g_derivs=tuple(g_derivs), f=f)
@@ -153,11 +158,11 @@ def run_ibvp(
     """March the interior update with ghost cells filled from the boundary rule.
 
     At each time level the ghost values are rebuilt from the current interior
-    values plus the boundary-data terms, then every interior cell advances
-    (the stencil never reads to the right of the current cell, so all ``J``
-    interior cells update). Stops early once the amplitude passes the blowup
-    threshold or is not finite; blowing up is data, not an error. This is the
-    one-row call of :func:`march`.
+    values plus the boundary-data terms, then the interior advances (the
+    stencil never reads to the right of the current cell, so the cells that
+    the data cannot have reached yet stay ``+0.0``). Stops early once the
+    amplitude passes the blowup threshold or is not finite; blowing up is
+    data, not an error. This is the one-row call of :func:`march`.
     """
     return march(s, [(bc, run)], blowup_threshold, keep_history)[0]
 
@@ -171,9 +176,10 @@ def march(
     """Run every (boundary, run) pair with scheme ``s``; one result per pair, in order.
 
     Pairs that share ``J``, the step count and the boundary width ``m`` march
-    together as the rows of one ``(rows, J + r)`` array, each row doing the
+    together as the columns of one ``(J + r, rows)`` array, each row doing the
     arithmetic of a run on its own. A row that blows up is recorded at that
-    step and leaves the array.
+    step and leaves the array. Every run is checked, its step count included,
+    before any group allocates.
     """
     groups: dict = {}
     for index, (bc, run) in enumerate(pairs):
@@ -187,7 +193,7 @@ def march(
             raise ValueError(f"boundary uses {bc.m} interior points but the run has only {run.J}")
         if run.f is not None and not np.all(np.isfinite(run.f)):
             raise ValueError("the initial data f must be finite")
-        n_steps = int(math.ceil(run.T / run.dt - 1e-9))
+        n_steps = _step_count(run.T, run.dt)
         groups.setdefault((run.J, n_steps, bc.m), []).append((index, bc, run))
     results = {}
     for (J, n_steps, m), rows in groups.items():
@@ -229,43 +235,55 @@ def _by_value(f):
 
 
 def _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history) -> List[SolutionField]:
-    """March the rows of one group of :func:`march` as one array."""
+    """March the rows of one group of :func:`march` as the columns of one cell-major array.
+
+    Only the causal prefix ``U[:width]`` is updated: cell ``j`` reads cells
+    ``j-r..j``, so the prefix grows by ``r`` a step from the ghosts and the
+    initial data (``-0.0`` counts, as the stencil's sum turns it into ``+0.0``),
+    and every cell past it is the ``+0.0`` that a full-width pass would compute.
+    ``P`` keeps the running peak of each cell, so a step tests one global
+    maximum; per-row amplitudes and peaks are reduced only when that test
+    fires or at the last step.
+    """
     r, count = s.r, len(rows)
-    U = np.zeros((count, J + r))
+    U = np.zeros((J + r, count))
     for i, (_, _, run) in enumerate(rows):
-        U[i, r:] = 0.0 if run.f is None else run.f
-    V, term = np.empty_like(U), np.empty(U.size - r)
+        U[r:, i] = 0.0 if run.f is None else run.f
+    data = np.flatnonzero(((U != 0) | np.signbit(U)).any(axis=1))
+    width = max(r, data[-1] + 1 if data.size else 0)
+    V, P, scratch = np.zeros_like(U), np.zeros_like(U), np.empty_like(U)
     B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
     G, fallbacks = _data_table(rows, r, n_steps)
-    ids, amplitudes = np.arange(count), np.empty((n_steps + 1, count))
-    recorded: List[list] = [[] for _ in rows]
+    ids, recorded = np.arange(count), [[] for _ in rows]
     peaks, blowup_steps = [0.0] * count, [None] * count
     for n in range(n_steps + 1):
-        np.matmul(B, U[:, r : r + m, None], out=ghosts)
-        np.add(ghosts[:, :, 0], G[n], out=U[:, :r])
-        amplitude = np.abs(U, out=V).max(axis=1, out=amplitudes[n])
+        np.matmul(B, np.ascontiguousarray(U[r : r + m].T)[:, :, None], out=ghosts)
+        np.add(ghosts[:, :, 0].T, G[n].T, out=U[:r])
+        np.maximum(P[:width], np.abs(U[:width], out=scratch[:width]), out=P[:width])
         if keep_history:
             for i, row in enumerate(ids):
-                recorded[row].append((n, U[i].copy()))
-        if n == n_steps or not amplitude.max() <= blowup_threshold:  # true for NaN data too
-            amplitude[np.isnan(amplitude)] = np.inf
+                recorded[row].append((n, U[:, i].copy()))
+        if n == n_steps or not P[:width].max() <= blowup_threshold:  # true for NaN data too
+            amplitude, peak = scratch[:width].max(axis=0), P[:width].max(axis=0)
+            amplitude[np.isnan(amplitude)], peak[np.isnan(peak)] = np.inf, np.inf
             done = (amplitude > blowup_threshold) | (n == n_steps)
             for i in np.flatnonzero(done):
                 if not keep_history:
-                    recorded[ids[i]].append((n, U[i].copy()))
-                peaks[ids[i]] = float(amplitudes[: n + 1, i].max())
+                    recorded[ids[i]].append((n, U[:, i].copy()))
+                peaks[ids[i]] = float(peak[i])
                 blowup_steps[ids[i]] = n if amplitude[i] > blowup_threshold else None
             if done.all():
                 break
-            U, V, B, G, ghosts = U[~done], V[~done], B[~done], G[:, ~done], ghosts[~done]
-            ids, amplitudes, term = ids[~done], amplitudes[:, ~done], term[: U.size - r]
-        # One flat pass for all rows, summed from zero: an interior cell reads only
-        # its own row, and the ghost slots it overwrites are refilled before use.
-        u, v = U.reshape(-1), V.reshape(-1)
-        interior = v[r:]
-        np.add(0.0, np.multiply(s.a[0], u[:-r], out=term), out=interior)
+            U, V, P, scratch = (X.compress(~done, axis=1) for X in (U, V, P, scratch))  # C order, for the flat pass
+            B, G, ghosts, ids = B[~done], G[:, ~done], ghosts[~done], ids[~done]
+        # One flat pass over the prefix, summed from zero in stencil order: an
+        # interior cell reads only its own column, the ghost slots are left alone.
+        width, stride = min(width + r, J + r), U.shape[1]
+        u, v, term = U.reshape(-1), V.reshape(-1), scratch.reshape(-1)[: (width - r) * stride]
+        interior = v[r * stride : width * stride]
+        np.add(0.0, np.multiply(s.a[0], u[: term.size], out=term), out=interior)
         for k in range(1, r + 1):
-            np.add(interior, np.multiply(s.a[k], u[k : k + term.size], out=term), out=interior)
+            np.add(interior, np.multiply(s.a[k], u[k * stride : k * stride + term.size], out=term), out=interior)
         U, V = V, U
     return [
         SolutionField(

@@ -8,6 +8,7 @@ from klstab.boundary import custom_condition, silw_condition
 from klstab.kl import upwind_block
 from klstab.scheme import Scheme, make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, march, run_ibvp, sigma_scan
+from oracles import full_width_march_group
 
 
 def test_zero_data_stays_zero():
@@ -125,6 +126,20 @@ def test_run_refuses_ten_million_steps():
         with pytest.raises(ValueError, match=r"^the final time T=") as info:
             IBVPRun.from_cfl(s, J=10, T=T)
         assert "\n" not in str(info.value)
+
+
+def test_march_refuses_ten_million_steps_of_a_direct_run():
+    # a run built without from_cfl gets the same one-line refusal, before any array is allocated
+    s = make_beam_warming(0.5)
+    bc = silw_condition(2, 2, 3, 0.0)
+    for T in (1e300, math.inf, 0.05 * 10**7):
+        run = IBVPRun(J=10, T=T, dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+        with pytest.raises(ValueError, match=r"^the final time T=") as info:
+            run_ibvp(s, bc, run)
+        assert "\n" not in str(info.value)
+    good = IBVPRun(J=10, T=0.05 * (10**7 - 1), dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+    with pytest.raises(ValueError, match=r"^the final time T="):
+        march(s, [(bc, good), (bc, run)])
 
 
 def test_runs_with_initial_data_compare_by_identity():
@@ -385,3 +400,73 @@ def test_blowup_happens_exactly_at_positive_exterior_count(lagrange_upwind):
         assert blew_up == unstable, (r, lam)
         blowups += sum(blew_up)
     assert blowups > 0
+
+
+def assert_march_is_full_width(monkeypatch, s, pairs, keep_history=False):
+    """``march`` equals the full-width row-major march of the oracle, byte for byte."""
+    from klstab import simulator
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_march_group", full_width_march_group)
+        expected = march(s, pairs, keep_history=keep_history)
+    for field, oracle in zip(march(s, pairs, keep_history=keep_history), expected, strict=True):
+        assert field.values.tobytes() == oracle.values.tobytes()
+        assert field.times.tobytes() == oracle.times.tobytes()
+        assert np.float64(field.max_amplitude).tobytes() == np.float64(oracle.max_amplitude).tobytes()
+        assert field.blowup_step == oracle.blowup_step
+        assert field.fd_derivative_fallback == oracle.fd_derivative_fallback
+    return expected
+
+
+def test_causal_prefix_matches_full_width_on_random_lagrange_pairs(monkeypatch, lagrange_upwind):
+    # widths 1..4, random b and random data in the head of the domain; some pairs blow up
+    rng = np.random.default_rng(7)
+    J, steps, blowups = 40, 300, 0
+    for r in range(1, 5):
+        while True:
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            if s.r == r and validate(s).all_pass:
+                break
+        pairs = []
+        for _ in range(8):
+            bc = custom_condition(rng.uniform(-1, 1, (r, int(rng.integers(1, 4)))))
+            f = np.zeros(J)
+            f[: int(rng.integers(0, J // 2))] = rng.uniform(-1, 1)
+            run = IBVPRun.from_cfl(s, J=J, T=(steps - 0.5) * s.lam / J, g=GaussianPulse(width=50.0, center=0.1), f=f)
+            pairs.append((bc, run))
+        fields = assert_march_is_full_width(monkeypatch, s, pairs)
+        blowups += sum(field.blowup_step is not None for field in fields)
+    assert blowups > 0
+
+
+def test_causal_prefix_matches_full_width_on_head_data_and_negative_zero_tails(monkeypatch):
+    # data non-zero in the head and zero in the tail (with no f beside it), then a
+    # -0.0 tail far past the head beside an all -0.0 f, recorded every step; the
+    # prefix is shared by a group, so the -0.0 runs march apart from the head run
+    s = make_beam_warming(0.8)
+    bc = silw_condition(2, 2, 3, 0.0)
+    head = np.zeros(60)
+    head[:5] = [0.3, -1.0, 0.5, 2.0, -0.25]
+    negative_tail = head.copy()
+    negative_tail[45:] = -0.0
+    negative_tail[30] = -0.0
+    zero = lambda t: 0.0
+    for data in ((head, None), (negative_tail, np.full(60, -0.0))):
+        pairs = [(bc, IBVPRun.from_cfl(s, J=60, T=0.1, g=zero, g_derivs=(zero,) * 3, f=f)) for f in data]
+        fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history=True)
+    negative_zeros = [int(np.sum(np.signbit(u) & (u == 0))) for u in fields[0].values[:2]]
+    assert negative_zeros == [16, 0]
+
+
+def test_causal_prefix_matches_full_width_on_nan_data_and_staggered_blowups(monkeypatch):
+    s = make_beam_warming(1.3)
+    nan_later = lambda t: math.nan if t > 0.05 else GaussianPulse()(t)
+    pairs = [
+        (silw_condition(2, 2, 3, sigma), IBVPRun.from_cfl(s, J=100, T=3.0, sigma=sigma))
+        for sigma in np.linspace(-0.5, 0.45, 8)
+    ] + [(custom_condition(np.zeros((2, 2))), IBVPRun.from_cfl(s, J=100, T=3.0, g=nan_later))]
+    for keep_history in (False, True):
+        fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
+        steps = [field.blowup_step for field in fields if field.blowup_step is not None]
+        assert len(set(steps)) == len(steps) >= 4 and fields[-1].max_amplitude == math.inf
