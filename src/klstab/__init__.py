@@ -12,11 +12,10 @@ from types import ModuleType as _ModuleType
 
 from .config import DEFAULT_TOLS, Tolerances
 from .core_numerics import ComplexPolynomial, RootSet, poly_roots
-from .scheme import (AssumptionReport, CurveSamples, Scheme, make_beam_warming, scheme_from_descriptor, symbol,
-                     validate)
+from .scheme import AssumptionReport, CurveSamples, Scheme, make_beam_warming, scheme_from_descriptor, validate
 from .boundary import BoundaryCondition, assemble_B, boundary_from_descriptor, custom_condition, silw_condition
 from .kl import (ExteriorRootCount, ReducedBoundary, exterior_zero_count_direct, k_matrix, reduce_boundary,
-                 stable_roots, upwind_block)
+                 stable_roots)
 from .winding import (RefinementPolicy, WindingResult, curve_to_csv, kl_curve_evaluator, sample_kl_curve,
                       winding_number)
 from .analyzer import (BoundaryZero, BoundaryZeroType, StabilityMap, StabilityStatus, StabilityVerdict, analyze,

@@ -21,16 +21,16 @@ import numpy as np
 
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
 from .errors import RefinementBudgetExceeded
-from .kl import ExteriorRootCount, ReducedBoundary, exterior_counts, k_matrix, parity, reduce_stack
-from .kl import reduce_boundary, stable_roots, upwind_block
-from .scheme import AssumptionReport, CurveSamples, Scheme, validate
+from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_boundary, reduce_stack
+from .kl import stable_roots, upwind_blocks
+from .scheme import AssumptionReport, Scheme, validate
 from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, kl_curve_evaluator
-from .winding import sample_kl_curve, sample_kl_curves, winding_number
-# a one-pair stage that the engine runs stacked, bound here for perfbench/tracing.py to wrap
+from .winding import sample_kl_curve, sample_kl_curves, winding_numbers
+# one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
 from .kl import exterior_zero_count_direct  # noqa: F401
+from .winding import winding_number  # noqa: F401
 
 
 class StabilityStatus(str, Enum):
@@ -101,20 +101,15 @@ def classify_boundary_zero(
 ) -> BoundaryZeroType:
     """Classify a determinant zero sitting on the unit circle.
 
-    ``z0`` lies on the symbol curve exactly when a characteristic root there
-    has modulus 1. Without such a root the decaying modes all lie strictly
-    inside the unit disk, so the zero is a genuine eigenvalue on the circle.
-    With one, the verdict depends on whether the kernel vector of the
-    boundary operator loads a unit-modulus root: an unloaded unit root
-    leaves a square-summable eigenfunction, a loaded one only a generalized
-    eigenvalue. Raises :class:`IllConditionedKernel` when the kernel
-    dimension is ambiguous at tolerance.
+    ``z0`` lies on the symbol curve exactly when a characteristic root there has modulus 1. Without such a root the
+    decaying modes all lie strictly inside the unit disk, so the zero is a genuine eigenvalue on the circle. With
+    one, the verdict depends on whether the kernel vector of the boundary operator loads a unit-modulus root: an
+    unloaded unit root leaves a square-summable eigenfunction, a loaded one only a generalized eigenvalue. Raises
+    :class:`IllConditionedKernel` when the kernel dimension is ambiguous at tolerance.
     """
     bc = bc.restricted_to(s.r)
     roots = stable_roots(s, z0, tols)
-    unit = np.array(
-        [abs(abs(value) - 1.0) <= tols.unit_circle_tol for value, mult in roots for _ in range(mult)]
-    )
+    unit = np.array([abs(abs(value) - 1.0) <= tols.unit_circle_tol for value, mult in roots for _ in range(mult)])
     if not unit.any():
         return BoundaryZeroType.TYPE_II
 
@@ -126,9 +121,7 @@ def classify_boundary_zero(
     # small relative to the operator's natural scale.
     reference = float(np.linalg.norm(B) * np.linalg.norm(K))
     if reference == 0.0 or (len(svals) >= 2 and svals[-2] <= tols.kernel_tol * reference):
-        raise IllConditionedKernel(
-            f"kernel dimension at z0={z0} is ambiguous (singular values {svals})"
-        )
+        raise IllConditionedKernel(f"kernel dimension at z0={z0} is ambiguous (singular values {svals})")
     kernel = vh[-1].conjugate()
     kernel = kernel / np.linalg.norm(kernel)
     if float(np.max(np.abs(kernel[unit]))) <= tols.kernel_tol:
@@ -161,11 +154,9 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
                  policy: RefinementPolicy = DEFAULT_POLICY) -> List[Union[StabilityVerdict, Exception]]:
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
-    Each boundary is fitted to its scheme and each distinct scheme validated
-    once. The pairs that pass are grouped by ``(r, m)`` and decided in
-    stacked blocks; only the curves whose first winding level needs a split
-    or comes near the origin take the walk one at a time. Each verdict is
-    bit for bit the one the pair gets alone.
+    Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
+    by ``(r, m)`` and decided in stacked blocks; the curves whose first winding level needs a split or comes near
+    the origin are walked in lockstep, 8 at a time. Each verdict is bit for bit the one the pair gets alone.
     """
     outcomes: List = [None] * len(pairs)
     reports, groups = {}, {}
@@ -189,53 +180,68 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
 
 def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: RefinementPolicy) -> None:
     """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
+    if n0 < 64:  # an error of the call, not of a row
+        raise ValueError("n0 must be at least 64")
     a = np.array([s.a for _, s, _, _ in block])
     try:
         blocks, det_c = reduce_stack(a, np.array([bc.b for _, _, bc, _ in block]))
         directs = exterior_counts(blocks, tols)
+        windings = _windings(det_c, a, n0, policy)
     except _ROW_ERRORS as exc:
-        # a row whose factor a_{-r}^(-m) overflows, or whose block is not finite, fails the stacked
-        # calls; alone, that is its error, and in a block the rows are decided one at a time
+        # a row whose factor a_{-r}^(-m) overflows, whose block is not finite, or whose curve raises fails
+        # the stacked calls; alone, that is its error, and in a block the rows are decided one at a time
         if len(block) == 1:
             outcomes[block[0][0]] = exc
         else:
             for row in block:
                 _decide_block([row], outcomes, tols, n0, policy)
         return
-    for start in range(0, len(block), _CURVE_ROWS):
-        part = slice(start, start + _CURVE_ROWS)
-        params, points = sample_kl_curves(det_c[part], a[part, 0], a[part, -1], a.shape[1] - 1, n0)
-        index, low, decided, level = first_pass(params, points, policy)
-        for i, (k, s, bc, report) in enumerate(block[part]):
-            first = (WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if decided[i]
-                     else (CurveSamples(params=params, points=points[i], closed=True), level(i)))
-            try:
-                outcomes[k] = _verdict(s, bc, report, blocks[start + i], det_c[start + i], directs[start + i],
-                                       first, tols, policy)
-            except _ROW_ERRORS as exc:
-                outcomes[k] = exc
-
-
-def _verdict(s, bc, report, block, det_c, direct, first, tols, policy) -> StabilityVerdict:
-    """The verdict of a validated pair from its reduction, its direct count and either its
-    first-pass winding result or its sampled curve and first level, which the walk starts from."""
-    zeros: Tuple[BoundaryZero, ...] = ()
-    notes: List[str] = []
-    count, wres = None, first
-    if not isinstance(first, WindingResult):
-        rb = ReducedBoundary(r=s.r, m=bc.m, sign=parity(s.r, bc.m), block=block, det_c=ComplexPolynomial(det_c))
-        curve, level = first
+    for (k, s, bc, report), det, direct, winding in zip(block, det_c, directs, windings):
         try:
-            wres = winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb), first_level=level)
-        except OriginOnCurve as exc:
-            status, wres = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, exc.result
-            zeros = _classify_band_zeros(s, bc, rb, direct, tols, notes)
-        except RefinementBudgetExceeded as exc:
-            status, wres = StabilityStatus.INCONCLUSIVE, None
-            notes.append(f"winding failed: {exc}")
-    if wres is not None and not wres.origin_on_curve:
+            outcomes[k] = _verdict(s, bc, report, det, direct, winding, tols)
+        except _ROW_ERRORS as exc:
+            outcomes[k] = exc
+
+
+def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolicy) -> list:
+    """Each row's winding result or walk error, 8 rows at a time; rows the first pass leaves open walk together.
+    A chunk's arrays live until the next chunk's exist, so numpy reuses their memory: freed first, it went back
+    to the system and came back as fresh pages, and a new process swept about 15 % slower."""
+    r, windings = a.shape[1] - 1, []
+    for start in range(0, len(a), _CURVE_ROWS):
+        part = slice(start, start + _CURVE_ROWS)
+        params, points = sample_kl_curves(det_c[part], a[part, 0], a[part, -1], r, n0)
+        index, low, decided, level = first_pass(params, points, policy)
+        chunk = [WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if done else None
+                 for i, done in enumerate(decided.tolist())]
+        walk = [i for i, winding in enumerate(chunk) if winding is None]
+        if walk:
+            coeffs, lead, zero = det_c[part][walk], a[part][walk, 0], a[part][walk, -1]
+
+            def evaluate(rows, theta):
+                z = np.exp(1j * theta)[:, None]
+                return (kl_det_stack(coeffs[rows], lead[rows], zero[rows], r, z) / z**r)[:, 0]
+
+            curves, levels = [(params, points[i]) for i in walk], [level(i) for i in walk]
+            for i, winding in zip(walk, winding_numbers(curves, policy, evaluate, levels)):
+                chunk[i] = winding
+        windings += chunk
+    return windings
+
+
+def _verdict(s, bc, report, det_c, direct, winding, tols) -> StabilityVerdict:
+    """The verdict of a validated pair from its ``det C`` coefficients, its direct count and its winding
+    result, or the error that stopped its winding walk."""
+    zeros, notes, count = (), [], None
+    if isinstance(winding, OriginOnCurve):
+        status, winding = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, winding.result
+        zeros = _classify_band_zeros(s, bc, det_c, direct, tols, notes)
+    elif isinstance(winding, RefinementBudgetExceeded):
+        notes.append(f"winding failed: {winding}")
+        status, winding = StabilityStatus.INCONCLUSIVE, None
+    if winding is not None and not winding.origin_on_curve:
         # dividing by z^r shifts the index by -r, leaving minus the exterior zero count
-        count = -wres.index
+        count = -winding.index
         if direct.has_boundary_band:
             notes.append("determinant roots inside the unit-circle band while the winding succeeded; "
                          "counts compare strictly-exterior roots only")
@@ -244,10 +250,10 @@ def _verdict(s, bc, report, block, det_c, direct, first, tols, policy) -> Stabil
             status, count = StabilityStatus.INCONCLUSIVE, None
         else:
             status = StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE if count else StabilityStatus.STRONGLY_STABLE
-    return StabilityVerdict(status, count, zeros, report, wres, direct, tuple(det_c.tolist()), tuple(notes))
+    return StabilityVerdict(status, count, zeros, report, winding, direct, tuple(det_c.tolist()), tuple(notes))
 
 
-def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, rb: ReducedBoundary, direct: ExteriorRootCount,
+def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, det_c: np.ndarray, direct: ExteriorRootCount,
                          tols: Tolerances, notes: List[str]) -> Tuple[BoundaryZero, ...]:
     """Locate and classify determinant zeros on (or numerically on) the circle.
 
@@ -258,7 +264,8 @@ def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, rb: ReducedBoundary, 
     candidates = [complex(v) for v, _ in direct.boundary_band]
     if not candidates:
         thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        values = np.abs(kl_curve_evaluator(s, rb, normalize=True)(thetas))
+        z = np.exp(1j * thetas)
+        values = np.abs(kl_det_stack(det_c, s.a_lead, s.a_zero, s.r, z) / z**s.r)
         z0 = complex(np.exp(1j * thetas[int(np.argmin(values))]))
         candidates = [z0]
         notes.append("no determinant root inside the circle band; classified the closest curve point")
@@ -313,14 +320,12 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
           n0: int = 1024, jobs: int = 1) -> StabilityMap:
     """Run the decision procedure over a parameter grid.
 
-    The cells, in row-major order, are cut into contiguous chunks of
-    ``max(1, cells // (4 * workers))``, and each chunk is decided by one
-    :func:`analyze_many` call, with one scheme built per CFL value. With
-    ``jobs > 1`` the chunks run in a pool of ``workers = min(jobs, cells)``
-    processes (the families must be picklable) and come back in order, so
-    the result is identical for any parallelism degree. A cell whose
-    families raise a :class:`~klstab.errors.KLStabError`, or whose pair
-    raises, is ``Inconclusive`` with count -1 instead of aborting the sweep.
+    The cells, in row-major order, are cut into contiguous chunks of ``max(1, cells // (4 * workers))``, and each
+    chunk is decided by one :func:`analyze_many` call, with one scheme built per CFL value. With ``jobs > 1`` the
+    chunks run in a pool of ``workers = min(jobs, cells)`` processes (the families must be picklable) and come back
+    in order, so the result is identical for any parallelism degree. A cell whose families raise a
+    :class:`~klstab.errors.KLStabError`, or whose pair raises, is ``Inconclusive`` with count -1 instead of aborting
+    the sweep.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -352,35 +357,64 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
                           bc_family: Callable[[float, float], BoundaryCondition], lam_a: float, lam_b: float,
                           sigma: float = 0.0, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
                           max_iter: int = 30) -> float:
-    """Locate a stability transition between two CFL values.
+    """Locate a stability transition between two CFL values with differing strong-stability verdicts.
 
-    ``lam_a`` and ``lam_b`` must give different strong-stability verdicts;
-    the returned point brackets the ``analyze`` verdict flip to
-    ``width = |lam_b - lam_a| / 2**max_iter``. :func:`_predict_flip` predicts
-    the flip from where the spectral radius of the closed block ``A`` crosses
-    1 (:func:`_illinois` on ``rho(A) - 1``). One ``analyze`` runs ``0.45 * width``
-    short of the prediction; ``analyze`` steps of ``0.9 * width``, growing
-    eightfold, toward the other verdict close a bracket (the first one does
-    when the prediction holds), and ``analyze`` bisection finishes it. When
-    the prediction raises, the crossing stands in for it; when
-    ``rho(A) - 1`` raises or keeps its sign on the bracket, the whole bracket
-    is bisected.
+    The result brackets the ``analyze`` verdict flip to ``width = |lam_b - lam_a| / 2**max_iter``.
+    :func:`_predict_flip` predicts the flip near where ``rho(A)`` crosses 1, on the side where it is below
+    1. One :func:`analyze_many` call decides both ends, a point ``0.45 * width`` short of the prediction and
+    a step of ``0.9 * width`` from it; the search then steps (growing eightfold) and bisects as if it asked
+    for one verdict at a time, using a verdict decided ahead only at its own CFL value. A prediction for the
+    wrong side is made again; one that raises is replaced by the crossing; without a crossing, the whole
+    bracket is bisected.
     """
+    pair = functools.lru_cache(maxsize=None)(lambda lam: (scheme_family(lam), bc_family(lam, sigma)))
+    known: dict = {}
 
     def stable(lam: float) -> bool:
-        verdict = analyze(scheme_family(lam), bc_family(lam, sigma), tols=tols, n0=n0)
+        if lam not in known:
+            (known[lam],) = analyze_many([pair(lam)], tols, n0)
+        verdict = known[lam]
+        if isinstance(verdict, Exception):
+            raise verdict
         return verdict.status is StabilityStatus.STRONGLY_STABLE
 
+    @functools.lru_cache(maxsize=None)
     def excess(lam: float) -> float:
-        s = scheme_family(lam)
-        block = upwind_block(s, bc_family(lam, sigma).restricted_to(s.r))
+        s, bc = pair(lam)
+        block = upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0]
         return float(np.max(np.abs(np.linalg.eigvals(block)))) - 1.0
 
+    lo, hi = float(lam_a), float(lam_b)
+    width = abs(hi - lo) / 2**max_iter
+    step = 0.9 * width
+
+    def search_start(stable_end: float) -> float:
+        # the flip lies on the stable side of the crossing, within 7.1e-8 (the winding's origin_tol)
+        toward = 1.0 if stable_end > x else -1.0
+        end = x + toward * min(1e-5, abs(stable_end - x))
+        try:
+            flip = _predict_flip(pair, x, end, tols, n0)
+        except _ROW_ERRORS:
+            flip = x
+        return flip - toward * 0.45 * width
+
+    try:
+        x = _illinois(excess, lo, hi)
+    except (KLStabError, ValueError):
+        x = None
+    lams = [lam_a, lam_b]
+    if x is not None:
+        rho_sa = excess(lo) < 0.0
+        stable_end = lo if rho_sa else hi
+        start = search_start(stable_end)
+        lams.append(start)
+        if abs(stable_end - start) > step:
+            # the first step, taken when the verdict at start is the unstable one that the prediction expects
+            lams.append(start + (step if stable_end > start else -step))
+    known.update(zip(lams, analyze_many([pair(lam) for lam in lams], tols, n0)))
     sa, sb = stable(lam_a), stable(lam_b)
     if sa == sb:
         raise ValueError(f"no transition: both endpoints have stable={sa}")
-    lo, hi = float(lam_a), float(lam_b)
-    width = abs(hi - lo) / 2**max_iter
 
     def probe(lam: float) -> bool:
         """Verdict at ``lam``; moves the bracket end with the same verdict there."""
@@ -389,20 +423,9 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
         lo, hi = (lam, hi) if verdict == sa else (lo, lam)
         return verdict
 
-    try:
-        x = _illinois(excess, lo, hi)
-    except (KLStabError, ValueError):
-        pass
-    else:
-        # the flip lies on the stable side of the crossing, within 7.1e-8 (the winding's origin_tol)
-        stable_end = lo if sa else hi
-        toward = 1.0 if stable_end > x else -1.0
-        end = x + toward * min(1e-5, abs(stable_end - x))
-        try:
-            flip = _predict_flip(scheme_family, bc_family, sigma, x, end, tols, n0)
-        except _ROW_ERRORS:
-            flip = x
-        start, step = flip - toward * 0.45 * width, 0.9 * width
+    if x is not None:
+        if sa != rho_sa:
+            start = search_start(lo if sa else hi)
         at_start = probe(start)
         target = hi if at_start == sa else lo
         while abs(target - start) > step and probe(start + (step if target > start else -step)) == at_start:
@@ -414,16 +437,15 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     return 0.5 * (lo + hi)
 
 
-def _predict_flip(scheme_family, bc_family, sigma: float, x: float, end: float, tols: Tolerances,
-                  n0: int) -> float:
-    """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve at
-    ``mu / |mu|``, ``mu`` the block eigenvalue nearest the unit circle, is ``origin_tol`` times the largest
-    first-pass sample at ``x`` away from the origin: there the winding's origin test stops firing.
-    Raises ``ValueError`` when that distance does not cross the threshold between ``x`` and ``end``."""
+def _predict_flip(pair, x: float, end: float, tols: Tolerances, n0: int) -> float:
+    """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve of ``pair(lam)``
+    at ``mu / |mu|`` (``mu`` the block eigenvalue nearest the circle) is ``origin_tol`` times its largest first-pass
+    sample at ``x`` from the origin, where the winding's origin test stops firing; ``ValueError`` if none is."""
 
+    @functools.lru_cache(maxsize=None)
     def reduced(lam: float):
-        s = scheme_family(lam)
-        return s, reduce_boundary(s, bc_family(lam, sigma).restricted_to(s.r), tols)
+        s, bc = pair(lam)
+        return s, reduce_boundary(s, bc.restricted_to(s.r), tols)
 
     scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0).points)))
 

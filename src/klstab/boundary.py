@@ -151,12 +151,7 @@ def boundary_from_descriptor(descriptor: dict, r: int) -> BoundaryCondition:
     """
     if "silw" in descriptor:
         params = descriptor["silw"]
-        return silw_condition(
-            r=r,
-            k_d=int(params["kd"]),
-            d=int(params["d"]),
-            sigma=float(params.get("sigma", 0.0)),
-        )
+        return silw_condition(r=r, k_d=int(params["kd"]), d=int(params["d"]), sigma=float(params.get("sigma", 0.0)))
     if "custom" in descriptor:
         return custom_condition(descriptor["custom"]["b"]).restricted_to(r)
     raise ValueError("boundary descriptor needs 'silw' or 'custom'")

@@ -96,15 +96,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, sigma_flag=True):
         p.add_argument("--config", help="JSON config file; flags override file values")
         p.add_argument("--preset", help="scheme preset name (beam-warming)")
-        p.add_argument("--coefficients", type=float, nargs="+", metavar="A",
-                       help="stencil coefficients a_-r .. a_0")
+        p.add_argument("--coefficients", type=float, nargs="+", metavar="A", help="stencil coefficients a_-r .. a_0")
         p.add_argument("--lambda", dest="lam", type=float, help="CFL number")
         p.add_argument("--silw", type=int, nargs=2, metavar=("KD", "D"),
                        help="simplified inverse Lax-Wendroff orders k_d and d")
         if sigma_flag:
             p.add_argument("--sigma", type=float, help="grid offset in [-1/2, 1/2), default 0")
-        p.add_argument("--custom-b", metavar="FILE",
-                       help="JSON file with {\"b\": [[...], ...]} extrapolation rows")
+        p.add_argument("--custom-b", metavar="FILE", help="JSON file with {\"b\": [[...], ...]} extrapolation rows")
         p.add_argument("--out", help="output path (default stdout)")
 
     p_check = sub.add_parser("check", help="single stability verdict as JSON")
@@ -283,8 +281,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             bc_family = functools.partial(boundary_at, scheme=scheme, boundary=boundary)
             # a bad scheme or boundary fails here, once, rather than in the pool
             bc_family(float(lambda_grid[0]), float(sigma_grid[0]))
-            result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid,
-                           tols=tols, n0=n0, jobs=int(args.jobs))
+            result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid, tols=tols, n0=n0, jobs=int(args.jobs))
             _write(result.to_csv(), out)
             return EXIT_OK
 

@@ -48,9 +48,8 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Root
     """
     scale = float(np.max(np.abs(s.a))) + abs(z)
     if abs(s.a_zero - z) <= tols.trim_rel * scale:
-        raise DegenerateLeadingCoefficient(
-            f"characteristic polynomial degenerates at z={z} (leading coefficient a_0 - z ~ 0)"
-        )
+        raise DegenerateLeadingCoefficient(f"characteristic polynomial degenerates at z={z} "
+                                           "(leading coefficient a_0 - z ~ 0)")
     coeffs = np.asarray(s.a, dtype=complex).copy()
     coeffs[-1] -= z
     return poly_roots(coeffs, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
@@ -77,18 +76,14 @@ def k_matrix(roots: RootSet, i: int, j: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
-    """Closed top-left ``m x m`` block ``A`` of the half-line update matrix.
+def upwind_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Closed top-left ``m x m`` blocks ``A`` of the half-line update matrices of stencils ``a`` (N, r+1) and
+    boundaries ``b`` (N, r', m).
 
     Row ``j`` is the update of ``U_j``: ``a_k`` goes to column ``j + k`` when
-    that is an interior point and, spread by ``bc.ghost_row(j + k)``, over
-    columns ``0..m-1`` when it is a ghost point.
+    that is an interior point and, spread by ghost row ``j + k`` of ``b``,
+    over columns ``0..m-1`` when it is a ghost point.
     """
-    return upwind_blocks(s.a[None], bc.b[None])[0]
-
-
-def upwind_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`upwind_block`, bit for bit, of each pair of stencils ``a`` (N, r+1) and boundaries ``b`` (N, r', m)."""
     r, ghosts, m = a.shape[1] - 1, b.shape[1], b.shape[2]
     if ghosts < r:
         raise ValueError(f"boundary condition has {ghosts} ghost rows, scheme needs {r}")
@@ -113,7 +108,7 @@ class ReducedBoundary:
     """Reduction of a (scheme, boundary) pair to polynomial form.
 
     ``block`` is the read-only closed update block ``A`` of
-    :func:`upwind_block`; ``det_c`` is ``det C``, a polynomial of exact
+    :func:`upwind_blocks`; ``det_c`` is ``det C``, a polynomial of exact
     degree ``m`` whose roots are the eigenvalues of ``A``; ``sign`` is the
     parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
     """
@@ -164,14 +159,12 @@ def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def kl_det_stack(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndarray) -> np.ndarray:
-    """The intrinsic determinant ``sign * det C(z) * (a_{-r} / (a_0 - z))^(m-r)`` at the points ``z`` (n,),
-    for ``det C`` coefficients ``coeffs`` (..., m+1) and stencil ends ``a_lead``, ``a_zero`` (...).
-
-    A stack's row is bit for bit its one-pair evaluation when ``n > 1`` (a length-1 row takes another
-    numpy kernel). Products are explicit ufunc calls: numpy may evaluate ``x * y`` with a large
-    temporary ``y`` as ``y * x`` in place, which rounds differently."""
+    """The intrinsic determinant ``sign * det C(z) * (a_{-r} / (a_0 - z))^(m-r)`` at the points ``z`` (n,), for
+    ``det C`` coefficients ``coeffs`` (..., m+1) and stencil ends ``a_lead``, ``a_zero`` (...); with ``z`` (N, 1)
+    and N pairs, at one point per pair. Each value is bit for bit its one-pair evaluation (but in a stack's row
+    of length 1): products are explicit ufunc calls, as numpy may evaluate ``x * y`` as ``y * x`` in place."""
     m = coeffs.shape[-1] - 1
-    acc = np.zeros(coeffs.shape[:-1] + z.shape, dtype=complex)
+    acc = 0j
     for k in range(m, -1, -1):
         acc = np.multiply(acc, z) + coeffs[..., k, None]
     prefactor = (np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)) ** (m - r)
@@ -193,19 +186,17 @@ class ExteriorRootCount:
 
 
 def exterior_zero_count_direct(rb: ReducedBoundary, tols: Tolerances = DEFAULT_TOLS) -> ExteriorRootCount:
-    """Count zeros of the determinant outside the closed unit disk.
-
-    The rational prefactor never vanishes for ``|z| >= 1``, so those zeros
-    are exactly the eigenvalues of the update block with modulus above 1,
-    clustered with multiplicity. Eigenvalues inside the ambiguity band
-    around the unit circle are reported separately; the caller decides
-    whether to classify them as boundary zeros.
-    """
+    """The count of :func:`exterior_counts` for one reduced pair."""
     return exterior_counts(rb.block[None], tols)[0]
 
 
 def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List[ExteriorRootCount]:
-    """:func:`exterior_zero_count_direct` of each block of a stack (N, m, m), from one ``eigvals`` call."""
+    """Zeros of the determinant outside the closed unit disk for each block of a stack (N, m, m).
+
+    The rational prefactor never vanishes for ``|z| >= 1``, so those zeros are exactly the eigenvalues of
+    the update block with modulus above 1, clustered with multiplicity (one ``eigvals`` call for all).
+    Eigenvalues inside the band around the unit circle are reported apart, for the caller to classify.
+    """
     eigenvalues = np.linalg.eigvals(blocks)
     # a block's own eigvals call returns real values exactly when all its imaginary parts are 0
     real = np.logical_and.reduce(eigenvalues.imag == 0.0, axis=-1)
@@ -228,6 +219,4 @@ def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:
         else:
             interior.append((complex(value), int(mult)))
     count = int(sum(mult for _, mult in exterior))
-    return ExteriorRootCount(
-        count=count, exterior=tuple(exterior), boundary_band=tuple(band), interior=tuple(interior)
-    )
+    return ExteriorRootCount(count=count, exterior=tuple(exterior), boundary_band=tuple(band), interior=tuple(interior))

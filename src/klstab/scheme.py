@@ -130,21 +130,13 @@ def _symbol_from_basis(basis: np.ndarray, a: np.ndarray):
     return values
 
 
-def symbol(s: Scheme, xi):
-    """Amplification symbol ``sum_k a_k exp(i k xi)``; accepts arrays."""
-    xi_arr = np.asarray(xi, dtype=float)
-    values = _symbol_from_basis(_fourier_basis(xi_arr, s.r), s.a)
-    if np.isscalar(xi) or xi_arr.ndim == 0:
-        return complex(values)
-    return values
-
-
 @functools.lru_cache(maxsize=8)
 def symbol_basis(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
     """The ``n`` uniform frequencies on ``[0, 2pi)`` and their Fourier basis for width ``r``.
 
-    ``_symbol_from_basis(basis, s.a)`` equals ``symbol(s, xi)`` bit for bit
-    for any scheme of width ``r``. Both arrays are cached and shared, hence
+    ``_symbol_from_basis(basis, s.a)`` is the amplification symbol
+    ``sum_k a_k exp(i k xi)`` of any scheme of width ``r``, bit for bit as
+    from a basis built per call. Both arrays are cached and shared, hence
     read-only.
     """
     xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

@@ -60,6 +60,16 @@ class PulseDerivative:
         return self.pulse.derivative(self.k, t)
 
 
+def _check_run(J: int, T: float, a: float) -> None:
+    """Refuse a run without an interior cell, or whose final time or velocity is not positive (NaN too)."""
+    if J < 1:
+        raise ValueError(f"the run needs at least one interior cell, got J={J}")
+    if not T > 0:
+        raise ValueError(f"the final time must be positive, got T={T}")
+    if not a > 0:
+        raise ValueError(f"the advection velocity must be positive, got a={a}")
+
+
 def _step_count(T: float, dt: float) -> int:
     """The march's ``ceil(T/dt - 1e-9)`` steps, refused at parse_grid's 10**7 or more (inf and NaN too)."""
     if not T / dt - 1e-9 <= 10**7 - 1:
@@ -103,12 +113,7 @@ class IBVPRun:
         f: Optional[np.ndarray] = None,
     ) -> "IBVPRun":
         """Choose dx = 1/J and the time step matching the scheme's CFL number; refuse 10**7 steps or more."""
-        if J < 1:
-            raise ValueError(f"the run needs at least one interior cell, got J={J}")
-        if not T > 0:
-            raise ValueError(f"the final time must be positive, got T={T}")
-        if not a > 0:
-            raise ValueError(f"the advection velocity must be positive, got a={a}")
+        _check_run(J, T, a)
         dx = 1.0 / J
         dt = s.lam * dx / a
         _step_count(T, dt)
@@ -155,14 +160,11 @@ def run_ibvp(
     blowup_threshold: float = 1e6,
     keep_history: bool = True,
 ) -> SolutionField:
-    """March the interior update with ghost cells filled from the boundary rule.
+    """March the interior update with ghost cells filled from the boundary rule: the one-row :func:`march`.
 
-    At each time level the ghost values are rebuilt from the current interior
-    values plus the boundary-data terms, then the interior advances (the
-    stencil never reads to the right of the current cell, so the cells that
-    the data cannot have reached yet stay ``+0.0``). Stops early once the
-    amplitude passes the blowup threshold or is not finite; blowing up is
-    data, not an error. This is the one-row call of :func:`march`.
+    Each step rebuilds the ghost values from the interior values plus the boundary-data terms, then
+    advances the interior. It stops early once the amplitude passes the blowup threshold or is not
+    finite; blowing up is data, not an error.
     """
     return march(s, [(bc, run)], blowup_threshold, keep_history)[0]
 
@@ -184,8 +186,9 @@ def march(
     groups: dict = {}
     for index, (bc, run) in enumerate(pairs):
         bc = bc.restricted_to(s.r)
+        _check_run(run.J, run.T, run.a)
         expected_dt = s.lam * run.dx / run.a
-        if abs(run.dt - expected_dt) > 1e-12 * max(abs(run.dt), abs(expected_dt)):
+        if not abs(run.dt - expected_dt) <= 1e-12 * max(abs(run.dt), abs(expected_dt)):
             raise ValueError(f"dt={run.dt} does not match lambda*dx/a={expected_dt}")
         if bc.sigma is not None and abs(bc.sigma - run.sigma) > 1e-12:
             raise ValueError(f"boundary built for sigma={bc.sigma}, run declares sigma={run.sigma}")

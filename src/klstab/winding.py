@@ -7,19 +7,14 @@ angle sum is refined by inserting curve midpoints wherever a single turn is
 too large or a segment passes suspiciously close to the origin, within a
 fixed evaluation budget.
 
-One numpy pass computes the angle increment, distance to the origin and
-split flag of every segment; segments that need no split are summed as
-they are. The flagged ones are refined one level at a time: all midpoints
-of a level go to the curve evaluator in one array call (near a stop, only
-part of a level), so an evaluator maps an array of parameters to an array
-of points. Each level's segments form their own block of arrays, and
-running scalars (split count, curve scale, smallest midpoint modulus and
-leaf distance) show whether anything known so far could stop the walk.
-While nothing can, a level costs work in proportion to its splits alone;
-only once a stop is possible are the blocks merged into depth-first order
-to find it. The refined polygon, the evaluation count and the error
-raised are those of a depth-first walk that splits segments in parameter
-order.
+One numpy pass gives every segment its angle increment, distance to the
+origin and split flag. The flagged ones are refined one level at a time,
+several curves in lockstep: the midpoints of a level (near a stop, of part
+of it) of all open curves go to the evaluator in one array call. Running
+scalars show whether anything known so far could stop a curve's walk;
+only then are its levels merged into depth-first order to find the stop.
+The refined polygon, the evaluation count and the error are those of a
+depth-first walk that splits segments in parameter order.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,13 +75,10 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
     distance = np.abs(pa + np.clip(t, 0.0, 1.0, out=t) * d)
     turn = np.multiply(pb, np.conjugate(pa))
     increment = np.arctan2(turn.imag, turn.real)
-    split = (length > 0.0) & (
-        (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
-    )
-    return dict(
-        ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
-        mid=np.full(length.shape, np.nan),
-    )
+    sharp = (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
+    split = (length > 0.0) & sharp
+    return dict(ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
+                mid=np.full(length.shape, np.nan))
 
 
 def _pairs(left, right) -> np.ndarray:
@@ -96,64 +88,98 @@ def _pairs(left, right) -> np.ndarray:
     return out
 
 
-def _depth_first(blocks) -> dict:
-    """The segments of ``blocks`` merged in the order of the depth-first walk.
-
-    A split segment comes before its halves, the left half first, so the
-    order is ``ta`` ascending, then ``tb`` descending. A single block (the
-    first level, or one merged before) is already in that order.
-    """
+def _depth_first(blocks, keys=None) -> dict:
+    """The segments of ``blocks`` (their ``keys``, by default all) merged in the order of the depth-first walk:
+    a split segment before its halves, the left half first, so ``ta`` ascending, then ``tb`` descending. A
+    single block (the first level, or one merged before) is already in that order."""
     if len(blocks) == 1:
         return blocks[0]
-    nodes = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
-    order = np.lexsort((-nodes["tb"], nodes["ta"]))
-    return {key: value[order] for key, value in nodes.items()}
+    ta, tb = (np.concatenate([block[key] for block in blocks]) for key in ("ta", "tb"))
+    order = np.lexsort((-tb, ta))
+    return {key: np.concatenate([block[key] for block in blocks])[order] for key in keys or blocks[0]}
 
 
 def _on_curve(distance: float, threshold: float, evaluations: int) -> OriginOnCurve:
-    return OriginOnCurve(
-        f"curve passes within {distance:.3e} of the origin (threshold {threshold:.3e})",
-        WindingResult(
-            index=None, min_distance=float(distance), samples_used=int(evaluations), origin_on_curve=True
-        ),
-    )
+    return OriginOnCurve(f"curve passes within {distance:.3e} of the origin (threshold {threshold:.3e})",
+                         WindingResult(None, float(distance), int(evaluations), True))
 
 
 def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLICY,
                    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                    first_level: Optional[dict] = None) -> WindingResult:
-    """Signed number of turns of a closed sampled curve around the origin.
+    """Signed number of turns of a closed sampled curve around the origin: :func:`winding_numbers` of one curve.
 
-    ``evaluator`` maps an array of parameter values to the array of curve
-    points; it is called with arrays of midpoints, batched by refinement
-    level, and without it any segment that needs refinement is a hard
-    error. ``first_level`` is the first level of segments when
-    :func:`first_pass` has built it. ``samples_used`` counts the
-    evaluations of the depth-first walk alone. Raises
-    :class:`OriginOnCurve` when the refined polygon comes closer to the
-    origin than the relative threshold, and
-    :class:`RefinementBudgetExceeded` when the angle sum cannot be trusted
-    within the evaluation budget.
+    ``evaluator`` maps an array of parameter values to the array of curve points; it is called with arrays of
+    midpoints, batched by refinement level, and without it any segment that needs refinement is a hard error.
+    ``first_level`` is the first level of segments when :func:`first_pass` has built it. ``samples_used`` counts the
+    evaluations of the depth-first walk alone. Raises :class:`OriginOnCurve` when the refined polygon comes closer
+    to the origin than the relative threshold, and :class:`RefinementBudgetExceeded` when the angle sum cannot be
+    trusted within the evaluation budget.
     """
     if not curve.closed:
         raise ValueError("winding numbers are defined for closed curves only")
-    params = curve.params
-    points = curve.points
+    rows_evaluator = None if evaluator is None else lambda rows, t: evaluator(t)
+    (outcome,) = winding_numbers([(curve.params, curve.points)], policy, rows_evaluator, [first_level])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: RefinementPolicy = DEFAULT_POLICY,
+                    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
+                    first_levels: Optional[Sequence[Optional[dict]]] = None) -> List[Union[WindingResult, Exception]]:
+    """The :func:`winding_number` of each closed curve ``(params, points)``, or its error, walked in lockstep:
+    each level, the pending midpoints of all open curves go to ``evaluator(rows, params)`` in one call, ``rows[i]``
+    naming the curve of ``params[i]``, and their halves through one segment pass. Each curve keeps its own stop
+    tests and replay, so its outcome is bit for bit the one it gets alone."""
+    outcomes: List = [None] * len(curves)
+    walks = [_walk(params, points, policy, evaluator is not None, level)
+             for (params, points), level in zip(curves, first_levels or [None] * len(curves))]
+    requests = {}
+
+    def advance(k: int, sent) -> None:
+        try:
+            requests[k] = walks[k].send(sent)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+
+    for k in range(len(walks)):
+        advance(k, None)
+    while requests:
+        keys, parts, requests = list(requests), list(requests.values()), {}
+        sizes = [part[0].size for part in parts]
+        ta, tb, pa, pb = (arrays[0] if len(parts) == 1 else np.concatenate(arrays) for arrays in zip(*parts))
+        tm = 0.5 * (ta + tb)
+        pm = np.asarray(evaluator(np.array(keys).repeat(sizes), tm), dtype=complex)
+        modulus = np.abs(pm)
+        level = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
+        if len(keys) == 1:
+            advance(keys[0], (modulus, level))
+            continue
+        stop = 0
+        for k, size in zip(keys, sizes):
+            start, stop = stop, stop + size
+            advance(k, (modulus[start:stop], {key: value[2 * start:2 * stop] for key, value in level.items()}))
+    return outcomes
+
+
+def _walk(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy, refine: bool,
+          first_level: Optional[dict]):
+    """One curve's walk in :func:`winding_numbers`: a generator that yields the pending splits ``(ta, tb, pa, pb)``
+    of each level, is sent their midpoint moduli and halves, and returns the :class:`WindingResult` or the error
+    that stops it, unraised, so that no traceback keeps the walk's arrays alive."""
     n = params.size
     if n < 4:
-        raise ValueError("need at least 3 distinct points on a closed curve")
+        return ValueError("need at least 3 distinct points on a closed curve")
 
     moduli = np.abs(points)
     scale = float(np.max(moduli))
     if scale == 0.0:
-        raise OriginOnCurve(
-            "curve is identically zero",
-            WindingResult(index=None, min_distance=0.0, samples_used=n, origin_on_curve=True),
-        )
+        return OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, n, True))
     rel = policy.origin_rel_tol
     close = np.flatnonzero(moduli < rel * scale)
     if close.size:
-        raise _on_curve(moduli[close[0]], rel * scale, n)
+        return _on_curve(moduli[close[0]], rel * scale, n)
 
     # While no stop is possible, the pending splits are those of the newest
     # block. Once one is (it then stays possible), the replay over the merged
@@ -166,9 +192,9 @@ def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLIC
     while True:
         blocks.append(seg)
         splits += int(np.count_nonzero(seg["split"]))
-        low_leaf = float(np.min(seg["distance"][~seg["split"]], initial=low_leaf))
-        if evaluator is not None and n + splits <= policy.max_evaluations and min(low_leaf, low_mid) >= rel * top:
-            pending = np.flatnonzero(seg["split"])
+        low_leaf = float(np.minimum.reduce(seg["distance"][~seg["split"]], initial=low_leaf))
+        if refine and n + splits <= policy.max_evaluations and min(low_leaf, low_mid) >= rel * top:
+            pending = seg["split"].nonzero()[0]
         else:
             seg = _depth_first(blocks)
             blocks = [seg]
@@ -177,63 +203,48 @@ def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLIC
             scale_with = np.maximum.accumulate(np.fmax(mid, scale))
             scale_before = np.concatenate(([scale], scale_with[:-1]))
             over_budget = split & (n + before >= policy.max_evaluations)
-            if evaluator is None:
+            if not refine:
                 stops = split | (distance < rel * scale_before)
             else:
                 stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
             first = int(np.argmax(stops)) if stops.any() else None
-            pending = np.flatnonzero(split[:first] & np.isnan(mid[:first]))
+            pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
         if pending.size == 0:
             break
-        ta, tb, pa, pb = (seg[key][pending] for key in ("ta", "tb", "pa", "pb"))
-        tm = 0.5 * (ta + tb)
-        pm = np.asarray(evaluator(tm), dtype=complex)
-        modulus = np.abs(pm)
+        modulus, halves = yield tuple(seg[key][pending] for key in ("ta", "tb", "pa", "pb"))
         seg["mid"][pending] = modulus
         top = float(np.fmax.reduce(modulus, initial=top))
         low_mid = float(np.fmin.reduce(modulus, initial=low_mid))
-        seg = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
+        seg = halves
 
     if first is not None:
         evaluations = n + int(before[first])
         threshold = rel * scale_before[first]
         if not split[first]:
-            raise _on_curve(distance[first], threshold, evaluations)
-        if evaluator is None:
-            raise RefinementBudgetExceeded(
-                "segment needs refinement but no curve evaluator was provided"
-            )
+            return _on_curve(distance[first], threshold, evaluations)
+        if not refine:
+            return RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
         if over_budget[first]:
             if distance[first] < threshold:
-                raise _on_curve(distance[first], threshold, evaluations)
-            raise RefinementBudgetExceeded(
-                f"refinement exceeded {policy.max_evaluations} curve evaluations"
-            )
-        raise _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
+                return _on_curve(distance[first], threshold, evaluations)
+            return RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
+        return _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
 
     if low_leaf < rel * top:
-        raise _on_curve(low_leaf, rel * top, n + splits)
-    seg = _depth_first(blocks)
+        return _on_curve(low_leaf, rel * top, n + splits)
+    seg = _depth_first(blocks, ("increment", "split"))
     turns = float(np.sum(seg["increment"][~seg["split"]])) / (2.0 * math.pi)
     index = round(turns)
     if abs(turns - index) > policy.integer_tol:
-        raise RefinementBudgetExceeded(
-            f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer"
-        )
-    return WindingResult(
-        index=int(index),
-        min_distance=low_leaf,
-        samples_used=n + splits,
-        origin_on_curve=False,
-    )
+        return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer")
+    return WindingResult(index=int(index), min_distance=low_leaf, samples_used=n + splits, origin_on_curve=False)
 
 
 def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy = DEFAULT_POLICY):
     """The first level of :func:`winding_number` on each row of ``points``, a closed curve at ``params``.
 
-    Returns each row's index and ``min_distance``, a mask of the rows that
-    ``winding_number`` returns from that level unrefined (the values are
-    then bit for bit its own), and a map from a row to its first level.
+    Returns each row's index and ``min_distance``, a mask of the rows that ``winding_number`` returns from that
+    level unrefined (the values are then bit for bit its own), and a map from a row to its first level.
     """
     rows, n = points.shape
     # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped

@@ -4,10 +4,24 @@ import numpy as np
 
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
-from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, stable_roots
-from klstab.scheme import Scheme
+from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, stable_roots, upwind_blocks
+from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
 from klstab.simulator import SolutionField, _data_table
 from klstab.winding import DEFAULT_POLICY, kl_curve_evaluator, sample_kl_curve, winding_number
+
+
+def symbol(s: Scheme, xi):
+    """Amplification symbol ``sum_k a_k exp(i k xi)``; accepts arrays."""
+    xi_arr = np.asarray(xi, dtype=float)
+    values = _symbol_from_basis(_fourier_basis(xi_arr, s.r), s.a)
+    if np.isscalar(xi) or xi_arr.ndim == 0:
+        return complex(values)
+    return values
+
+
+def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
+    """Closed top-left ``m x m`` block ``A`` of the half-line update matrix of one pair."""
+    return upwind_blocks(s.a[None], bc.b[None])[0]
 
 
 def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances = DEFAULT_TOLS) -> complex:

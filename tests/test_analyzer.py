@@ -233,13 +233,14 @@ def _plain_bisection(bc_family, lo, hi, max_iter, n0=256):
 
 
 def _counting_analyze(monkeypatch):
+    """The pairs of each ``analyze_many`` call that ``bisect_stability_edge`` makes, one list per call."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return analyze(*args, **kwargs)
+    def counted(pairs, *args, **kwargs):
+        calls.append(list(pairs))
+        return analyze_many(pairs, *args, **kwargs)
 
-    monkeypatch.setattr(analyzer, "analyze", counted)
+    monkeypatch.setattr(analyzer, "analyze_many", counted)
     return calls
 
 
@@ -274,10 +275,13 @@ def test_bisect_stability_edge_matches_plain_bisection(monkeypatch):
         monkeypatch.undo()
         width = (hi - lo) / 2**max_iter
         assert abs(edge - oracle) <= width, (kd, d, lo, hi, edge, oracle)
-        # two endpoint verdicts and two that straddle the predicted flip; across the CFL-1 jump in
-        # the narrow bracket the verdict flips 1.6e-8 below the prediction, so steps and bisection add more
+        # one call decides the two endpoint verdicts and two that straddle the predicted flip; across the
+        # CFL-1 jump in the narrow bracket the verdict flips 1.6e-8 below the prediction, so steps and
+        # bisection add more, one verdict a call
         jump = (lo, hi) == (0.995, 1.005)
-        assert len(calls) <= (10 if jump else 4), (kd, d, lo, hi, len(calls))
+        rows = sum(len(pairs) for pairs in calls)
+        assert rows <= (10 if jump else 4) and len(calls[0]) == 4, (kd, d, lo, hi, rows)
+        assert jump or len(calls) == 1, (kd, d, lo, hi, len(calls))
     # across the jump the verdict flips just below CFL 1, where the stencil loses a_-2
     assert 1.0 - 1e-7 < edge < 1.0
 
@@ -301,18 +305,49 @@ def test_bisect_stability_edge_survives_a_missed_prediction(monkeypatch, miss):
     assert abs(edge - oracle) <= (hi - lo) / 2**max_iter, (edge, oracle)
 
 
-@pytest.mark.parametrize("fake_block", [
-    lambda s, bc: 0.5 * np.eye(bc.m),
-    lambda s, bc: np.full((bc.m, bc.m), np.nan),
+@pytest.mark.parametrize("fake_blocks", [
+    lambda a, b: 0.5 * np.eye(b.shape[2])[None],
+    lambda a, b: np.full((1, b.shape[2], b.shape[2]), np.nan),
 ], ids=["no-sign-change", "eigvals-raises"])
-def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_block):
+def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_blocks):
     lo, hi, max_iter = 1.45, 1.55, 8
     oracle = _plain_bisection(s2ilw3_family, lo, hi, max_iter)
-    monkeypatch.setattr(analyzer, "upwind_block", fake_block)
+    # the blocks of the rho(A) solve alone; the verdicts reduce their pairs in kl
+    monkeypatch.setattr(analyzer, "upwind_blocks", fake_blocks)
     calls = _counting_analyze(monkeypatch)
     edge = bisect_stability_edge(bw_family, s2ilw3_family, lo, hi, n0=256, max_iter=max_iter)
     assert edge == oracle
-    assert len(calls) == 2 + max_iter
+    assert [len(pairs) for pairs in calls] == [2] + [1] * max_iter
+
+
+def test_bisect_stability_edge_redoes_a_prediction_on_the_wrong_side(monkeypatch):
+    # rho(A) is mirrored about 1, so the ends where rho(A) < 1 are the unstable ones: the batched
+    # probes sit on the wrong side, and the search predicts again for the side the verdicts give
+    lo, hi, max_iter = 1.45, 1.55, 20
+    oracle = _plain_bisection(s2ilw3_family, lo, hi, max_iter)
+    blocks, predict, predictions = analyzer.upwind_blocks, analyzer._predict_flip, []
+
+    def mirrored(a, b):
+        rho = np.max(np.abs(np.linalg.eigvals(blocks(a, b))))
+        return (2.0 - rho) * np.eye(b.shape[2])[None]
+
+    def recorded(pair, x, end, *args):
+        predictions.append(end > x)
+        return predict(pair, x, end, *args)
+
+    monkeypatch.setattr(analyzer, "upwind_blocks", mirrored)
+    monkeypatch.setattr(analyzer, "_predict_flip", recorded)
+    edge = bisect_stability_edge(bw_family, s2ilw3_family, lo, hi, n0=256, max_iter=max_iter)
+    assert predictions == [False, True]
+    assert abs(edge - oracle) <= (hi - lo) / 2**max_iter, (edge, oracle)
+
+
+def test_s1ilw2_inside_the_unit_circle_band_is_never_strongly_stable():
+    # at CFL 1.5 - 1e-6 and 1.5 - 1e-7 both zeros of det(zI - A) have modulus 1 + 3.7e-7 and 1 + 3.7e-8,
+    # inside unit_circle_tol: the direct count is 0 and the winding count 2; the verdict must not be stable
+    for lam in (1.499999, 1.4999999):
+        verdict = analyze(make_beam_warming(lam), silw_condition(2, 1, 2, 0.0))
+        assert verdict.status is not StabilityStatus.STRONGLY_STABLE, (lam, verdict.notes)
 
 
 def test_verdict_json_roundtrip():

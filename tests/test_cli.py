@@ -235,6 +235,7 @@ def test_origin_tol_flag_changes_verdict(capsys):
 def test_library_errors_print_one_line(capsys):
     cases = [
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
+        (["sweep", "--lambda-grid", "0.5:0.7:0.1", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
         (["check", "--lambda", "0.7", "--silw", "4", "3"], "need 0 <= k_d <= d"),
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "-1"], "origin_tol must be positive"),
         (["check", "--lambda", "1e-13", "--silw", "2", "3"], "at CFL 1e-13 the trimmed stencil"),

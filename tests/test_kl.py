@@ -11,10 +11,9 @@ from klstab.kl import (
     k_matrix,
     reduce_boundary,
     stable_roots,
-    upwind_block,
 )
-from klstab.scheme import Scheme, make_beam_warming, symbol, validate
-from oracles import kl_det_direct, kl_det_explicit
+from klstab.scheme import Scheme, make_beam_warming, validate
+from oracles import kl_det_direct, kl_det_explicit, symbol, upwind_block
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]

@@ -7,10 +7,10 @@ from klstab.scheme import (
     make_beam_warming,
     _symbol_from_basis,
     scheme_from_descriptor,
-    symbol,
     symbol_basis,
     validate,
 )
+from oracles import symbol
 
 
 def test_beam_warming_half():

@@ -5,10 +5,9 @@ import pytest
 
 from klstab.analyzer import analyze
 from klstab.boundary import custom_condition, silw_condition
-from klstab.kl import upwind_block
 from klstab.scheme import Scheme, make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, march, run_ibvp, sigma_scan
-from oracles import full_width_march_group
+from oracles import full_width_march_group, upwind_block
 
 
 def test_zero_data_stays_zero():
@@ -140,6 +139,25 @@ def test_march_refuses_ten_million_steps_of_a_direct_run():
     good = IBVPRun(J=10, T=0.05 * (10**7 - 1), dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
     with pytest.raises(ValueError, match=r"^the final time T="):
         march(s, [(bc, good), (bc, run)])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("a", 0.0, r"^the advection velocity must be positive, got a=0\.0$"),
+    ("a", math.nan, r"^the advection velocity must be positive, got a=nan$"),
+    ("T", -1.0, r"^the final time must be positive, got T=-1\.0$"),
+    ("dt", math.nan, r"^dt=nan does not match lambda\*dx/a=0\.05$"),
+])
+def test_march_refuses_bad_fields_of_a_direct_run(field, value, message):
+    # from_cfl and march share their checks; a NaN fails them instead of slipping past a > test
+    s = make_beam_warming(0.5)
+    fields = dict(J=10, T=0.1, dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+    run = IBVPRun(**{**fields, field: value})
+    with pytest.raises(ValueError, match=message) as info:
+        run_ibvp(s, silw_condition(2, 2, 3, 0.0), run)
+    assert "\n" not in str(info.value)
+    if field != "dt":
+        with pytest.raises(ValueError, match=message):
+            IBVPRun.from_cfl(s, J=10, **{"T": 0.1, "a": 1.0, field: value})
 
 
 def test_runs_with_initial_data_compare_by_identity():

@@ -11,9 +11,11 @@ from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
 from klstab.winding import (
     RefinementPolicy,
     curve_to_csv,
+    first_pass,
     kl_curve_evaluator,
     sample_kl_curve,
     winding_number,
+    winding_numbers,
 )
 from oracles import winding_count
 
@@ -260,6 +262,81 @@ def test_evaluator_gets_only_new_parameters(orders, lam):
     assert np.unique(evaluated).size == evaluated.size
     if result is not None:
         assert sum(t.size for t in calls) == result.samples_used - curve.params.size
+
+
+def _bits(outcome):
+    """A walk's result with its float as bits, or the type, message and result of the error it stopped with."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome), _bits(getattr(outcome, "result", None))
+    if outcome is None:
+        return None
+    return outcome.index, float(outcome.min_distance).hex(), outcome.samples_used, outcome.origin_on_curve
+
+
+def _alone(curve, policy, evaluator, first_level=None):
+    try:
+        return winding_number(curve, policy, evaluator=evaluator, first_level=first_level)
+    except (OriginOnCurve, RefinementBudgetExceeded) as exc:
+        return exc
+
+
+def test_lockstep_walk_matches_each_curve_alone():
+    # random trigonometric curves beside the near-edge determinant curves, walked together: every row's result
+    # or error is bit for bit its own, and the walk takes one evaluator call a level of the deepest curve
+    rng = np.random.default_rng(11)
+    near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
+    policies = [RefinementPolicy(), RefinementPolicy(max_evaluations=1100),
+                RefinementPolicy(origin_rel_tol=1e-2, proximity_factor=10.0), RefinementPolicy(angle_threshold=0.3)]
+    kinds = set()
+    for trial in range(24):
+        fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0, 6)))]
+        stack = [(circle_curve(fn, int(rng.integers(3, 120))), fn) for fn in fns] + near_edge[: trial % 4]
+        order = rng.permutation(len(stack))
+        stack = [stack[k] for k in order]
+        policy = policies[trial % len(policies)]
+        refine = trial % 6 != 5
+        levels = [0] * len(stack)
+
+        def evaluate(rows, t):
+            out = np.empty(t.shape, dtype=complex)
+            for k in np.unique(rows):
+                levels[k] += 1
+                out[rows == k] = stack[k][1](t[rows == k])
+            return out
+
+        calls = []
+
+        def counted(rows, t):
+            calls.append(t)
+            return evaluate(rows, t)
+
+        def one(k):
+            return lambda t: evaluate(np.full(t.size, k), t)
+
+        expected = [_bits(_alone(curve, policy, one(k) if refine else None)) for k, (curve, _) in enumerate(stack)]
+        alone_levels = levels[:]
+        levels[:] = [0] * len(stack)
+        walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], policy,
+                                 counted if refine else None)
+        assert [_bits(outcome) for outcome in walked] == expected, trial
+        assert levels == alone_levels and len(calls) == max(levels, default=0), trial
+        assert all(t.size > 0 for t in calls)
+        kinds |= {outcome[0] if isinstance(outcome[0], type) else "ok" for outcome in expected}
+    assert kinds == {"ok", OriginOnCurve, RefinementBudgetExceeded}
+
+    # the determinant curves from their stacked first pass, as the verdict engine walks them
+    curves = [curve for curve, _ in near_edge]
+    params, points = curves[0].params, np.stack([curve.points for curve in curves])
+    expected = [_bits(_alone(curve, RefinementPolicy(), fn, first_pass(params, points)[3](i)))
+                for i, (curve, fn) in enumerate(near_edge)]
+
+    def evaluate(rows, t):
+        return np.concatenate([near_edge[k][1](t[rows == k]) for k in np.unique(rows)])
+
+    levels = first_pass(params, points)[3]
+    walked = winding_numbers([(params, row) for row in points], RefinementPolicy(), evaluate,
+                             [levels(i) for i in range(len(curves))])
+    assert [_bits(outcome) for outcome in walked] == expected
 
 
 def test_scale_invariance_of_kl_curve_index():
