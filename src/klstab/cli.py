@@ -263,7 +263,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             if key in config:
                 raise UsageError(f'config key "{key}" does not act on {args.command}')
         tols = _tolerances(args, config)
-        n0 = int(_merged(args, config, "samples", 1024, _NUMBER))
+        n0 = _merged(args, config, "samples", 1024, _NUMBER)
+        if type(n0) is not int:
+            raise UsageError(f'config key "samples" must be an integer, got {json.dumps(n0)}')
         out = _merged(args, config, "out", kind=_TEXT)
 
         scheme, boundary = _descriptors(args, config)

@@ -6,35 +6,23 @@ object can be threaded through the pipeline and overridden from the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs controlling root clustering, band classification and gating.
+    """Knobs controlling root clustering, band classification and gating; each must be positive and finite.
 
-    cluster_radius:
-        Roots of a polynomial closer than this are merged into one root with
-        summed multiplicity.
-    trim_rel:
-        Coefficients below ``trim_rel * max(|coeff|)`` are treated as zero
-        when normalizing polynomials and stencils.
-    unit_circle_tol:
-        Half-width of the ambiguity band around the unit circle used when
-        classifying roots as interior / on-circle / exterior; a boundary
-        zero lies on the symbol curve when a characteristic root there is
-        in this band.
-    origin_tol:
-        Relative closest-approach threshold for the winding computation; the
-        absolute threshold is ``origin_tol * max(|curve point|)``.
-    kernel_tol:
-        Relative size below which a kernel-vector component counts as zero
-        in the boundary-zero classification.
-    cauchy_tol:
-        Allowed excess of the sampled symbol modulus above 1 when checking
-        Cauchy stability.
-    consistency_tol:
-        Allowed residual in the consistency relations on the coefficients.
+    ``cluster_radius``: roots of a polynomial closer than this merge into one root with summed multiplicity.
+    ``trim_rel``: coefficients below ``trim_rel * max(|coeff|)`` count as zero when normalizing polynomials and
+    stencils. ``unit_circle_tol``: half-width of the ambiguity band around the unit circle that classifies roots as
+    interior, on-circle or exterior; a boundary zero lies on the symbol curve when a characteristic root there is in
+    this band. ``origin_tol``: relative closest-approach threshold of the winding computation, whose absolute
+    threshold is ``origin_tol * max(|curve point|)``. ``kernel_tol``: relative size below which a kernel-vector
+    component counts as zero in the boundary-zero classification. ``cauchy_tol``: allowed excess of the sampled
+    symbol modulus above 1 in the Cauchy stability check. ``consistency_tol``: allowed residual in the consistency
+    relations on the coefficients.
     """
 
     cluster_radius: float = 1e-7
@@ -48,8 +36,8 @@ class Tolerances:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value > 0.0:
-                raise ValueError(f"tolerance {f.name} must be positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"tolerance {f.name} must be positive and finite, got {value}")
 
 
 DEFAULT_TOLS = Tolerances()

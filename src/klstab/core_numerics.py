@@ -1,8 +1,7 @@
 """Complex polynomials: evaluation, root finding and root clustering.
 
-Degrees in this package stay in the single digits (stencil widths and
-boundary orders), so dense coefficient arrays, companion-matrix eigenvalues
-and quadratic-cost clustering are reliable and cheap.
+Degrees in this package stay in the single digits (stencil widths and boundary orders), so dense coefficient arrays,
+companion-matrix eigenvalues and quadratic-cost clustering are reliable and cheap.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ class ComplexPolynomial:
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or arrays."""
-        zarr = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(zarr)
-        for c in self.coeffs[::-1]:
-            acc = acc * zarr + c
-        return acc
+        return _horner(self.coeffs, np.asarray(z, dtype=complex))
 
     def derivative(self) -> "ComplexPolynomial":
         if self.coeffs.size <= 1:
@@ -54,17 +49,25 @@ class RootSet:
         return len(self.roots)
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomial with ascending ``coeffs`` at the complex array ``z``, by Horner's rule from a zero sum."""
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1].tolist():
+        acc = acc * z + c
+    return acc
+
+
 def _newton_refine(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:
     """Polish companion-matrix roots; keep a step only when it reduces |p|."""
-    p = ComplexPolynomial(coeffs)
-    dp = p.derivative()
+    coeffs, roots = np.asarray(coeffs, dtype=complex), np.asarray(roots, dtype=complex)
+    derivative = coeffs[1:] * np.arange(1, coeffs.size)
     for _ in range(passes):
-        pv = p(roots)
-        dv = dp(roots)
+        pv = _horner(coeffs, roots)
+        dv = _horner(derivative, roots)
         safe = np.abs(dv) > 1e-300
         step = np.where(safe, pv / np.where(safe, dv, 1.0), 0.0)
         candidate = roots - step
-        better = np.abs(p(candidate)) <= np.abs(pv)
+        better = np.abs(_horner(coeffs, candidate)) <= np.abs(pv)
         roots = np.where(better, candidate, roots)
     return roots
 
@@ -118,16 +121,12 @@ def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int],
     return tuple(merged)
 
 
-def poly_roots(
-    p,
-    cluster_radius: float = DEFAULT_TOLS.cluster_radius,
-    trim_rel: float = DEFAULT_TOLS.trim_rel,
-) -> RootSet:
+def poly_roots(p, cluster_radius: float = DEFAULT_TOLS.cluster_radius,
+               trim_rel: float = DEFAULT_TOLS.trim_rel) -> RootSet:
     """All complex roots of ``p``, clustered into representatives with multiplicity.
 
-    ``p`` may be a :class:`ComplexPolynomial` or a raw ascending coefficient
-    sequence. Raw input with a negligible leading coefficient is rejected so
-    the caller trims deliberately instead of silently losing a root.
+    ``p`` may be a :class:`ComplexPolynomial` or a raw ascending coefficient sequence. Raw input with a negligible
+    leading coefficient is rejected so the caller trims deliberately instead of silently losing a root.
     """
     if isinstance(p, ComplexPolynomial):
         coeffs = p.coeffs

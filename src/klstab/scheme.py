@@ -25,9 +25,8 @@ from .config import DEFAULT_TOLS, Tolerances
 class Scheme:
     """Totally upwind stencil ``(a_{-r}, ..., a_0)`` with its CFL number.
 
-    ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through
-    ``a[-1] = a_0``. Construction trims leading near-zero coefficients so the
-    non-degeneracy requirement on ``a_{-r}`` holds by representation.
+    ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through ``a[-1] = a_0``. Construction trims leading
+    near-zero coefficients so the non-degeneracy requirement on ``a_{-r}`` holds by representation.
     """
 
     a: np.ndarray
@@ -43,16 +42,17 @@ class Scheme:
         cls, coefficients: Iterable[float], lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel
     ) -> "Scheme":
         _check_cfl(lam)
-        arr = np.asarray(list(coefficients), dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"scheme coefficients must be finite, got {arr.tolist()}")
-        kept = np.flatnonzero(np.abs(arr) > trim_rel * np.max(np.abs(arr), initial=0.0))
-        if kept.size == 0:
+        values = [float(value) for value in coefficients]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"scheme coefficients must be finite, got {values}")
+        threshold = trim_rel * max(map(abs, values), default=0.0)
+        first = next((i for i, value in enumerate(values) if abs(value) > threshold), None)
+        if first is None:
             raise ValueError("a scheme needs a nonzero coefficient")
-        if arr.size - kept[0] < 2:
+        if len(values) - first < 2:
             raise ValueError(f"at CFL {lam} the trimmed stencil is the single coefficient a_0; "
                              "a scheme needs at least two")
-        return cls(arr[kept[0]:].copy(), float(lam))
+        return cls(np.array(values[first:]), float(lam))
 
     @property
     def r(self) -> int:
@@ -82,7 +82,6 @@ def make_beam_warming(lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel) -> Sc
     At ``lam = 1`` the leftmost coefficient vanishes and the stencil trims
     to the one-cell shift ``(1, 0)``.
     """
-    _check_cfl(lam)
     a_m2 = lam * (lam - 1.0) / 2.0
     a_m1 = lam * (2.0 - lam)
     a_0 = (lam - 1.0) * (lam - 2.0) / 2.0

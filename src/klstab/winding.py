@@ -1,25 +1,21 @@
 """Winding number of the origin for sampled closed curves, with insertion refinement.
 
-The zero count of the determinant outside the closed unit disk equals minus
-the winding index of the normalized determinant curve around the origin, so
-getting an integer reliably matters more than raw accuracy. The polygon
-angle sum is refined by inserting curve midpoints wherever a single turn is
-too large or a segment passes suspiciously close to the origin, within a
-fixed evaluation budget.
+The zero count of the determinant outside the closed unit disk equals minus the winding index of the normalized
+determinant curve around the origin, so getting an integer reliably matters more than raw accuracy. The polygon angle
+sum is refined by inserting curve midpoints wherever a single turn is too large or a segment passes suspiciously close
+to the origin, within a fixed evaluation budget.
 
-One numpy pass gives every segment its angle increment, distance to the
-origin and split flag. The flagged ones are refined one level at a time,
-several curves in lockstep: the midpoints of a level (near a stop, of part
-of it) of all open curves go to the evaluator in one array call. Running
-scalars show whether anything known so far could stop a curve's walk;
-only then are its levels merged into depth-first order to find the stop.
-The refined polygon, the evaluation count and the error are those of a
-depth-first walk that splits segments in parameter order.
+One numpy pass gives every segment its angle increment, distance to the origin and split flag. The open curves are
+refined together, one level at a time, as one frontier: a level of all of them is one block of arrays, its midpoints
+go to the evaluator in one call, and the curves' running scalars are arrays updated once a level. Only a curve that a
+known segment could stop has its levels merged into depth-first order, to find the stop. The refined polygon, the
+evaluation count and the error are those of a depth-first walk that splits segments in parameter order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -36,11 +32,10 @@ from .scheme import CurveSamples, Scheme
 class RefinementPolicy:
     """Controls for the adaptive winding computation.
 
-    A segment is split when its angle increment exceeds ``angle_threshold``
-    or its distance to the origin is below ``proximity_factor`` times its
-    length; splitting stops at ``max_evaluations`` total curve evaluations.
-    The origin counts as lying on the curve when the closest approach falls
-    below ``origin_rel_tol`` times the largest sampled modulus.
+    A segment is split when its angle increment exceeds ``angle_threshold`` or its distance to the origin is below
+    ``proximity_factor`` times its length; splitting stops at ``max_evaluations`` total curve evaluations. The origin
+    counts as lying on the curve when the closest approach falls below ``origin_rel_tol`` times the largest sampled
+    modulus.
     """
 
     max_evaluations: int = 2**16
@@ -72,7 +67,7 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
     # parameter of the point of the segment closest to the origin; 0 when degenerate;
     # explicit products, as in kl_det_stack, so stacked curves round like single ones
     t = np.divide(-np.multiply(pa, np.conjugate(d)).real, len2, out=np.zeros(len2.shape), where=len2 > 0.0)
-    distance = np.abs(pa + np.clip(t, 0.0, 1.0, out=t) * d)
+    distance = np.abs(pa + np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t) * d)  # np.clip, without its wrapper
     turn = np.multiply(pb, np.conjugate(pa))
     increment = np.arctan2(turn.imag, turn.real)
     sharp = (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
@@ -88,15 +83,24 @@ def _pairs(left, right) -> np.ndarray:
     return out
 
 
-def _depth_first(blocks, keys=None) -> dict:
-    """The segments of ``blocks`` (their ``keys``, by default all) merged in the order of the depth-first walk:
-    a split segment before its halves, the left half first, so ``ta`` ascending, then ``tb`` descending. A
-    single block (the first level, or one merged before) is already in that order."""
-    if len(blocks) == 1:
-        return blocks[0]
-    ta, tb = (np.concatenate([block[key] for block in blocks]) for key in ("ta", "tb"))
-    order = np.lexsort((-tb, ta))
-    return {key: np.concatenate([block[key] for block in blocks])[order] for key in keys or blocks[0]}
+_KEYS = ("ta", "tb", "pa", "pb", "increment", "distance", "split", "mid")
+
+
+def _depth_first(levels: list, k: int, keys, leaves: bool = False) -> dict:
+    """The segments (their ``keys``; only the leaves with ``leaves``) of curve ``k`` in the frontier blocks ``levels``,
+    in the order of the depth-first walk: a split segment before its halves, the left half first. That is ``ta``
+    ascending; the stable sort keeps a segment before the halves that share its ``ta``, and the first level, already
+    in order, is one run of it."""
+    lo, hi = levels[0]["rows"].searchsorted((k, k + 1))  # the first level holds one run of each curve
+    others = len(levels) > 1 and hi - lo < levels[0]["rows"].size  # refined levels may hold other curves
+    levels = [{key: levels[0][key][lo:hi] for key in {"ta", "split", "rows", *keys}}] + levels[1:]
+    ta = np.concatenate([level["ta"] for level in levels])
+    mine = ~np.concatenate([level["split"] for level in levels]) if leaves else np.ones(ta.size, dtype=bool)
+    if others:
+        mine &= np.concatenate([level["rows"] for level in levels]) == k
+    order = mine.nonzero()[0]
+    order = order[ta[order].argsort(kind="stable")]
+    return {key: np.concatenate([level[key] for level in levels])[order] for key in keys}
 
 
 def _on_curve(distance: float, threshold: float, evaluations: int) -> OriginOnCurve:
@@ -128,116 +132,130 @@ def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLIC
 def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: RefinementPolicy = DEFAULT_POLICY,
                     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
                     first_levels: Optional[Sequence[Optional[dict]]] = None) -> List[Union[WindingResult, Exception]]:
-    """The :func:`winding_number` of each closed curve ``(params, points)``, or its error, walked in lockstep:
+    """The :func:`winding_number` of each closed curve ``(params, points)`` (``params`` increasing), or its error,
+    returned unraised so that no traceback keeps the walk's arrays alive. The curves are walked as one frontier:
     each level, the pending midpoints of all open curves go to ``evaluator(rows, params)`` in one call, ``rows[i]``
-    naming the curve of ``params[i]``, and their halves through one segment pass. Each curve keeps its own stop
-    tests and replay, so its outcome is bit for bit the one it gets alone."""
+    naming the curve of ``params[i]``, and their halves through one segment pass. Each curve's outcome is bit for
+    bit the one it gets alone."""
     outcomes: List = [None] * len(curves)
-    walks = [_walk(params, points, policy, evaluator is not None, level)
-             for (params, points), level in zip(curves, first_levels or [None] * len(curves))]
-    requests = {}
-
-    def advance(k: int, sent) -> None:
-        try:
-            requests[k] = walks[k].send(sent)
-        except StopIteration as stop:
-            outcomes[k] = stop.value
-
-    for k in range(len(walks)):
-        advance(k, None)
-    while requests:
-        keys, parts, requests = list(requests), list(requests.values()), {}
-        sizes = [part[0].size for part in parts]
-        ta, tb, pa, pb = (arrays[0] if len(parts) == 1 else np.concatenate(arrays) for arrays in zip(*parts))
-        tm = 0.5 * (ta + tb)
-        pm = np.asarray(evaluator(np.array(keys).repeat(sizes), tm), dtype=complex)
-        modulus = np.abs(pm)
-        level = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
-        if len(keys) == 1:
-            advance(keys[0], (modulus, level))
+    rel, budget, refine = policy.origin_rel_tol, policy.max_evaluations, evaluator is not None
+    firsts, info = [], {}
+    for k, ((params, points), level) in enumerate(zip(curves, first_levels or [None] * len(curves))):
+        if params.size < 4:
+            outcomes[k] = ValueError("need at least 3 distinct points on a closed curve")
             continue
-        stop = 0
-        for k, size in zip(keys, sizes):
-            start, stop = stop, stop + size
-            advance(k, (modulus[start:stop], {key: value[2 * start:2 * stop] for key, value in level.items()}))
-    return outcomes
-
-
-def _walk(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy, refine: bool,
-          first_level: Optional[dict]):
-    """One curve's walk in :func:`winding_numbers`: a generator that yields the pending splits ``(ta, tb, pa, pb)``
-    of each level, is sent their midpoint moduli and halves, and returns the :class:`WindingResult` or the error
-    that stops it, unraised, so that no traceback keeps the walk's arrays alive."""
-    n = params.size
-    if n < 4:
-        return ValueError("need at least 3 distinct points on a closed curve")
-
-    moduli = np.abs(points)
-    scale = float(np.max(moduli))
-    if scale == 0.0:
-        return OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, n, True))
-    rel = policy.origin_rel_tol
-    close = np.flatnonzero(moduli < rel * scale)
-    if close.size:
-        return _on_curve(moduli[close[0]], rel * scale, n)
-
-    # While no stop is possible, the pending splits are those of the newest
-    # block. Once one is (it then stays possible), the replay over the merged
-    # blocks fixes the evaluation count and running scale of each segment up
-    # to the first unevaluated split and finds the first segment that stops
-    # the walk: a leaf by its distance, a split by its midpoint or the budget.
-    # Only the pending splits ahead of it are evaluated.
-    blocks, splits, top, low_mid, low_leaf, first = [], 0, scale, np.inf, np.inf, None
-    seg = first_level or _segments(params[:-1], params[1:], points[:-1], points[1:], policy)
-    while True:
-        blocks.append(seg)
-        splits += int(np.count_nonzero(seg["split"]))
-        low_leaf = float(np.minimum.reduce(seg["distance"][~seg["split"]], initial=low_leaf))
-        if refine and n + splits <= policy.max_evaluations and min(low_leaf, low_mid) >= rel * top:
-            pending = seg["split"].nonzero()[0]
+        moduli = np.abs(points)
+        scale = float(moduli.max())
+        close = (moduli < rel * scale).nonzero()[0]
+        if scale == 0.0:
+            outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, params.size, True))
+        elif close.size:
+            outcomes[k] = _on_curve(moduli[close[0]], rel * scale, params.size)
         else:
-            seg = _depth_first(blocks)
-            blocks = [seg]
-            split, mid, distance = seg["split"], seg["mid"], seg["distance"]
-            before = np.cumsum(split) - split
-            scale_with = np.maximum.accumulate(np.fmax(mid, scale))
-            scale_before = np.concatenate(([scale], scale_with[:-1]))
-            over_budget = split & (n + before >= policy.max_evaluations)
-            if not refine:
-                stops = split | (distance < rel * scale_before)
-            else:
-                stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
-            first = int(np.argmax(stops)) if stops.any() else None
-            pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
-        if pending.size == 0:
-            break
-        modulus, halves = yield tuple(seg[key][pending] for key in ("ta", "tb", "pa", "pb"))
-        seg["mid"][pending] = modulus
-        top = float(np.fmax.reduce(modulus, initial=top))
-        low_mid = float(np.fmin.reduce(modulus, initial=low_mid))
-        seg = halves
+            firsts.append(level or _segments(params[:-1], params[1:], points[:-1], points[1:], policy))
+            info[k] = params.size, scale
+    if not info:
+        return outcomes
 
-    if first is not None:
-        evaluations = n + int(before[first])
-        threshold = rel * scale_before[first]
-        if not split[first]:
-            return _on_curve(distance[first], threshold, evaluations)
-        if not refine:
-            return RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
-        if over_budget[first]:
-            if distance[first] < threshold:
-                return _on_curve(distance[first], threshold, evaluations)
-            return RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
-        return _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
+    # The frontier F is the newest level of every open curve, grouped by curve in ascending order, each group in
+    # parameter order and ending at ``bounds``; the ``g*`` arrays hold each group's running scalars. While they show
+    # that no stop is possible, a curve's pending splits are all its splits in F. Once one is (it stays possible),
+    # its levels are merged in depth-first order into ``slow[k]``, where the replay finds the first segment that
+    # stops the walk, and only the pending splits ahead of that segment are evaluated.
+    sizes = [first["ta"].size for first in firsts]
+    gk, bounds, spent = np.array(list(info)), np.array([0, *itertools.accumulate(sizes)]), max(sizes) + 1
+    F = {key: np.concatenate([first[key] for first in firsts]) for key in _KEYS} if len(firsts) > 1 else dict(firsts[0])
+    F["rows"], history, slow = gk.repeat(sizes), [F], {}
+    groom, gtop, glow_mid, glow_leaf = np.array([(budget - n, scale, np.inf, np.inf) for n, scale in info.values()]).T
+    while True:
+        split = F["split"]
+        at = split.nonzero()[0]
+        marks = at.searchsorted(bounds)
+        count = marks[1:] - marks[:-1]
+        groom -= count
+        spent += at.size  # no curve's budget test can fail while the largest n plus all splits so far fits
+        np.minimum(glow_leaf, np.minimum.reduceat(np.where(split, np.inf, F["distance"]), bounds[:-1]), out=glow_leaf)
+        fast = np.minimum(glow_leaf, glow_mid) >= rel * gtop
+        if spent > budget:
+            fast &= groom >= 0
+        if refine and all(fast.tolist()) and all(count.tolist()):
+            pending, (ta, tb, pa, pb, rows) = [(F, at)], (F[key][at] for key in ("ta", "tb", "pa", "pb", "rows"))
+        else:
+            pending, ends = [], bounds.tolist()
+            for g, k in enumerate(gk.tolist()):
+                if refine and fast[g]:
+                    pending.append((F, at[marks[g]:marks[g + 1]]))
+                    continue
+                if k in slow:  # the halves of its pending splits go in right after them
+                    (seg, after), size = slow[k], slow[k][0]["ta"].size
+                    index = np.insert(np.arange(size), after.repeat(2) + 1, np.arange(size, size + 2 * after.size))
+                    seg = {key: np.concatenate((seg[key], F[key][ends[g]:ends[g + 1]]))[index] for key in _KEYS}
+                else:
+                    seg = _depth_first(history, k, _KEYS)
+                seg, after, outcomes[k] = _replay(seg, *info[k], policy, refine)
+                slow[k], count[g] = (seg, after), after.size
+                pending.append((seg, after))
+            for g in (count == 0).nonzero()[0].tolist():
+                k, threshold, evaluations = int(gk[g]), rel * gtop[g], int(budget - groom[g])
+                if outcomes[k] is None and glow_leaf[g] < threshold:
+                    outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations)
+                elif outcomes[k] is None:
+                    leaves = slow[k][0]["increment"][~slow[k][0]["split"]] if k in slow else \
+                        _depth_first(history, k, ("increment",), leaves=True)["increment"]
+                    outcomes[k] = _result(leaves, float(glow_leaf[g]), evaluations, policy)
+            keep = count > 0
+            if not keep.any():
+                return outcomes
+            gk, groom, gtop, glow_mid, glow_leaf, count = (
+                array[keep] for array in (gk, groom, gtop, glow_mid, glow_leaf, count))
+            pending, marks = [part for part in pending if part[1].size], np.array([0, *itertools.accumulate(count)])
+            ta, tb, pa, pb = (np.concatenate([seg[key][at] for seg, at in pending]) for key in ("ta", "tb", "pa", "pb"))
+            rows = gk.repeat(count)
+        tm = 0.5 * (ta + tb)
+        pm = np.asarray(evaluator(rows, tm), dtype=complex)
+        modulus = np.abs(pm)
+        for (seg, at), start in zip(pending, itertools.accumulate([at.size for _, at in pending], initial=0)):
+            seg["mid"][at] = modulus[start:start + at.size]
+        gtop = np.fmax(gtop, np.fmax.reduceat(modulus, marks[:-1]))
+        glow_mid = np.fmin(glow_mid, np.fmin.reduceat(modulus, marks[:-1]))
+        F = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
+        F["rows"], bounds = rows.repeat(2), 2 * marks
+        history.append(F)
 
-    if low_leaf < rel * top:
-        return _on_curve(low_leaf, rel * top, n + splits)
-    seg = _depth_first(blocks, ("increment", "split"))
-    turns = float(np.sum(seg["increment"][~seg["split"]])) / (2.0 * math.pi)
+
+def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: bool):
+    """The depth-first replay of one curve's merged segments: those up to the first one that stops the walk (a stop
+    stays one, so what follows it never matters again; without an evaluator every split is one), the pending splits
+    ahead of it and, when none is, the error it stops the walk with."""
+    rel, split, mid, distance = policy.origin_rel_tol, seg["split"], seg["mid"], seg["distance"]
+    before = np.cumsum(split) - split
+    scale_with = np.maximum.accumulate(np.fmax(mid, scale))
+    scale_before = np.concatenate(([scale], scale_with[:-1]))
+    over_budget = split & (n + before >= policy.max_evaluations)
+    stops = np.where(split, over_budget | (mid < rel * scale_with) | (not refine), distance < rel * scale_before)
+    first = int(np.argmax(stops)) if stops.any() else None
+    pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
+    if pending.size or first is None:
+        return (seg if first is None else {key: value[:first + 1] for key, value in seg.items()}), pending, None
+    evaluations, threshold = n + int(before[first]), rel * scale_before[first]
+    if not split[first] or (refine and over_budget[first] and distance[first] < threshold):
+        error = _on_curve(distance[first], threshold, evaluations)
+    elif not refine:
+        error = RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
+    elif over_budget[first]:
+        error = RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
+    else:
+        error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
+    return seg, pending, error
+
+
+def _result(increments: np.ndarray, low_leaf: float, evaluations: int, policy: RefinementPolicy):
+    """The outcome of a walk that no segment stops, from its leaves' increments in depth-first order."""
+    turns = float(np.sum(increments)) / (2.0 * math.pi)
     index = round(turns)
     if abs(turns - index) > policy.integer_tol:
         return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer")
-    return WindingResult(index=int(index), min_distance=low_leaf, samples_used=n + splits, origin_on_curve=False)
+    return WindingResult(index=int(index), min_distance=low_leaf, samples_used=evaluations, origin_on_curve=False)
 
 
 def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy = DEFAULT_POLICY):
@@ -265,26 +283,20 @@ def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy 
     )
 
     def level(i: int) -> dict:
-        part = slice(i * n, (i + 1) * n - 1)
-        return dict({key: seg[key][part] for key in ("pa", "pb", "increment", "distance", "split", "mid")},
-                    ta=params[:-1], tb=params[1:])
+        return dict({key: seg[key][i * n:(i + 1) * n - 1] for key in _KEYS[2:]}, ta=params[:-1], tb=params[1:])
 
     return index, low, decided, level
 
 
 def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True) -> Callable:
-    """Parameter-to-point map for the determinant curve on the unit circle; vectorized.
-
-    With ``normalize`` the determinant is divided by ``z**r``, which shifts
-    the winding index so that the exterior zero count is simply its negative.
-    """
+    """Parameter-to-point map for the determinant curve on the unit circle; vectorized. With ``normalize`` the
+    determinant is divided by ``z**r``, which shifts the winding index so that the exterior zero count is simply its
+    negative."""
 
     def evaluate(theta):
         z = np.exp(1j * np.asarray(theta, dtype=float))
         value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, z)
-        if normalize:
-            value = value / z**rb.r
-        return value
+        return value / z**rb.r if normalize else value
 
     return evaluate
 

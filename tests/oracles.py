@@ -19,6 +19,44 @@ def symbol(s: Scheme, xi):
     return values
 
 
+def stencil_by_numpy(coefficients, lam, trim_rel: float = DEFAULT_TOLS.trim_rel) -> np.ndarray:
+    """The stencil ``Scheme.from_coefficients`` keeps, with its checks and messages, built as one float array and
+    checked and trimmed by numpy calls."""
+    arr = np.asarray(list(coefficients), dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"scheme coefficients must be finite, got {arr.tolist()}")
+    kept = np.flatnonzero(np.abs(arr) > trim_rel * np.max(np.abs(arr), initial=0.0))
+    if kept.size == 0:
+        raise ValueError("a scheme needs a nonzero coefficient")
+    if arr.size - kept[0] < 2:
+        raise ValueError(f"at CFL {lam} the trimmed stencil is the single coefficient a_0; "
+                         "a scheme needs at least two")
+    return arr[kept[0]:].copy()
+
+
+def newton_refine_by_polynomials(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:
+    """``core_numerics._newton_refine`` through polynomial objects: Horner over the numpy scalars of the
+    coefficients and of the derivative's coefficients, from a zero array each time."""
+
+    def horner(c, z):
+        zarr = np.asarray(z, dtype=complex)
+        acc = np.zeros_like(zarr)
+        for coefficient in np.asarray(c, dtype=complex)[::-1]:
+            acc = acc * zarr + coefficient
+        return acc
+
+    derivative = np.asarray(coeffs, dtype=complex)[1:] * np.arange(1, len(coeffs))
+    for _ in range(passes):
+        pv = horner(coeffs, roots)
+        dv = horner(derivative, roots)
+        safe = np.abs(dv) > 1e-300
+        step = np.where(safe, pv / np.where(safe, dv, 1.0), 0.0)
+        candidate = roots - step
+        better = np.abs(horner(coeffs, candidate)) <= np.abs(pv)
+        roots = np.where(better, candidate, roots)
+    return roots
+
+
 def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
     """Closed top-left ``m x m`` block ``A`` of the half-line update matrix of one pair."""
     return upwind_blocks(s.a[None], bc.b[None])[0]

@@ -238,6 +238,8 @@ def test_library_errors_print_one_line(capsys):
         (["sweep", "--lambda-grid", "0.5:0.7:0.1", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
         (["check", "--lambda", "0.7", "--silw", "4", "3"], "need 0 <= k_d <= d"),
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "-1"], "origin_tol must be positive"),
+        (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "inf"],
+         "tolerance origin_tol must be positive and finite, got inf"),
         (["check", "--lambda", "1e-13", "--silw", "2", "3"], "at CFL 1e-13 the trimmed stencil"),
     ]
     for argv, message in cases:
@@ -495,6 +497,7 @@ def test_gamma_tol_flag_is_gone(capsys):
     ([1, 2], "a config file must be a JSON object, got [1, 2]"),
     ({"tolerances": [1, 2]}, 'config key "tolerances" must be a JSON object, got [1, 2]'),
     ({"scheme": [1]}, 'config key "scheme" must be a JSON object, got [1]'),
+    ({"tolerances": {"cluster_radius": 1e400}}, "tolerance cluster_radius must be positive and finite, got inf"),
 ])
 def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
@@ -513,6 +516,8 @@ def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     (CHECK, {"samples": [1]}, 'config key "samples" must be a number, got [1]'),
     (["check", "--lambda", "0.7"], {"silw": 5}, 'config key "silw" must be two integers, got 5'),
     (["sweep", "--silw", "2", "3"], {"lambda-grid": 5}, 'config key "lambda-grid" must be a string, got 5'),
+    (CHECK, {"samples": 100.7}, 'config key "samples" must be an integer, got 100.7'),
+    (CHECK, {"samples": 1e400}, 'config key "samples" must be an integer, got Infinity'),
 ])
 def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, config, message):
     path = tmp_path / "config.json"

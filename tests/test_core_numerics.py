@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from klstab.core_numerics import ComplexPolynomial, _cluster, _union_find, poly_roots
+from klstab.core_numerics import ComplexPolynomial, _cluster, _newton_refine, _union_find, poly_roots
 from klstab.errors import DegenerateLeadingCoefficient
+from oracles import newton_refine_by_polynomials
 
 
 def test_eval_constant():
@@ -135,3 +136,19 @@ def test_cluster_vectorized_rows_match_union_find():
     for values in (rows, real, np.sort(real, axis=1)):
         # repr tells the signs of zeros apart
         assert repr(_cluster(values, 1e-7)) == repr([_union_find(row, 1e-7) for row in values])
+
+
+def test_newton_refine_matches_polynomial_objects_bit_for_bit(lagrange_upwind):
+    # the characteristic polynomials (a_{-r}, ..., a_{-1}, a_0 - z) of Lagrange stencils r = 1..4 at points on
+    # and off the unit circle; the refined roots are those of Horner through polynomial objects, bit for bit
+    rng = np.random.default_rng(41)
+    compared = 0
+    for r in range(1, 5):
+        for lam in rng.uniform(0.05, r, 10):
+            for z in np.concatenate((np.exp(2j * np.pi * rng.uniform(size=6)), [1.0, -1.0, 1.5j, 0.3 - 0.2j])):
+                coeffs = np.array(lagrange_upwind(r, float(lam)), dtype=complex)
+                coeffs[-1] -= z
+                raw = np.roots(coeffs[::-1])
+                assert _newton_refine(coeffs, raw).tobytes() == newton_refine_by_polynomials(coeffs, raw).tobytes()
+                compared += 1
+    assert compared == 400

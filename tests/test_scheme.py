@@ -10,7 +10,7 @@ from klstab.scheme import (
     symbol_basis,
     validate,
 )
-from oracles import symbol
+from oracles import stencil_by_numpy, symbol
 
 
 def test_beam_warming_half():
@@ -178,3 +178,32 @@ def test_cached_symbol_basis_is_read_only():
         basis[0, 0] = 0.0
     with pytest.raises(ValueError):
         xi[0] = 1.0
+
+
+def test_stencil_matches_numpy_construction_bit_for_bit(lagrange_upwind):
+    # Beam-Warming on a CFL grid with 1 and 1 +- 1e-13, where a_{-2} falls below the trim threshold, and
+    # Lagrange stencils r = 1..4; the stencil is the numpy construction's, bit for bit
+    lams = [float(lam) for lam in np.linspace(0.01, 2.0, 200)] + [1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1e-12]
+    for lam in lams:
+        coefficients = [lam * (lam - 1.0) / 2.0, lam * (2.0 - lam), (lam - 1.0) * (lam - 2.0) / 2.0]
+        expected = stencil_by_numpy(coefficients, lam)
+        assert make_beam_warming(lam).a.tobytes() == expected.tobytes(), lam
+        assert Scheme.from_coefficients(np.array(coefficients), lam).a.tobytes() == expected.tobytes(), lam
+    assert [make_beam_warming(lam).r for lam in lams[-4:-1]] == [1, 1, 1]
+    rng = np.random.default_rng(31)
+    for r in range(1, 5):
+        for lam in rng.uniform(0.05, r, 25):
+            coefficients = lagrange_upwind(r, float(lam))
+            assert Scheme.from_coefficients(coefficients, lam).a.tobytes() == \
+                stencil_by_numpy(coefficients, lam).tobytes()
+
+
+@pytest.mark.parametrize("coefficients, lam", [
+    ([np.nan, 0.5], 0.5), ([0.5, -np.inf], 0.5), ([0.0, 0.0, 0.0], 0.5), ([], 0.5), ([1e-13, 1.0], 1e-13),
+])
+def test_stencil_errors_match_numpy_construction(coefficients, lam):
+    with pytest.raises(ValueError) as expected:
+        stencil_by_numpy(coefficients, lam)
+    with pytest.raises(ValueError) as got:
+        Scheme.from_coefficients(coefficients, lam)
+    assert str(got.value) == str(expected.value)
