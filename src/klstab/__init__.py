@@ -16,8 +16,7 @@ from .scheme import AssumptionReport, CurveSamples, Scheme, make_beam_warming, s
 from .boundary import BoundaryCondition, assemble_B, boundary_from_descriptor, custom_condition, silw_condition
 from .kl import (ExteriorRootCount, ReducedBoundary, exterior_zero_count_direct, k_matrix, reduce_boundary,
                  stable_roots)
-from .winding import (RefinementPolicy, WindingResult, curve_to_csv, kl_curve_evaluator, sample_kl_curve,
-                      winding_number)
+from .winding import RefinementPolicy, WindingResult, curve_to_csv, sample_kl_curve, winding_number
 from .analyzer import (BoundaryZero, BoundaryZeroType, StabilityMap, StabilityStatus, StabilityVerdict, analyze,
                        analyze_many, bisect_stability_edge, classify_boundary_zero, sweep)
 from .simulator import GaussianPulse, IBVPRun, SigmaScan, SolutionField, run_ibvp, sigma_scan

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -22,11 +23,10 @@ import numpy as np
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
-from .errors import RefinementBudgetExceeded
 from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_boundary, reduce_stack
 from .kl import stable_roots, upwind_blocks
 from .scheme import AssumptionReport, Scheme, validate
-from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, kl_curve_evaluator
+from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass
 from .winding import sample_kl_curve, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
 from .kl import exterior_zero_count_direct  # noqa: F401
@@ -129,10 +129,10 @@ def classify_boundary_zero(
     return BoundaryZeroType.TYPE_IV
 
 
-# Cells decided by one stacked reduction and eigvals call. Their curves are sampled and
-# wound 8 rows at a time: an (8, n0 + 1) temporary stays near 128 KiB, where numpy gets
-# reused memory instead of fresh pages, which cost more than the arithmetic on them.
-_BLOCK, _CURVE_ROWS = 64, 8
+# Cells decided by one stacked reduction and eigvals call. Their curves are sampled and wound 4 rows at a time: a
+# (4, 1025) complex temporary (n0 = 1024) stays below glibc's 128 KiB mmap threshold, so numpy reuses heap memory
+# instead of faulting in fresh pages, which cost more than the arithmetic on them (8 rows took 128 bytes more).
+_BLOCK, _CURVE_ROWS = 64, 4
 
 # Errors that make a pair's outcome an error rather than a verdict
 _ROW_ERRORS = (KLStabError, ValueError, ArithmeticError)
@@ -156,7 +156,7 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
 
     Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
     by ``(r, m)`` and decided in stacked blocks; the curves whose first winding level needs a split or comes near
-    the origin are walked in lockstep, 8 at a time. Each verdict is bit for bit the one the pair gets alone.
+    the origin are walked in lockstep, 4 at a time. Each verdict is bit for bit the one the pair gets alone.
     """
     outcomes: List = [None] * len(pairs)
     reports, groups = {}, {}
@@ -186,7 +186,8 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
     try:
         blocks, det_c = reduce_stack(a, np.array([bc.b for _, _, bc, _ in block]))
         directs = exterior_counts(blocks, tols)
-        windings = _windings(det_c, a, n0, policy)
+        windings = [winding for start in range(0, len(a), _CURVE_ROWS) for winding in
+                    _windings(det_c[start:start + _CURVE_ROWS], a[start:start + _CURVE_ROWS], n0, policy)]
     except _ROW_ERRORS as exc:
         # a row whose factor a_{-r}^(-m) overflows, whose block is not finite, or whose curve raises fails
         # the stacked calls; alone, that is its error, and in a block the rows are decided one at a time
@@ -204,29 +205,26 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
 
 
 def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolicy) -> list:
-    """Each row's winding result or walk error, 8 rows at a time; rows the first pass leaves open walk together.
-    A chunk's arrays live until the next chunk's exist, so numpy reuses their memory: freed first, it went back
-    to the system and came back as fresh pages, and a new process swept about 15 % slower."""
-    r, windings = a.shape[1] - 1, []
-    for start in range(0, len(a), _CURVE_ROWS):
-        part = slice(start, start + _CURVE_ROWS)
-        params, points = sample_kl_curves(det_c[part], a[part, 0], a[part, -1], r, n0)
-        index, low, decided, level = first_pass(params, points, policy)
-        chunk = [WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if done else None
-                 for i, done in enumerate(decided.tolist())]
-        walk = [i for i, winding in enumerate(chunk) if winding is None]
-        if walk:
-            coeffs, lead, zero = det_c[part][walk], a[part][walk, 0], a[part][walk, -1]
+    """Each row's winding result or walk error; the rows the first pass leaves open walk together. Called a chunk
+    of rows at a time, so that a chunk's arrays are freed before the next chunk's are made and numpy reuses their
+    heap memory: kept until then, they cost a jobs-1 ``sigma-map`` sweep about 400 more minor faults and 8 %."""
+    r = a.shape[1] - 1
+    params, points = sample_kl_curves(det_c, a[:, 0], a[:, -1], r, n0)
+    index, low, decided, level = first_pass(params, points, policy)
+    chunk = [WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if done else None
+             for i, done in enumerate(decided.tolist())]
+    walk = [i for i, winding in enumerate(chunk) if winding is None]
+    if walk:
+        coeffs, lead, zero = det_c[walk], a[walk, 0], a[walk, -1]
 
-            def evaluate(rows, theta):
-                z = np.exp(1j * theta)[:, None]
-                return (kl_det_stack(coeffs[rows], lead[rows], zero[rows], r, z) / z**r)[:, 0]
+        def evaluate(rows, theta):
+            z = np.exp(1j * theta)[:, None]
+            return (kl_det_stack(coeffs[rows], lead[rows], zero[rows], r, z) / z**r)[:, 0]
 
-            curves, levels = [(params, points[i]) for i in walk], [level(i) for i in walk]
-            for i, winding in zip(walk, winding_numbers(curves, policy, evaluate, levels)):
-                chunk[i] = winding
-        windings += chunk
-    return windings
+        curves, levels = [(params, points[i]) for i in walk], [level(i) for i in walk]
+        for i, winding in zip(walk, winding_numbers(curves, policy, evaluate, levels)):
+            chunk[i] = winding
+    return chunk
 
 
 def _verdict(s, bc, report, det_c, direct, winding, tols) -> StabilityVerdict:
@@ -236,7 +234,7 @@ def _verdict(s, bc, report, det_c, direct, winding, tols) -> StabilityVerdict:
     if isinstance(winding, OriginOnCurve):
         status, winding = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, winding.result
         zeros = _classify_band_zeros(s, bc, det_c, direct, tols, notes)
-    elif isinstance(winding, RefinementBudgetExceeded):
+    elif isinstance(winding, Exception):  # a budget exceeded or a curve value that is not finite
         notes.append(f"winding failed: {winding}")
         status, winding = StabilityStatus.INCONCLUSIVE, None
     if winding is not None and not winding.origin_on_curve:
@@ -321,11 +319,11 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
     """Run the decision procedure over a parameter grid.
 
     The cells, in row-major order, are cut into contiguous chunks of ``max(1, cells // (4 * workers))``, and each
-    chunk is decided by one :func:`analyze_many` call, with one scheme built per CFL value. With ``jobs > 1`` the
-    chunks run in a pool of ``workers = min(jobs, cells)`` processes (the families must be picklable) and come back
+    chunk is decided by one :func:`analyze_many` call, with one scheme built per CFL value. Of ``workers = min(jobs,
+    cells, CPUs)`` processes, ``workers - 1`` form a pool (the families must be picklable) that gets every chunk; the
+    caller, walking from the last, decides each chunk the pool has not taken (its future cancels). The chunks join
     in order, so the result is identical for any parallelism degree. A cell whose families raise a
-    :class:`~klstab.errors.KLStabError`, or whose pair raises, is ``Inconclusive`` with count -1 instead of aborting
-    the sweep.
+    :class:`~klstab.errors.KLStabError`, or whose pair raises, is ``Inconclusive`` with count -1, not an abort.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -334,14 +332,17 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
     if lambda_grid.size == 0 or sigma_grid.size == 0:
         raise ValueError("grids must be nonempty")
     cells = [(float(lam), float(sig)) for lam in lambda_grid for sig in sigma_grid]
-    # the pool forks all its workers up front, so it gets no more than there are cells
-    workers = min(jobs, len(cells))
+    # the pool forks all its workers up front, so it gets no more than there are cells and CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(cells), cpus)
     size = max(1, len(cells) // (4 * workers))
     chunks = [cells[k:k + size] for k in range(0, len(cells), size)]
     decide = functools.partial(_sweep_chunk, scheme_family, bc_family, tols, n0)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [cell for chunk in pool.map(decide, chunks) for cell in chunk]
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(decide, chunk) for chunk in chunks]
+            mine = {k: decide(chunks[k]) for k in reversed(range(len(chunks))) if futures[k].cancel()}
+            results = [cell for k, future in enumerate(futures) for cell in (mine[k] if k in mine else future.result())]
     else:
         results = [cell for chunk in map(decide, chunks) for cell in chunk]
     shape = (lambda_grid.size, sigma_grid.size)
@@ -452,7 +453,9 @@ def _predict_flip(pair, x: float, end: float, tols: Tolerances, n0: int) -> floa
     def gap(lam: float) -> float:
         s, rb = reduced(lam)
         mu = min(np.linalg.eigvals(rb.block), key=lambda v: abs(abs(v) - 1.0))
-        return float(abs(kl_curve_evaluator(s, rb)(np.angle([mu]))[0])) / scale - tols.origin_tol
+        z = np.exp(1j * np.angle([mu]))  # the normalized curve at mu / |mu|
+        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, s.r, z) / z**s.r
+        return float(abs(value[0])) / scale - tols.origin_tol
 
     return _illinois(gap, x, end)
 

@@ -17,6 +17,7 @@ user matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -55,12 +56,6 @@ class BoundaryCondition:
         if len(self.g_plan) != self.r:
             raise ValueError("g_plan must have one entry per ghost row")
 
-    def ghost_row(self, j: int) -> np.ndarray:
-        """Extrapolation coefficients for ghost index ``j`` in ``-r .. -1``."""
-        if not -self.r <= j <= -1:
-            raise ValueError(f"ghost index {j} outside -r..-1")
-        return self.b[j + self.r]
-
     def restricted_to(self, new_r: int) -> "BoundaryCondition":
         """Fit to a scheme with ``new_r`` ghost points: keep rows ``-new_r .. -1``, never add any."""
         if new_r == self.r:
@@ -89,7 +84,8 @@ def silw_condition(r: int, k_d: int, d: int, sigma: float = 0.0) -> BoundaryCond
 
         b[j, s] = sum_{k = max(k_d, s)}^{d-1} (j+sigma)^k / k! * C(k, s) * (-1)^(k-s)
 
-    ``k_d = d`` leaves no extrapolation term, so ``b`` is the zero matrix.
+    ``k_d = d`` leaves no extrapolation term, so ``b`` is the zero matrix. The result is immutable and shared: every
+    call with equal arguments of the same types, and a zero ``sigma`` of the same sign, returns the same object.
     """
     if d < 1 or k_d > d:
         raise InvalidOrder(f"need 0 <= k_d <= d and d >= 1, got k_d={k_d}, d={d}")
@@ -99,7 +95,12 @@ def silw_condition(r: int, k_d: int, d: int, sigma: float = 0.0) -> BoundaryCond
         raise ValueError(f"need at least one ghost point, got r={r}")
     if not -0.5 <= sigma < 0.5:
         raise ValueError(f"sigma must lie in [-1/2, 1/2), got {sigma}")
+    return _silw_condition(r, k_d, d, sigma, math.copysign(1.0, sigma))
 
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _silw_condition(r: int, k_d: int, d: int, sigma: float, sign: float) -> BoundaryCondition:
+    """:func:`silw_condition` of checked arguments; ``sign``, that of ``sigma``, keeps 0.0 and -0.0 apart."""
     m = d
     b = np.zeros((r, m))
     plan = []

@@ -86,6 +86,7 @@ def parse_grid(text: str) -> np.ndarray:
     return np.round(a + step * np.arange(n), 12)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="klstab",

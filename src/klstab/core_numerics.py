@@ -30,11 +30,6 @@ class ComplexPolynomial:
         """Horner evaluation; accepts scalars or arrays."""
         return _horner(self.coeffs, np.asarray(z, dtype=complex))
 
-    def derivative(self) -> "ComplexPolynomial":
-        if self.coeffs.size <= 1:
-            return ComplexPolynomial(np.zeros(0, dtype=complex))
-        return ComplexPolynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
-
 
 @dataclass(frozen=True)
 class RootSet:

@@ -167,8 +167,9 @@ def kl_det_stack(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndarray) -> n
     acc = 0j
     for k in range(m, -1, -1):
         acc = np.multiply(acc, z) + coeffs[..., k, None]
-    prefactor = (np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)) ** (m - r)
-    return np.multiply(parity(r, m) * acc, prefactor)
+    base = np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)
+    # numpy's complex power returns its base unchanged for exponent 1, only slower
+    return np.multiply(parity(r, m) * acc, base if m - r == 1 else base ** (m - r))
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLIC
     midpoints, batched by refinement level, and without it any segment that needs refinement is a hard error.
     ``first_level`` is the first level of segments when :func:`first_pass` has built it. ``samples_used`` counts the
     evaluations of the depth-first walk alone. Raises :class:`OriginOnCurve` when the refined polygon comes closer
-    to the origin than the relative threshold, and :class:`RefinementBudgetExceeded` when the angle sum cannot be
-    trusted within the evaluation budget.
+    to the origin than the relative threshold, :class:`RefinementBudgetExceeded` when the angle sum cannot be
+    trusted within the evaluation budget, and ``ValueError`` when a sample or an evaluated midpoint is not finite.
     """
     if not curve.closed:
         raise ValueError("winding numbers are defined for closed curves only")
@@ -147,7 +147,9 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         moduli = np.abs(points)
         scale = float(moduli.max())
         close = (moduli < rel * scale).nonzero()[0]
-        if scale == 0.0:
+        if not math.isfinite(scale):
+            outcomes[k] = ValueError(f"curve is not finite at t={float(params[np.argmin(np.isfinite(moduli))])!r}")
+        elif scale == 0.0:
             outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, params.size, True))
         elif close.size:
             outcomes[k] = _on_curve(moduli[close[0]], rel * scale, params.size)
@@ -214,6 +216,8 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         tm = 0.5 * (ta + tb)
         pm = np.asarray(evaluator(rows, tm), dtype=complex)
         modulus = np.abs(pm)
+        if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
+            pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
         for (seg, at), start in zip(pending, itertools.accumulate([at.size for _, at in pending], initial=0)):
             seg["mid"][at] = modulus[start:start + at.size]
         gtop = np.fmax(gtop, np.fmax.reduceat(modulus, marks[:-1]))
@@ -244,6 +248,8 @@ def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: b
         error = RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
     elif over_budget[first]:
         error = RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
+    elif mid[first] < 0.0:
+        error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
     else:
         error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
     return seg, pending, error
@@ -252,8 +258,8 @@ def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: b
 def _result(increments: np.ndarray, low_leaf: float, evaluations: int, policy: RefinementPolicy):
     """The outcome of a walk that no segment stops, from its leaves' increments in depth-first order."""
     turns = float(np.sum(increments)) / (2.0 * math.pi)
-    index = round(turns)
-    if abs(turns - index) > policy.integer_tol:
+    index = np.rint(turns)
+    if not abs(turns - index) <= policy.integer_tol:  # nor when not finite
         return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer")
     return WindingResult(index=int(index), min_distance=low_leaf, samples_used=evaluations, origin_on_curve=False)
 
@@ -286,19 +292,6 @@ def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy 
         return dict({key: seg[key][i * n:(i + 1) * n - 1] for key in _KEYS[2:]}, ta=params[:-1], tb=params[1:])
 
     return index, low, decided, level
-
-
-def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True) -> Callable:
-    """Parameter-to-point map for the determinant curve on the unit circle; vectorized. With ``normalize`` the
-    determinant is divided by ``z**r``, which shifts the winding index so that the exterior zero count is simply its
-    negative."""
-
-    def evaluate(theta):
-        z = np.exp(1j * np.asarray(theta, dtype=float))
-        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, z)
-        return value / z**rb.r if normalize else value
-
-    return evaluate
 
 
 @functools.lru_cache(maxsize=8)

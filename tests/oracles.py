@@ -4,10 +4,40 @@ import numpy as np
 
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
-from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, stable_roots, upwind_blocks
+from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, stable_roots, upwind_blocks
 from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
 from klstab.simulator import SolutionField, _data_table
-from klstab.winding import DEFAULT_POLICY, kl_curve_evaluator, sample_kl_curve, winding_number
+from klstab.winding import DEFAULT_POLICY, sample_kl_curve, winding_number
+
+
+def ghost_row(bc: BoundaryCondition, j: int) -> np.ndarray:
+    """Extrapolation coefficients of ``bc`` for ghost index ``j`` in ``-r .. -1``."""
+    if not -bc.r <= j <= -1:
+        raise ValueError(f"ghost index {j} outside -r..-1")
+    return bc.b[j + bc.r]
+
+
+def kl_det_stack_by_power(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndarray) -> np.ndarray:
+    """``kl.kl_det_stack`` raising the prefactor to the power ``m - r`` for every ``m - r``, 1 included."""
+    m = coeffs.shape[-1] - 1
+    acc = 0j
+    for k in range(m, -1, -1):
+        acc = np.multiply(acc, z) + coeffs[..., k, None]
+    prefactor = (np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)) ** (m - r)
+    return np.multiply(parity(r, m) * acc, prefactor)
+
+
+def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True):
+    """Parameter-to-point map for the determinant curve on the unit circle; vectorized. With ``normalize`` the
+    determinant is divided by ``z**r``, which shifts the winding index so that the exterior zero count is simply its
+    negative."""
+
+    def evaluate(theta):
+        z = np.exp(1j * np.asarray(theta, dtype=float))
+        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, z)
+        return value / z**rb.r if normalize else value
+
+    return evaluate
 
 
 def symbol(s: Scheme, xi):

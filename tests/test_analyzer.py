@@ -1,4 +1,8 @@
+import functools
 import json
+import multiprocessing
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -18,7 +22,8 @@ from klstab.boundary import custom_condition, silw_condition
 from klstab.errors import IllConditionedKernel
 from klstab.kl import exterior_zero_count_direct, reduce_boundary, stable_roots
 from klstab.scheme import Scheme, make_beam_warming
-from klstab.winding import kl_curve_evaluator, sample_kl_curve, winding_number
+from klstab.winding import sample_kl_curve, winding_number
+from oracles import kl_curve_evaluator
 
 
 def bw_family(lam):
@@ -26,6 +31,13 @@ def bw_family(lam):
 
 
 def s2ilw3_family(lam, sigma):
+    return silw_condition(2, 2, 3, sigma)
+
+
+def s2ilw3_raising_at(bad_lam, lam, sigma):
+    """S2ILW3, except at CFL ``bad_lam``, where the family itself fails."""
+    if lam == bad_lam:
+        raise RuntimeError(f"no boundary at CFL {lam}")
     return silw_condition(2, 2, 3, sigma)
 
 
@@ -167,10 +179,11 @@ def test_sweep_grid_refinement_consistency():
 
 
 def test_sweep_pool_never_exceeds_cells(monkeypatch):
-    created = []
+    created, submitted, taken = [], [], []
 
     class InProcessPool:
-        """Records the requested pool size and runs the cells in this process."""
+        """Records the requested pool size; like a pool that has only taken the first chunk so far, it decides
+        that chunk in this process and leaves the others pending, for the caller to cancel."""
 
         def __init__(self, max_workers):
             created.append(max_workers)
@@ -181,18 +194,52 @@ def test_sweep_pool_never_exceeds_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = Future()
+            submitted.append(future)
+            if len(submitted) == 1:
+                taken.append(future)
+                future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(analyzer, "ProcessPoolExecutor", InProcessPool)
-    lams = [0.5, 1.4, 1.7]
+    lams = list(np.linspace(0.3, 1.9, 20))
     serial = sweep(bw_family, s2ilw3_family, lams, (0.0,), n0=256)
-    for cells, jobs, pools in ((1, 8, []), (3, 8, [3]), (3, 2, [2])):
-        created.clear()
-        result = sweep(bw_family, s2ilw3_family, lams[:cells], (0.0,), n0=256, jobs=jobs)
-        assert created == pools
-        np.testing.assert_array_equal(result.zero_counts, serial.zero_counts[:cells])
-        np.testing.assert_array_equal(result.statuses, serial.statuses[:cells])
+    # (cells, jobs, CPUs, pool sizes): the caller is one of the jobs, and jobs beyond the cells or CPUs start nothing
+    rows = ((1, 8, 8, []), (3, 8, 8, [2]), (3, 2, 8, [1]), (3, 8, 2, [1]), (20, 100000, 8, [7]), (3, 8, 1, []))
+    for cells, jobs, cpus, pools in rows:
+        for affinity in (True, False):  # the CPUs this process may use, or all of them where that is unknown
+            if affinity:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            else:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            created.clear(), submitted.clear(), taken.clear()
+            result = sweep(bw_family, s2ilw3_family, lams[:cells], (0.0,), n0=256, jobs=jobs)
+            assert created == pools
+            if pools:  # every chunk went to the pool, which decided the first; the caller decided the others
+                assert len(taken) == 1 and len(submitted) > 1 and all(future.done() for future in submitted)
+            else:
+                assert not submitted
+            np.testing.assert_array_equal(result.zero_counts, serial.zero_counts[:cells])
+            np.testing.assert_array_equal(result.statuses, serial.statuses[:cells])
+
+
+def test_sweep_leaves_no_process_behind():
+    sweep(bw_family, s2ilw3_family, [0.5, 1.4, 1.7], (0.0,), n0=256, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_family_error_is_the_same_for_any_jobs():
+    # three chunks of one cell: at jobs 2 the pool most likely decides the first and the caller the last
+    for bad in (0.5, 1.4):
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as excinfo:
+                sweep(bw_family, functools.partial(s2ilw3_raising_at, bad), [0.5, 0.75, 1.4], n0=256, jobs=jobs)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+            assert multiprocessing.active_children() == []
+        assert errors == [(RuntimeError, f"no boundary at CFL {bad}")] * 2
 
 
 def test_sweep_csv_schema():
@@ -373,6 +420,15 @@ def test_analyze_inconclusive_on_exhausted_refinement():
     )
     assert verdict.status is StabilityStatus.INCONCLUSIVE
     assert any("refinement exceeded" in note for note in verdict.notes)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinant overflows on purpose
+def test_analyze_inconclusive_on_a_curve_that_is_not_finite():
+    # extrapolation weights of 1e250 leave det C beyond the float range, and the curve with it
+    for weight in (1e250, 1e305):
+        verdict = analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), weight)))
+        assert verdict.status is StabilityStatus.INCONCLUSIVE and verdict.winding is None
+        assert verdict.notes == ("winding failed: curve is not finite at t=0.0",)
 
 
 def test_analyze_restricts_boundary_rows_at_unit_cfl():

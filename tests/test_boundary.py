@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from klstab import boundary
 from klstab.boundary import (
     assemble_B,
     boundary_from_descriptor,
@@ -8,6 +11,7 @@ from klstab.boundary import (
     silw_condition,
 )
 from klstab.errors import InvalidOrder
+from oracles import ghost_row
 
 
 def falling_factorial(s, q):
@@ -19,8 +23,8 @@ def falling_factorial(s, q):
 
 def test_s2ilw3_rows():
     bc = silw_condition(r=2, k_d=2, d=3, sigma=0.0)
-    np.testing.assert_allclose(bc.ghost_row(-1), [0.5, -1.0, 0.5])
-    np.testing.assert_allclose(bc.ghost_row(-2), [2.0, -4.0, 2.0])
+    np.testing.assert_allclose(ghost_row(bc, -1), [0.5, -1.0, 0.5])
+    np.testing.assert_allclose(ghost_row(bc, -2), [2.0, -4.0, 2.0])
 
 
 def test_s2ilw3_assembled_matrix():
@@ -37,7 +41,7 @@ def test_no_extrapolation_when_kd_equals_d():
 
 def test_sigma_offset_row():
     bc = silw_condition(r=2, k_d=2, d=3, sigma=0.25)
-    np.testing.assert_allclose(bc.ghost_row(-1), [0.28125, -0.5625, 0.28125])
+    np.testing.assert_allclose(ghost_row(bc, -1), [0.28125, -0.5625, 0.28125])
 
 
 def test_assemble_zero_matrix_single_row():
@@ -59,8 +63,8 @@ def test_ghost_rows_encode_second_difference():
     rng = np.random.default_rng(11)
     u = rng.normal(size=3)
     second_difference = u[2] - 2 * u[1] + u[0]
-    assert abs(bc.ghost_row(-1) @ u - 0.5 * second_difference) < 1e-14
-    assert abs(bc.ghost_row(-2) @ u - 2.0 * second_difference) < 1e-14
+    assert abs(ghost_row(bc, -1) @ u - 0.5 * second_difference) < 1e-14
+    assert abs(ghost_row(bc, -2) @ u - 2.0 * second_difference) < 1e-14
 
 
 def test_sigma_zero_matches_default_exactly():
@@ -114,11 +118,43 @@ def test_invalid_orders():
         silw_condition(r=2, k_d=1, d=2, sigma=0.5)
 
 
+def test_silw_condition_is_shared_and_equals_a_fresh_build():
+    args = [(2, 2, 3, 0.0), (2, 2, 3, -0.0), (2, 2, 3, 0), (2, 1, 4, 0.25), (3, 2, 3, -0.5), (1, 1, 2, 0.49)]
+    cached = [silw_condition(*a) for a in args]
+    assert all(silw_condition(*a) is bc for a, bc in zip(args, cached))
+    # equal keys of other types, and zeros of the other sign, get their own entries
+    assert len({id(bc) for bc in cached}) == len(args)
+    assert silw_condition(np.int64(2), 2, 3, 0.0) is not cached[0]
+    boundary._silw_condition.cache_clear()
+    for a, bc in zip(args, cached):
+        fresh = silw_condition(*a)
+        assert fresh is not bc
+        assert fresh.b.tobytes() == bc.b.tobytes() and repr(fresh.g_plan) == repr(bc.g_plan)
+        assert (fresh.r, fresh.m, fresh.source) == (bc.r, bc.m, bc.source)
+        assert fresh.sigma == bc.sigma and math.copysign(1.0, fresh.sigma) == math.copysign(1.0, a[3])
+    assert cached[1].source == "S2ILW3 (sigma=-0.0)" and cached[2].source == "S2ILW3 (sigma=0)"
+
+
+def test_silw_condition_checks_every_call():
+    silw_condition(2, 2, 3, 0.0)
+    for _ in range(2):
+        with pytest.raises(InvalidOrder):
+            silw_condition(2, 4, 3)
+        with pytest.raises(ValueError):
+            silw_condition(0, 1, 2)
+        for sigma in (0.5, -0.51, float("nan")):
+            with pytest.raises(ValueError):
+                silw_condition(2, 2, 3, sigma)
+        # 2.0 does not share the entry of 2: a float ghost count fails to build a matrix
+        with pytest.raises(TypeError):
+            silw_condition(2.0, 2, 3, 0.0)
+
+
 def test_restrict_rows_keeps_innermost_ghosts():
     bc = silw_condition(r=2, k_d=2, d=3, sigma=0.0)
     one = bc.restricted_to(1)
     assert one.r == 1
-    np.testing.assert_allclose(one.ghost_row(-1), bc.ghost_row(-1))
+    np.testing.assert_allclose(ghost_row(one, -1), ghost_row(bc, -1))
     assert bc.restricted_to(2) is bc
     with pytest.raises(ValueError, match="boundary condition has 2 ghost rows, scheme needs 3"):
         bc.restricted_to(3)
@@ -126,7 +162,7 @@ def test_restrict_rows_keeps_innermost_ghosts():
 
 def test_descriptor_forms():
     bc = boundary_from_descriptor({"silw": {"kd": 2, "d": 3, "sigma": 0.0}}, r=2)
-    np.testing.assert_allclose(bc.ghost_row(-1), [0.5, -1.0, 0.5])
+    np.testing.assert_allclose(ghost_row(bc, -1), [0.5, -1.0, 0.5])
     bc2 = boundary_from_descriptor({"custom": {"b": [[0.0, 0.0]]}}, r=1)
     assert bc2.m == 2
     # a custom matrix keeps its innermost rows for a narrower scheme

@@ -33,7 +33,6 @@ def test_arithmetic_sanity():
     q = ComplexPolynomial([-1.0, 1.0])
     assert ComplexPolynomial(p.coeffs + q.coeffs).coeffs.tolist() == [0.0, 3.0]
     assert ComplexPolynomial(np.convolve(p.coeffs, q.coeffs)).coeffs.tolist() == [-1.0, -1.0, 2.0]
-    assert p.derivative().coeffs.tolist() == [2.0]
 
 
 def test_roots_factored_quadratic():

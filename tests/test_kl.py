@@ -9,11 +9,13 @@ from klstab.kl import (
     ReducedBoundary,
     exterior_zero_count_direct,
     k_matrix,
+    kl_det_stack,
     reduce_boundary,
+    reduce_stack,
     stable_roots,
 )
 from klstab.scheme import Scheme, make_beam_warming, validate
-from oracles import kl_det_direct, kl_det_explicit, symbol, upwind_block
+from oracles import kl_det_direct, kl_det_explicit, kl_det_stack_by_power, symbol, upwind_block
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
@@ -521,3 +523,24 @@ def test_exterior_count_all_roots_at_origin():
     assert result.count == 0
     assert not result.boundary_band
     assert result.interior[0][1] == 3
+
+
+def test_det_stack_matches_the_power_of_every_exponent_bit_for_bit():
+    # exponent 1 skips the power; the values are those of numpy's complex power, signs of zeros included
+    rng = np.random.default_rng(5)
+    z = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 257))
+    z[::16] = np.round(z[::16])  # exact points 1, i, -1, -i
+    for _ in range(200):
+        r, excess, pairs = int(rng.integers(1, 4)), int(rng.integers(-1, 4)), int(rng.integers(1, 6))
+        m = max(r + excess, 1)
+        coeffs = rng.normal(size=(pairs, m + 1)) + 1j * rng.normal(size=(pairs, m + 1)) * rng.integers(0, 2)
+        lead, zero = rng.normal(size=pairs), rng.uniform(-1.0, 1.0, size=pairs)
+        for points in (z, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(pairs, 1)))):
+            got = kl_det_stack(coeffs, lead, zero, r, points)
+            assert got.tobytes() == kl_det_stack_by_power(coeffs, lead, zero, r, points).tobytes()
+    for kd, d in PRESETS:
+        schemes = [make_beam_warming(lam) for lam in np.linspace(0.05, 1.95, 39) if abs(lam - 1.0) > 1e-6]
+        a = np.array([s.a for s in schemes])
+        _, det_c = reduce_stack(a, np.array([silw_condition(2, kd, d, 0.0).b] * len(schemes)))
+        got = kl_det_stack(det_c, a[:, 0], a[:, -1], 2, z)
+        assert got.tobytes() == kl_det_stack_by_power(det_c, a[:, 0], a[:, -1], 2, z).tobytes()

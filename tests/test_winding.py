@@ -10,14 +10,14 @@ from klstab.kl import exterior_zero_count_direct, reduce_boundary
 from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
 from klstab.winding import (
     RefinementPolicy,
+    _result,
     curve_to_csv,
     first_pass,
-    kl_curve_evaluator,
     sample_kl_curve,
     winding_number,
     winding_numbers,
 )
-from oracles import winding_count
+from oracles import kl_curve_evaluator, winding_count
 
 AGREEMENT_PRESETS = [(1, 2), (2, 3), (1, 3)]
 
@@ -215,6 +215,81 @@ def assert_matches_reference(curve, policy, evaluator):
     if len(got) > 2:
         assert got[2] == pytest.approx(expected[2], rel=1e-9, abs=1e-300)
     return got[0]
+
+
+def test_a_midpoint_that_is_not_finite_ends_the_walk():
+    # the curve passes 1e-3 from the origin at t = 0, and the evaluator gives NaN within 0.01 of t = 0.02
+    calls = []
+
+    def holed(t):
+        calls.append(t.size)
+        if len(calls) > 3000:
+            raise RuntimeError("still walking")
+        return np.where(np.abs(t - 0.02) < 0.01, np.nan, np.exp(1j * t) - 0.999)
+
+    with pytest.raises(ValueError, match="curve is not finite at t=") as excinfo:
+        winding_number(circle_curve(lambda t: np.exp(1j * t) - 0.999, 64), evaluator=holed)
+    assert 0.01 < float(str(excinfo.value).split("t=")[1]) < 0.03
+    assert len(calls) <= 10 and 65 + sum(calls) <= RefinementPolicy().max_evaluations
+
+
+class NotFinite(Exception):
+    pass
+
+
+OUTCOME_TYPES = {"ok": "WindingResult", "origin": "OriginOnCurve", "budget": "RefinementBudgetExceeded",
+                 "not finite": "ValueError"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on infinities
+def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_meets_it():
+    # a sample that is not finite is an error before any walk; a midpoint is one where the depth-first walk
+    # evaluates it, unless a stop comes first; a stack of curves gives each curve its own outcome
+    rng = np.random.default_rng(13)
+    outcomes = set()
+    for _ in range(300):
+        fn, bad = random_trig_curve(rng), complex(rng.choice([np.nan, np.inf, -np.inf]), rng.choice([0.0, np.nan]))
+        centre, width = rng.uniform(0.0, 2.0 * np.pi), 10.0 ** rng.uniform(-3, 0)
+        holed = lambda t, fn=fn, bad=bad, c=centre, w=width: np.where(np.abs(t - c) < w, bad, fn(t))
+        n = int(rng.integers(3, 120))
+        curve = circle_curve(holed, n)
+        policy = RefinementPolicy(max_evaluations=int(rng.choice([n + 40, 4096])),
+                                  origin_rel_tol=float(rng.choice([1e-8, 1e-2])))
+
+        def reference_evaluator(t, holed=holed):
+            value = holed(t)
+            if not np.isfinite(value).all():
+                raise NotFinite(float(t[0]))
+            return value
+
+        unfinite = ~np.isfinite(curve.points)
+        try:
+            expected = ("not finite", float(curve.params[unfinite.argmax()])) if unfinite.any() else \
+                depth_first_reference(curve, policy, reference_evaluator)[:2]
+        except NotFinite as exc:
+            expected = ("not finite", exc.args[0])
+        try:
+            result = winding_number(curve, policy, evaluator=holed)
+            got = ("ok", result.samples_used)
+        except OriginOnCurve as exc:
+            got = ("origin", exc.result.samples_used)
+        except RefinementBudgetExceeded:
+            got = ("budget",)
+        except ValueError as exc:
+            got = ("not finite", float(str(exc).split("t=")[1]))
+        assert got == expected, (got, expected)
+        outcomes.add(got[0])
+        stacked = winding_numbers([(curve.params, curve.points), (curve.params, fn(curve.params))], policy,
+                                  lambda rows, t: np.where(rows == 0, holed(t), fn(t)))
+        alone = winding_numbers([(curve.params, fn(curve.params))], policy, lambda rows, t: fn(t))
+        assert repr(stacked[1]) == repr(alone[0]) and type(stacked[0]).__name__ == OUTCOME_TYPES[got[0]]
+    assert outcomes == {"ok", "origin", "budget", "not finite"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on infinities
+def test_a_leaf_increment_that_is_not_finite_is_an_error_not_a_crash():
+    for increments in ([np.nan, 1.0], [np.inf, -np.inf], [np.inf]):
+        assert isinstance(_result(np.array(increments), 1.0, 10, RefinementPolicy()), RefinementBudgetExceeded)
 
 
 # Beam-Warming CFL numbers within about 1e-8 of a stability edge, where the
