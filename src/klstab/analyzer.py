@@ -23,14 +23,12 @@ import numpy as np
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
-from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_boundary, reduce_stack
-from .kl import stable_roots, upwind_blocks
+from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots, upwind_blocks
 from .scheme import AssumptionReport, Scheme, validate
-from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass
-from .winding import sample_kl_curve, sample_kl_curves, winding_numbers
+from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
-from .kl import exterior_zero_count_direct  # noqa: F401
-from .winding import winding_number  # noqa: F401
+from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
+from .winding import sample_kl_curve, winding_number  # noqa: F401
 
 
 class StabilityStatus(str, Enum):
@@ -151,12 +149,14 @@ def analyze(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS, n
 
 
 def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
-                 policy: RefinementPolicy = DEFAULT_POLICY) -> List[Union[StabilityVerdict, Exception]]:
+                 policy: RefinementPolicy = DEFAULT_POLICY, *,
+                 classify: bool = True) -> List[Union[StabilityVerdict, Exception]]:
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
     Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
     by ``(r, m)`` and decided in stacked blocks; the curves whose first winding level needs a split or comes near
-    the origin are walked in lockstep, 4 at a time. Each verdict is bit for bit the one the pair gets alone.
+    the origin are walked in lockstep, 4 at a time. Each verdict is bit for bit the one the pair gets alone;
+    ``classify=False`` leaves the zeros of an ``UnstableBoundaryZero`` verdict unclassified, ``boundary_zeros`` empty.
     """
     outcomes: List = [None] * len(pairs)
     reports, groups = {}, {}
@@ -174,11 +174,11 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
     policy = replace(policy, origin_rel_tol=tols.origin_tol)
     for rows in groups.values():
         for start in range(0, len(rows), _BLOCK):
-            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, policy)
+            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, policy, classify)
     return outcomes
 
 
-def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: RefinementPolicy) -> None:
+def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: RefinementPolicy, classify: bool) -> None:
     """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
     if n0 < 64:  # an error of the call, not of a row
         raise ValueError("n0 must be at least 64")
@@ -195,11 +195,11 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
             outcomes[block[0][0]] = exc
         else:
             for row in block:
-                _decide_block([row], outcomes, tols, n0, policy)
+                _decide_block([row], outcomes, tols, n0, policy, classify)
         return
     for (k, s, bc, report), det, direct, winding in zip(block, det_c, directs, windings):
         try:
-            outcomes[k] = _verdict(s, bc, report, det, direct, winding, tols)
+            outcomes[k] = _verdict(s, bc, report, det, direct, winding, tols, classify)
         except _ROW_ERRORS as exc:
             outcomes[k] = exc
 
@@ -227,13 +227,13 @@ def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolic
     return chunk
 
 
-def _verdict(s, bc, report, det_c, direct, winding, tols) -> StabilityVerdict:
+def _verdict(s, bc, report, det_c, direct, winding, tols, classify) -> StabilityVerdict:
     """The verdict of a validated pair from its ``det C`` coefficients, its direct count and its winding
-    result, or the error that stopped its winding walk."""
+    result, or the error that stopped its winding walk; its boundary zeros are classified with ``classify``."""
     zeros, notes, count = (), [], None
     if isinstance(winding, OriginOnCurve):
         status, winding = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, winding.result
-        zeros = _classify_band_zeros(s, bc, det_c, direct, tols, notes)
+        zeros = _classify_band_zeros(s, bc, det_c, direct, tols, notes) if classify else ()
     elif isinstance(winding, Exception):  # a budget exceeded or a curve value that is not finite
         notes.append(f"winding failed: {winding}")
         status, winding = StabilityStatus.INCONCLUSIVE, None
@@ -361,29 +361,31 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     """Locate a stability transition between two CFL values with differing strong-stability verdicts.
 
     The result brackets the ``analyze`` verdict flip to ``width = |lam_b - lam_a| / 2**max_iter``.
-    :func:`_predict_flip` predicts the flip near where ``rho(A)`` crosses 1, on the side where it is below
-    1. One :func:`analyze_many` call decides both ends, a point ``0.45 * width`` short of the prediction and
-    a step of ``0.9 * width`` from it; the search then steps (growing eightfold) and bisects as if it asked
-    for one verdict at a time, using a verdict decided ahead only at its own CFL value. A prediction for the
-    wrong side is made again; one that raises is replaced by the crossing; without a crossing, the whole
-    bracket is bisected.
+    :func:`_predict_flip` predicts the flip near where ``rho(A)`` crosses 1, on the side where it is below 1; both
+    root solves read one spectrum of ``A`` per CFL value. One :func:`analyze_many` call decides both ends, a point
+    ``0.45 * width`` short of the prediction and a step of ``0.9 * width`` from it; the search then steps (growing
+    eightfold) and bisects as if it asked for one verdict at a time, using a verdict decided ahead only at its own
+    CFL value, and reading only its status (zeros unclassified). A prediction for the wrong side is made again;
+    one that raises is replaced by the crossing; without a crossing, the whole bracket is bisected.
     """
     pair = functools.lru_cache(maxsize=None)(lambda lam: (scheme_family(lam), bc_family(lam, sigma)))
     known: dict = {}
 
+    @functools.lru_cache(maxsize=None)
+    def spectrum(lam: float):
+        s, bc = pair(lam)
+        return s, np.linalg.eigvals(upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0])
+
     def stable(lam: float) -> bool:
         if lam not in known:
-            (known[lam],) = analyze_many([pair(lam)], tols, n0)
+            (known[lam],) = analyze_many([pair(lam)], tols, n0, classify=False)
         verdict = known[lam]
         if isinstance(verdict, Exception):
             raise verdict
         return verdict.status is StabilityStatus.STRONGLY_STABLE
 
-    @functools.lru_cache(maxsize=None)
     def excess(lam: float) -> float:
-        s, bc = pair(lam)
-        block = upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0]
-        return float(np.max(np.abs(np.linalg.eigvals(block)))) - 1.0
+        return float(np.max(np.abs(spectrum(lam)[1]))) - 1.0
 
     lo, hi = float(lam_a), float(lam_b)
     width = abs(hi - lo) / 2**max_iter
@@ -394,7 +396,7 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
         toward = 1.0 if stable_end > x else -1.0
         end = x + toward * min(1e-5, abs(stable_end - x))
         try:
-            flip = _predict_flip(pair, x, end, tols, n0)
+            flip = _predict_flip(spectrum, x, end, tols, n0)
         except _ROW_ERRORS:
             flip = x
         return flip - toward * 0.45 * width
@@ -412,7 +414,7 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
         if abs(stable_end - start) > step:
             # the first step, taken when the verdict at start is the unstable one that the prediction expects
             lams.append(start + (step if stable_end > start else -step))
-    known.update(zip(lams, analyze_many([pair(lam) for lam in lams], tols, n0)))
+    known.update(zip(lams, analyze_many([pair(lam) for lam in lams], tols, n0, classify=False)))
     sa, sb = stable(lam_a), stable(lam_b)
     if sa == sb:
         raise ValueError(f"no transition: both endpoints have stable={sa}")
@@ -438,25 +440,24 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     return 0.5 * (lo + hi)
 
 
-def _predict_flip(pair, x: float, end: float, tols: Tolerances, n0: int) -> float:
-    """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve of ``pair(lam)``
-    at ``mu / |mu|`` (``mu`` the block eigenvalue nearest the circle) is ``origin_tol`` times its largest first-pass
-    sample at ``x`` from the origin, where the winding's origin test stops firing; ``ValueError`` if none is."""
+def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> float:
+    """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve ``D`` at
+    ``mu / |mu|`` (``mu`` the eigenvalue of ``A`` nearest the circle) is ``origin_tol`` times its largest first-pass
+    sample at ``x`` from the origin, where the winding's origin test stops firing; ``ValueError`` if none is, an
+    ``ArithmeticError`` if ``|D|`` leaves the float range. ``spectrum(lam)`` gives the scheme and the eigenvalues
+    ``mu_j`` of ``A``: ``det(zI - A) = prod(z - mu_j)``, times the prefactors of :func:`kl_det_stack`, over ``z**r``."""
 
-    @functools.lru_cache(maxsize=None)
-    def reduced(lam: float):
-        s, bc = pair(lam)
-        return s, reduce_boundary(s, bc.restricted_to(s.r), tols)
-
-    scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0).points)))
+    def modulus(lam: float, z: np.ndarray) -> np.ndarray:
+        s, mu = spectrum(lam)
+        lead, m = abs(s.a_lead), mu.size
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return np.prod(np.abs(z[:, None] - mu), axis=1) / lead**m * (lead / np.abs(s.a_zero - z)) ** (m - s.r)
 
     def gap(lam: float) -> float:
-        s, rb = reduced(lam)
-        mu = min(np.linalg.eigvals(rb.block), key=lambda v: abs(abs(v) - 1.0))
-        z = np.exp(1j * np.angle([mu]))  # the normalized curve at mu / |mu|
-        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, s.r, z) / z**s.r
-        return float(abs(value[0])) / scale - tols.origin_tol
+        mu = min(spectrum(lam)[1], key=lambda v: abs(abs(v) - 1.0))
+        return float(modulus(lam, np.exp(1j * np.angle([mu])))[0]) / scale - tols.origin_tol
 
+    scale = float(np.max(modulus(x, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n0 + 1)))))
     return _illinois(gap, x, end)
 
 

@@ -76,6 +76,12 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
                 mid=np.full(length.shape, np.nan))
 
 
+def _unit(scale: float) -> float:
+    """The power of two a curve with largest modulus ``scale`` is walked divided by, as its segment arithmetic
+    overflows beyond about 1e154 and underflows below about 1e-154; 1 in range, at 0 and when not finite."""
+    return 1.0 if 2.0**-500 <= scale <= 2.0**500 else math.ldexp(1.0, math.frexp(scale)[1])
+
+
 def _pairs(left, right) -> np.ndarray:
     """``left[0], right[0], left[1], right[1], ...``: the halves of each parent side by side."""
     out = np.empty(2 * left.size, dtype=left.dtype)
@@ -103,7 +109,8 @@ def _depth_first(levels: list, k: int, keys, leaves: bool = False) -> dict:
     return {key: np.concatenate([level[key] for level in levels])[order] for key in keys}
 
 
-def _on_curve(distance: float, threshold: float, evaluations: int) -> OriginOnCurve:
+def _on_curve(distance: float, threshold: float, evaluations: int, unit: float = 1.0) -> OriginOnCurve:
+    distance, threshold = distance * unit, threshold * unit  # of a curve walked divided by unit
     return OriginOnCurve(f"curve passes within {distance:.3e} of the origin (threshold {threshold:.3e})",
                          WindingResult(None, float(distance), int(evaluations), True))
 
@@ -135,8 +142,8 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
     """The :func:`winding_number` of each closed curve ``(params, points)`` (``params`` increasing), or its error,
     returned unraised so that no traceback keeps the walk's arrays alive. The curves are walked as one frontier:
     each level, the pending midpoints of all open curves go to ``evaluator(rows, params)`` in one call, ``rows[i]``
-    naming the curve of ``params[i]``, and their halves through one segment pass. Each curve's outcome is bit for
-    bit the one it gets alone."""
+    naming the curve of ``params[i]``, and their halves through one segment pass. A curve and its midpoints are
+    divided by its :func:`_unit` (distances scaled back). Each curve's outcome is bit for bit the one it gets alone."""
     outcomes: List = [None] * len(curves)
     rel, budget, refine = policy.origin_rel_tol, policy.max_evaluations, evaluator is not None
     firsts, info = [], {}
@@ -154,10 +161,14 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         elif close.size:
             outcomes[k] = _on_curve(moduli[close[0]], rel * scale, params.size)
         else:
+            unit = _unit(scale)
+            if unit != 1.0:  # first_pass leaves such a curve undecided, its level overflowed or underflowed
+                points, level = points / unit, None
             firsts.append(level or _segments(params[:-1], params[1:], points[:-1], points[1:], policy))
-            info[k] = params.size, scale
+            info[k] = params.size, scale / unit, unit
     if not info:
         return outcomes
+    units = {k: unit for k, (_, _, unit) in info.items() if unit != 1.0}
 
     # The frontier F is the newest level of every open curve, grouped by curve in ascending order, each group in
     # parameter order and ending at ``bounds``; the ``g*`` arrays hold each group's running scalars. While they show
@@ -168,7 +179,7 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
     gk, bounds, spent = np.array(list(info)), np.array([0, *itertools.accumulate(sizes)]), max(sizes) + 1
     F = {key: np.concatenate([first[key] for first in firsts]) for key in _KEYS} if len(firsts) > 1 else dict(firsts[0])
     F["rows"], history, slow = gk.repeat(sizes), [F], {}
-    groom, gtop, glow_mid, glow_leaf = np.array([(budget - n, scale, np.inf, np.inf) for n, scale in info.values()]).T
+    groom, gtop, glow_mid, glow_leaf = np.array([(budget - n, top, np.inf, np.inf) for n, top, _ in info.values()]).T
     while True:
         split = F["split"]
         at = split.nonzero()[0]
@@ -200,11 +211,11 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
             for g in (count == 0).nonzero()[0].tolist():
                 k, threshold, evaluations = int(gk[g]), rel * gtop[g], int(budget - groom[g])
                 if outcomes[k] is None and glow_leaf[g] < threshold:
-                    outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations)
+                    outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, info[k][2])
                 elif outcomes[k] is None:
                     leaves = slow[k][0]["increment"][~slow[k][0]["split"]] if k in slow else \
                         _depth_first(history, k, ("increment",), leaves=True)["increment"]
-                    outcomes[k] = _result(leaves, float(glow_leaf[g]), evaluations, policy)
+                    outcomes[k] = _result(leaves, float(glow_leaf[g]) * info[k][2], evaluations, policy)
             keep = count > 0
             if not keep.any():
                 return outcomes
@@ -215,6 +226,8 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
             rows = gk.repeat(count)
         tm = 0.5 * (ta + tb)
         pm = np.asarray(evaluator(rows, tm), dtype=complex)
+        if units:
+            pm = pm / np.array([units.get(k, 1.0) for k in rows.tolist()])
         modulus = np.abs(pm)
         if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
             pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
@@ -227,10 +240,10 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         history.append(F)
 
 
-def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: bool):
+def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPolicy, refine: bool):
     """The depth-first replay of one curve's merged segments: those up to the first one that stops the walk (a stop
     stays one, so what follows it never matters again; without an evaluator every split is one), the pending splits
-    ahead of it and, when none is, the error it stops the walk with."""
+    ahead of it and, when none is, the error it stops the walk with (the curve divided by ``unit``)."""
     rel, split, mid, distance = policy.origin_rel_tol, seg["split"], seg["mid"], seg["distance"]
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
@@ -243,7 +256,7 @@ def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: b
         return (seg if first is None else {key: value[:first + 1] for key, value in seg.items()}), pending, None
     evaluations, threshold = n + int(before[first]), rel * scale_before[first]
     if not split[first] or (refine and over_budget[first] and distance[first] < threshold):
-        error = _on_curve(distance[first], threshold, evaluations)
+        error = _on_curve(distance[first], threshold, evaluations, unit)
     elif not refine:
         error = RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
     elif over_budget[first]:
@@ -251,7 +264,7 @@ def _replay(seg: dict, n: int, scale: float, policy: RefinementPolicy, refine: b
     elif mid[first] < 0.0:
         error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
     else:
-        error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1)
+        error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1, unit)
     return seg, pending, error
 
 
@@ -276,12 +289,13 @@ def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy 
     seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
     increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
     moduli = np.abs(points)
-    threshold = policy.origin_rel_tol * np.maximum.reduce(moduli, axis=1)
+    top = np.maximum.reduce(moduli, axis=1)
+    threshold = policy.origin_rel_tol * top
     low = np.minimum.reduce(distance, axis=1)
     turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
     index = np.rint(turns)
     decided = (
-        (threshold > 0.0)
+        (2.0**-500 <= top) & (top <= 2.0**500)  # the range of _unit; the walk takes the others, a zero curve too
         & np.logical_and.reduce(moduli >= threshold[:, None], axis=1)
         & ~np.logical_or.reduce(split, axis=1)
         & (low >= threshold)

@@ -1,10 +1,13 @@
 """Reference routes the tests check klstab against; not part of the package."""
 
+import functools
+
 import numpy as np
 
+from klstab.analyzer import _illinois
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
-from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, stable_roots, upwind_blocks
+from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
 from klstab.simulator import SolutionField, _data_table
 from klstab.winding import DEFAULT_POLICY, sample_kl_curve, winding_number
@@ -119,6 +122,27 @@ def winding_count(s, rb, n0=1024, policy=DEFAULT_POLICY):
     """Exterior zero count by winding: minus the index of the normalized curve, as in ``analyze``."""
     curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
     return -winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True)).index
+
+
+def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
+    """``analyzer._predict_flip`` through the reduction of each CFL value's pair ``pair(lam)``: the scale from the
+    curve that ``sample_kl_curve`` samples at ``x``, and ``D`` at ``mu / |mu|`` from ``det C`` by Horner."""
+
+    @functools.lru_cache(maxsize=None)
+    def reduced(lam):
+        s, bc = pair(lam)
+        return s, reduce_boundary(s, bc.restricted_to(s.r), tols)
+
+    scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0).points)))
+
+    def gap(lam):
+        s, rb = reduced(lam)
+        mu = min(np.linalg.eigvals(rb.block), key=lambda v: abs(abs(v) - 1.0))
+        z = np.exp(1j * np.angle([mu]))
+        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, s.r, z) / z**s.r
+        return float(abs(value[0])) / scale - tols.origin_tol
+
+    return _illinois(gap, x, end)
 
 
 def full_width_march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history):

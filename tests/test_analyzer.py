@@ -2,6 +2,7 @@ import functools
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -23,7 +24,8 @@ from klstab.errors import IllConditionedKernel
 from klstab.kl import exterior_zero_count_direct, reduce_boundary, stable_roots
 from klstab.scheme import Scheme, make_beam_warming
 from klstab.winding import sample_kl_curve, winding_number
-from oracles import kl_curve_evaluator
+from oracles import kl_curve_evaluator, predict_flip_by_reduction
+from test_winding import NEAR_EDGE
 
 
 def bw_family(lam):
@@ -387,6 +389,80 @@ def test_bisect_stability_edge_redoes_a_prediction_on_the_wrong_side(monkeypatch
     edge = bisect_stability_edge(bw_family, s2ilw3_family, lo, hi, n0=256, max_iter=max_iter)
     assert predictions == [False, True]
     assert abs(edge - oracle) <= (hi - lo) / 2**max_iter, (edge, oracle)
+
+
+def test_flip_prediction_from_eigenvalues_matches_the_reduction_route(monkeypatch):
+    # the search reads |D(mu / |mu|)| off the eigenvalues its rho(A) solve took; the reference reduces each pair
+    # and evaluates det C by Horner: the edges agree to rounding, from the same verdict rows
+    for (kd, d), lo, hi in _edge_brackets():
+        family = _silw_family(kd, d)
+        pair = functools.lru_cache(maxsize=None)(lambda lam: (bw_family(lam), family(lam, 0.0)))
+        by_reduction = lambda spectrum, x, end, tols, n0: predict_flip_by_reduction(pair, x, end, tols, n0)
+        runs = []
+        for predict in (analyzer._predict_flip, by_reduction):
+            with monkeypatch.context() as patch:
+                patch.setattr(analyzer, "_predict_flip", predict)
+                calls = _counting_analyze(patch)
+                edge = bisect_stability_edge(bw_family, family, lo, hi, n0=256, max_iter=20)
+            runs.append((edge, [[s.lam for s, _ in pairs] for pairs in calls]))
+        (edge, lams), (reference, reference_lams) = runs
+        assert abs(edge - reference) <= 1e-12, (kd, d, lo, hi, edge, reference)
+        assert [len(row) for row in lams] == [len(row) for row in reference_lams], (kd, d, lo, hi)
+        assert np.allclose(sum(lams, []), sum(reference_lams, []), rtol=0.0, atol=1e-12), (kd, d, lo, hi)
+
+
+def test_flip_prediction_raises_where_its_curve_leaves_the_float_range():
+    # a_0 = 1 puts the pole of the prefactor a_{-r} / (a_0 - z) at z = 1, the first sampled point; the search
+    # replaces a prediction that raises by the crossing
+    s = Scheme.from_coefficients([0.5, -0.5, 1.0], 0.5)
+    with pytest.raises(ArithmeticError):
+        analyzer._predict_flip(lambda lam: (s, np.array([0.9, 0.5 + 0.1j])), 0.5, 0.6, analyzer.DEFAULT_TOLS, 64)
+
+
+def test_verdicts_without_classification_differ_only_in_their_boundary_zeros():
+    schemes = [make_beam_warming(lam) for _, lam, _ in NEAR_EDGE]
+    pairs = [(s, silw_condition(s.r, *orders, 0.0)) for s, (orders, _, _) in zip(schemes, NEAR_EDGE)]
+    classified, unclassified = analyze_many(pairs), analyze_many(pairs, classify=False)
+    assert StabilityStatus.UNSTABLE_BOUNDARY_ZERO in [verdict.status for verdict in classified]
+    assert any(verdict.boundary_zeros for verdict in classified)
+    for full, bare in zip(classified, unclassified, strict=True):
+        assert bare.boundary_zeros == ()
+        assert bare.status is full.status and bare.exterior_zero_count == full.exterior_zero_count
+        assert (bare.winding, bare.direct_count, bare.det_c_coeffs) == (full.winding, full.direct_count,
+                                                                      full.det_c_coeffs)
+
+
+def test_the_edge_search_classifies_no_boundary_zero(monkeypatch):
+    classified, statuses = [], []
+
+    def counted(*args, **kwargs):
+        classified.append(args)
+        return classify_boundary_zero(*args, **kwargs)
+
+    def recorded(pairs, *args, **kwargs):
+        verdicts = analyze_many(pairs, *args, **kwargs)
+        statuses.extend(verdict.status for verdict in verdicts)
+        return verdicts
+
+    monkeypatch.setattr(analyzer, "classify_boundary_zero", counted)
+    monkeypatch.setattr(analyzer, "analyze_many", recorded)
+    bisect_stability_edge(bw_family, s2ilw3_family, 1.51, 1.52)
+    # the search meets a boundary zero just below the edge, and leaves it unclassified
+    assert StabilityStatus.UNSTABLE_BOUNDARY_ZERO in statuses and classified == []
+    verdict = analyze(make_beam_warming(1.5175048345), silw_condition(2, 2, 3, 0.0))
+    assert verdict.status is StabilityStatus.UNSTABLE_BOUNDARY_ZERO and verdict.boundary_zeros
+    assert len(classified) >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first winding pass overflows on this curve
+def test_a_boundary_whose_curve_passes_1e154_is_decided_at_once():
+    # the curve of this pair reaches about 1e200, where the winding's segment arithmetic overflows unless the walk
+    # divides the curve by a power of two
+    start = time.perf_counter()
+    verdict = analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), 1e100)))
+    assert time.perf_counter() - start < 2.0
+    assert verdict.status is StabilityStatus.INCONCLUSIVE
+    assert verdict.notes == ("winding count 2 != direct count 1",)
 
 
 def test_s1ilw2_inside_the_unit_circle_band_is_never_strongly_stable():

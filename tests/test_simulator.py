@@ -420,6 +420,35 @@ def test_blowup_happens_exactly_at_positive_exterior_count(lagrange_upwind):
     assert blowups > 0
 
 
+def test_growth_rate_of_the_boundary_cells_is_log_rho(lagrange_upwind):
+    # With zero boundary data the cells U_0..U_{m-1} step by the closed block A, so on Lagrange upwind pairs of
+    # widths 1..4 with rho(A) > 1.02 the per-step growth of their largest modulus, fitted over the second half of
+    # the run, is log rho(A) within 5 %
+    rng = np.random.default_rng(5)
+    J = 40
+    for r in range(1, 5):
+        while True:
+            lam = float(rng.uniform(0.05, r))
+            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            if s.r == r and validate(s).all_pass:
+                break
+        pairs, rhos = [], []
+        while len(pairs) < 4:
+            bc = custom_condition(rng.uniform(-1, 1, (r, int(rng.integers(1, 4)))))
+            rho = float(np.max(np.abs(np.linalg.eigvals(upwind_block(s, bc)))))
+            if not 1.02 < rho < 3.0:
+                continue
+            steps = min(300, int(600 / math.log(rho)))  # growth stays below 1e300
+            run = IBVPRun.from_cfl(s, J=J, T=(steps - 0.5) * s.lam / J, g=lambda t: 0.0, f=rng.uniform(-1, 1, J))
+            pairs.append((bc, run))
+            rhos.append(rho)
+        for (bc, _), rho, field in zip(pairs, rhos, march(s, pairs, blowup_threshold=1e300, keep_history=True)):
+            head = np.max(np.abs(field.values[:, r : r + bc.m]), axis=1)
+            second = np.arange(head.size // 2, head.size)
+            rate = np.polyfit(second, np.log(head[second]), 1)[0]
+            assert abs(rate / math.log(rho) - 1.0) <= 0.05, (r, lam, bc.b.tolist(), rho, rate)
+
+
 def assert_march_is_full_width(monkeypatch, s, pairs, keep_history=False):
     """``march`` equals the full-width row-major march of the oracle, byte for byte."""
     from klstab import simulator

@@ -414,6 +414,30 @@ def test_lockstep_walk_matches_each_curve_alone():
     assert [_bits(outcome) for outcome in walked] == expected
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first pass over- or underflows on the scaled curve
+@pytest.mark.parametrize("power", [600, -600])
+def test_a_curve_beyond_the_segment_range_is_walked_divided_by_a_power_of_two(power):
+    # at 2**600 the squared lengths and the products of the segment pass overflow, at 2**-600 they underflow; such a
+    # curve is walked divided by a power of two, so it refines as f does and its distance is exactly c times f's
+    c, policy = 2.0**power, RefinementPolicy()
+    for fn, n in ((lambda t: np.exp(1j * t) - 0.985, 64), (lambda t: np.exp(1j * t) - 1.0, 64),
+                  (lambda t: np.exp(2j * t) * (1.2 + np.cos(3 * t)) - 0.3, 40)):
+        big = lambda t: c * fn(t)
+        curve, big_curve = circle_curve(fn, n), circle_curve(big, n)
+        outcomes = [_alone(curve, policy, fn), _alone(big_curve, policy, big)]
+        assert type(outcomes[0]) is type(outcomes[1])
+        base, scaled = (getattr(outcome, "result", outcome) for outcome in outcomes)
+        assert (scaled.index, scaled.samples_used) == (base.index, base.samples_used)
+        assert scaled.min_distance == c * base.min_distance
+        # beside a curve in range, the first pass leaves it to the walk, which divides it
+        points = np.stack([curve.points, big_curve.points])
+        _, _, decided, level = first_pass(curve.params, points, policy)
+        assert not decided[1]
+        walked = winding_numbers([(curve.params, row) for row in points], policy,
+                                 lambda rows, t: np.where(rows == 0, fn(t), big(t)), [level(0), level(1)])
+        assert [_bits(outcome) for outcome in walked] == [_bits(outcome) for outcome in outcomes]
+
+
 def test_scale_invariance_of_kl_curve_index():
     rng = np.random.default_rng(13)
     s = make_beam_warming(1.4)
