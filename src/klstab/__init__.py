@@ -11,7 +11,7 @@ time-domain simulation.
 from types import ModuleType as _ModuleType
 
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial, RootSet, poly_roots
+from .core_numerics import poly_roots
 from .scheme import AssumptionReport, CurveSamples, Scheme, make_beam_warming, scheme_from_descriptor, validate
 from .boundary import BoundaryCondition, assemble_B, boundary_from_descriptor, custom_condition, silw_condition
 from .kl import (ExteriorRootCount, ReducedBoundary, exterior_zero_count_direct, k_matrix, reduce_boundary,

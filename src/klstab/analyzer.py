@@ -11,9 +11,10 @@ from the symbol curve, eigenvalue on it, or generalized eigenvalue).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -320,10 +321,11 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
 
     The cells, in row-major order, are cut into contiguous chunks of ``max(1, cells // (4 * workers))``, and each
     chunk is decided by one :func:`analyze_many` call, with one scheme built per CFL value. Of ``workers = min(jobs,
-    cells, CPUs)`` processes, ``workers - 1`` form a pool (the families must be picklable) that gets every chunk; the
-    caller, walking from the last, decides each chunk the pool has not taken (its future cancels). The chunks join
-    in order, so the result is identical for any parallelism degree. A cell whose families raise a
-    :class:`~klstab.errors.KLStabError`, or whose pair raises, is ``Inconclusive`` with count -1, not an abort.
+    cells, CPUs)`` processes, ``workers - 1`` are forked (in-process where ``fork`` does not exist) and, with the
+    caller, claim the next undecided chunk from one shared counter until none is left. The chunks join in order,
+    so the result is identical for any parallelism degree, and an error is the one of the lowest chunk that
+    raised, as at ``jobs=1``. A cell whose families raise a :class:`~klstab.errors.KLStabError`, or whose pair
+    raises, is ``Inconclusive`` with count -1, not an abort.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -332,19 +334,21 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
     if lambda_grid.size == 0 or sigma_grid.size == 0:
         raise ValueError("grids must be nonempty")
     cells = [(float(lam), float(sig)) for lam in lambda_grid for sig in sigma_grid]
-    # the pool forks all its workers up front, so it gets no more than there are cells and CPUs
+    # every worker is forked up front, so there are no more than there are cells and CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(cells), cpus)
     size = max(1, len(cells) // (4 * workers))
     chunks = [cells[k:k + size] for k in range(0, len(cells), size)]
     decide = functools.partial(_sweep_chunk, scheme_family, bc_family, tols, n0)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(decide, chunk) for chunk in chunks]
-            mine = {k: decide(chunks[k]) for k in reversed(range(len(chunks))) if futures[k].cancel()}
-            results = [cell for k, future in enumerate(futures) for cell in (mine[k] if k in mine else future.result())]
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        decided = _forked(decide, chunks, workers - 1)
     else:
-        results = [cell for chunk in map(decide, chunks) for cell in chunk]
+        decided = _claim_chunks(decide, chunks, itertools.count().__next__)
+    results = []
+    for k in range(len(chunks)):  # every chunk before the first error was decided
+        if isinstance(decided[k], Exception):
+            raise decided[k]
+        results.extend(decided[k])
     shape = (lambda_grid.size, sigma_grid.size)
     return StabilityMap(
         lambda_grid=lambda_grid,
@@ -352,6 +356,57 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
         zero_counts=np.array([count for count, _ in results], dtype=int).reshape(shape),
         statuses=np.array([status for _, status in results], dtype=object).reshape(shape),
     )
+
+
+def _claim_chunks(decide, chunks: list, claim: Callable[[], int]) -> dict:
+    """``{index: cells}`` of the chunks whose indices ``claim()`` returns, until it returns one past the last chunk;
+    a chunk that raises maps to its error and ends the claims."""
+    decided = {}
+    while (k := claim()) < len(chunks):
+        try:
+            decided[k] = decide(chunks[k])
+        except Exception as exc:  # raised by sweep, unless a lower chunk raised too
+            return {**decided, k: exc}
+    return decided
+
+
+def _forked(decide, chunks: list, forks: int) -> dict:
+    """:func:`_claim_chunks` of the caller and of ``forks`` forked processes that share its counter, each of which
+    sends its chunks once, over its own pipe; one that exits without sending is a ``RuntimeError``. No process
+    outlives the call."""
+    ctx = multiprocessing.get_context("fork")
+    counter, started = ctx.Value("i", 0), []
+
+    def claim() -> int:
+        with counter.get_lock():
+            counter.value += 1
+            return counter.value - 1
+
+    try:
+        for _ in range(forks):
+            receiver, sender = ctx.Pipe(duplex=False)
+            process = ctx.Process(target=lambda end: end.send(_claim_chunks(decide, chunks, claim)), args=(sender,),
+                                  daemon=True)
+            process.start()
+            sender.close()  # the caller's copy, so that the receiver meets the end of the pipe if the process dies
+            started.append((process, receiver))
+        decided = _claim_chunks(decide, chunks, claim)
+        for process, receiver in started:
+            try:
+                decided.update(receiver.recv())
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"a sweep worker exited with code {process.exitcode} without sending its "
+                                   "chunks") from None
+        return decided
+    except BaseException:  # the outcome is an error: the processes still working are stopped
+        for process, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in started:
+            receiver.close()
+            process.join()
 
 
 def bisect_stability_edge(scheme_family: Callable[[float], Scheme],

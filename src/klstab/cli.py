@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override file values")
         p.add_argument("--preset", help="scheme preset name (beam-warming)")
         p.add_argument("--coefficients", type=float, nargs="+", metavar="A", help="stencil coefficients a_-r .. a_0")
-        p.add_argument("--lambda", dest="lam", type=float, help="CFL number")
+        p.add_argument("--lambda", dest="lambda", type=float, help="CFL number")
         p.add_argument("--silw", type=int, nargs=2, metavar=("KD", "D"),
                        help="simplified inverse Lax-Wendroff orders k_d and d")
         if sigma_flag:
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep, sigma_flag=False)
     p_sweep.add_argument("--lambda-grid", metavar="A:B:STEP", help="CFL grid")
     p_sweep.add_argument("--sigma-grid", metavar="A:B:STEP", help="grid-offset grid (default {0})")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    p_sweep.add_argument("--jobs", type=int, help="parallel workers (default 1)")
 
     p_sim = sub.add_parser("simulate", help="sigma-scan amplitude field as CSV")
     add_common(p_sim, sigma_flag=False)
@@ -141,6 +141,11 @@ _NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(
 _TEXT = ("a string", lambda v: isinstance(v, str))
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
 _ORDERS = ("two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v))
+_JOBS = ("an integer of at least 1", lambda v: type(v) is int and v >= 1)
+
+# The top-level config keys, each read by _merged (under its flag's name or its dest) or as a descriptor
+_CONFIG_KEYS = {"scheme", "boundary", "tolerances", "samples", "out", "preset", "coefficients", "lambda", "silw",
+                "sigma", "custom-b", "custom_b", "lambda-grid", "lambda_grid", "sigma-grid", "sigma_grid", "jobs"}
 
 
 def _merged(args, config: dict, key: str, default=None, kind=None):
@@ -258,9 +263,13 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 config = _json_object(json.load(fh), "a config file")
+        unknown = sorted(set(config) - _CONFIG_KEYS)
+        if unknown:
+            raise UsageError(f"unknown config keys {', '.join(map(json.dumps, unknown))}")
 
         # the config keys of knobs a command does not have are refused, as the flags are
-        for key in {"curve": ("tolerances",), "simulate": ("samples", "tolerances")}.get(args.command, ()):
+        lacks = {"check": ("jobs",), "curve": ("tolerances", "jobs"), "simulate": ("samples", "tolerances", "jobs")}
+        for key in lacks.get(args.command, ()):
             if key in config:
                 raise UsageError(f'config key "{key}" does not act on {args.command}')
         tols = _tolerances(args, config)
@@ -282,13 +291,14 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 raise UsageError("all CFL grid values must be positive")
             scheme_family = functools.partial(scheme_at, scheme=scheme)
             bc_family = functools.partial(boundary_at, scheme=scheme, boundary=boundary)
-            # a bad scheme or boundary fails here, once, rather than in the pool
+            # a bad scheme or boundary fails here, once, rather than in every worker
             bc_family(float(lambda_grid[0]), float(sigma_grid[0]))
-            result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid, tols=tols, n0=n0, jobs=int(args.jobs))
+            result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid, tols=tols, n0=n0,
+                           jobs=_merged(args, config, "jobs", 1, _JOBS))
             _write(result.to_csv(), out)
             return EXIT_OK
 
-        lam = _merged(args, config, "lam", config.get("scheme", {}).get("lambda"), _NUMBER)
+        lam = _merged(args, config, "lambda", config.get("scheme", {}).get("lambda"), _NUMBER)
         if lam is None:
             raise UsageError("a CFL number is required (--lambda)")
         s = scheme_at(float(lam), scheme)

@@ -6,42 +6,12 @@ companion-matrix eigenvalues and quadratic-cost clustering are reliable and chea
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .errors import DegenerateLeadingCoefficient
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexPolynomial:
-    """Dense complex polynomial, coefficients in ascending power order."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def __call__(self, z):
-        """Horner evaluation; accepts scalars or arrays."""
-        return _horner(self.coeffs, np.asarray(z, dtype=complex))
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Clustered roots with multiplicities; multiplicities sum to the degree."""
-
-    roots: Tuple[Tuple[complex, int], ...]
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self):
-        return len(self.roots)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -116,26 +86,23 @@ def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int],
     return tuple(merged)
 
 
-def poly_roots(p, cluster_radius: float = DEFAULT_TOLS.cluster_radius,
-               trim_rel: float = DEFAULT_TOLS.trim_rel) -> RootSet:
-    """All complex roots of ``p``, clustered into representatives with multiplicity.
+def poly_roots(coeffs, cluster_radius: float = DEFAULT_TOLS.cluster_radius,
+               trim_rel: float = DEFAULT_TOLS.trim_rel) -> Tuple[Tuple[complex, int], ...]:
+    """All complex roots of the polynomial with ascending coefficients ``coeffs``, as ``(value, multiplicity)``
+    pairs of clustered representatives whose multiplicities sum to the degree.
 
-    ``p`` may be a :class:`ComplexPolynomial` or a raw ascending coefficient sequence. Raw input with a negligible
-    leading coefficient is rejected so the caller trims deliberately instead of silently losing a root.
+    A negligible leading coefficient is rejected so the caller trims deliberately instead of silently losing a root.
     """
-    if isinstance(p, ComplexPolynomial):
-        coeffs = p.coeffs
-    else:
-        coeffs = np.atleast_1d(np.asarray(p, dtype=complex))
-        if coeffs.size:
-            scale = float(np.max(np.abs(coeffs)))
-            if scale == 0.0 or abs(coeffs[-1]) <= trim_rel * scale:
-                raise DegenerateLeadingCoefficient(
-                    "leading coefficient is below the trim tolerance; trim the polynomial first"
-                )
+    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if coeffs.size:
+        scale = float(np.max(np.abs(coeffs)))
+        if scale == 0.0 or abs(coeffs[-1]) <= trim_rel * scale:
+            raise DegenerateLeadingCoefficient(
+                "leading coefficient is below the trim tolerance; trim the polynomial first"
+            )
     if coeffs.size < 2:
         raise ValueError("root finding requires degree >= 1")
 
     raw = np.roots(coeffs[::-1])
     raw = _newton_refine(coeffs, raw)
-    return RootSet(_cluster(raw[None], cluster_radius)[0])
+    return _cluster(raw[None], cluster_radius)[0]

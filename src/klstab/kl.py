@@ -25,19 +25,19 @@ classifying zeros on the unit circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .boundary import BoundaryCondition
 from .config import DEFAULT_TOLS, Tolerances
-from .core_numerics import ComplexPolynomial, RootSet, _cluster, poly_roots
+from .core_numerics import _cluster, poly_roots
 from .errors import DegenerateLeadingCoefficient, RootAtZero
 from .scheme import Scheme
 
 
-def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> RootSet:
-    """All ``r`` characteristic roots at ``z``, clustered with multiplicity.
+def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Tuple[Tuple[complex, int], ...]:
+    """All ``r`` characteristic roots at ``z``, clustered into ``(value, multiplicity)`` pairs.
 
     Inserting the modal solution ``U_j^n = z^n kappa^j`` into the interior
     update gives the degree-``r`` polynomial in ``kappa`` with ascending
@@ -55,7 +55,7 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Root
     return poly_roots(coeffs, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
 
 
-def k_matrix(roots: RootSet, i: int, j: int) -> np.ndarray:
+def k_matrix(roots: Sequence[Tuple[complex, int]], i: int, j: int) -> np.ndarray:
     """Mode matrix: index lines ``i`` through ``j`` inclusive of the modal basis.
 
     One column per root and multiplicity power: a root ``kappa`` of
@@ -108,16 +108,17 @@ class ReducedBoundary:
     """Reduction of a (scheme, boundary) pair to polynomial form.
 
     ``block`` is the read-only closed update block ``A`` of
-    :func:`upwind_blocks`; ``det_c`` is ``det C``, a polynomial of exact
-    degree ``m`` whose roots are the eigenvalues of ``A``; ``sign`` is the
-    parity prefactor ``(-1)^(r(m-r))`` of the explicit formula.
+    :func:`upwind_blocks`; ``det_c`` holds the read-only ascending
+    coefficients of ``det C``, a polynomial of exact degree ``m`` whose roots
+    are the eigenvalues of ``A``; ``sign`` is the parity prefactor
+    ``(-1)^(r(m-r))`` of the explicit formula.
     """
 
     r: int
     m: int
     sign: int
     block: np.ndarray
-    det_c: ComplexPolynomial
+    det_c: np.ndarray
 
 
 def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS) -> ReducedBoundary:
@@ -132,7 +133,8 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT
     if abs(s.a_lead) <= tols.trim_rel * scale:
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
     blocks, det_c = reduce_stack(s.a[None], bc.b[None])
-    return ReducedBoundary(s.r, bc.m, parity(s.r, bc.m), blocks[0], ComplexPolynomial(det_c[0]))
+    det_c.setflags(write=False)
+    return ReducedBoundary(s.r, bc.m, parity(s.r, bc.m), blocks[0], det_c[0])
 
 
 def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

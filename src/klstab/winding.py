@@ -286,7 +286,8 @@ def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy 
     rows, n = points.shape
     # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
     flat = points.ravel()
-    seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row beyond _unit's range overflows; the walk takes it
+        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
     increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
     moduli = np.abs(points)
     top = np.maximum.reduce(moduli, axis=1)
@@ -320,7 +321,7 @@ def _circle(n0: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def sample_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int = 1024, normalize: bool = True) -> CurveSamples:
     """Sample the determinant curve at ``n0 + 1`` uniform parameters on [0, 2pi]."""
-    params, points = sample_kl_curves(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, n0, normalize)
+    params, points = sample_kl_curves(rb.det_c, s.a_lead, s.a_zero, rb.r, n0, normalize)
     return CurveSamples(params=params, points=points, closed=True)
 
 

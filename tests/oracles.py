@@ -7,10 +7,16 @@ import numpy as np
 from klstab.analyzer import _illinois
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
+from klstab.core_numerics import _horner
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
 from klstab.simulator import SolutionField, _data_table
 from klstab.winding import DEFAULT_POLICY, sample_kl_curve, winding_number
+
+
+def poly_at(coeffs, z):
+    """The polynomial with ascending coefficients ``coeffs`` at the scalar or array ``z``, by Horner's rule."""
+    return _horner(np.asarray(coeffs, dtype=complex), np.asarray(z, dtype=complex))
 
 
 def ghost_row(bc: BoundaryCondition, j: int) -> np.ndarray:
@@ -37,7 +43,7 @@ def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True):
 
     def evaluate(theta):
         z = np.exp(1j * np.asarray(theta, dtype=float))
-        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, z)
+        value = kl_det_stack(rb.det_c, s.a_lead, s.a_zero, rb.r, z)
         return value / z**rb.r if normalize else value
 
     return evaluate
@@ -114,7 +120,7 @@ def kl_det_direct(s: Scheme, bc: BoundaryCondition, z: complex, tols: Tolerances
 def kl_det_explicit(rb: ReducedBoundary, s: Scheme, z):
     """Intrinsic determinant via the explicit rational formula, as the winding route evaluates it."""
     zs = np.asarray(z, dtype=complex)
-    value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, rb.r, zs.ravel()).reshape(zs.shape)
+    value = kl_det_stack(rb.det_c, s.a_lead, s.a_zero, rb.r, zs.ravel()).reshape(zs.shape)
     return complex(value) if np.isscalar(z) else value
 
 
@@ -139,7 +145,7 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
         s, rb = reduced(lam)
         mu = min(np.linalg.eigvals(rb.block), key=lambda v: abs(abs(v) - 1.0))
         z = np.exp(1j * np.angle([mu]))
-        value = kl_det_stack(rb.det_c.coeffs, s.a_lead, s.a_zero, s.r, z) / z**s.r
+        value = kl_det_stack(rb.det_c, s.a_lead, s.a_zero, s.r, z) / z**s.r
         return float(abs(value[0])) / scale - tols.origin_tol
 
     return _illinois(gap, x, end)

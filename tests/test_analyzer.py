@@ -2,8 +2,9 @@ import functools
 import json
 import multiprocessing
 import os
+import signal
 import time
-from concurrent.futures import Future
+import warnings
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_classify_type_ii_away_from_symbol_curve():
     s = make_beam_warming(0.5)
     z0 = -1.0 + 0j
     roots = stable_roots(s, z0)
-    k1, k2 = sorted([v for v, _ in roots.roots], key=lambda v: v.real)
+    k1, k2 = sorted([v for v, _ in roots], key=lambda v: v.real)
     b = np.zeros((2, 2))
     b[0, 0] = (k2**-2).real
     b[1, 0] = (k2**-1).real
@@ -103,7 +104,7 @@ def test_classify_type_ii_near_but_off_symbol_curve():
     # circle: no unit root, so an eigenvalue on the circle, not type III
     s = make_beam_warming(0.3)
     z0 = complex(np.exp(0.02j))
-    gaps = sorted(abs(abs(v) - 1.0) for v in [v for v, _ in stable_roots(s, z0).roots])
+    gaps = sorted(abs(abs(v) - 1.0) for v in [v for v, _ in stable_roots(s, z0)])
     assert 2.0e-6 < gaps[0] < 2.1e-6
     assert classify_boundary_zero(s, silw_condition(2, 2, 3), z0) is BoundaryZeroType.TYPE_II
 
@@ -114,7 +115,7 @@ def test_classify_type_iii_unit_root_unloaded():
     s = make_beam_warming(0.5)
     z0 = 1.0 + 0j
     roots = stable_roots(s, z0)
-    values = sorted([v for v, _ in roots.roots], key=lambda v: abs(v - 1.0))
+    values = sorted([v for v, _ in roots], key=lambda v: abs(v - 1.0))
     k2 = values[1]
     assert abs(k2) < 1.0
     b = np.array([[(k2**-2).real, 0.0], [(k2**-1).real, 0.0]])
@@ -138,7 +139,7 @@ def test_classify_ambiguous_kernel_raises():
     s = make_beam_warming(0.5)
     z0 = 1.0 + 0j
     roots = stable_roots(s, z0)
-    k1, k2 = [v for v, _ in roots.roots]
+    k1, k2 = [v for v, _ in roots]
     vander = np.array([[1.0, k1.real], [1.0, k2.real]])
     b = np.zeros((2, 2))
     for row in range(2):
@@ -180,49 +181,41 @@ def test_sweep_grid_refinement_consistency():
     np.testing.assert_array_equal(res_coarse.zero_counts[:, 0], res_fine.zero_counts[::2, 0])
 
 
+def mark_and_wait(directory, parent: int, others: int) -> None:
+    """Leave this process's pid in ``directory``; in the process ``parent``, then wait (10 s at most) until
+    ``others`` other processes have left theirs, so that forked workers have claimed chunks of their own."""
+    (directory / str(os.getpid())).touch()
+    deadline = time.monotonic() + 10.0
+    while os.getpid() == parent and len(list(directory.iterdir())) <= others and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def test_sweep_pool_never_exceeds_cells(monkeypatch):
-    created, submitted, taken = [], [], []
+    started = []
+    fork_process = multiprocessing.get_context("fork").Process
+    start = fork_process.start
 
-    class InProcessPool:
-        """Records the requested pool size; like a pool that has only taken the first chunk so far, it decides
-        that chunk in this process and leaves the others pending, for the caller to cancel."""
+    def counted(process):
+        started.append(process)
+        start(process)
 
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            submitted.append(future)
-            if len(submitted) == 1:
-                taken.append(future)
-                future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(analyzer, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(fork_process, "start", counted)
     lams = list(np.linspace(0.3, 1.9, 20))
     serial = sweep(bw_family, s2ilw3_family, lams, (0.0,), n0=256)
-    # (cells, jobs, CPUs, pool sizes): the caller is one of the jobs, and jobs beyond the cells or CPUs start nothing
-    rows = ((1, 8, 8, []), (3, 8, 8, [2]), (3, 2, 8, [1]), (3, 8, 2, [1]), (20, 100000, 8, [7]), (3, 8, 1, []))
-    for cells, jobs, cpus, pools in rows:
+    # (cells, jobs, CPUs, forks): the caller is one of the jobs, and jobs beyond the cells or CPUs start nothing
+    rows = ((1, 8, 8, 0), (3, 8, 8, 2), (3, 2, 8, 1), (3, 8, 2, 1), (20, 100000, 8, 7), (3, 8, 1, 0))
+    for cells, jobs, cpus, forks in rows:
         for affinity in (True, False):  # the CPUs this process may use, or all of them where that is unknown
             if affinity:
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             else:
                 monkeypatch.delattr(os, "sched_getaffinity", raising=False)
                 monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            created.clear(), submitted.clear(), taken.clear()
+            started.clear()
             result = sweep(bw_family, s2ilw3_family, lams[:cells], (0.0,), n0=256, jobs=jobs)
-            assert created == pools
-            if pools:  # every chunk went to the pool, which decided the first; the caller decided the others
-                assert len(taken) == 1 and len(submitted) > 1 and all(future.done() for future in submitted)
-            else:
-                assert not submitted
+            assert len(started) == forks
+            # every forked worker sent its chunks and was joined
+            assert all(process.exitcode == 0 for process in started)
             np.testing.assert_array_equal(result.zero_counts, serial.zero_counts[:cells])
             np.testing.assert_array_equal(result.statuses, serial.statuses[:cells])
 
@@ -232,8 +225,82 @@ def test_sweep_leaves_no_process_behind():
     assert multiprocessing.active_children() == []
 
 
+def test_sweep_takes_lambda_families_at_jobs_2(monkeypatch, tmp_path):
+    # forked workers inherit the families, so they need not be picklable; the caller's first cell waits until a
+    # worker has decided a cell with them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lams, sigmas, parent = np.linspace(0.3, 1.9, 9), (0.0, 0.2), os.getpid()
+    serial = sweep(bw_family, s2ilw3_family, lams, sigmas, n0=256)
+    result = sweep(lambda lam: make_beam_warming(lam),
+                   lambda lam, sigma: mark_and_wait(tmp_path, parent, 1) or silw_condition(2, 2, 3, sigma),
+                   lams, sigmas, n0=256, jobs=2)
+    assert len(list(tmp_path.iterdir())) == 2
+    assert result.to_csv() == serial.to_csv()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_sweep_raises_the_error_of_the_first_failing_chunk(monkeypatch, tmp_path, jobs):
+    # four chunks of one cell, of which the second and the fourth raise; the caller claims the first and waits
+    # until every worker has claimed one, so that a worker meets the second chunk's error and a later chunk's
+    # error is met after it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    parent = os.getpid()
+
+    def family(lam, sigma):
+        mark_and_wait(tmp_path, parent, jobs - 1)
+        if lam in (0.75, 1.4):
+            raise RuntimeError(f"no boundary at CFL {lam}")
+        return silw_condition(2, 2, 3, sigma)
+
+    with pytest.raises(RuntimeError, match=r"^no boundary at CFL 0\.75$"):
+        sweep(bw_family, family, [0.5, 0.75, 1.0, 1.4], n0=256, jobs=jobs)
+    assert len(list(tmp_path.iterdir())) == jobs
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_worker_that_dies_is_one_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+
+    def family(lam, sigma):
+        mark_and_wait(tmp_path, parent, 1)
+        if os.getpid() != parent:
+            os._exit(3)
+        return silw_condition(2, 2, 3, sigma)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep still waits for its dead worker")
+
+    start, previous = time.perf_counter(), signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="^a sweep worker exited with code 3 without sending its chunks$"):
+            sweep(bw_family, family, [0.5, 0.75, 1.0, 1.4], n0=256, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_decides_each_cell_once_with_more_workers_than_cores(monkeypatch, tmp_path):
+    # eight processes on the host's cores claim 48 chunks of one cell; a claim that two processes both won would
+    # build a cell's boundary twice, and the second build raises FileExistsError
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+    def family(lam, sigma):
+        open(tmp_path / f"{lam!r},{sigma!r}", "x").close()
+        return silw_condition(2, 2, 3, sigma)
+
+    lams, sigmas = np.linspace(0.3, 1.9, 12), (-0.2, 0.0, 0.2, 0.4)
+    serial = sweep(bw_family, s2ilw3_family, lams, sigmas, n0=256)
+    assert sweep(bw_family, family, lams, sigmas, n0=256, jobs=8).to_csv() == serial.to_csv()
+    assert len(list(tmp_path.iterdir())) == 48
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_family_error_is_the_same_for_any_jobs():
-    # three chunks of one cell: at jobs 2 the pool most likely decides the first and the caller the last
+    # three chunks of one cell: at jobs 2 a worker or the caller may decide the failing one
     for bad in (0.5, 1.4):
         errors = []
         for jobs in (1, 2):
@@ -454,12 +521,13 @@ def test_the_edge_search_classifies_no_boundary_zero(monkeypatch):
     assert len(classified) >= 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first winding pass overflows on this curve
 def test_a_boundary_whose_curve_passes_1e154_is_decided_at_once():
     # the curve of this pair reaches about 1e200, where the winding's segment arithmetic overflows unless the walk
-    # divides the curve by a power of two
+    # divides the curve by a power of two; the first pass leaves the curve to the walk without a warning
     start = time.perf_counter()
-    verdict = analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), 1e100)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), 1e100)))
     assert time.perf_counter() - start < 2.0
     assert verdict.status is StabilityStatus.INCONCLUSIVE
     assert verdict.notes == ("winding count 2 != direct count 1",)
@@ -520,7 +588,7 @@ def test_verdict_json_exports_det_c_coefficients():
     coefficients = payload["diagnostics"]["det_c_coefficients"]
     assert len(coefficients) == 4 and all(len(c) == 2 for c in coefficients)
     assert coefficients[-1] != [0.0, 0.0]
-    expected = reduce_boundary(s, bc).det_c.coeffs
+    expected = reduce_boundary(s, bc).det_c
     np.testing.assert_array_equal([complex(*c) for c in coefficients], expected)
 
 

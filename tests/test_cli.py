@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from klstab import cli
+from klstab.analyzer import sweep
 from klstab.boundary import custom_condition, silw_condition
 from klstab.cli import parse_grid, run_cli, UsageError
 from klstab.scheme import make_beam_warming
@@ -498,6 +500,8 @@ def test_gamma_tol_flag_is_gone(capsys):
     ({"tolerances": [1, 2]}, 'config key "tolerances" must be a JSON object, got [1, 2]'),
     ({"scheme": [1]}, 'config key "scheme" must be a JSON object, got [1]'),
     ({"tolerances": {"cluster_radius": 1e400}}, "tolerance cluster_radius must be positive and finite, got inf"),
+    ({"bogus": 1}, 'unknown config keys "bogus"'),
+    ({"lam": 0.7, "Jobs": 2, "scheme": {}}, 'unknown config keys "Jobs", "lam"'),
 ])
 def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
@@ -518,6 +522,10 @@ def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     (["sweep", "--silw", "2", "3"], {"lambda-grid": 5}, 'config key "lambda-grid" must be a string, got 5'),
     (CHECK, {"samples": 100.7}, 'config key "samples" must be an integer, got 100.7'),
     (CHECK, {"samples": 1e400}, 'config key "samples" must be an integer, got Infinity'),
+    (SWEEP, {"jobs": 0}, 'config key "jobs" must be an integer of at least 1, got 0'),
+    (SWEEP, {"jobs": 1.5}, 'config key "jobs" must be an integer of at least 1, got 1.5'),
+    (SWEEP, {"jobs": "2"}, 'config key "jobs" must be an integer of at least 1, got "2"'),
+    (SWEEP, {"jobs": True}, 'config key "jobs" must be an integer of at least 1, got true'),
 ])
 def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, config, message):
     path = tmp_path / "config.json"
@@ -532,6 +540,9 @@ def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, 
     ("simulate", "samples", 5),
     ("simulate", "tolerances", {"origin_tol": 0.9}),
     ("curve", "tolerances", {"origin_tol": 0.9}),
+    ("check", "jobs", 2),
+    ("curve", "jobs", 2),
+    ("simulate", "jobs", 2),
 ])
 def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key, value):
     path = tmp_path / "config.json"
@@ -540,6 +551,31 @@ def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f'error: config key "{key}" does not act on {command}']
+
+
+def test_config_jobs_acts_and_the_flag_overrides_it(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def recorded(*args, jobs, **kwargs):
+        calls.append(jobs)
+        return sweep(*args, jobs=jobs, **kwargs)
+
+    monkeypatch.setattr(cli, "sweep", recorded)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"jobs": 2}))
+    assert run_cli(SWEEP) == 0
+    serial = capsys.readouterr().out
+    assert run_cli(SWEEP + ["--config", str(path)]) == 0
+    assert capsys.readouterr().out == serial
+    assert run_cli(SWEEP + ["--config", str(path), "--jobs", "3"]) == 0
+    assert calls == [1, 2, 3]
+
+
+def test_config_lambda_acts_as_the_flag_does(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": 1.4}))
+    assert run_cli(["check", "--silw", "2", "3", "--config", str(path)]) == 2
+    assert run_cli(["check", "--silw", "2", "3", "--config", str(path), "--lambda", "0.7"]) == 0
 
 
 def test_import_leaves_scipy_unloaded():
