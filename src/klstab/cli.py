@@ -9,7 +9,7 @@ Commands
 Every command builds its (scheme, boundary) pairs one way: ``_descriptors``
 resolves flags over the ``--config`` file into two descriptors (one boundary:
 ``--silw`` or ``--custom-b``, never both, else the file's ``boundary``), and
-the picklable builders ``scheme_at`` and ``boundary_at`` add the CFL number
+the builders ``scheme_at`` and ``boundary_at`` add the CFL number
 and offset and fit the boundary rows to the scheme.
 
 Exit codes: 0 success / strongly stable, 1 usage, config or input error,
