@@ -414,6 +414,39 @@ def test_lockstep_walk_matches_each_curve_alone():
     assert [_bits(outcome) for outcome in walked] == expected
 
 
+def test_a_leaf_under_the_threshold_of_the_end_alone_puts_the_origin_on_the_curve():
+    # |f| = e^cos(t - 7pi/4) peaks at the last midpoint of the first level, after the walk has passed its low at
+    # 3pi/4: no leaf comes under the threshold of its own place in the walk, so the splits all run out, but the
+    # lowest leaf comes under the threshold of the end, and the walk ends on the curve with every evaluation counted
+    fn = lambda t: np.exp(1j * t + np.cos(t - 1.75 * np.pi))
+    curve, policy = circle_curve(fn, 4), RefinementPolicy(origin_rel_tol=0.16)
+    expected = depth_first_reference(curve, policy, fn)
+    outcome = _alone(curve, policy, fn)
+    assert isinstance(outcome, OriginOnCurve) and expected[0] == "origin"
+    assert (outcome.result.samples_used, outcome.result.min_distance) == pytest.approx(expected[1:], rel=1e-12)
+    assert outcome.result.min_distance >= policy.origin_rel_tol * np.abs(curve.points).max()
+    # beside the near-edge determinant curves and random curves, in one call
+    rng = np.random.default_rng(5)
+    fns = [fn] + [random_trig_curve(rng) for _ in range(3)]
+    stack = [curve] + [circle_curve(f, int(rng.integers(3, 120))) for f in fns[1:]]
+    for orders, lam, _ in NEAR_EDGE:
+        near, evaluator = near_edge_curve(orders, lam)
+        stack.append(near)
+        fns.append(evaluator)
+    order = rng.permutation(len(stack))
+    stack, fns = [stack[k] for k in order], [fns[k] for k in order]
+
+    def evaluate(rows, t):
+        out = np.empty(t.shape, dtype=complex)
+        for k in np.unique(rows):
+            out[rows == k] = fns[k](t[rows == k])
+        return out
+
+    walked = winding_numbers([(c.params, c.points) for c in stack], policy, evaluate)
+    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, policy, f)) for c, f in zip(stack, fns)]
+    assert _bits(walked[int(np.argmin(order))]) == _bits(outcome)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first pass over- or underflows on the scaled curve
 @pytest.mark.parametrize("power", [600, -600])
 def test_a_curve_beyond_the_segment_range_is_walked_divided_by_a_power_of_two(power):
