@@ -143,9 +143,15 @@ _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMB
 _ORDERS = ("two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v))
 _JOBS = ("an integer of at least 1", lambda v: type(v) is int and v >= 1)
 
-# The top-level config keys, each read by _merged (under its flag's name or its dest) or as a descriptor
-_CONFIG_KEYS = {"scheme", "boundary", "tolerances", "samples", "out", "preset", "coefficients", "lambda", "silw",
-                "sigma", "custom-b", "custom_b", "lambda-grid", "lambda_grid", "sigma-grid", "sigma_grid", "jobs"}
+# The top-level config keys each command reads, by _merged (under its flag's name or its dest) or as a descriptor
+_DESCRIBED = {"scheme", "boundary", "out", "preset", "coefficients", "silw", "custom-b", "custom_b"}
+_CONFIG_READS = {
+    "check": _DESCRIBED | {"tolerances", "samples", "lambda", "sigma"},
+    "curve": _DESCRIBED | {"samples", "lambda", "sigma"},
+    "sweep": _DESCRIBED | {"tolerances", "samples", "jobs", "lambda-grid", "lambda_grid", "sigma-grid", "sigma_grid"},
+    "simulate": _DESCRIBED | {"lambda", "sigma-grid", "sigma_grid"},
+}
+_CONFIG_KEYS = set().union(*_CONFIG_READS.values())
 
 
 def _merged(args, config: dict, key: str, default=None, kind=None):
@@ -268,10 +274,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             raise UsageError(f"unknown config keys {', '.join(map(json.dumps, unknown))}")
 
         # the config keys of knobs a command does not have are refused, as the flags are
-        lacks = {"check": ("jobs",), "curve": ("tolerances", "jobs"), "simulate": ("samples", "tolerances", "jobs")}
-        for key in lacks.get(args.command, ()):
-            if key in config:
-                raise UsageError(f'config key "{key}" does not act on {args.command}')
+        idle = sorted(set(config) - _CONFIG_READS[args.command])
+        if idle:
+            keys = ", ".join(map(json.dumps, idle))
+            raise UsageError(f"config key {keys} does not act on {args.command}" if len(idle) == 1 else
+                             f"config keys {keys} do not act on {args.command}")
         tols = _tolerances(args, config)
         n0 = _merged(args, config, "samples", 1024, _NUMBER)
         if type(n0) is not int:

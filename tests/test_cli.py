@@ -543,6 +543,11 @@ def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, 
     ("check", "jobs", 2),
     ("curve", "jobs", 2),
     ("simulate", "jobs", 2),
+    # known keys a command does not read: a grid on a one-pair command, one offset on a grid command
+    ("check", "lambda-grid", "nope"),
+    ("curve", "sigma_grid", "0:0.1:0.1"),
+    ("sweep", "sigma", 0.3),
+    ("simulate", "sigma", 0.1),
 ])
 def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key, value):
     path = tmp_path / "config.json"
@@ -551,6 +556,15 @@ def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f'error: config key "{key}" does not act on {command}']
+
+
+def test_config_keys_a_command_lacks_are_named_on_one_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda-grid": "nope", "sigma-grid": 5, "lambda": 0.7}))
+    assert run_cli(CHECK + ["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ['error: config keys "lambda-grid", "sigma-grid" do not act on check']
 
 
 def test_config_jobs_acts_and_the_flag_overrides_it(tmp_path, capsys, monkeypatch):
