@@ -6,10 +6,13 @@ sum is refined by inserting curve midpoints wherever a single turn is too large 
 to the origin, within a fixed evaluation budget.
 
 One numpy pass gives every segment its angle increment, distance to the origin and split flag. The open curves are
-refined together, one level at a time, as one frontier: a level of all of them is one block of arrays, its midpoints
-go to the evaluator in one call, and the curves' running scalars are arrays updated once a level. Only a curve that a
-known segment could stop has its levels merged into depth-first order, to find the stop. The refined polygon, the
-evaluation count and the error are those of a depth-first walk that splits segments in parameter order.
+refined together as one frontier, several levels a pass: each pending split brings its dyadic subtree _DEPTH levels
+deep, the points of all of them go to the evaluator in one call and their halves through one segment pass. A point is
+counted only where the depth-first walk meets it, below halves that all split; the others were evaluated ahead for
+nothing, and no stop test reads them, not even when they are not finite. The curves' running scalars are arrays updated
+once a pass. Only a curve that a known segment could stop has its segments merged into depth-first order, to find the
+stop. The refined polygon, the evaluation count and the error are those of a depth-first walk that splits segments in
+parameter order, the adaptive argument-principle count of X. Ying and I. N. Katz (Numer. Math. 53, 1988).
 """
 
 from __future__ import annotations
@@ -82,31 +85,29 @@ def _unit(scale: float) -> float:
     return 1.0 if 2.0**-500 <= scale <= 2.0**500 else math.ldexp(1.0, math.frexp(scale)[1])
 
 
-def _pairs(left, right) -> np.ndarray:
-    """``left[0], right[0], left[1], right[1], ...``: the halves of each parent side by side."""
-    out = np.empty(2 * left.size, dtype=left.dtype)
-    out[0::2], out[1::2] = left, right
-    return out
-
-
 _KEYS = ("ta", "tb", "pa", "pb", "increment", "distance", "split", "mid")
+
+# A pass takes each pending split's subtree _DEPTH (K) levels deep: its 2^K + 1 points in parameter order, the split's
+# ends first and last, and its halves, those of level d (1 to K) between the points 2^(K-d) apart, level after level.
+# Three levels a pass was measured fastest, on deep walks near a stability edge and on shallow ones alike.
+_DEPTH = 3
+_N, _STEPS = 2**_DEPTH, [2**d for d in reversed(range(_DEPTH))]
+_LEVEL = np.repeat(np.arange(1, _DEPTH + 1), 2 ** np.arange(1, _DEPTH + 1))
+_START = np.concatenate([np.arange(0, _N, step) for step in _STEPS])
+_END = _START + (_N >> _LEVEL)
+# the midpoint of each half and of the subtree's split, indexing the 2^K - 1 points between its ends
+_W, _ABOVE, _MID, _CENTER = _START.size, _LEVEL < _DEPTH, (_START + _END) // 2 - 1, _N // 2 - 1
+_ANCESTOR = (_START[:, None] <= _START) & (_END <= _END[:, None]) & (_LEVEL[:, None] < _LEVEL)
 
 
 def _depth_first(levels: list, k: int, keys, leaves: bool = False) -> dict:
-    """The segments (their ``keys``; only the leaves with ``leaves``) of curve ``k`` in the frontier blocks ``levels``,
-    in the order of the depth-first walk: a split segment before its halves, the left half first. That is ``ta``
-    ascending; the stable sort keeps a segment before the halves that share its ``ta``, and the first level, already
-    in order, is one run of it."""
-    lo, hi = levels[0]["rows"].searchsorted((k, k + 1))  # the first level holds one run of each curve
-    others = len(levels) > 1 and hi - lo < levels[0]["rows"].size  # refined levels may hold other curves
-    levels = [{key: levels[0][key][lo:hi] for key in {"ta", "split", "rows", *keys}}] + levels[1:]
-    ta = np.concatenate([level["ta"] for level in levels])
-    mine = ~np.concatenate([level["split"] for level in levels]) if leaves else np.ones(ta.size, dtype=bool)
-    if others:
-        mine &= np.concatenate([level["rows"] for level in levels]) == k
-    order = mine.nonzero()[0]
-    order = order[ta[order].argsort(kind="stable")]
-    return {key: np.concatenate([level[key] for level in levels])[order] for key in keys}
+    """The real segments (their ``keys``; only the leaves with ``leaves``) of curve ``k`` in the frontier blocks
+    ``levels``, in the order of the depth-first walk: a split segment before its halves, the left half first. That is
+    ``ta`` ascending, sorted stably, as a block lays out a segment before its halves and blocks follow in turn."""
+    runs = [(level, *level["runs"][k]) for level in levels]
+    mine = np.concatenate([level["leaf" if leaves else "real"][lo:hi] for level, lo, hi in runs]).nonzero()[0]
+    order = mine[np.concatenate([level["ta"][lo:hi] for level, lo, hi in runs])[mine].argsort(kind="stable")]
+    return {key: np.concatenate([level[key][lo:hi] for level, lo, hi in runs])[order] for key in keys}
 
 
 def _on_curve(distance: float, threshold: float, evaluations: int, unit: float = 1.0) -> OriginOnCurve:
@@ -121,7 +122,8 @@ def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLIC
     """Signed number of turns of a closed sampled curve around the origin: :func:`winding_numbers` of one curve.
 
     ``evaluator`` maps an array of parameter values to the array of curve points; it is called with arrays of
-    midpoints, batched by refinement level, and without it any segment that needs refinement is a hard error.
+    parameters, batched a pass of several levels at a time, and without it a segment that needs refinement is a hard
+    error.
     ``first_level`` is the first level of segments when :func:`first_pass` has built it. ``samples_used`` counts the
     evaluations of the depth-first walk alone. Raises :class:`OriginOnCurve` when the refined polygon comes closer
     to the origin than the relative threshold, :class:`RefinementBudgetExceeded` when the angle sum cannot be
@@ -140,10 +142,12 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
                     evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
                     first_levels: Optional[Sequence[Optional[dict]]] = None) -> List[Union[WindingResult, Exception]]:
     """The :func:`winding_number` of each closed curve ``(params, points)`` (``params`` increasing), or its error,
-    returned unraised so that no traceback keeps the walk's arrays alive. The curves are walked as one frontier:
-    each level, the pending midpoints of all open curves go to ``evaluator(rows, params)`` in one call, ``rows[i]``
-    naming the curve of ``params[i]``, and their halves through one segment pass. A curve and its midpoints are
-    divided by its :func:`_unit` (distances scaled back). Each curve's outcome is bit for bit the one it gets alone."""
+    returned unraised so that no traceback keeps the walk's arrays alive. The curves are walked as one frontier: each
+    pass, the subtrees _DEPTH levels deep of the pending splits of all open curves go to ``evaluator(rows, params)``
+    in one call, grouped by curve and each curve's in parameter order, ``rows[i]`` naming the curve of ``params[i]``;
+    their halves go through one segment pass. Only the points the depth-first walk meets are counted, and the points
+    below a half that does not split, evaluated ahead, are never read. A curve and its points are divided by its
+    :func:`_unit` (distances scaled back). Each curve's outcome is bit for bit the one it gets alone."""
     outcomes: List = [None] * len(curves)
     rel, budget, refine = policy.origin_rel_tol, policy.max_evaluations, evaluator is not None
     firsts, info = [], {}
@@ -170,80 +174,89 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         return outcomes
     units = {k: unit for k, (_, _, unit) in info.items() if unit != 1.0}
 
-    # The frontier F is the newest level of every open curve, grouped by curve in ascending order, each group in
-    # parameter order and ending at ``bounds``; the ``g*`` arrays hold each group's running scalars. While they show
-    # that no stop is possible, a curve's pending splits are all its splits in F. Once one is (it stays possible),
-    # its levels are merged in depth-first order into ``slow[k]``, where the replay finds the first segment that
-    # stops the walk, and only the pending splits ahead of that segment are evaluated.
+    # The frontier F is the newest block of segments of every open curve, grouped by curve in ascending order and
+    # ending at ``bounds``, with masks of its ``real`` segments, its real ``leaf`` segments and the real splits that
+    # ``pend``, in parameter order; the ``g*`` arrays hold each group's running scalars. While they show that no stop
+    # is possible, a curve's pending splits are all those of F. Once one is (it stays possible), its segments are
+    # merged in depth-first order each pass, the replay finds the first segment that stops the walk, and only the
+    # pending splits ahead of that segment, all in F, are taken.
     sizes = [first["ta"].size for first in firsts]
     gk, bounds, spent = np.array(list(info)), np.array([0, *itertools.accumulate(sizes)]), max(sizes) + 1
     F = {key: np.concatenate([first[key] for first in firsts]) for key in _KEYS} if len(firsts) > 1 else dict(firsts[0])
-    F["rows"], history, slow = gk.repeat(sizes), [F], {}
+    F.update(real=np.ones(bounds[-1], dtype=bool), leaf=~F["split"], pend=F["split"])
+    history = [F]
     groom, gtop, glow_mid, glow_leaf = np.array([(budget - n, top, np.inf, np.inf) for n, top, _ in info.values()]).T
     while True:
-        split = F["split"]
-        at = split.nonzero()[0]
+        F["runs"] = dict(zip(gk.tolist(), itertools.pairwise(bounds.tolist())))  # each curve's (start, end) in F
+        at = F["pend"].nonzero()[0]
         marks = at.searchsorted(bounds)
         count = marks[1:] - marks[:-1]
         groom -= count
         spent += at.size  # no curve's budget test can fail while the largest n plus all splits so far fits
-        np.minimum(glow_leaf, np.minimum.reduceat(np.where(split, np.inf, F["distance"]), bounds[:-1]), out=glow_leaf)
+        glow_leaf = np.minimum(glow_leaf, np.minimum.reduceat(np.where(F["leaf"], F["distance"], np.inf), bounds[:-1]))
         fast = np.minimum(glow_leaf, glow_mid) >= rel * gtop
         if spent > budget:
             fast &= groom >= 0
         if refine and all(fast.tolist()) and all(count.tolist()):
-            pending, (ta, tb, pa, pb, rows) = [(F, at)], (F[key][at] for key in ("ta", "tb", "pa", "pb", "rows"))
+            take = at
         else:
-            pending, ends = [], bounds.tolist()
+            parts = []
             for g, k in enumerate(gk.tolist()):
-                if refine and fast[g]:
-                    pending.append((F, at[marks[g]:marks[g + 1]]))
-                    continue
-                if k in slow:  # the halves of its pending splits go in right after them
-                    (seg, after), size = slow[k], slow[k][0]["ta"].size
-                    index = np.insert(np.arange(size), after.repeat(2) + 1, np.arange(size, size + 2 * after.size))
-                    seg = {key: np.concatenate((seg[key], F[key][ends[g]:ends[g + 1]]))[index] for key in _KEYS}
-                else:
-                    seg = _depth_first(history, k, _KEYS)
-                seg, after, outcomes[k] = _replay(seg, *info[k], policy, refine)
-                slow[k], count[g] = (seg, after), after.size
-                pending.append((seg, after))
+                part = at[marks[g]:marks[g + 1]]
+                if not (refine and fast[g]):  # the replay takes the pending splits of F ahead of the first stop
+                    ahead, outcomes[k] = _replay(_depth_first(history, k, _KEYS), *info[k], policy, refine)
+                    part = part[F["ta"][part].searchsorted(ahead)]
+                    count[g] = part.size
+                parts.append(part)
             for g in (count == 0).nonzero()[0].tolist():
                 k, threshold, evaluations = int(gk[g]), rel * gtop[g], int(budget - groom[g])
                 if outcomes[k] is None and glow_leaf[g] < threshold:
                     outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, info[k][2])
                 elif outcomes[k] is None:
-                    leaves = slow[k][0]["increment"][~slow[k][0]["split"]] if k in slow else \
-                        _depth_first(history, k, ("increment",), leaves=True)["increment"]
+                    leaves = _depth_first(history, k, ("increment",), leaves=True)["increment"]
                     outcomes[k] = _result(leaves, float(glow_leaf[g]) * info[k][2], evaluations, policy)
             keep = count > 0
             if not keep.any():
                 return outcomes
             gk, groom, gtop, glow_mid, glow_leaf, count = (
                 array[keep] for array in (gk, groom, gtop, glow_mid, glow_leaf, count))
-            pending, marks = [part for part in pending if part[1].size], np.array([0, *itertools.accumulate(count)])
-            ta, tb, pa, pb = (np.concatenate([seg[key][at] for seg, at in pending]) for key in ("ta", "tb", "pa", "pb"))
-            rows = gk.repeat(count)
-        tm = 0.5 * (ta + tb)
-        pm = np.asarray(evaluator(rows, tm), dtype=complex)
+            take, marks = np.concatenate(parts), np.array([0, *itertools.accumulate(count)])
+        ta, tb, pa, pb = (F[key][take] for key in ("ta", "tb", "pa", "pb"))
+        rows = gk.repeat(count)
+        # one row a pending split: the 2^K + 1 points of its subtree in parameter order, and its halves
+        T = np.empty((ta.size, _N + 1))
+        T[:, 0], T[:, _N] = ta, tb
+        for step in _STEPS:
+            T[:, step::2 * step] = 0.5 * (T[:, :-1:2 * step] + T[:, 2 * step::2 * step])
+        pm = np.asarray(evaluator(rows.repeat(_N - 1), T[:, 1:-1].ravel()), dtype=complex)
         if units:
-            pm = pm / np.array([units.get(k, 1.0) for k in rows.tolist()])
+            pm = pm / np.array([units.get(k, 1.0) for k in rows.tolist()]).repeat(_N - 1)
         modulus = np.abs(pm)
         if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
             pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
-        for (seg, at), start in zip(pending, itertools.accumulate([at.size for _, at in pending], initial=0)):
-            seg["mid"][at] = modulus[start:start + at.size]
-        gtop = np.fmax(gtop, np.fmax.reduceat(modulus, marks[:-1]))
-        glow_mid = np.fmin(glow_mid, np.fmin.reduceat(modulus, marks[:-1]))
-        F = _segments(_pairs(ta, tm), _pairs(tm, tb), _pairs(pa, pm), _pairs(pm, pb), policy)
-        F["rows"], bounds = rows.repeat(2), 2 * marks
+        P, M = np.empty(T.shape, dtype=complex), modulus.reshape(ta.size, _N - 1)
+        P[:, 0], P[:, _N], P[:, 1:-1] = pa, pb, pm.reshape(M.shape)
+        F["mid"][take] = M[:, _CENTER]
+        F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), policy)
+        # a half is real, met by the depth-first walk, when every ancestor in its subtree splits; the real splits
+        # above the last level are walked past, with their midpoints counted, and those of the last level pend
+        split = F["split"].reshape(ta.size, _W)
+        real = ~np.matmul(~split, _ANCESTOR)
+        both, past = real & split, real & split & _ABOVE
+        mid = np.where(past, M.take(_MID, axis=1), np.nan)
+        gtop = np.fmax(gtop, np.fmax.reduceat(np.fmax(np.fmax.reduce(mid, axis=1), M[:, _CENTER]), marks[:-1]))
+        glow_mid = np.fmin(glow_mid, np.fmin.reduceat(np.fmin(np.fmin.reduce(mid, axis=1), M[:, _CENTER]), marks[:-1]))
+        walked = np.add.reduceat(past.sum(axis=1), marks[:-1])
+        groom, spent = groom - walked, spent + int(walked.sum())
+        F.update(mid=mid.ravel(), real=real.ravel(), leaf=(real ^ both).ravel(), pend=(both ^ past).ravel())
+        bounds = _W * marks
         history.append(F)
 
 
 def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPolicy, refine: bool):
-    """The depth-first replay of one curve's merged segments: those up to the first one that stops the walk (a stop
-    stays one, so what follows it never matters again; without an evaluator every split is one), the pending splits
-    ahead of it and, when none is, the error it stops the walk with (the curve divided by ``unit``)."""
+    """The depth-first replay of one curve's merged segments up to the first one that stops the walk (a stop stays
+    one, so what follows it never matters again; without an evaluator every split is one): the ``ta`` of the pending
+    splits ahead of it and, when none is, the error it stops the walk with (the curve divided by ``unit``)."""
     rel, split, mid, distance = policy.origin_rel_tol, seg["split"], seg["mid"], seg["distance"]
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
@@ -253,7 +266,7 @@ def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPoli
     first = int(np.argmax(stops)) if stops.any() else None
     pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
     if pending.size or first is None:
-        return (seg if first is None else {key: value[:first + 1] for key, value in seg.items()}), pending, None
+        return seg["ta"][pending], None
     evaluations, threshold = n + int(before[first]), rel * scale_before[first]
     if not split[first] or (refine and over_budget[first] and distance[first] < threshold):
         error = _on_curve(distance[first], threshold, evaluations, unit)
@@ -265,7 +278,7 @@ def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPoli
         error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
     else:
         error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1, unit)
-    return seg, pending, error
+    return seg["ta"][pending], error
 
 
 def _result(increments: np.ndarray, low_leaf: float, evaluations: int, policy: RefinementPolicy):

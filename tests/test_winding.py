@@ -10,6 +10,7 @@ from klstab.kl import exterior_zero_count_direct, reduce_boundary
 from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
 from klstab.winding import (
     RefinementPolicy,
+    _DEPTH,
     _result,
     curve_to_csv,
     first_pass,
@@ -94,9 +95,10 @@ def test_coarse_start_refines_to_correct_index():
     assert dense.samples_used == 16385
 
 
-def test_evaluator_called_once_per_level_with_an_array():
+def test_evaluator_called_once_per_pass_with_an_array():
     # four chords of the unit circle are too long for their distance to the
-    # origin; every segment is split until there are 32, one level per call
+    # origin; every segment is split until there are 32: three levels, each
+    # pass evaluating the subtrees of its splits _DEPTH levels deep in one call
     calls = []
 
     def fn(t):
@@ -106,7 +108,7 @@ def test_evaluator_called_once_per_level_with_an_array():
     result = winding_number(circle_curve(lambda t: np.exp(1j * t), 4), evaluator=fn)
     assert result.index == 1
     assert all(isinstance(t, np.ndarray) for t in calls)
-    assert [t.size for t in calls] == [4, 8, 16]
+    assert len(calls) == math.ceil(3 / _DEPTH) and calls[0].size == 4 * (2**_DEPTH - 1)
     assert result.samples_used == 5 + 4 + 8 + 16
 
 
@@ -311,32 +313,55 @@ def test_matches_depth_first_reference_near_stability_edges(orders, lam, outcome
     assert assert_matches_reference(curve, RefinementPolicy(), evaluator) == outcome
 
 
+# a pass evaluates at most the 2^K - 1 points of the subtree of each split it takes, and takes only splits the
+# depth-first walk meets: on a walk that ends with a result, at most this many evaluated points a counted one
+WASTE_BOUND = 2**_DEPTH - 1
+
+
+def counted_levels(params, counted):
+    """The number of levels of the midpoints ``counted`` below the segments between ``params``."""
+    deepest, stack = 0, [(a, b, 1) for a, b in zip(params[:-1].tolist(), params[1:].tolist())]
+    while stack:
+        a, b, level = stack.pop()
+        if 0.5 * (a + b) in counted:
+            deepest = max(deepest, level)
+            stack += [(a, 0.5 * (a + b), level + 1), (0.5 * (a + b), b, level + 1)]
+    return deepest
+
+
 @pytest.mark.parametrize("orders, lam", [(None, None)] + [entry[:2] for entry in NEAR_EDGE])
 def test_evaluator_gets_only_new_parameters(orders, lam):
-    # never an empty array, never a parameter twice, and on success exactly
-    # the midpoints that samples_used counts
+    # never an empty array, never a parameter twice, every midpoint that samples_used counts among those
+    # evaluated, at most WASTE_BOUND evaluated a counted one on success, and one call a pass of _DEPTH levels
     if orders is None:
         # the curve of test_coarse_start_refines_to_correct_index
         fn = lambda t: np.exp(1j * t) - 0.985
-        curve, evaluator, levels = circle_curve(fn, 64), fn, 1
+        curve, evaluator = circle_curve(fn, 64), fn
     else:
-        (curve, evaluator), levels = near_edge_curve(orders, lam), 19
-    calls = []
+        curve, evaluator = near_edge_curve(orders, lam)
+    counted, calls = [], []
+
+    def count(t):
+        counted.append(float(t[0]))
+        return evaluator(t)
 
     def record(t):
         calls.append(np.array(t, copy=True))
         return evaluator(t)
 
-    try:
-        result = winding_number(curve, evaluator=record)
-    except OriginOnCurve:
-        result = None
-    assert len(calls) >= levels
+    expected = depth_first_reference(curve, RefinementPolicy(), count)
+    outcome = _alone(curve, RefinementPolicy(), record)
+    result = getattr(outcome, "result", outcome)
+    assert result.samples_used == expected[1] == curve.params.size + len(counted)
     assert all(t.size > 0 for t in calls)
     evaluated = np.concatenate([curve.params[:-1]] + calls)
     assert np.unique(evaluated).size == evaluated.size
-    if result is not None:
-        assert sum(t.size for t in calls) == result.samples_used - curve.params.size
+    assert set(counted) <= set(evaluated.tolist())
+    if not result.origin_on_curve:
+        assert sum(t.size for t in calls) <= WASTE_BOUND * len(counted)
+    levels = counted_levels(curve.params, set(counted))
+    assert levels >= (1 if orders is None else 19)
+    assert len(calls) <= math.ceil(levels / _DEPTH)
 
 
 def _bits(outcome):
@@ -412,6 +437,69 @@ def test_lockstep_walk_matches_each_curve_alone():
     walked = winding_numbers([(params, row) for row in points], RefinementPolicy(), evaluate,
                              [levels(i) for i in range(len(curves))])
     assert [_bits(outcome) for outcome in walked] == expected
+
+
+def as_reference(outcome):
+    """A walk's outcome in the terms of ``depth_first_reference``."""
+    if isinstance(outcome, OriginOnCurve):
+        return ("origin", outcome.result.samples_used, outcome.result.min_distance)
+    if isinstance(outcome, RefinementBudgetExceeded):
+        return ("budget",)
+    return ("ok", outcome.samples_used, outcome.min_distance, outcome.index)
+
+
+def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
+    # random curves beside the near-edge determinant curves in one call, under budgets just below, at and just
+    # above what a deep walk needs, so that a pass's subtrees cross the budget: every outcome is bit for bit the
+    # curve's own and that of the depth-first walk
+    rng = np.random.default_rng(21)
+    near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
+    needs = [depth_first_reference(curve, RefinementPolicy(), fn)[1] for curve, fn in near_edge]
+    kinds = set()
+    for trial in range(12):
+        fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0, 4)))]
+        stack = [(circle_curve(fn, int(rng.integers(3, 120))), fn) for fn in fns]
+        deep = rng.choice(len(near_edge), size=int(rng.integers(1, 4)), replace=False)
+        stack += [near_edge[k] for k in deep]
+        stack = [stack[k] for k in rng.permutation(len(stack))]
+        policy = RefinementPolicy(max_evaluations=needs[deep[0]] + int(rng.integers(-2, 3)))
+
+        def evaluate(rows, t):
+            out = np.empty(t.shape, dtype=complex)
+            for k in np.unique(rows):
+                out[rows == k] = stack[k][1](t[rows == k])
+            return out
+
+        walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], policy, evaluate)
+        for outcome, (curve, fn) in zip(walked, stack):
+            assert _bits(outcome) == _bits(_alone(curve, policy, fn)), trial
+            got, expected = as_reference(outcome), depth_first_reference(curve, policy, fn)
+            assert got[:2] + got[3:] == expected[:2] + expected[3:], (trial, got, expected)
+            assert got[2:3] == pytest.approx(expected[2:3], rel=1e-9, abs=1e-300)
+            kinds.add(got[0])
+    assert kinds == {"ok", "origin", "budget"}
+
+    # a value that is not finite, or that is far the largest, where a pass evaluates ahead but the depth-first walk
+    # never does changes nothing
+    stack = near_edge + [(circle_curve(fn, 40), fn) for fn in (random_trig_curve(rng) for _ in range(3))]
+    walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], RefinementPolicy(),
+                             lambda rows, t: np.concatenate([stack[k][1](t[rows == k]) for k in np.unique(rows)]))
+    for k, (curve, fn) in enumerate(stack):
+        counted, evaluated = [], []
+        depth_first_reference(curve, RefinementPolicy(), lambda t: counted.append(float(t[0])) or fn(t))
+        _alone(curve, RefinementPolicy(), lambda t: evaluated.extend(t.tolist()) or fn(t))
+        ahead = sorted(set(evaluated) - set(counted))
+        if not ahead:
+            continue
+        hole = ahead[int(rng.integers(len(ahead)))]
+        for value in (np.nan, 1e12):
+            holed = lambda t, fn=fn, hole=hole, value=value: np.where(t == hole, value, fn(t))
+            assert _bits(_alone(curve, RefinementPolicy(), holed)) == _bits(walked[k])
+            fns = [fn for _, fn in stack]
+            fns[k] = holed
+            rewalked = winding_numbers([(c.params, c.points) for c, _ in stack], RefinementPolicy(),
+                                       lambda rows, t: np.concatenate([fns[j](t[rows == j]) for j in np.unique(rows)]))
+            assert [_bits(outcome) for outcome in rewalked] == [_bits(outcome) for outcome in walked]
 
 
 def test_a_leaf_under_the_threshold_of_the_end_alone_puts_the_origin_on_the_curve():
