@@ -222,15 +222,14 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
                 array[keep] for array in (gk, groom, gtop, glow_mid, glow_leaf, count))
             take, marks = np.concatenate(parts), np.array([0, *itertools.accumulate(count)])
         ta, tb, pa, pb = (F[key][take] for key in ("ta", "tb", "pa", "pb"))
-        rows = gk.repeat(count)
         # one row a pending split: the 2^K + 1 points of its subtree in parameter order, and its halves
         T = np.empty((ta.size, _N + 1))
         T[:, 0], T[:, _N] = ta, tb
         for step in _STEPS:
             T[:, step::2 * step] = 0.5 * (T[:, :-1:2 * step] + T[:, 2 * step::2 * step])
-        pm = np.asarray(evaluator(rows.repeat(_N - 1), T[:, 1:-1].ravel()), dtype=complex)
+        pm = np.asarray(evaluator(gk.repeat((_N - 1) * count), T[:, 1:-1].ravel()), dtype=complex)
         if units:
-            pm = pm / np.array([units.get(k, 1.0) for k in rows.tolist()]).repeat(_N - 1)
+            pm = pm / np.array([units.get(k, 1.0) for k in gk.tolist()]).repeat((_N - 1) * count)
         modulus = np.abs(pm)
         if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
             pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
