@@ -382,7 +382,7 @@ def _alone(curve, policy, evaluator, first_level=None):
 
 def test_lockstep_walk_matches_each_curve_alone():
     # random trigonometric curves beside the near-edge determinant curves, walked together: every row's result
-    # or error is bit for bit its own, and the walk takes one evaluator call a level of the deepest curve
+    # or error is bit for bit its own, and the walk takes one evaluator call a pass of the deepest curve
     rng = np.random.default_rng(11)
     near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
     policies = [RefinementPolicy(), RefinementPolicy(max_evaluations=1100),
