@@ -235,7 +235,8 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         P, M = np.empty(T.shape, dtype=complex), modulus.reshape(ta.size, _N - 1)
         P[:, 0], P[:, _N], P[:, 1:-1] = pa, pb, pm.reshape(M.shape)
         F["mid"][take] = M[:, _CENTER]
-        F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), policy)
+        with np.errstate(over="ignore", invalid="ignore"):  # a point evaluated ahead may be huge, and is never read
+            F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), policy)
         # a half is real, met by the depth-first walk, when its level - 1 ancestors in the subtree all split; the real
         # splits above the last level are walked past, with their midpoints counted, and those of the last level pend
         split = F["split"].reshape(ta.size, _W)

@@ -448,6 +448,7 @@ def as_reference(outcome):
     return ("ok", outcome.samples_used, outcome.min_distance, outcome.index)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
     # random curves beside the near-edge determinant curves in one call, under budgets just below, at and just
     # above what a deep walk needs, so that a pass's subtrees cross the budget: every outcome is bit for bit the
@@ -479,8 +480,8 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
             kinds.add(got[0])
     assert kinds == {"ok", "origin", "budget"}
 
-    # a value that is not finite, or that is far the largest, where a pass evaluates ahead but the depth-first walk
-    # never does changes nothing
+    # a value that is not finite, or that is far the largest (even beyond the segment pass's range), where a pass
+    # evaluates ahead but the depth-first walk never does changes nothing, and warns of nothing
     stack = near_edge + [(circle_curve(fn, 40), fn) for fn in (random_trig_curve(rng) for _ in range(3))]
     walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], RefinementPolicy(),
                              lambda rows, t: np.concatenate([stack[k][1](t[rows == k]) for k in np.unique(rows)]))
@@ -492,7 +493,7 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
         if not ahead:
             continue
         hole = ahead[int(rng.integers(len(ahead)))]
-        for value in (np.nan, 1e12):
+        for value in (np.nan, 1e12, 1e300):
             holed = lambda t, fn=fn, hole=hole, value=value: np.where(t == hole, value, fn(t))
             assert _bits(_alone(curve, RefinementPolicy(), holed)) == _bits(walked[k])
             fns = [fn for _, fn in stack]
