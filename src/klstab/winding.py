@@ -97,7 +97,7 @@ _START = np.concatenate([np.arange(0, _N, step) for step in _STEPS])
 _END = _START + (_N >> _LEVEL)
 # the midpoint of each half and of the subtree's split, indexing the 2^K - 1 points between its ends
 _W, _ABOVE, _MID, _CENTER = _START.size, _LEVEL < _DEPTH, (_START + _END) // 2 - 1, _N // 2 - 1
-_ANCESTOR = ((_START[:, None] <= _START) & (_END <= _END[:, None]) & (_LEVEL[:, None] < _LEVEL)).astype(float)
+_ANCESTOR = (_START[:, None] <= _START) & (_END <= _END[:, None]) & (_LEVEL[:, None] < _LEVEL)
 
 
 def _depth_first(levels: list, k: int, keys, leaves: bool = False) -> dict:
@@ -237,10 +237,10 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         F["mid"][take] = M[:, _CENTER]
         with np.errstate(over="ignore", invalid="ignore"):  # a point evaluated ahead may be huge, and is never read
             F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), policy)
-        # a half is real, met by the depth-first walk, when its level - 1 ancestors in the subtree all split; the real
-        # splits above the last level are walked past, with their midpoints counted, and those of the last level pend
+        # a half is real, met by the depth-first walk, when every ancestor in its subtree splits (a boolean product,
+        # not BLAS); real splits above the last level are walked past, midpoints counted, and the last level's pend
         split = F["split"].reshape(ta.size, _W)
-        real = np.matmul(split, _ANCESTOR) == _LEVEL - 1
+        real = ~np.matmul(~split, _ANCESTOR)
         past = (both := real & split) & _ABOVE
         mid = np.where(past, M.take(_MID, axis=1), np.nan)
         gtop = np.fmax(gtop, np.fmax.reduceat(np.fmax(np.fmax.reduce(mid, axis=1), M[:, _CENTER]), marks[:-1]))
