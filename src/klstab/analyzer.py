@@ -26,7 +26,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
 from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots, upwind_blocks
 from .scheme import AssumptionReport, Scheme, validate
-from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, first_pass, sample_kl_curves, winding_numbers
+from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
 from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
 from .winding import sample_kl_curve, winding_number  # noqa: F401
@@ -155,8 +155,8 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
     Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
-    by ``(r, m)`` and decided in stacked blocks; the curves whose first winding level needs a split or comes near
-    the origin are walked in lockstep, 4 at a time. Each verdict is bit for bit the one the pair gets alone;
+    by ``(r, m)`` and decided in stacked blocks; the curves are wound 4 at a time, those whose first winding level
+    needs a split or comes near the origin walked together. Each verdict is bit for bit the one the pair gets alone;
     ``classify=False`` leaves the zeros of an ``UnstableBoundaryZero`` verdict unclassified, ``boundary_zeros`` empty.
     """
     outcomes: List = [None] * len(pairs)
@@ -206,26 +206,17 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
 
 
 def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolicy) -> list:
-    """Each row's winding result or walk error; the rows the first pass leaves open walk together. Called a chunk
-    of rows at a time, so that a chunk's arrays are freed before the next chunk's are made and numpy reuses their
-    heap memory: kept until then, they cost a jobs-1 ``sigma-map`` sweep about 400 more minor faults and 8 %."""
+    """Each row's winding result or walk error, from one :func:`winding_numbers` call. Called a chunk of rows at a
+    time, so that a chunk's arrays are freed before the next chunk's are made and numpy reuses their heap memory:
+    kept until then, they cost a jobs-1 ``sigma-map`` sweep about 400 more minor faults and 8 %."""
     r = a.shape[1] - 1
     params, points = sample_kl_curves(det_c, a[:, 0], a[:, -1], r, n0)
-    index, low, decided, level = first_pass(params, points, policy)
-    chunk = [WindingResult(int(index[i]), float(low[i]), n0 + 1, False) if done else None
-             for i, done in enumerate(decided.tolist())]
-    walk = [i for i, winding in enumerate(chunk) if winding is None]
-    if walk:
-        coeffs, lead, zero = det_c[walk], a[walk, 0], a[walk, -1]
 
-        def evaluate(rows, theta):
-            z = np.exp(1j * theta)[:, None]
-            return (kl_det_stack(coeffs[rows], lead[rows], zero[rows], r, z) / z**r)[:, 0]
+    def evaluate(rows, theta):
+        z = np.exp(1j * theta)[:, None]
+        return (kl_det_stack(det_c[rows], a[rows, 0], a[rows, -1], r, z) / z**r)[:, 0]
 
-        curves, levels = [(params, points[i]) for i in walk], [level(i) for i in walk]
-        for i, winding in zip(walk, winding_numbers(curves, policy, evaluate, levels)):
-            chunk[i] = winding
-    return chunk
+    return winding_numbers(params, points, policy, evaluate)
 
 
 def _verdict(s, bc, report, det_c, direct, winding, tols, classify) -> StabilityVerdict:

@@ -54,7 +54,8 @@ _STATUS_EXIT = {
 }
 
 
-# Largest grid parse_grid builds; a finite grid can still be too large to allocate
+# Largest grid parse_grid builds, and the most curve samples and simulated cells; a larger size is refused before
+# anything is allocated
 _MAX_GRID_POINTS = 10**7
 
 # Tolerances settable by flag (--cluster-radius, ...) and by the config's "tolerances" keys
@@ -94,40 +95,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, sigma_flag=True):
+    def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override file values")
         p.add_argument("--preset", help="scheme preset name (beam-warming)")
         p.add_argument("--coefficients", type=float, nargs="+", metavar="A", help="stencil coefficients a_-r .. a_0")
-        p.add_argument("--lambda", dest="lambda", type=float, help="CFL number")
         p.add_argument("--silw", type=int, nargs=2, metavar=("KD", "D"),
                        help="simplified inverse Lax-Wendroff orders k_d and d")
-        if sigma_flag:
-            p.add_argument("--sigma", type=float, help="grid offset in [-1/2, 1/2), default 0")
         p.add_argument("--custom-b", metavar="FILE", help="JSON file with {\"b\": [[...], ...]} extrapolation rows")
         p.add_argument("--out", help="output path (default stdout)")
 
-    p_check = sub.add_parser("check", help="single stability verdict as JSON")
+    # no abbreviations: --lambda on sweep would otherwise be taken for --lambda-grid
+    p_check = sub.add_parser("check", help="single stability verdict as JSON", allow_abbrev=False)
     add_common(p_check)
 
-    p_curve = sub.add_parser("curve", help="determinant curve on the unit circle as CSV")
+    p_curve = sub.add_parser("curve", help="determinant curve on the unit circle as CSV", allow_abbrev=False)
     add_common(p_curve)
     p_curve.add_argument("--no-normalize", action="store_true",
                          help="emit the raw determinant instead of dividing by z^r")
 
-    p_sweep = sub.add_parser("sweep", help="zero-count map over parameter grids as CSV")
-    add_common(p_sweep, sigma_flag=False)
+    p_sweep = sub.add_parser("sweep", help="zero-count map over parameter grids as CSV", allow_abbrev=False)
+    add_common(p_sweep)
     p_sweep.add_argument("--lambda-grid", metavar="A:B:STEP", help="CFL grid")
     p_sweep.add_argument("--sigma-grid", metavar="A:B:STEP", help="grid-offset grid (default {0})")
     p_sweep.add_argument("--jobs", type=int, help="parallel workers (default 1)")
 
-    p_sim = sub.add_parser("simulate", help="sigma-scan amplitude field as CSV")
-    add_common(p_sim, sigma_flag=False)
+    p_sim = sub.add_parser("simulate", help="sigma-scan amplitude field as CSV", allow_abbrev=False)
+    add_common(p_sim)
     p_sim.add_argument("--sigma-grid", metavar="A:B:STEP", help="grid-offset grid (default -0.5:0.48:0.02)")
     p_sim.add_argument("--grid-points", type=int, default=1000, help="interior cells J (default 1000)")
     p_sim.add_argument("--final-time", type=float, default=0.3, help="time horizon T (default 0.3)")
     p_sim.add_argument("--velocity", type=float, default=1.0, help="advection velocity a (default 1)")
 
     # only the commands that read them get these flags
+    for p in (p_check, p_curve, p_sim):
+        p.add_argument("--lambda", dest="lambda", type=float, help="CFL number")
+    for p in (p_check, p_curve):
+        p.add_argument("--sigma", type=float, help="grid offset in [-1/2, 1/2), default 0")
     for p in (p_check, p_curve, p_sweep):
         p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
     for p in (p_check, p_sweep):
@@ -283,6 +286,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         n0 = _merged(args, config, "samples", 1024, _NUMBER)
         if type(n0) is not int:
             raise UsageError(f'config key "samples" must be an integer, got {json.dumps(n0)}')
+        for name, size in (("samples", n0), ("grid-points", getattr(args, "grid_points", 0))):
+            if size > _MAX_GRID_POINTS:
+                raise UsageError(f"{name} must be at most {_MAX_GRID_POINTS}, got {size}")
         out = _merged(args, config, "out", kind=_TEXT)
 
         scheme, boundary = _descriptors(args, config)
@@ -347,7 +353,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         curve = sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)
         _write(curve_to_csv(curve), out)
         return EXIT_OK
-    except (UsageError, OSError, ValueError, ArithmeticError, KLStabError) as exc:
+    except (UsageError, OSError, ValueError, ArithmeticError, KLStabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

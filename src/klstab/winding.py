@@ -5,14 +5,16 @@ determinant curve around the origin, so getting an integer reliably matters more
 sum is refined by inserting curve midpoints wherever a single turn is too large or a segment passes suspiciously close
 to the origin, within a fixed evaluation budget.
 
-One numpy pass gives every segment its angle increment, distance to the origin and split flag. The open curves are
-refined together as one frontier, several levels a pass: each pending split brings its dyadic subtree _DEPTH levels
-deep, the points of all of them go to the evaluator in one call and their halves through one segment pass. A point is
-counted only where the depth-first walk meets it, below halves that all split; the others were evaluated ahead for
-nothing, and no stop test reads them, not even when they are not finite. The curves' running scalars are arrays updated
-once a pass. Only a curve that a known segment could stop has its segments merged into depth-first order, to find the
-stop. The refined polygon, the evaluation count and the error are those of a depth-first walk that splits segments in
-parameter order, the adaptive argument-principle count of X. Ying and I. N. Katz (Numer. Math. 53, 1988).
+A stack of curves at shared parameters goes through one numpy pass that gives every segment its angle increment,
+distance to the origin and split flag. That pass decides each curve that is not finite, is zero, has a sample at the
+origin, or needs no split; the open curves are refined together from its segments as one frontier, several levels a
+pass: each pending split brings its dyadic subtree _DEPTH levels deep, the points of all of them go to the evaluator in
+one call and their halves through one segment pass. A point is counted only where the depth-first walk meets it, below
+halves that all split; the others were evaluated ahead for nothing, and no stop test reads them, not even when they are
+not finite. The curves' running scalars are arrays updated once a pass. Only a curve that a known segment could stop has
+its segments merged into depth-first order, to find the stop. The refined polygon, the evaluation count and the error
+are those of a depth-first walk that splits segments in parameter order, the adaptive argument-principle count of X.
+Ying and I. N. Katz (Numer. Math. 53, 1988).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,62 +118,73 @@ def _on_curve(distance: float, threshold: float, evaluations: int, unit: float =
                          WindingResult(None, float(distance), int(evaluations), True))
 
 
-def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLICY,
-                   evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                   first_level: Optional[dict] = None) -> WindingResult:
+def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLICY, *,
+                   evaluator: Callable[[np.ndarray], np.ndarray]) -> WindingResult:
     """Signed number of turns of a closed sampled curve around the origin: :func:`winding_numbers` of one curve.
 
     ``evaluator`` maps an array of parameter values to the array of curve points; it is called with one array a
-    pass of several refinement levels, and without it any segment that needs refinement is a hard error.
-    ``first_level`` is the first level of segments when :func:`first_pass` has built it. ``samples_used`` counts the
-    evaluations of the depth-first walk alone. Raises :class:`OriginOnCurve` when the refined polygon comes closer
-    to the origin than the relative threshold, :class:`RefinementBudgetExceeded` when the angle sum cannot be
-    trusted within the evaluation budget, and ``ValueError`` when a sample or an evaluated midpoint is not finite.
+    pass of several refinement levels. ``samples_used`` counts the evaluations of the depth-first walk alone. Raises
+    :class:`OriginOnCurve` when the refined polygon comes closer to the origin than the relative threshold,
+    :class:`RefinementBudgetExceeded` when the angle sum cannot be trusted within the evaluation budget, and
+    ``ValueError`` when a sample or an evaluated midpoint is not finite.
     """
     if not curve.closed:
         raise ValueError("winding numbers are defined for closed curves only")
-    rows_evaluator = None if evaluator is None else lambda rows, t: evaluator(t)
-    (outcome,) = winding_numbers([(curve.params, curve.points)], policy, rows_evaluator, [first_level])
+    (outcome,) = winding_numbers(curve.params, curve.points[None], policy, lambda rows, t: evaluator(t))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: RefinementPolicy = DEFAULT_POLICY,
-                    evaluator: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-                    first_levels: Optional[Sequence[Optional[dict]]] = None) -> List[Union[WindingResult, Exception]]:
-    """The :func:`winding_number` of each closed curve ``(params, points)`` (``params`` increasing), or its error,
-    returned unraised so that no traceback keeps the walk's arrays alive. The curves are walked as one frontier: each
-    pass, the subtrees _DEPTH levels deep of the pending splits of all open curves go to ``evaluator(rows, params)``
-    in one call, grouped by curve and each curve's in parameter order, ``rows[i]`` naming the curve of ``params[i]``;
-    their halves go through one segment pass. Only the points the depth-first walk meets are counted, and the points
-    below a half that does not split, evaluated ahead, are never read. A curve and its points are divided by its
-    :func:`_unit` (distances scaled back). Each curve's outcome is bit for bit the one it gets alone."""
-    outcomes: List = [None] * len(curves)
-    rel, budget, refine = policy.origin_rel_tol, policy.max_evaluations, evaluator is not None
-    firsts, info = [], {}
-    for k, ((params, points), level) in enumerate(zip(curves, first_levels or [None] * len(curves))):
-        if params.size < 4:
-            outcomes[k] = ValueError("need at least 3 distinct points on a closed curve")
-            continue
-        moduli = np.abs(points)
-        scale = float(moduli.max())
-        close = (moduli < rel * scale).nonzero()[0]
+def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy,
+                    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> List[Union[WindingResult, Exception]]:
+    """The :func:`winding_number` of each row of ``points``, a closed curve at the increasing ``params`` all rows
+    share, or its error, returned unraised so that no traceback keeps the walk's arrays alive. One segment pass over
+    the stack decides each row that is not finite, is zero, has a sample under the origin threshold, or needs no split
+    and sums to an integer. The other rows are walked as one frontier: each pass, the subtrees _DEPTH levels deep of
+    the pending splits of all open rows go to ``evaluator(rows, params)`` in one call, grouped by row and each row's
+    in parameter order, ``rows[i]`` naming the row of ``params[i]``; their halves go through one segment pass. Only
+    the points the depth-first walk meets are counted, and the points below a half that does not split, evaluated
+    ahead, are never read. A row and its points are divided by its :func:`_unit` (distances scaled back). Each row's
+    outcome is bit for bit the one it gets alone."""
+    rows, n = points.shape
+    if n < 4:
+        return [ValueError("need at least 3 distinct points on a closed curve") for _ in range(rows)]
+    rel, budget = policy.origin_rel_tol, policy.max_evaluations
+    moduli = np.abs(points)
+    top = np.maximum.reduce(moduli, axis=1)
+    close = moduli < rel * top[:, None]
+    first_close = close.argmax(axis=1)
+    units = np.array([_unit(scale) for scale in top.tolist()])
+    divided = bool((units != 1.0).any())
+    if divided:
+        points = points / units[:, None]
+    # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
+    flat = points.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite; it is decided before any walk
+        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
+    increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
+    scales = top / units
+    low = np.minimum.reduce(distance, axis=1)
+    turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
+    index = np.rint(turns)
+    decided = (~np.logical_or.reduce(split, axis=1) & (low >= rel * scales)
+               & (np.abs(turns - index) <= policy.integer_tol))
+    outcomes: List = [None] * rows
+    walk = []
+    for k, scale in enumerate(top.tolist()):
         if not math.isfinite(scale):
-            outcomes[k] = ValueError(f"curve is not finite at t={float(params[np.argmin(np.isfinite(moduli))])!r}")
+            outcomes[k] = ValueError(f"curve is not finite at t={float(params[np.argmin(np.isfinite(moduli[k]))])!r}")
         elif scale == 0.0:
-            outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, params.size, True))
-        elif close.size:
-            outcomes[k] = _on_curve(moduli[close[0]], rel * scale, params.size)
+            outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, n, True))
+        elif close[k, first_close[k]]:
+            outcomes[k] = _on_curve(moduli[k, first_close[k]], rel * scale, n)
+        elif decided[k]:
+            outcomes[k] = WindingResult(int(index[k]), float(low[k] * units[k]), n, False)
         else:
-            unit = _unit(scale)
-            if unit != 1.0:  # first_pass leaves such a curve undecided, its level overflowed or underflowed
-                points, level = points / unit, None
-            firsts.append(level or _segments(params[:-1], params[1:], points[:-1], points[1:], policy))
-            info[k] = params.size, scale / unit, unit
-    if not info:
+            walk.append(k)
+    if not walk:
         return outcomes
-    units = {k: unit for k, (_, _, unit) in info.items() if unit != 1.0}
 
     # The frontier F is the newest block of segments of every open curve, grouped by curve in ascending order and
     # ending at ``bounds``, with masks of its ``real`` segments, its real ``leaf`` segments and the real splits that
@@ -179,41 +192,42 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
     # is possible, a curve's pending splits are all those of F. Once one is (it stays possible), its segments are
     # merged in depth-first order each pass, the replay finds the first segment that stops the walk, and only the
     # pending splits ahead of that segment, all in F, are taken.
-    sizes = [first["ta"].size for first in firsts]
-    gk, bounds, spent = np.array(list(info)), np.array([0, *itertools.accumulate(sizes)]), max(sizes) + 1
-    F = {key: np.concatenate([first[key] for first in firsts]) for key in _KEYS} if len(firsts) > 1 else dict(firsts[0])
-    F.update(real=np.ones(bounds[-1], dtype=bool), leaf=~F["split"], pend=F["split"])
-    history = [F]
-    groom, gtop, glow_mid, glow_leaf = np.array([(budget - n, top, np.inf, np.inf) for n, top, _ in info.values()]).T
+    F = {key: seg[key].reshape(rows, n)[walk, :-1].ravel() for key in _KEYS[2:]}
+    F.update(ta=np.tile(params[:-1], len(walk)), tb=np.tile(params[1:], len(walk)),
+             real=np.ones(F["split"].size, dtype=bool), leaf=~F["split"], pend=F["split"])
+    history, gk, bounds, spent = [F], np.array(walk), (n - 1) * np.arange(len(walk) + 1), n
+    groom, gtop = np.full(len(walk), float(budget - n)), scales[walk]
+    glow_mid = glow_leaf = np.full(len(walk), np.inf)
     while True:
         F["runs"] = dict(zip(gk.tolist(), itertools.pairwise(bounds.tolist())))  # each curve's (start, end) in F
         at = F["pend"].nonzero()[0]
         marks = at.searchsorted(bounds)
         count = marks[1:] - marks[:-1]
         groom -= count
-        spent += at.size  # no curve's budget test can fail while the largest n plus all splits so far fits
+        spent += at.size  # no row's budget test can fail while n plus all splits so far fits
         glow_leaf = np.minimum(glow_leaf, np.minimum.reduceat(np.where(F["leaf"], F["distance"], np.inf), bounds[:-1]))
         fast = np.minimum(glow_leaf, glow_mid) >= rel * gtop
         if spent > budget:
             fast &= groom >= 0
-        if refine and all(fast.tolist()) and all(count.tolist()):
+        if all(fast.tolist()) and all(count.tolist()):
             take = at
         else:
             parts = []
             for g, k in enumerate(gk.tolist()):
                 part = at[marks[g]:marks[g + 1]]
-                if not (refine and fast[g]):  # the replay takes the pending splits of F ahead of the first stop
-                    ahead, outcomes[k] = _replay(_depth_first(history, k, _KEYS), *info[k], policy, refine)
+                if not fast[g]:  # the replay takes the pending splits of F ahead of the first stop
+                    merged = _depth_first(history, k, _KEYS)
+                    ahead, outcomes[k] = _replay(merged, n, scales[k], units[k], policy)
                     part = part[F["ta"][part].searchsorted(ahead)]
                     count[g] = part.size
                 parts.append(part)
             for g in (count == 0).nonzero()[0].tolist():
                 k, threshold, evaluations = int(gk[g]), rel * gtop[g], int(budget - groom[g])
                 if outcomes[k] is None and glow_leaf[g] < threshold:
-                    outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, info[k][2])
+                    outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, units[k])
                 elif outcomes[k] is None:
                     leaves = _depth_first(history, k, ("increment",), leaves=True)["increment"]
-                    outcomes[k] = _result(leaves, float(glow_leaf[g]) * info[k][2], evaluations, policy)
+                    outcomes[k] = _result(leaves, float(glow_leaf[g] * units[k]), evaluations, policy)
             keep = count > 0
             if not keep.any():
                 return outcomes
@@ -227,8 +241,8 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         for step in _STEPS:
             T[:, step::2 * step] = 0.5 * (T[:, :-1:2 * step] + T[:, 2 * step::2 * step])
         pm = np.asarray(evaluator(gk.repeat((_N - 1) * count), T[:, 1:-1].ravel()), dtype=complex)
-        if units:
-            pm = pm / np.array([units.get(k, 1.0) for k in gk.tolist()]).repeat((_N - 1) * count)
+        if divided:
+            pm = pm / units[gk].repeat((_N - 1) * count)
         modulus = np.abs(pm)
         if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
             pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
@@ -252,25 +266,23 @@ def winding_numbers(curves: Sequence[Tuple[np.ndarray, np.ndarray]], policy: Ref
         history.append(F)
 
 
-def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPolicy, refine: bool):
+def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPolicy):
     """The depth-first replay of one curve's merged segments up to the first one that stops the walk (a stop stays
-    one, so what follows it never matters again; without an evaluator every split is one): the ``ta`` of the pending
-    splits ahead of it and, when none is, the error it stops the walk with (the curve divided by ``unit``)."""
+    one, so what follows it never matters again): the ``ta`` of the pending splits ahead of it and, when none is, the
+    error it stops the walk with (the curve divided by ``unit``)."""
     rel, split, mid, distance = policy.origin_rel_tol, seg["split"], seg["mid"], seg["distance"]
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
     scale_before = np.concatenate(([scale], scale_with[:-1]))
     over_budget = split & (n + before >= policy.max_evaluations)
-    stops = np.where(split, over_budget | (mid < rel * scale_with) | (not refine), distance < rel * scale_before)
+    stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
     first = int(np.argmax(stops)) if stops.any() else None
     pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
     if pending.size or first is None:
         return seg["ta"][pending], None
     evaluations, threshold = n + int(before[first]), rel * scale_before[first]
-    if not split[first] or (refine and over_budget[first] and distance[first] < threshold):
+    if not split[first] or (over_budget[first] and distance[first] < threshold):
         error = _on_curve(distance[first], threshold, evaluations, unit)
-    elif not refine:
-        error = RefinementBudgetExceeded("segment needs refinement but no curve evaluator was provided")
     elif over_budget[first]:
         error = RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
     elif mid[first] < 0.0:
@@ -287,38 +299,6 @@ def _result(increments: np.ndarray, low_leaf: float, evaluations: int, policy: R
     if not abs(turns - index) <= policy.integer_tol:  # nor when not finite
         return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer")
     return WindingResult(index=int(index), min_distance=low_leaf, samples_used=evaluations, origin_on_curve=False)
-
-
-def first_pass(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy = DEFAULT_POLICY):
-    """The first level of :func:`winding_number` on each row of ``points``, a closed curve at ``params``.
-
-    Returns each row's index and ``min_distance``, a mask of the rows that ``winding_number`` returns from that
-    level unrefined (the values are then bit for bit its own), and a map from a row to its first level.
-    """
-    rows, n = points.shape
-    # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
-    flat = points.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):  # a row beyond _unit's range overflows; the walk takes it
-        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
-    increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
-    moduli = np.abs(points)
-    top = np.maximum.reduce(moduli, axis=1)
-    threshold = policy.origin_rel_tol * top
-    low = np.minimum.reduce(distance, axis=1)
-    turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
-    index = np.rint(turns)
-    decided = (
-        (2.0**-500 <= top) & (top <= 2.0**500)  # the range of _unit; the walk takes the others, a zero curve too
-        & np.logical_and.reduce(moduli >= threshold[:, None], axis=1)
-        & ~np.logical_or.reduce(split, axis=1)
-        & (low >= threshold)
-        & (np.abs(turns - index) <= policy.integer_tol)
-    )
-
-    def level(i: int) -> dict:
-        return dict({key: seg[key][i * n:(i + 1) * n - 1] for key in _KEYS[2:]}, ta=params[:-1], tb=params[1:])
-
-    return index, low, decided, level
 
 
 @functools.lru_cache(maxsize=8)

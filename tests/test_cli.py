@@ -252,6 +252,20 @@ def test_library_errors_print_one_line(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
+def test_an_allocation_that_fails_prints_one_line(capsys, monkeypatch):
+    # the backstop behind the size bounds: a MemoryError, as numpy raises for an array it cannot allocate
+    message = "Unable to allocate 1.46 TiB for an array with shape (100000000001,) and data type complex128"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    assert run_cli(CHECK) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
     # a_{-2} is about -5e-10 at CFL 1e-9, so a_{-r}^(-m) with m = 40 overflows
     path = tmp_path / "b.json"
@@ -287,6 +301,15 @@ def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
      "scheme coefficients must be finite, got [0.5, inf]"),
     (["sweep", "--silw", "2", "3", "--lambda-grid", "0:1e12:1"],
      "grid has too many points: '0:1e12:1'"),
+    # sizes beyond the grid bound are refused before anything is allocated
+    (["check", "--lambda", "0.7", "--silw", "2", "3", "--samples", "100000000000"],
+     "samples must be at most 10000000, got 100000000000"),
+    (["curve", "--lambda", "0.7", "--silw", "2", "3", "--samples", "100000000000"],
+     "samples must be at most 10000000, got 100000000000"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid", "0.7:0.7:1", "--samples", "100000000000"],
+     "samples must be at most 10000000, got 100000000000"),
+    (["simulate", "--lambda", "0.7", "--silw", "2", "3", "--grid-points", "100000000000", "--final-time", "1e-9"],
+     "grid-points must be at most 10000000, got 100000000000"),
 ])
 def test_nonfinite_input_prints_one_line(capsys, argv, message):
     assert run_cli(argv) == 1
@@ -478,12 +501,14 @@ COMMANDS = {
     ("--origin-tol", "1e-8", ("simulate", "curve")),
     ("--kernel-tol", "1e-7", ("simulate", "curve")),
     ("--cauchy-tol", "1e-10", ("simulate", "curve")),
+    # not abbreviated to --lambda-grid either
+    ("--lambda", "0.7", ("sweep",)),
 ])
 def test_flags_only_on_commands_that_use_them(flag, value, rejected_by):
     for command in rejected_by:
         assert run_cli(COMMANDS[command] + [flag, value]) == 1, command
-    assert run_cli(CHECK + [flag, value]) == 0
-    assert run_cli(SWEEP + [flag, value]) == 0
+    for command in {"check", "sweep"} - set(rejected_by):
+        assert run_cli(COMMANDS[command] + [flag, value]) == 0, command
 
 
 def test_gamma_tol_flag_is_gone(capsys):
@@ -526,6 +551,7 @@ def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     (SWEEP, {"jobs": 1.5}, 'config key "jobs" must be an integer of at least 1, got 1.5'),
     (SWEEP, {"jobs": "2"}, 'config key "jobs" must be an integer of at least 1, got "2"'),
     (SWEEP, {"jobs": True}, 'config key "jobs" must be an integer of at least 1, got true'),
+    (SWEEP, {"samples": 10**11}, "samples must be at most 10000000, got 100000000000"),
 ])
 def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, config, message):
     path = tmp_path / "config.json"

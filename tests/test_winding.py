@@ -13,7 +13,6 @@ from klstab.winding import (
     _DEPTH,
     _result,
     curve_to_csv,
-    first_pass,
     sample_kl_curve,
     winding_number,
     winding_numbers,
@@ -32,7 +31,7 @@ def circle_curve(fn, n):
 
 def test_unit_circle_index_one():
     curve = circle_curve(lambda t: np.exp(1j * t), 64)
-    result = winding_number(curve)
+    result = winding_number(curve, evaluator=lambda t: np.exp(1j * t))
     assert result.index == 1
     assert abs(result.min_distance - 1.0) < 0.01
     assert not result.origin_on_curve
@@ -45,13 +44,14 @@ def test_offset_circle_index_zero():
 
 def test_reversed_double_cover_index_minus_two():
     curve = circle_curve(lambda t: np.exp(-2j * t), 128)
-    assert winding_number(curve).index == -2
+    assert winding_number(curve, evaluator=lambda t: np.exp(-2j * t)).index == -2
 
 
 def test_constant_curve_has_index_zero():
     params = np.linspace(0.0, 2.0 * np.pi, 65)
     points = np.full(65, 2.0 - 1.0j)
-    result = winding_number(CurveSamples(params=params, points=points, closed=True))
+    result = winding_number(CurveSamples(params=params, points=points, closed=True),
+                            evaluator=lambda t: np.full(t.shape, 2.0 - 1.0j))
     assert result.index == 0
     assert abs(result.min_distance - abs(2.0 - 1.0j)) < 1e-12
 
@@ -60,7 +60,7 @@ def test_open_curve_rejected():
     params = np.array([0.0, 1.0, 2.0])
     points = np.array([1.0 + 0j, 1j, -1.0 + 0j])
     with pytest.raises(ValueError):
-        winding_number(CurveSamples(params=params, points=points, closed=False))
+        winding_number(CurveSamples(params=params, points=points, closed=False), evaluator=lambda t: np.exp(1j * t))
 
 
 def test_origin_on_curve_raises():
@@ -69,12 +69,6 @@ def test_origin_on_curve_raises():
         winding_number(curve, evaluator=lambda t: np.exp(1j * t) - 1.0)
     assert excinfo.value.result.origin_on_curve
     assert excinfo.value.result.index is None
-
-
-def test_refinement_needed_without_evaluator():
-    curve = circle_curve(lambda t: np.exp(1j * t), 4)
-    with pytest.raises(RefinementBudgetExceeded):
-        winding_number(curve)
 
 
 def test_refinement_budget_exceeded():
@@ -137,8 +131,6 @@ def depth_first_reference(curve, policy, evaluator):
         dist = abs(pa + t * d)
         increment = cmath.phase(pb * pa.conjugate())
         if length > 0 and (abs(increment) > policy.angle_threshold or dist < policy.proximity_factor * length):
-            if evaluator is None:
-                return ("budget",)
             if evaluations + 1 > policy.max_evaluations:
                 return ("origin", evaluations, dist) if dist < tol() else ("budget",)
             tm = 0.5 * (ta + tb)
@@ -198,8 +190,7 @@ def test_matches_depth_first_reference_on_random_curves():
             proximity_factor=float(rng.choice([4.0, 1.0, 0.5, 10.0])),
             origin_rel_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
         )
-        evaluator = None if rng.uniform() < 0.1 else fn
-        outcomes.add(assert_matches_reference(curve, policy, evaluator))
+        outcomes.add(assert_matches_reference(curve, policy, fn))
     assert outcomes == {"ok", "origin", "budget"}
 
 
@@ -281,10 +272,10 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
             got = ("not finite", float(str(exc).split("t=")[1]))
         assert got == expected, (got, expected)
         outcomes.add(got[0])
-        stacked = winding_numbers([(curve.params, curve.points), (curve.params, fn(curve.params))], policy,
-                                  lambda rows, t: np.where(rows == 0, holed(t), fn(t)))
-        alone = winding_numbers([(curve.params, fn(curve.params))], policy, lambda rows, t: fn(t))
-        assert repr(stacked[1]) == repr(alone[0]) and type(stacked[0]).__name__ == OUTCOME_TYPES[got[0]]
+        together = winding_numbers(curve.params, np.stack([curve.points, fn(curve.params)]), policy,
+                                   lambda rows, t: np.where(rows == 0, holed(t), fn(t)))
+        alone = winding_numbers(curve.params, fn(curve.params)[None], policy, lambda rows, t: fn(t))
+        assert repr(together[1]) == repr(alone[0]) and type(together[0]).__name__ == OUTCOME_TYPES[got[0]]
     assert outcomes == {"ok", "origin", "budget", "not finite"}
 
 
@@ -373,11 +364,25 @@ def _bits(outcome):
     return outcome.index, float(outcome.min_distance).hex(), outcome.samples_used, outcome.origin_on_curve
 
 
-def _alone(curve, policy, evaluator, first_level=None):
+def _alone(curve, policy, evaluator):
     try:
-        return winding_number(curve, policy, evaluator=evaluator, first_level=first_level)
-    except (OriginOnCurve, RefinementBudgetExceeded) as exc:
+        return winding_number(curve, policy, evaluator=evaluator)
+    except (OriginOnCurve, RefinementBudgetExceeded, ValueError) as exc:
         return exc
+
+
+def stacked(pairs):
+    """The shared ``params``, the stacked points and the one evaluator of ``(curve, fn)`` pairs at equal params."""
+    params = pairs[0][0].params
+    assert all(np.array_equal(curve.params, params) for curve, _ in pairs)
+
+    def evaluate(rows, t):
+        out = np.empty(t.shape, dtype=complex)
+        for k in np.unique(rows):
+            out[rows == k] = pairs[k][1](t[rows == k])
+        return out
+
+    return params, np.stack([curve.points for curve, _ in pairs]), evaluate
 
 
 def test_lockstep_walk_matches_each_curve_alone():
@@ -389,54 +394,58 @@ def test_lockstep_walk_matches_each_curve_alone():
                 RefinementPolicy(origin_rel_tol=1e-2, proximity_factor=10.0), RefinementPolicy(angle_threshold=0.3)]
     kinds = set()
     for trial in range(24):
-        fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0, 6)))]
-        stack = [(circle_curve(fn, int(rng.integers(3, 120))), fn) for fn in fns] + near_edge[: trial % 4]
+        fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0 if trial % 4 else 1, 6)))]
+        n = 1024 if trial % 4 else int(rng.integers(3, 120))  # the params of the determinant curves, if any
+        stack = [(circle_curve(fn, n), fn) for fn in fns] + near_edge[: trial % 4]
         order = rng.permutation(len(stack))
         stack = [stack[k] for k in order]
         policy = policies[trial % len(policies)]
-        refine = trial % 6 != 5
+        params, points, evaluate = stacked(stack)
         levels = [0] * len(stack)
-
-        def evaluate(rows, t):
-            out = np.empty(t.shape, dtype=complex)
-            for k in np.unique(rows):
-                levels[k] += 1
-                out[rows == k] = stack[k][1](t[rows == k])
-            return out
-
-        calls = []
 
         def counted(rows, t):
             calls.append(t)
+            for k in np.unique(rows):
+                levels[k] += 1
             return evaluate(rows, t)
 
         def one(k):
-            return lambda t: evaluate(np.full(t.size, k), t)
+            return lambda t: counted(np.full(t.size, k), t)
 
-        expected = [_bits(_alone(curve, policy, one(k) if refine else None)) for k, (curve, _) in enumerate(stack)]
+        calls = []
+        expected = [_bits(_alone(curve, policy, one(k))) for k, (curve, _) in enumerate(stack)]
         alone_levels = levels[:]
-        levels[:] = [0] * len(stack)
-        walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], policy,
-                                 counted if refine else None)
+        levels[:], calls = [0] * len(stack), []
+        walked = winding_numbers(params, points, policy, counted)
         assert [_bits(outcome) for outcome in walked] == expected, trial
         assert levels == alone_levels and len(calls) == max(levels, default=0), trial
         assert all(t.size > 0 for t in calls)
         kinds |= {outcome[0] if isinstance(outcome[0], type) else "ok" for outcome in expected}
     assert kinds == {"ok", OriginOnCurve, RefinementBudgetExceeded}
 
-    # the determinant curves from their stacked first pass, as the verdict engine walks them
-    curves = [curve for curve, _ in near_edge]
-    params, points = curves[0].params, np.stack([curve.points for curve in curves])
-    expected = [_bits(_alone(curve, RefinementPolicy(), fn, first_pass(params, points)[3](i)))
-                for i, (curve, fn) in enumerate(near_edge)]
 
-    def evaluate(rows, t):
-        return np.concatenate([near_edge[k][1](t[rows == k]) for k in np.unique(rows)])
-
-    levels = first_pass(params, points)[3]
-    walked = winding_numbers([(params, row) for row in points], RefinementPolicy(), evaluate,
-                             [levels(i) for i in range(len(curves))])
-    assert [_bits(outcome) for outcome in walked] == expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on the row that is not finite
+def test_one_segment_pass_decides_a_stack_and_walks_only_its_open_rows():
+    # one stack at the params of the determinant curves: a row that is not finite, a zero row, a row with a sample
+    # under the origin threshold, a walked row at 2**600 and a decided one at 2**-600, a row decided on its first
+    # level and two deep near-edge rows; each outcome is bit for bit the row's own, and only the walked rows reach
+    # the evaluator
+    near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE[:2]]
+    fns = [lambda t: np.where(np.abs(t - 1.0) < 0.01, np.nan, np.exp(1j * t)), lambda t: np.zeros(t.shape, complex),
+           lambda t: np.exp(1j * t) - 1.0, lambda t: 2.0**600 * (np.exp(1j * t) - 0.985),
+           lambda t: 2.0**-600 * (3.0 + np.exp(1j * t)), lambda t: 3.0 + np.exp(1j * t)]
+    stack = [(circle_curve(fn, 1024), fn) for fn in fns] + near_edge
+    params, points, evaluate = stacked(stack)
+    rows_seen = []
+    walked = winding_numbers(params, points, RefinementPolicy(),
+                             lambda rows, t: rows_seen.append(rows) or evaluate(rows, t))
+    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, RefinementPolicy(), f)) for c, f in stack]
+    assert [type(outcome).__name__ for outcome in walked] == [
+        "ValueError", "OriginOnCurve", "OriginOnCurve", "WindingResult", "WindingResult", "WindingResult",
+        "WindingResult", "OriginOnCurve"]
+    assert str(walked[1]) == "curve is identically zero" and walked[5].samples_used == params.size
+    assert walked[4].min_distance == 2.0**-600 * walked[5].min_distance and walked[4].samples_used == params.size
+    assert set(np.concatenate(rows_seen).tolist()) == {3, 6, 7}
 
 
 def as_reference(outcome):
@@ -459,19 +468,13 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
     kinds = set()
     for trial in range(12):
         fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0, 4)))]
-        stack = [(circle_curve(fn, int(rng.integers(3, 120))), fn) for fn in fns]
+        stack = [(circle_curve(fn, 1024), fn) for fn in fns]  # at the params of the determinant curves
         deep = rng.choice(len(near_edge), size=int(rng.integers(1, 4)), replace=False)
         stack += [near_edge[k] for k in deep]
         stack = [stack[k] for k in rng.permutation(len(stack))]
         policy = RefinementPolicy(max_evaluations=needs[deep[0]] + int(rng.integers(-2, 3)))
-
-        def evaluate(rows, t):
-            out = np.empty(t.shape, dtype=complex)
-            for k in np.unique(rows):
-                out[rows == k] = stack[k][1](t[rows == k])
-            return out
-
-        walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], policy, evaluate)
+        params, points, evaluate = stacked(stack)
+        walked = winding_numbers(params, points, policy, evaluate)
         for outcome, (curve, fn) in zip(walked, stack):
             assert _bits(outcome) == _bits(_alone(curve, policy, fn)), trial
             got, expected = as_reference(outcome), depth_first_reference(curve, policy, fn)
@@ -481,10 +484,12 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
     assert kinds == {"ok", "origin", "budget"}
 
     # a value that is not finite, or that is far the largest (even beyond the segment pass's range), where a pass
-    # evaluates ahead but the depth-first walk never does changes nothing, and warns of nothing
-    stack = near_edge + [(circle_curve(fn, 40), fn) for fn in (random_trig_curve(rng) for _ in range(3))]
-    walked = winding_numbers([(curve.params, curve.points) for curve, _ in stack], RefinementPolicy(),
-                             lambda rows, t: np.concatenate([stack[k][1](t[rows == k]) for k in np.unique(rows)]))
+    # evaluates ahead but the depth-first walk never does changes nothing, and warns of nothing; the determinant
+    # curves sampled at the 41 params of the random curves
+    fns = [fn for _, fn in near_edge] + [random_trig_curve(rng) for _ in range(3)]
+    stack = [(circle_curve(fn, 40), fn) for fn in fns]
+    params, points, evaluate = stacked(stack)
+    walked = winding_numbers(params, points, RefinementPolicy(), evaluate)
     for k, (curve, fn) in enumerate(stack):
         counted, evaluated = [], []
         depth_first_reference(curve, RefinementPolicy(), lambda t: counted.append(float(t[0])) or fn(t))
@@ -496,10 +501,8 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
         for value in (np.nan, 1e12, 1e300):
             holed = lambda t, fn=fn, hole=hole, value=value: np.where(t == hole, value, fn(t))
             assert _bits(_alone(curve, RefinementPolicy(), holed)) == _bits(walked[k])
-            fns = [fn for _, fn in stack]
-            fns[k] = holed
-            rewalked = winding_numbers([(c.params, c.points) for c, _ in stack], RefinementPolicy(),
-                                       lambda rows, t: np.concatenate([fns[j](t[rows == j]) for j in np.unique(rows)]))
+            holed_stack = stack[:k] + [(curve, holed)] + stack[k + 1:]
+            rewalked = winding_numbers(params, points, RefinementPolicy(), stacked(holed_stack)[2])
             assert [_bits(outcome) for outcome in rewalked] == [_bits(outcome) for outcome in walked]
 
 
@@ -514,36 +517,25 @@ def test_a_leaf_under_the_threshold_of_the_end_alone_puts_the_origin_on_the_curv
     assert isinstance(outcome, OriginOnCurve) and expected[0] == "origin"
     assert (outcome.result.samples_used, outcome.result.min_distance) == pytest.approx(expected[1:], rel=1e-12)
     assert outcome.result.min_distance >= policy.origin_rel_tol * np.abs(curve.points).max()
-    # beside the near-edge determinant curves and random curves, in one call
+    # beside the near-edge determinant curves and random curves, all sampled at its 5 params, in one call
     rng = np.random.default_rng(5)
-    fns = [fn] + [random_trig_curve(rng) for _ in range(3)]
-    stack = [curve] + [circle_curve(f, int(rng.integers(3, 120))) for f in fns[1:]]
-    for orders, lam, _ in NEAR_EDGE:
-        near, evaluator = near_edge_curve(orders, lam)
-        stack.append(near)
-        fns.append(evaluator)
-    order = rng.permutation(len(stack))
-    stack, fns = [stack[k] for k in order], [fns[k] for k in order]
-
-    def evaluate(rows, t):
-        out = np.empty(t.shape, dtype=complex)
-        for k in np.unique(rows):
-            out[rows == k] = fns[k](t[rows == k])
-        return out
-
-    walked = winding_numbers([(c.params, c.points) for c in stack], policy, evaluate)
-    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, policy, f)) for c, f in zip(stack, fns)]
+    fns = [fn] + [random_trig_curve(rng) for _ in range(3)] + [near_edge_curve(*entry[:2])[1] for entry in NEAR_EDGE]
+    order = rng.permutation(len(fns))
+    stack = [(circle_curve(fns[k], 4), fns[k]) for k in order]
+    params, points, evaluate = stacked(stack)
+    walked = winding_numbers(params, points, policy, evaluate)
+    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, policy, f)) for c, f in stack]
     assert _bits(walked[int(np.argmin(order))]) == _bits(outcome)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the first pass over- or underflows on the scaled curve
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # divided before its segment pass, no row over- or underflows
 @pytest.mark.parametrize("power", [600, -600])
 def test_a_curve_beyond_the_segment_range_is_walked_divided_by_a_power_of_two(power):
     # at 2**600 the squared lengths and the products of the segment pass overflow, at 2**-600 they underflow; such a
     # curve is walked divided by a power of two, so it refines as f does and its distance is exactly c times f's
     c, policy = 2.0**power, RefinementPolicy()
     for fn, n in ((lambda t: np.exp(1j * t) - 0.985, 64), (lambda t: np.exp(1j * t) - 1.0, 64),
-                  (lambda t: np.exp(2j * t) * (1.2 + np.cos(3 * t)) - 0.3, 40)):
+                  (lambda t: np.exp(2j * t) * (1.2 + np.cos(3 * t)) - 0.3, 40), (lambda t: 3.0 + np.exp(1j * t), 64)):
         big = lambda t: c * fn(t)
         curve, big_curve = circle_curve(fn, n), circle_curve(big, n)
         outcomes = [_alone(curve, policy, fn), _alone(big_curve, policy, big)]
@@ -551,13 +543,12 @@ def test_a_curve_beyond_the_segment_range_is_walked_divided_by_a_power_of_two(po
         base, scaled = (getattr(outcome, "result", outcome) for outcome in outcomes)
         assert (scaled.index, scaled.samples_used) == (base.index, base.samples_used)
         assert scaled.min_distance == c * base.min_distance
-        # beside a curve in range, the first pass leaves it to the walk, which divides it
-        points = np.stack([curve.points, big_curve.points])
-        _, _, decided, level = first_pass(curve.params, points, policy)
-        assert not decided[1]
-        walked = winding_numbers([(curve.params, row) for row in points], policy,
-                                 lambda rows, t: np.where(rows == 0, fn(t), big(t)), [level(0), level(1)])
+        # beside a curve in range, in one stack: it is divided before the stack's segment pass and walks with f
+        walked_rows = []
+        walked = winding_numbers(curve.params, np.stack([curve.points, big_curve.points]), policy,
+                                 lambda rows, t: walked_rows.append(rows) or np.where(rows == 0, fn(t), big(t)))
         assert [_bits(outcome) for outcome in walked] == [_bits(outcome) for outcome in outcomes]
+        assert all(np.array_equal(rows, np.repeat([0, 1], rows.size // 2)) for rows in walked_rows)
 
 
 def test_scale_invariance_of_kl_curve_index():
