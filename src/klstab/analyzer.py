@@ -15,7 +15,7 @@ import itertools
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +26,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
 from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots, upwind_blocks
 from .scheme import AssumptionReport, Scheme, validate
-from .winding import DEFAULT_POLICY, RefinementPolicy, WindingResult, sample_kl_curves, winding_numbers
+from .winding import WindingResult, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
 from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
 from .winding import sample_kl_curve, winding_number  # noqa: F401
@@ -137,21 +137,16 @@ _BLOCK, _CURVE_ROWS = 64, 4
 _ROW_ERRORS = (KLStabError, ValueError, ArithmeticError)
 
 
-def analyze(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
-            policy: RefinementPolicy = DEFAULT_POLICY) -> StabilityVerdict:
-    """Full decision procedure for one (scheme, boundary condition) pair: its :func:`analyze_many`.
-
-    ``policy`` sets the refinement budget and split thresholds of the winding route; its origin
-    threshold is ``tols.origin_tol``."""
-    (outcome,) = analyze_many([(s, bc)], tols, n0, policy)
+def analyze(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024) -> StabilityVerdict:
+    """Full decision procedure for one (scheme, boundary condition) pair: its :func:`analyze_many`."""
+    (outcome,) = analyze_many([(s, bc)], tols, n0)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
-                 policy: RefinementPolicy = DEFAULT_POLICY, *,
-                 classify: bool = True) -> List[Union[StabilityVerdict, Exception]]:
+                 *, classify: bool = True) -> List[Union[StabilityVerdict, Exception]]:
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
     Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
@@ -172,14 +167,13 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
             groups.setdefault((s.r, bc.m), []).append((k, s, bc, report))
         else:
             outcomes[k] = StabilityVerdict(StabilityStatus.ASSUMPTION_VIOLATED, None, (), report)
-    policy = replace(policy, origin_rel_tol=tols.origin_tol)
     for rows in groups.values():
         for start in range(0, len(rows), _BLOCK):
-            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, policy, classify)
+            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, classify)
     return outcomes
 
 
-def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: RefinementPolicy, classify: bool) -> None:
+def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, classify: bool) -> None:
     """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
     if n0 < 64:  # an error of the call, not of a row
         raise ValueError("n0 must be at least 64")
@@ -188,7 +182,7 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
         blocks, det_c = reduce_stack(a, np.array([bc.b for _, _, bc, _ in block]))
         directs = exterior_counts(blocks, tols)
         windings = [winding for start in range(0, len(a), _CURVE_ROWS) for winding in
-                    _windings(det_c[start:start + _CURVE_ROWS], a[start:start + _CURVE_ROWS], n0, policy)]
+                    _windings(det_c[start:start + _CURVE_ROWS], a[start:start + _CURVE_ROWS], n0, tols)]
     except _ROW_ERRORS as exc:
         # a row whose factor a_{-r}^(-m) overflows, whose block is not finite, or whose curve raises fails
         # the stacked calls; alone, that is its error, and in a block the rows are decided one at a time
@@ -196,7 +190,7 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
             outcomes[block[0][0]] = exc
         else:
             for row in block:
-                _decide_block([row], outcomes, tols, n0, policy, classify)
+                _decide_block([row], outcomes, tols, n0, classify)
         return
     for (k, s, bc, report), det, direct, winding in zip(block, det_c, directs, windings):
         try:
@@ -205,7 +199,7 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, policy: Refi
             outcomes[k] = exc
 
 
-def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolicy) -> list:
+def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, tols: Tolerances) -> list:
     """Each row's winding result or walk error, from one :func:`winding_numbers` call. Called a chunk of rows at a
     time, so that a chunk's arrays are freed before the next chunk's are made and numpy reuses their heap memory:
     kept until then, they cost a jobs-1 ``sigma-map`` sweep about 400 more minor faults and 8 %."""
@@ -216,7 +210,7 @@ def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, policy: RefinementPolic
         z = np.exp(1j * theta)[:, None]
         return (kl_det_stack(det_c[rows], a[rows, 0], a[rows, -1], r, z) / z**r)[:, 0]
 
-    return winding_numbers(params, points, policy, evaluate)
+    return winding_numbers(params, points, tols, evaluate)
 
 
 def _verdict(s, bc, report, det_c, direct, winding, tols, classify) -> StabilityVerdict:

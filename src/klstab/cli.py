@@ -66,6 +66,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, and those of its subcommand parsers (built of its class), are :class:`UsageError`."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``A:B:STEP`` into an ascending grid; B is included when it lands on the grid."""
     parts = text.split(":")
@@ -89,11 +96,11 @@ def parse_grid(text: str) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="klstab",
         description="Strong stability verification for totally upwind schemes on the half line.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file; flags override file values")
@@ -256,15 +263,12 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def run_cli(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse handles --help (exit 0) itself; remap usage failures to 1
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
-
-    if args.command is None:
-        parser.print_usage(sys.stderr)
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help, which argparse prints itself
+        return EXIT_OK
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
@@ -350,8 +354,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             _write(verdict.to_json() + "\n", out)
             return _STATUS_EXIT[verdict.status]
         rb = reduce_boundary(s, bc, tols)
-        curve = sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)
-        _write(curve_to_csv(curve), out)
+        _write(curve_to_csv(*sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)), out)
         return EXIT_OK
     except (UsageError, OSError, ValueError, ArithmeticError, KLStabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

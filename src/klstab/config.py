@@ -1,6 +1,6 @@
-"""Numeric tolerances used throughout the package.
+"""Numeric tolerances and winding refinement settings used throughout the package.
 
-Every tolerance that influences a verdict is collected here so that a single
+Every setting that influences a verdict is collected here so that a single
 object can be threaded through the pipeline and overridden from the CLI.
 """
 
@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Knobs controlling root clustering, band classification and gating; each must be positive and finite.
+    """Knobs controlling root clustering, band classification, gating and the winding walk; each must be positive
+    and finite.
 
     ``cluster_radius``: roots of a polynomial closer than this merge into one root with summed multiplicity.
     ``trim_rel``: coefficients below ``trim_rel * max(|coeff|)`` count as zero when normalizing polynomials and
@@ -22,7 +23,9 @@ class Tolerances:
     threshold is ``origin_tol * max(|curve point|)``. ``kernel_tol``: relative size below which a kernel-vector
     component counts as zero in the boundary-zero classification. ``cauchy_tol``: allowed excess of the sampled
     symbol modulus above 1 in the Cauchy stability check. ``consistency_tol``: allowed residual in the consistency
-    relations on the coefficients.
+    relations on the coefficients. The winding walk splits a segment when its angle increment exceeds
+    ``angle_threshold`` or its distance to the origin is below ``proximity_factor`` times its length, stops at
+    ``max_evaluations`` curve evaluations, and trusts an angle sum within ``integer_tol`` turns of an integer.
     """
 
     cluster_radius: float = 1e-7
@@ -32,6 +35,10 @@ class Tolerances:
     kernel_tol: float = 1e-7
     cauchy_tol: float = 1e-10
     consistency_tol: float = 1e-10
+    max_evaluations: int = 2**16
+    angle_threshold: float = math.pi / 2.0
+    proximity_factor: float = 4.0
+    integer_tol: float = 1e-6
 
     def validate(self) -> None:
         for f in fields(self):

@@ -26,7 +26,8 @@ class Scheme:
     """Totally upwind stencil ``(a_{-r}, ..., a_0)`` with its CFL number.
 
     ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through ``a[-1] = a_0``. Construction trims leading
-    near-zero coefficients so the non-degeneracy requirement on ``a_{-r}`` holds by representation.
+    coefficients below ``DEFAULT_TOLS.trim_rel`` times the largest, so the non-degeneracy requirement on ``a_{-r}``
+    holds by representation.
     """
 
     a: np.ndarray
@@ -38,14 +39,12 @@ class Scheme:
         object.__setattr__(self, "a", arr)
 
     @classmethod
-    def from_coefficients(
-        cls, coefficients: Iterable[float], lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel
-    ) -> "Scheme":
+    def from_coefficients(cls, coefficients: Iterable[float], lam: float) -> "Scheme":
         _check_cfl(lam)
         values = [float(value) for value in coefficients]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"scheme coefficients must be finite, got {values}")
-        threshold = trim_rel * max(map(abs, values), default=0.0)
+        threshold = DEFAULT_TOLS.trim_rel * max(map(abs, values), default=0.0)
         first = next((i for i, value in enumerate(values) if abs(value) > threshold), None)
         if first is None:
             raise ValueError("a scheme needs a nonzero coefficient")
@@ -76,7 +75,7 @@ def _check_cfl(lam: float) -> None:
         raise ValueError("the CFL number must be positive")
 
 
-def make_beam_warming(lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel) -> Scheme:
+def make_beam_warming(lam: float) -> Scheme:
     """Second-order upwind (Beam-Warming) scheme for advection at CFL ``lam``.
 
     At ``lam = 1`` the leftmost coefficient vanishes and the stencil trims
@@ -85,13 +84,13 @@ def make_beam_warming(lam: float, trim_rel: float = DEFAULT_TOLS.trim_rel) -> Sc
     a_m2 = lam * (lam - 1.0) / 2.0
     a_m1 = lam * (2.0 - lam)
     a_0 = (lam - 1.0) * (lam - 2.0) / 2.0
-    return Scheme.from_coefficients([a_m2, a_m1, a_0], lam, trim_rel)
+    return Scheme.from_coefficients([a_m2, a_m1, a_0], lam)
 
 
 PRESETS = {"beam-warming": make_beam_warming}
 
 
-def scheme_from_descriptor(descriptor: dict, trim_rel: float = DEFAULT_TOLS.trim_rel) -> Scheme:
+def scheme_from_descriptor(descriptor: dict) -> Scheme:
     """Build a scheme from a JSON-style descriptor.
 
     Either ``{"preset": "beam-warming", "lambda": 1.4}`` or
@@ -104,9 +103,9 @@ def scheme_from_descriptor(descriptor: dict, trim_rel: float = DEFAULT_TOLS.trim
         name = descriptor["preset"]
         if name not in PRESETS:
             raise ValueError(f"unknown scheme preset {name!r}; available: {sorted(PRESETS)}")
-        return PRESETS[name](float(lam), trim_rel)
+        return PRESETS[name](float(lam))
     if "coefficients" in descriptor:
-        return Scheme.from_coefficients(descriptor["coefficients"], float(lam), trim_rel)
+        return Scheme.from_coefficients(descriptor["coefficients"], float(lam))
     raise ValueError("scheme descriptor needs 'preset' or 'coefficients'")
 
 
@@ -167,18 +166,16 @@ class AssumptionReport:
         return self.h0_nondegenerate and self.h2_cauchy_stable and self.h3_consistent and self.a0_interior
 
 
-def validate(s: Scheme, n_xi: int = 4096, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
+def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     """Check non-degeneracy, Cauchy stability, consistency and ``|a_0| < 1``.
 
     Cauchy stability is checked by dense sampling of the symbol modulus on
-    ``n_xi`` uniform frequencies; the symbols in scope are trigonometric
+    4096 uniform frequencies; the symbols in scope are trigonometric
     polynomials of tiny degree, so sampling is reliable.
     """
-    if n_xi < 64:
-        raise ValueError("n_xi must be at least 64")
     h0 = abs(s.a_lead) > tols.trim_rel * float(np.max(np.abs(s.a)))
 
-    _, basis = symbol_basis(n_xi, s.r)
+    _, basis = symbol_basis(4096, s.r)
     max_mod = float(np.max(np.abs(_symbol_from_basis(basis, s.a))))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
@@ -199,27 +196,3 @@ def validate(s: Scheme, n_xi: int = 4096, tols: Tolerances = DEFAULT_TOLS) -> As
         a0=a0,
     )
 
-
-@dataclass(frozen=True, eq=False)
-class CurveSamples:
-    """Ordered closed polygonal sampling of a complex curve."""
-
-    params: np.ndarray
-    points: np.ndarray
-    closed: bool
-
-    def __post_init__(self):
-        params = np.asarray(self.params, dtype=float)
-        points = np.asarray(self.points, dtype=complex)
-        if params.shape != points.shape:
-            raise ValueError("params and points must have the same length")
-        if params.size and np.any(np.diff(params) <= 0):
-            raise ValueError("params must be strictly increasing")
-        if self.closed and params.size and abs(points[0] - points[-1]) > 1e-12 * max(
-            1.0, float(np.max(np.abs(points)))
-        ):
-            raise ValueError("closed curve must end where it starts")
-        params.setflags(write=False)
-        points.setflags(write=False)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "points", points)

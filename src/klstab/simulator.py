@@ -326,10 +326,8 @@ def sigma_scan(
     bc_family: Callable[[float], BoundaryCondition],
     sigma_grid: Sequence[float],
     run_factory: Optional[Callable[[float], IBVPRun]] = None,
-    blowup_threshold: float = 1e6,
-    clip_value: float = 1.0,
 ) -> SigmaScan:
-    """One simulation per grid offset; profiles are clipped at +-clip_value for export.
+    """One simulation per grid offset, blowing up past amplitude 1e6; profiles are clipped at +-1 for export.
 
     The unclipped running maximum per offset is kept alongside, which is what
     the verdict-agreement checks consume. All offsets go to one :func:`march`
@@ -347,12 +345,12 @@ def sigma_scan(
     offset_free = [i for i, bc in enumerate(bcs) if bc.sigma is None][:1]
     marched = [i for i, bc in enumerate(bcs) if bc.sigma is not None or i in offset_free]
     pairs = [(bcs[i], run_factory(float(sigma_grid[i]))) for i in marched]
-    fields = dict(zip(marched, march(s, pairs, blowup_threshold)))
+    fields = dict(zip(marched, march(s, pairs)))
     results = [fields[i if bc.sigma is not None else offset_free[0]] for i, bc in enumerate(bcs)]
     return SigmaScan(
         sigma_grid=sigma_grid,
         x=results[-1].x,
-        profiles_clipped=np.asarray([np.clip(f.final_profile, -clip_value, clip_value) for f in results]),
+        profiles_clipped=np.asarray([np.clip(f.final_profile, -1.0, 1.0) for f in results]),
         max_amplitudes=np.asarray([f.max_amplitude for f in results]),
         blowup_steps=tuple(f.blowup_step for f in results),
         fd_derivative_fallbacks=tuple(f.fd_derivative_fallback for f in results),

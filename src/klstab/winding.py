@@ -27,30 +27,10 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, Tolerances
 from .errors import OriginOnCurve, RefinementBudgetExceeded
 from .kl import ReducedBoundary, kl_det_stack
-from .scheme import CurveSamples, Scheme
-
-
-@dataclass(frozen=True)
-class RefinementPolicy:
-    """Controls for the adaptive winding computation.
-
-    A segment is split when its angle increment exceeds ``angle_threshold`` or its distance to the origin is below
-    ``proximity_factor`` times its length; splitting stops at ``max_evaluations`` total curve evaluations. The origin
-    counts as lying on the curve when the closest approach falls below ``origin_rel_tol`` times the largest sampled
-    modulus.
-    """
-
-    max_evaluations: int = 2**16
-    angle_threshold: float = math.pi / 2.0
-    proximity_factor: float = 4.0
-    origin_rel_tol: float = DEFAULT_TOLS.origin_tol
-    integer_tol: float = 1e-6
-
-
-DEFAULT_POLICY = RefinementPolicy()
+from .scheme import Scheme
 
 
 @dataclass(frozen=True)
@@ -63,7 +43,7 @@ class WindingResult:
     origin_on_curve: bool
 
 
-def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
+def _segments(ta, tb, pa, pb, tols: Tolerances) -> dict:
     """Segments ``pa -> pb`` over ``[ta, tb]`` as a block of arrays, with their increments, distances,
     split flags and midpoint moduli (nan until evaluated, and for leaves)."""
     d = pb - pa
@@ -75,7 +55,7 @@ def _segments(ta, tb, pa, pb, policy: RefinementPolicy) -> dict:
     distance = np.abs(pa + np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t) * d)  # np.clip, without its wrapper
     turn = np.multiply(pb, np.conjugate(pa))
     increment = np.arctan2(turn.imag, turn.real)
-    sharp = (np.abs(increment) > policy.angle_threshold) | (distance < policy.proximity_factor * length)
+    sharp = (np.abs(increment) > tols.angle_threshold) | (distance < tols.proximity_factor * length)
     split = (length > 0.0) & sharp
     return dict(ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
                 mid=np.full(length.shape, np.nan))
@@ -118,25 +98,32 @@ def _on_curve(distance: float, threshold: float, evaluations: int, unit: float =
                          WindingResult(None, float(distance), int(evaluations), True))
 
 
-def winding_number(curve: CurveSamples, policy: RefinementPolicy = DEFAULT_POLICY, *,
+def winding_number(params: np.ndarray, points: np.ndarray, tols: Tolerances = DEFAULT_TOLS, *,
                    evaluator: Callable[[np.ndarray], np.ndarray]) -> WindingResult:
-    """Signed number of turns of a closed sampled curve around the origin: :func:`winding_numbers` of one curve.
+    """Signed number of turns around the origin of the closed curve sampled as ``points`` at the strictly increasing
+    ``params``: :func:`winding_numbers` of one curve.
 
     ``evaluator`` maps an array of parameter values to the array of curve points; it is called with one array a
     pass of several refinement levels. ``samples_used`` counts the evaluations of the depth-first walk alone. Raises
     :class:`OriginOnCurve` when the refined polygon comes closer to the origin than the relative threshold,
     :class:`RefinementBudgetExceeded` when the angle sum cannot be trusted within the evaluation budget, and
-    ``ValueError`` when a sample or an evaluated midpoint is not finite.
+    ``ValueError`` when a sample or an evaluated midpoint is not finite, when ``params`` and ``points`` differ in
+    length, when ``params`` does not increase strictly, or when the curve does not end where it starts.
     """
-    if not curve.closed:
-        raise ValueError("winding numbers are defined for closed curves only")
-    (outcome,) = winding_numbers(curve.params, curve.points[None], policy, lambda rows, t: evaluator(t))
+    params, points = np.asarray(params, dtype=float), np.asarray(points, dtype=complex)
+    if params.shape != points.shape:
+        raise ValueError("params and points must have the same length")
+    if np.any(np.diff(params) <= 0):
+        raise ValueError("params must be strictly increasing")
+    if points.size and abs(points[0] - points[-1]) > 1e-12 * max(1.0, float(np.max(np.abs(points)))):
+        raise ValueError("closed curve must end where it starts")
+    (outcome,) = winding_numbers(params, points[None], tols, lambda rows, t: evaluator(t))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPolicy,
+def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
                     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> List[Union[WindingResult, Exception]]:
     """The :func:`winding_number` of each row of ``points``, a closed curve at the increasing ``params`` all rows
     share, or its error, returned unraised so that no traceback keeps the walk's arrays alive. One segment pass over
@@ -150,7 +137,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
     rows, n = points.shape
     if n < 4:
         return [ValueError("need at least 3 distinct points on a closed curve") for _ in range(rows)]
-    rel, budget = policy.origin_rel_tol, policy.max_evaluations
+    rel, budget = tols.origin_tol, tols.max_evaluations
     moduli = np.abs(points)
     top = np.maximum.reduce(moduli, axis=1)
     close = moduli < rel * top[:, None]
@@ -162,14 +149,14 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
     # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
     flat = points.ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite; it is decided before any walk
-        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), policy)
+        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), tols)
     increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
     scales = top / units
     low = np.minimum.reduce(distance, axis=1)
     turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
     index = np.rint(turns)
     decided = (~np.logical_or.reduce(split, axis=1) & (low >= rel * scales)
-               & (np.abs(turns - index) <= policy.integer_tol))
+               & (np.abs(turns - index) <= tols.integer_tol))
     outcomes: List = [None] * rows
     walk = []
     for k, scale in enumerate(top.tolist()):
@@ -217,7 +204,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
                 part = at[marks[g]:marks[g + 1]]
                 if not fast[g]:  # the replay takes the pending splits of F ahead of the first stop
                     merged = _depth_first(history, k, _KEYS)
-                    ahead, outcomes[k] = _replay(merged, n, scales[k], units[k], policy)
+                    ahead, outcomes[k] = _replay(merged, n, scales[k], units[k], tols)
                     part = part[F["ta"][part].searchsorted(ahead)]
                     count[g] = part.size
                 parts.append(part)
@@ -227,7 +214,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
                     outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, units[k])
                 elif outcomes[k] is None:
                     leaves = _depth_first(history, k, ("increment",), leaves=True)["increment"]
-                    outcomes[k] = _result(leaves, float(glow_leaf[g] * units[k]), evaluations, policy)
+                    outcomes[k] = _result(leaves, float(glow_leaf[g] * units[k]), evaluations, tols)
             keep = count > 0
             if not keep.any():
                 return outcomes
@@ -250,7 +237,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
         P[:, 0], P[:, _N], P[:, 1:-1] = pa, pb, pm.reshape(M.shape)
         F["mid"][take] = M[:, _CENTER]
         with np.errstate(over="ignore", invalid="ignore"):  # a point evaluated ahead may be huge, and is never read
-            F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), policy)
+            F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), tols)
         # a half is real, met by the depth-first walk, when every ancestor in its subtree splits (a boolean product,
         # not BLAS); real splits above the last level are walked past, midpoints counted, and the last level's pend
         split = F["split"].reshape(ta.size, _W)
@@ -266,15 +253,15 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, policy: RefinementPo
         history.append(F)
 
 
-def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPolicy):
+def _replay(seg: dict, n: int, scale: float, unit: float, tols: Tolerances):
     """The depth-first replay of one curve's merged segments up to the first one that stops the walk (a stop stays
     one, so what follows it never matters again): the ``ta`` of the pending splits ahead of it and, when none is, the
     error it stops the walk with (the curve divided by ``unit``)."""
-    rel, split, mid, distance = policy.origin_rel_tol, seg["split"], seg["mid"], seg["distance"]
+    rel, split, mid, distance = tols.origin_tol, seg["split"], seg["mid"], seg["distance"]
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
     scale_before = np.concatenate(([scale], scale_with[:-1]))
-    over_budget = split & (n + before >= policy.max_evaluations)
+    over_budget = split & (n + before >= tols.max_evaluations)
     stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
     first = int(np.argmax(stops)) if stops.any() else None
     pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
@@ -284,7 +271,7 @@ def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPoli
     if not split[first] or (over_budget[first] and distance[first] < threshold):
         error = _on_curve(distance[first], threshold, evaluations, unit)
     elif over_budget[first]:
-        error = RefinementBudgetExceeded(f"refinement exceeded {policy.max_evaluations} curve evaluations")
+        error = RefinementBudgetExceeded(f"refinement exceeded {tols.max_evaluations} curve evaluations")
     elif mid[first] < 0.0:
         error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
     else:
@@ -292,12 +279,12 @@ def _replay(seg: dict, n: int, scale: float, unit: float, policy: RefinementPoli
     return seg["ta"][pending], error
 
 
-def _result(increments: np.ndarray, low_leaf: float, evaluations: int, policy: RefinementPolicy):
+def _result(increments: np.ndarray, low_leaf: float, evaluations: int, tols: Tolerances):
     """The outcome of a walk that no segment stops, from its leaves' increments in depth-first order."""
     turns = float(np.sum(increments)) / (2.0 * math.pi)
     index = np.rint(turns)
-    if not abs(turns - index) <= policy.integer_tol:  # nor when not finite
-        return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {policy.integer_tol} of an integer")
+    if not abs(turns - index) <= tols.integer_tol:  # nor when not finite
+        return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {tols.integer_tol} of an integer")
     return WindingResult(index=int(index), min_distance=low_leaf, samples_used=evaluations, origin_on_curve=False)
 
 
@@ -311,10 +298,9 @@ def _circle(n0: int, r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def sample_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int = 1024, normalize: bool = True) -> CurveSamples:
-    """Sample the determinant curve at ``n0 + 1`` uniform parameters on [0, 2pi]."""
-    params, points = sample_kl_curves(rb.det_c, s.a_lead, s.a_zero, rb.r, n0, normalize)
-    return CurveSamples(params=params, points=points, closed=True)
+def sample_kl_curve(s: Scheme, rb: ReducedBoundary, n0: int = 1024, normalize: bool = True):
+    """The ``n0 + 1`` uniform parameters on [0, 2pi] and the determinant curve's points there."""
+    return sample_kl_curves(rb.det_c, s.a_lead, s.a_zero, rb.r, n0, normalize)
 
 
 def sample_kl_curves(coeffs: np.ndarray, a_lead, a_zero, r: int, n0: int = 1024, normalize: bool = True):
@@ -330,9 +316,9 @@ def sample_kl_curves(coeffs: np.ndarray, a_lead, a_zero, r: int, n0: int = 1024,
     return params, points
 
 
-def curve_to_csv(curve: CurveSamples) -> str:
-    """CSV dump with columns theta, re, im."""
+def curve_to_csv(params: np.ndarray, points: np.ndarray) -> str:
+    """CSV dump of a sampled curve with columns theta, re, im."""
     lines = ["theta,re,im"]
-    for theta, point in zip(curve.params, curve.points):
+    for theta, point in zip(params, points):
         lines.append(f"{float(theta)!r},{float(point.real)!r},{float(point.imag)!r}")
     return "\n".join(lines) + "\n"

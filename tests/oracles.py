@@ -11,7 +11,7 @@ from klstab.core_numerics import _horner
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
 from klstab.simulator import SolutionField, _data_table
-from klstab.winding import DEFAULT_POLICY, sample_kl_curve, winding_number
+from klstab.winding import sample_kl_curve, winding_number
 
 
 def poly_at(coeffs, z):
@@ -124,10 +124,10 @@ def kl_det_explicit(rb: ReducedBoundary, s: Scheme, z):
     return complex(value) if np.isscalar(z) else value
 
 
-def winding_count(s, rb, n0=1024, policy=DEFAULT_POLICY):
+def winding_count(s, rb, n0=1024, tols=DEFAULT_TOLS):
     """Exterior zero count by winding: minus the index of the normalized curve, as in ``analyze``."""
-    curve = sample_kl_curve(s, rb, n0=n0, normalize=True)
-    return -winding_number(curve, policy, evaluator=kl_curve_evaluator(s, rb, normalize=True)).index
+    params, points = sample_kl_curve(s, rb, n0=n0, normalize=True)
+    return -winding_number(params, points, tols, evaluator=kl_curve_evaluator(s, rb, normalize=True)).index
 
 
 def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
@@ -139,7 +139,7 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
         s, bc = pair(lam)
         return s, reduce_boundary(s, bc.restricted_to(s.r), tols)
 
-    scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0).points)))
+    scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0)[1])))
 
     def gap(lam):
         s, rb = reduced(lam)

@@ -21,6 +21,7 @@ from klstab.analyzer import (
     sweep,
 )
 from klstab.boundary import custom_condition, silw_condition
+from klstab.config import Tolerances
 from klstab.errors import IllConditionedKernel
 from klstab.kl import exterior_zero_count_direct, reduce_boundary, stable_roots
 from klstab.scheme import Scheme, make_beam_warming
@@ -552,15 +553,13 @@ def test_verdict_json_roundtrip():
 
 
 def test_analyze_inconclusive_on_exhausted_refinement():
-    from klstab.winding import RefinementPolicy
-
     # near the stability edge the curve grazes the origin; a tiny budget
     # cannot resolve it and the verdict must degrade instead of guessing
     verdict = analyze(
         make_beam_warming(1.5176),
         silw_condition(2, 2, 3, 0.0),
         n0=64,
-        policy=RefinementPolicy(max_evaluations=70),
+        tols=Tolerances(max_evaluations=70),
     )
     assert verdict.status is StabilityStatus.INCONCLUSIVE
     assert any("refinement exceeded" in note for note in verdict.notes)
@@ -649,7 +648,7 @@ def test_analyze_many_matches_one_pair_at_a_time(lagrange_upwind):
             assert verdict.direct_count == exterior_zero_count_direct(rb)
             if verdict.status is not StabilityStatus.UNSTABLE_BOUNDARY_ZERO:
                 curve = sample_kl_curve(s, rb)
-                assert verdict.winding == winding_number(curve, evaluator=kl_curve_evaluator(s, rb))
+                assert verdict.winding == winding_number(*curve, evaluator=kl_curve_evaluator(s, rb))
 
 
 def test_illinois_finds_a_bracketed_root():

@@ -87,6 +87,27 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--lambda", "0.7", "--silw", "2", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["check", "--lambda", "abc", "--silw", "2", "3"], "argument --lambda: invalid float value: 'abc'"),
+    (["check", "--lambda", "0.7", "--silw"], "argument --silw: expected 2 arguments"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_errors_print_one_line(capsys, argv, message):
+    assert run_cli(argv) == 1
+    # the choices of an unknown command are quoted on some Python versions only
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["check", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: klstab check") and captured.err == ""
+
+
 def test_curve_csv(tmp_path):
     out = tmp_path / "curve.csv"
     code = run_cli([

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from klstab.scheme import (
-    CurveSamples,
     Scheme,
     make_beam_warming,
     _symbol_from_basis,
@@ -85,11 +84,6 @@ def test_validate_flags_inconsistent_coefficients():
     assert abs(report.h3_residual_sum) < 1e-14
 
 
-def test_validate_rejects_tiny_sampling():
-    with pytest.raises(ValueError):
-        validate(make_beam_warming(0.5), n_xi=32)
-
-
 def symbol_curve(s, n):
     """The symbol at ``n + 1`` uniform frequencies on [0, 2pi]."""
     return symbol(s, np.linspace(0.0, 2.0 * np.pi, n + 1))
@@ -110,15 +104,6 @@ def test_symbol_curve_inside_disk_tangent_at_one():
     points = symbol_curve(make_beam_warming(1.8), 100)
     assert np.max(np.abs(points)) <= 1.0 + 1e-10
     assert abs(points[0] - 1.0) < 1e-14
-
-
-def test_curve_samples_validation():
-    with pytest.raises(ValueError):
-        CurveSamples(params=np.array([0.0, 0.0, 1.0]), points=np.zeros(3, complex), closed=False)
-    with pytest.raises(ValueError):
-        CurveSamples(
-            params=np.array([0.0, 1.0]), points=np.array([0.0 + 0j, 1.0 + 0j]), closed=True
-        )
 
 
 def test_scheme_descriptor_roundtrip():
@@ -167,8 +152,8 @@ def test_cached_symbol_basis_is_bit_identical_to_symbol(lagrange_upwind):
             assert np.array_equal(_symbol_from_basis(basis, s.a), direct)
             # the matrix product may sum in another order
             assert np.max(np.abs(direct - s.a @ basis)) <= 4 * eps * np.max(np.abs(direct))
-            report = validate(s, n_xi=n)
-            assert report.h2_max_symbol_modulus == float(np.max(np.abs(direct)))
+            if n == 4096:  # the frequencies validate samples
+                assert validate(s).h2_max_symbol_modulus == float(np.max(np.abs(direct)))
 
 
 def test_cached_symbol_basis_is_read_only():

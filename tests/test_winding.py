@@ -1,15 +1,16 @@
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from klstab.boundary import custom_condition, silw_condition
+from klstab.config import DEFAULT_TOLS, Tolerances
 from klstab.errors import OriginOnCurve, RefinementBudgetExceeded
 from klstab.kl import exterior_zero_count_direct, reduce_boundary
-from klstab.scheme import CurveSamples, Scheme, make_beam_warming, validate
+from klstab.scheme import Scheme, make_beam_warming, validate
 from klstab.winding import (
-    RefinementPolicy,
     _DEPTH,
     _result,
     curve_to_csv,
@@ -21,17 +22,20 @@ from oracles import kl_curve_evaluator, winding_count
 
 AGREEMENT_PRESETS = [(1, 2), (2, 3), (1, 3)]
 
+# a sampled closed curve; winding_number(*curve, ...) takes its arrays
+Curve = namedtuple("Curve", "params points")
+
 
 def circle_curve(fn, n):
     params = np.linspace(0.0, 2.0 * np.pi, n + 1)
     points = np.asarray(fn(params), dtype=complex)
     points[-1] = points[0]
-    return CurveSamples(params=params, points=points, closed=True)
+    return Curve(params, points)
 
 
 def test_unit_circle_index_one():
     curve = circle_curve(lambda t: np.exp(1j * t), 64)
-    result = winding_number(curve, evaluator=lambda t: np.exp(1j * t))
+    result = winding_number(*curve, evaluator=lambda t: np.exp(1j * t))
     assert result.index == 1
     assert abs(result.min_distance - 1.0) < 0.01
     assert not result.origin_on_curve
@@ -39,19 +43,18 @@ def test_unit_circle_index_one():
 
 def test_offset_circle_index_zero():
     curve = circle_curve(lambda t: 3.0 + np.exp(1j * t), 256)
-    assert winding_number(curve, evaluator=lambda t: 3.0 + np.exp(1j * t)).index == 0
+    assert winding_number(*curve, evaluator=lambda t: 3.0 + np.exp(1j * t)).index == 0
 
 
 def test_reversed_double_cover_index_minus_two():
     curve = circle_curve(lambda t: np.exp(-2j * t), 128)
-    assert winding_number(curve, evaluator=lambda t: np.exp(-2j * t)).index == -2
+    assert winding_number(*curve, evaluator=lambda t: np.exp(-2j * t)).index == -2
 
 
 def test_constant_curve_has_index_zero():
     params = np.linspace(0.0, 2.0 * np.pi, 65)
     points = np.full(65, 2.0 - 1.0j)
-    result = winding_number(CurveSamples(params=params, points=points, closed=True),
-                            evaluator=lambda t: np.full(t.shape, 2.0 - 1.0j))
+    result = winding_number(params, points, evaluator=lambda t: np.full(t.shape, 2.0 - 1.0j))
     assert result.index == 0
     assert abs(result.min_distance - abs(2.0 - 1.0j)) < 1e-12
 
@@ -60,29 +63,42 @@ def test_open_curve_rejected():
     params = np.array([0.0, 1.0, 2.0])
     points = np.array([1.0 + 0j, 1j, -1.0 + 0j])
     with pytest.raises(ValueError):
-        winding_number(CurveSamples(params=params, points=points, closed=False), evaluator=lambda t: np.exp(1j * t))
+        winding_number(params, points, evaluator=lambda t: np.exp(1j * t))
+
+
+@pytest.mark.parametrize("params, points, message", [
+    (np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.array([1.0, 1j, -1.0, -1j, 1.0]), "params must be strictly increasing"),
+    (np.array([0.0, 2.0, 1.0, 3.0, 4.0]), np.array([1.0, 1j, -1.0, -1j, 1.0]), "params must be strictly increasing"),
+    (np.linspace(0.0, 2.0 * np.pi, 5), np.array([1.0, 1j, -1.0, 1.0]), "params and points must have the same length"),
+    (np.linspace(0.0, 2.0 * np.pi, 6), np.array([1.0, 1j, -1.0, -1j, 0.5, 0.9]),
+     "closed curve must end where it starts"),
+])
+def test_winding_number_checks_its_curve(params, points, message):
+    # a strictly increasing parameter, one point a parameter, and a curve that closes: each checked before any walk
+    with pytest.raises(ValueError, match=message):
+        winding_number(params, points, evaluator=lambda t: pytest.fail("evaluated an invalid curve"))
 
 
 def test_origin_on_curve_raises():
     curve = circle_curve(lambda t: np.exp(1j * t) - 1.0, 64)
     with pytest.raises(OriginOnCurve) as excinfo:
-        winding_number(curve, evaluator=lambda t: np.exp(1j * t) - 1.0)
+        winding_number(*curve, evaluator=lambda t: np.exp(1j * t) - 1.0)
     assert excinfo.value.result.origin_on_curve
     assert excinfo.value.result.index is None
 
 
 def test_refinement_budget_exceeded():
-    policy = RefinementPolicy(max_evaluations=6)
+    tols = Tolerances(max_evaluations=6)
     curve = circle_curve(lambda t: np.exp(1j * t), 4)
     with pytest.raises(RefinementBudgetExceeded):
-        winding_number(curve, policy, evaluator=lambda t: np.exp(1j * t))
+        winding_number(*curve, tols, evaluator=lambda t: np.exp(1j * t))
 
 
 def test_coarse_start_refines_to_correct_index():
     # a near-origin passage forces insertion; the index must match a dense run
     fn = lambda t: np.exp(1j * t) - 0.985
-    coarse = winding_number(circle_curve(fn, 64), evaluator=fn)
-    dense = winding_number(circle_curve(fn, 16384), evaluator=fn)
+    coarse = winding_number(*circle_curve(fn, 64), evaluator=fn)
+    dense = winding_number(*circle_curve(fn, 16384), evaluator=fn)
     assert coarse.index == dense.index == 1
     # pinned to the depth-first refinement: 44 inserted midpoints
     assert coarse.samples_used == 109
@@ -99,21 +115,21 @@ def test_evaluator_called_once_per_pass_with_an_array():
         calls.append(t)
         return np.exp(1j * t)
 
-    result = winding_number(circle_curve(lambda t: np.exp(1j * t), 4), evaluator=fn)
+    result = winding_number(*circle_curve(lambda t: np.exp(1j * t), 4), evaluator=fn)
     assert result.index == 1
     assert all(isinstance(t, np.ndarray) for t in calls)
     assert len(calls) == math.ceil(3 / _DEPTH) and calls[0].size == 4 * (2**_DEPTH - 1)
     assert result.samples_used == 5 + 4 + 8 + 16
 
 
-def depth_first_reference(curve, policy, evaluator):
+def depth_first_reference(curve, tols, evaluator):
     """The refinement as a scalar depth-first walk over the segments in parameter order."""
     params, points = curve.params, curve.points
     scale = float(np.max(np.abs(points)))
     evaluations = params.size
 
     def tol():
-        return policy.origin_rel_tol * scale
+        return tols.origin_tol * scale
 
     if scale == 0.0:
         return ("origin", evaluations, 0.0)
@@ -130,8 +146,8 @@ def depth_first_reference(curve, policy, evaluator):
         t = min(1.0, max(0.0, -(pa * d.conjugate()).real / length**2)) if length else 0.0
         dist = abs(pa + t * d)
         increment = cmath.phase(pb * pa.conjugate())
-        if length > 0 and (abs(increment) > policy.angle_threshold or dist < policy.proximity_factor * length):
-            if evaluations + 1 > policy.max_evaluations:
+        if length > 0 and (abs(increment) > tols.angle_threshold or dist < tols.proximity_factor * length):
+            if evaluations + 1 > tols.max_evaluations:
                 return ("origin", evaluations, dist) if dist < tol() else ("budget",)
             tm = 0.5 * (ta + tb)
             pm = complex(evaluator(np.array([tm]))[0])
@@ -148,7 +164,7 @@ def depth_first_reference(curve, policy, evaluator):
     if min_distance < tol():
         return ("origin", evaluations, min_distance)
     turns = total / (2.0 * math.pi)
-    if abs(turns - round(turns)) > policy.integer_tol:
+    if abs(turns - round(turns)) > tols.integer_tol:
         return ("budget",)
     return ("ok", evaluations, min_distance, round(turns))
 
@@ -184,21 +200,21 @@ def test_matches_depth_first_reference_on_random_curves():
         fn = random_trig_curve(rng)
         n = int(rng.integers(3, 120))
         curve = circle_curve(fn, n)
-        policy = RefinementPolicy(
+        tols = Tolerances(
             max_evaluations=int(rng.choice([n + 1 + int(rng.integers(0, 40)), n + 300, 4096])),
             angle_threshold=float(rng.choice([np.pi / 2, 0.3, 2.5])),
             proximity_factor=float(rng.choice([4.0, 1.0, 0.5, 10.0])),
-            origin_rel_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
+            origin_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
         )
-        outcomes.add(assert_matches_reference(curve, policy, fn))
+        outcomes.add(assert_matches_reference(curve, tols, fn))
     assert outcomes == {"ok", "origin", "budget"}
 
 
-def assert_matches_reference(curve, policy, evaluator):
+def assert_matches_reference(curve, tols, evaluator):
     """Check ``winding_number`` against ``depth_first_reference``; returns the outcome."""
-    expected = depth_first_reference(curve, policy, evaluator)
+    expected = depth_first_reference(curve, tols, evaluator)
     try:
-        result = winding_number(curve, policy, evaluator=evaluator)
+        result = winding_number(*curve, tols, evaluator=evaluator)
         got = ("ok", result.samples_used, result.min_distance, result.index)
     except OriginOnCurve as exc:
         got = ("origin", exc.result.samples_used, exc.result.min_distance)
@@ -221,9 +237,9 @@ def test_a_midpoint_that_is_not_finite_ends_the_walk():
         return np.where(np.abs(t - 0.02) < 0.01, np.nan, np.exp(1j * t) - 0.999)
 
     with pytest.raises(ValueError, match="curve is not finite at t=") as excinfo:
-        winding_number(circle_curve(lambda t: np.exp(1j * t) - 0.999, 64), evaluator=holed)
+        winding_number(*circle_curve(lambda t: np.exp(1j * t) - 0.999, 64), evaluator=holed)
     assert 0.01 < float(str(excinfo.value).split("t=")[1]) < 0.03
-    assert len(calls) <= 10 and 65 + sum(calls) <= RefinementPolicy().max_evaluations
+    assert len(calls) <= 10 and 65 + sum(calls) <= DEFAULT_TOLS.max_evaluations
 
 
 class NotFinite(Exception):
@@ -246,8 +262,7 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
         holed = lambda t, fn=fn, bad=bad, c=centre, w=width: np.where(np.abs(t - c) < w, bad, fn(t))
         n = int(rng.integers(3, 120))
         curve = circle_curve(holed, n)
-        policy = RefinementPolicy(max_evaluations=int(rng.choice([n + 40, 4096])),
-                                  origin_rel_tol=float(rng.choice([1e-8, 1e-2])))
+        tols = Tolerances(max_evaluations=int(rng.choice([n + 40, 4096])), origin_tol=float(rng.choice([1e-8, 1e-2])))
 
         def reference_evaluator(t, holed=holed):
             value = holed(t)
@@ -258,11 +273,11 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
         unfinite = ~np.isfinite(curve.points)
         try:
             expected = ("not finite", float(curve.params[unfinite.argmax()])) if unfinite.any() else \
-                depth_first_reference(curve, policy, reference_evaluator)[:2]
+                depth_first_reference(curve, tols, reference_evaluator)[:2]
         except NotFinite as exc:
             expected = ("not finite", exc.args[0])
         try:
-            result = winding_number(curve, policy, evaluator=holed)
+            result = winding_number(*curve, tols, evaluator=holed)
             got = ("ok", result.samples_used)
         except OriginOnCurve as exc:
             got = ("origin", exc.result.samples_used)
@@ -272,9 +287,9 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
             got = ("not finite", float(str(exc).split("t=")[1]))
         assert got == expected, (got, expected)
         outcomes.add(got[0])
-        together = winding_numbers(curve.params, np.stack([curve.points, fn(curve.params)]), policy,
+        together = winding_numbers(curve.params, np.stack([curve.points, fn(curve.params)]), tols,
                                    lambda rows, t: np.where(rows == 0, holed(t), fn(t)))
-        alone = winding_numbers(curve.params, fn(curve.params)[None], policy, lambda rows, t: fn(t))
+        alone = winding_numbers(curve.params, fn(curve.params)[None], tols, lambda rows, t: fn(t))
         assert repr(together[1]) == repr(alone[0]) and type(together[0]).__name__ == OUTCOME_TYPES[got[0]]
     assert outcomes == {"ok", "origin", "budget", "not finite"}
 
@@ -282,7 +297,7 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on infinities
 def test_a_leaf_increment_that_is_not_finite_is_an_error_not_a_crash():
     for increments in ([np.nan, 1.0], [np.inf, -np.inf], [np.inf]):
-        assert isinstance(_result(np.array(increments), 1.0, 10, RefinementPolicy()), RefinementBudgetExceeded)
+        assert isinstance(_result(np.array(increments), 1.0, 10, DEFAULT_TOLS), RefinementBudgetExceeded)
 
 
 # Beam-Warming CFL numbers within about 1e-8 of a stability edge, where the
@@ -294,14 +309,14 @@ NEAR_EDGE = [((2, 3), 1.5175048439, "ok"), ((2, 3), 1.5175048345, "origin"), ((1
 def near_edge_curve(orders, lam):
     s = make_beam_warming(lam)
     rb = reduce_boundary(s, silw_condition(s.r, *orders, 0.0))
-    return sample_kl_curve(s, rb, n0=1024), kl_curve_evaluator(s, rb)
+    return Curve(*sample_kl_curve(s, rb, n0=1024)), kl_curve_evaluator(s, rb)
 
 
 @pytest.mark.parametrize("orders, lam, outcome", NEAR_EDGE)
 def test_matches_depth_first_reference_near_stability_edges(orders, lam, outcome):
     # the random curves above build shallow trees; these refine about 20 levels deep
     curve, evaluator = near_edge_curve(orders, lam)
-    assert assert_matches_reference(curve, RefinementPolicy(), evaluator) == outcome
+    assert assert_matches_reference(curve, Tolerances(), evaluator) == outcome
 
 
 # a pass evaluates at most the 2^K - 1 points of the subtree of each split it takes, and takes only splits the
@@ -340,8 +355,8 @@ def test_evaluator_gets_only_new_parameters(orders, lam):
         calls.append(np.array(t, copy=True))
         return evaluator(t)
 
-    expected = depth_first_reference(curve, RefinementPolicy(), count)
-    outcome = _alone(curve, RefinementPolicy(), record)
+    expected = depth_first_reference(curve, Tolerances(), count)
+    outcome = _alone(curve, Tolerances(), record)
     result = getattr(outcome, "result", outcome)
     assert result.samples_used == expected[1] == curve.params.size + len(counted)
     assert all(t.size > 0 for t in calls)
@@ -364,9 +379,9 @@ def _bits(outcome):
     return outcome.index, float(outcome.min_distance).hex(), outcome.samples_used, outcome.origin_on_curve
 
 
-def _alone(curve, policy, evaluator):
+def _alone(curve, tols, evaluator):
     try:
-        return winding_number(curve, policy, evaluator=evaluator)
+        return winding_number(*curve, tols, evaluator=evaluator)
     except (OriginOnCurve, RefinementBudgetExceeded, ValueError) as exc:
         return exc
 
@@ -390,8 +405,8 @@ def test_lockstep_walk_matches_each_curve_alone():
     # or error is bit for bit its own, and the walk takes one evaluator call a pass of the deepest curve
     rng = np.random.default_rng(11)
     near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
-    policies = [RefinementPolicy(), RefinementPolicy(max_evaluations=1100),
-                RefinementPolicy(origin_rel_tol=1e-2, proximity_factor=10.0), RefinementPolicy(angle_threshold=0.3)]
+    settings = [Tolerances(), Tolerances(max_evaluations=1100),
+                Tolerances(origin_tol=1e-2, proximity_factor=10.0), Tolerances(angle_threshold=0.3)]
     kinds = set()
     for trial in range(24):
         fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0 if trial % 4 else 1, 6)))]
@@ -399,7 +414,7 @@ def test_lockstep_walk_matches_each_curve_alone():
         stack = [(circle_curve(fn, n), fn) for fn in fns] + near_edge[: trial % 4]
         order = rng.permutation(len(stack))
         stack = [stack[k] for k in order]
-        policy = policies[trial % len(policies)]
+        tols = settings[trial % len(settings)]
         params, points, evaluate = stacked(stack)
         levels = [0] * len(stack)
 
@@ -413,10 +428,10 @@ def test_lockstep_walk_matches_each_curve_alone():
             return lambda t: counted(np.full(t.size, k), t)
 
         calls = []
-        expected = [_bits(_alone(curve, policy, one(k))) for k, (curve, _) in enumerate(stack)]
+        expected = [_bits(_alone(curve, tols, one(k))) for k, (curve, _) in enumerate(stack)]
         alone_levels = levels[:]
         levels[:], calls = [0] * len(stack), []
-        walked = winding_numbers(params, points, policy, counted)
+        walked = winding_numbers(params, points, tols, counted)
         assert [_bits(outcome) for outcome in walked] == expected, trial
         assert levels == alone_levels and len(calls) == max(levels, default=0), trial
         assert all(t.size > 0 for t in calls)
@@ -437,9 +452,9 @@ def test_one_segment_pass_decides_a_stack_and_walks_only_its_open_rows():
     stack = [(circle_curve(fn, 1024), fn) for fn in fns] + near_edge
     params, points, evaluate = stacked(stack)
     rows_seen = []
-    walked = winding_numbers(params, points, RefinementPolicy(),
+    walked = winding_numbers(params, points, Tolerances(),
                              lambda rows, t: rows_seen.append(rows) or evaluate(rows, t))
-    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, RefinementPolicy(), f)) for c, f in stack]
+    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, Tolerances(), f)) for c, f in stack]
     assert [type(outcome).__name__ for outcome in walked] == [
         "ValueError", "OriginOnCurve", "OriginOnCurve", "WindingResult", "WindingResult", "WindingResult",
         "WindingResult", "OriginOnCurve"]
@@ -464,7 +479,7 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
     # curve's own and that of the depth-first walk
     rng = np.random.default_rng(21)
     near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
-    needs = [depth_first_reference(curve, RefinementPolicy(), fn)[1] for curve, fn in near_edge]
+    needs = [depth_first_reference(curve, Tolerances(), fn)[1] for curve, fn in near_edge]
     kinds = set()
     for trial in range(12):
         fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0, 4)))]
@@ -472,12 +487,12 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
         deep = rng.choice(len(near_edge), size=int(rng.integers(1, 4)), replace=False)
         stack += [near_edge[k] for k in deep]
         stack = [stack[k] for k in rng.permutation(len(stack))]
-        policy = RefinementPolicy(max_evaluations=needs[deep[0]] + int(rng.integers(-2, 3)))
+        tols = Tolerances(max_evaluations=needs[deep[0]] + int(rng.integers(-2, 3)))
         params, points, evaluate = stacked(stack)
-        walked = winding_numbers(params, points, policy, evaluate)
+        walked = winding_numbers(params, points, tols, evaluate)
         for outcome, (curve, fn) in zip(walked, stack):
-            assert _bits(outcome) == _bits(_alone(curve, policy, fn)), trial
-            got, expected = as_reference(outcome), depth_first_reference(curve, policy, fn)
+            assert _bits(outcome) == _bits(_alone(curve, tols, fn)), trial
+            got, expected = as_reference(outcome), depth_first_reference(curve, tols, fn)
             assert got[:2] + got[3:] == expected[:2] + expected[3:], (trial, got, expected)
             assert got[2:3] == pytest.approx(expected[2:3], rel=1e-9, abs=1e-300)
             kinds.add(got[0])
@@ -489,20 +504,20 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
     fns = [fn for _, fn in near_edge] + [random_trig_curve(rng) for _ in range(3)]
     stack = [(circle_curve(fn, 40), fn) for fn in fns]
     params, points, evaluate = stacked(stack)
-    walked = winding_numbers(params, points, RefinementPolicy(), evaluate)
+    walked = winding_numbers(params, points, Tolerances(), evaluate)
     for k, (curve, fn) in enumerate(stack):
         counted, evaluated = [], []
-        depth_first_reference(curve, RefinementPolicy(), lambda t: counted.append(float(t[0])) or fn(t))
-        _alone(curve, RefinementPolicy(), lambda t: evaluated.extend(t.tolist()) or fn(t))
+        depth_first_reference(curve, Tolerances(), lambda t: counted.append(float(t[0])) or fn(t))
+        _alone(curve, Tolerances(), lambda t: evaluated.extend(t.tolist()) or fn(t))
         ahead = sorted(set(evaluated) - set(counted))
         if not ahead:
             continue
         hole = ahead[int(rng.integers(len(ahead)))]
         for value in (np.nan, 1e12, 1e300):
             holed = lambda t, fn=fn, hole=hole, value=value: np.where(t == hole, value, fn(t))
-            assert _bits(_alone(curve, RefinementPolicy(), holed)) == _bits(walked[k])
+            assert _bits(_alone(curve, Tolerances(), holed)) == _bits(walked[k])
             holed_stack = stack[:k] + [(curve, holed)] + stack[k + 1:]
-            rewalked = winding_numbers(params, points, RefinementPolicy(), stacked(holed_stack)[2])
+            rewalked = winding_numbers(params, points, Tolerances(), stacked(holed_stack)[2])
             assert [_bits(outcome) for outcome in rewalked] == [_bits(outcome) for outcome in walked]
 
 
@@ -511,20 +526,20 @@ def test_a_leaf_under_the_threshold_of_the_end_alone_puts_the_origin_on_the_curv
     # 3pi/4: no leaf comes under the threshold of its own place in the walk, so the splits all run out, but the
     # lowest leaf comes under the threshold of the end, and the walk ends on the curve with every evaluation counted
     fn = lambda t: np.exp(1j * t + np.cos(t - 1.75 * np.pi))
-    curve, policy = circle_curve(fn, 4), RefinementPolicy(origin_rel_tol=0.16)
-    expected = depth_first_reference(curve, policy, fn)
-    outcome = _alone(curve, policy, fn)
+    curve, tols = circle_curve(fn, 4), Tolerances(origin_tol=0.16)
+    expected = depth_first_reference(curve, tols, fn)
+    outcome = _alone(curve, tols, fn)
     assert isinstance(outcome, OriginOnCurve) and expected[0] == "origin"
     assert (outcome.result.samples_used, outcome.result.min_distance) == pytest.approx(expected[1:], rel=1e-12)
-    assert outcome.result.min_distance >= policy.origin_rel_tol * np.abs(curve.points).max()
+    assert outcome.result.min_distance >= tols.origin_tol * np.abs(curve.points).max()
     # beside the near-edge determinant curves and random curves, all sampled at its 5 params, in one call
     rng = np.random.default_rng(5)
     fns = [fn] + [random_trig_curve(rng) for _ in range(3)] + [near_edge_curve(*entry[:2])[1] for entry in NEAR_EDGE]
     order = rng.permutation(len(fns))
     stack = [(circle_curve(fns[k], 4), fns[k]) for k in order]
     params, points, evaluate = stacked(stack)
-    walked = winding_numbers(params, points, policy, evaluate)
-    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, policy, f)) for c, f in stack]
+    walked = winding_numbers(params, points, tols, evaluate)
+    assert [_bits(outcome) for outcome in walked] == [_bits(_alone(c, tols, f)) for c, f in stack]
     assert _bits(walked[int(np.argmin(order))]) == _bits(outcome)
 
 
@@ -533,19 +548,19 @@ def test_a_leaf_under_the_threshold_of_the_end_alone_puts_the_origin_on_the_curv
 def test_a_curve_beyond_the_segment_range_is_walked_divided_by_a_power_of_two(power):
     # at 2**600 the squared lengths and the products of the segment pass overflow, at 2**-600 they underflow; such a
     # curve is walked divided by a power of two, so it refines as f does and its distance is exactly c times f's
-    c, policy = 2.0**power, RefinementPolicy()
+    c, tols = 2.0**power, Tolerances()
     for fn, n in ((lambda t: np.exp(1j * t) - 0.985, 64), (lambda t: np.exp(1j * t) - 1.0, 64),
                   (lambda t: np.exp(2j * t) * (1.2 + np.cos(3 * t)) - 0.3, 40), (lambda t: 3.0 + np.exp(1j * t), 64)):
         big = lambda t: c * fn(t)
         curve, big_curve = circle_curve(fn, n), circle_curve(big, n)
-        outcomes = [_alone(curve, policy, fn), _alone(big_curve, policy, big)]
+        outcomes = [_alone(curve, tols, fn), _alone(big_curve, tols, big)]
         assert type(outcomes[0]) is type(outcomes[1])
         base, scaled = (getattr(outcome, "result", outcome) for outcome in outcomes)
         assert (scaled.index, scaled.samples_used) == (base.index, base.samples_used)
         assert scaled.min_distance == c * base.min_distance
         # beside a curve in range, in one stack: it is divided before the stack's segment pass and walks with f
         walked_rows = []
-        walked = winding_numbers(curve.params, np.stack([curve.points, big_curve.points]), policy,
+        walked = winding_numbers(curve.params, np.stack([curve.points, big_curve.points]), tols,
                                  lambda rows, t: walked_rows.append(rows) or np.where(rows == 0, fn(t), big(t)))
         assert [_bits(outcome) for outcome in walked] == [_bits(outcome) for outcome in outcomes]
         assert all(np.array_equal(rows, np.repeat([0, 1], rows.size // 2)) for rows in walked_rows)
@@ -555,12 +570,12 @@ def test_scale_invariance_of_kl_curve_index():
     rng = np.random.default_rng(13)
     s = make_beam_warming(1.4)
     rb = reduce_boundary(s, silw_condition(2, 2, 3, 0.0))
-    curve = sample_kl_curve(s, rb, n0=1024)
-    base = winding_number(curve, evaluator=kl_curve_evaluator(s, rb)).index
+    curve = Curve(*sample_kl_curve(s, rb, n0=1024))
+    base = winding_number(*curve, evaluator=kl_curve_evaluator(s, rb)).index
     for _ in range(20):
         c = rng.uniform(0.1, 10.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        scaled = CurveSamples(params=curve.params, points=curve.points * c, closed=True)
-        result = winding_number(scaled, evaluator=lambda t, c=c: c * kl_curve_evaluator(s, rb)(t))
+        result = winding_number(curve.params, curve.points * c,
+                                evaluator=lambda t, c=c: c * kl_curve_evaluator(s, rb)(t))
         assert result.index == base
 
 
@@ -581,13 +596,13 @@ def test_normalized_counts_match_direct_on_grid():
             assert count == direct.count, (kd, d, lam)
 
 
-def test_count_takes_origin_threshold_from_policy():
+def test_count_takes_origin_threshold_from_tolerances():
     # near the Fig. 5 edge the curve passes about 0.05 from the origin
     s = make_beam_warming(1.52)
     rb = reduce_boundary(s, silw_condition(s.r, 2, 3, 0.0))
     assert winding_count(s, rb) == 0
     with pytest.raises(OriginOnCurve):
-        winding_count(s, rb, policy=RefinementPolicy(origin_rel_tol=0.9))
+        winding_count(s, rb, tols=Tolerances(origin_tol=0.9))
 
 
 def test_halving_samples_keeps_index():
@@ -607,22 +622,22 @@ def test_halving_samples_keeps_index():
 def test_sample_kl_curve_shape_and_closure():
     s = make_beam_warming(0.7)
     rb = reduce_boundary(s, silw_condition(2, 2, 3, 0.0))
-    curve = sample_kl_curve(s, rb, n0=128)
-    assert curve.params.size == 129
-    assert curve.closed
+    params, points = sample_kl_curve(s, rb, n0=128)
+    assert params.size == points.size == 129
+    assert points[-1] == points[0]
     # stable case: curve stays away from the origin
-    assert np.min(np.abs(curve.points)) > 1.0
+    assert np.min(np.abs(points)) > 1.0
 
 
 def test_normalization_shifts_index_by_r():
     s = make_beam_warming(0.7)
     rb = reduce_boundary(s, silw_condition(2, 2, 3, 0.0))
     plain = winding_number(
-        sample_kl_curve(s, rb, n0=1024, normalize=False),
+        *sample_kl_curve(s, rb, n0=1024, normalize=False),
         evaluator=kl_curve_evaluator(s, rb, normalize=False),
     )
     normalized = winding_number(
-        sample_kl_curve(s, rb, n0=1024, normalize=True),
+        *sample_kl_curve(s, rb, n0=1024, normalize=True),
         evaluator=kl_curve_evaluator(s, rb, normalize=True),
     )
     assert plain.index - s.r == normalized.index
@@ -632,7 +647,7 @@ def test_normalization_shifts_index_by_r():
 def test_curve_csv_format():
     s = make_beam_warming(0.7)
     rb = reduce_boundary(s, silw_condition(2, 2, 3, 0.0))
-    text = curve_to_csv(sample_kl_curve(s, rb, n0=64))
+    text = curve_to_csv(*sample_kl_curve(s, rb, n0=64))
     lines = text.strip().split("\n")
     assert lines[0] == "theta,re,im"
     assert len(lines) == 66
