@@ -6,11 +6,11 @@ Commands
     sweep      exterior-zero-count map over a lambda (and optional sigma) grid as CSV
     simulate   final-time amplitude field of a sigma scan as CSV
 
-Every command builds its (scheme, boundary) pairs one way: ``_descriptors``
-resolves flags over the ``--config`` file into two descriptors (one boundary:
-``--silw`` or ``--custom-b``, never both, else the file's ``boundary``), and
-the builders ``scheme_at`` and ``boundary_at`` add the CFL number
-and offset and fit the boundary rows to the scheme.
+Every command builds its (scheme, boundary) pairs one way: ``_families``
+resolves flags over the ``--config`` file into a cached ``scheme_at(lam)``
+and a ``boundary_at(lam, sigma=None)`` that fits the boundary rows to that
+scheme (one boundary: ``--silw`` or ``--custom-b``, never both, else the
+file's ``boundary`` descriptor).
 
 Exit codes: 0 success / strongly stable, 1 usage, config or input error,
 including a pair whose reduction leaves the float range (one ``error:``
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .analyzer import StabilityStatus, analyze, sweep
 from .boundary import BoundaryCondition, boundary_from_descriptor
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import KLStabError
-from .scheme import Scheme, scheme_from_descriptor
+from .scheme import PRESETS, Scheme
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
 from .winding import curve_to_csv, sample_kl_curve
 from .kl import reduce_boundary
@@ -204,54 +204,49 @@ def _tolerances(args, config: dict) -> Tolerances:
     return tols
 
 
-def _descriptors(args, config: dict) -> Tuple[dict, dict]:
-    """Scheme and boundary descriptors from flags and config, without CFL number or offset.
+def _families(args, config: dict):
+    """The scheme and boundary families of flags and config, and the boundary descriptor they fit.
 
-    Flags override the file. The boundary is ``--silw`` or ``--custom-b``
-    (each also readable from the file under its flag name), never both;
-    without either, the file's ``boundary`` descriptor.
+    ``scheme_at(lam)`` is the scheme at CFL ``lam``, cached so that the boundaries of a CFL value reuse its
+    scheme; ``boundary_at(lam, sigma=None)`` is the boundary fitted to it, where a given ``sigma`` replaces the
+    offset of a SILW descriptor. Flags override the file. The boundary is ``--silw`` or ``--custom-b`` (each
+    also readable from the file under its flag name), never both; without either, the file's ``boundary``.
     """
     from_file = _json_object(config.get("scheme", {}), 'config key "scheme"')
+    unknown = sorted(set(from_file) - {"preset", "coefficients", "lambda"})
+    if unknown:
+        raise UsageError(f"unknown config scheme keys {', '.join(map(json.dumps, unknown))}; "
+                         "known: preset, coefficients, lambda")
     coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"), _NUMBERS)
     preset = _merged(args, config, "preset", from_file.get("preset"), _TEXT) or "beam-warming"
-    scheme = (("preset", preset),) if coeffs is None else (("coefficients", tuple(coeffs)),)
     silw = _merged(args, config, "silw", kind=_ORDERS)
     custom_path = _merged(args, config, "custom_b", kind=_TEXT)
     if silw is not None and custom_path is not None:
         raise UsageError("give either --silw or --custom-b, not both")
     if silw is not None:
-        return scheme, {"silw": {"kd": int(silw[0]), "d": int(silw[1])}}
-    if custom_path is not None:
+        boundary = {"silw": {"kd": silw[0], "d": silw[1]}}
+    elif custom_path is not None:
         with open(custom_path) as fh:
-            return scheme, {"custom": json.load(fh)}
-    if "boundary" in config:
-        return scheme, config["boundary"]
-    raise UsageError("a boundary condition is required (--silw KD D or --custom-b FILE)")
+            boundary = {"custom": json.load(fh)}
+    elif "boundary" in config:
+        boundary = config["boundary"]
+    else:
+        raise UsageError("a boundary condition is required (--silw KD D or --custom-b FILE)")
+    if coeffs is None and preset not in PRESETS:
+        raise UsageError(f"unknown scheme preset {preset!r}; available: {sorted(PRESETS)}")
+    build = PRESETS[preset] if coeffs is None else functools.partial(Scheme.from_coefficients, tuple(coeffs))
+    scheme_at = functools.lru_cache(maxsize=1024)(build)
 
+    def boundary_at(lam: float, sigma: Optional[float] = None) -> BoundaryCondition:
+        r = scheme_at(lam).r
+        try:
+            if sigma is not None and "silw" in boundary:
+                return boundary_from_descriptor({**boundary, "silw": {**boundary["silw"], "sigma": sigma}}, r)
+            return boundary_from_descriptor(boundary, r)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad boundary condition: {exc}") from exc
 
-@functools.lru_cache(maxsize=1024)
-def scheme_at(lam: float, scheme: tuple) -> Scheme:
-    """The scheme of descriptor ``scheme``, given as its items, at CFL ``lam`` (a sweep's ``scheme_family``).
-
-    Cached, so that the boundaries of a CFL value reuse the scheme built for it.
-    """
-    return scheme_from_descriptor({**dict(scheme), "lambda": lam})
-
-
-def boundary_at(lam: float, sigma: Optional[float], scheme: tuple, boundary: dict) -> BoundaryCondition:
-    """The boundary of descriptor ``boundary`` fitted to ``scheme_at(lam, scheme)``.
-
-    A given ``sigma`` replaces the offset of a SILW descriptor; ``None``
-    keeps the descriptor's own (default 0). With ``scheme`` and
-    ``boundary`` bound this is a sweep's ``bc_family``.
-    """
-    r = scheme_at(lam, scheme).r
-    try:
-        if sigma is not None and "silw" in boundary:
-            boundary = {"silw": {**boundary["silw"], "sigma": sigma}}
-        return boundary_from_descriptor(boundary, r)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad boundary condition: {exc}") from exc
+    return scheme_at, boundary_at, boundary
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -295,7 +290,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 raise UsageError(f"{name} must be at most {_MAX_GRID_POINTS}, got {size}")
         out = _merged(args, config, "out", kind=_TEXT)
 
-        scheme, boundary = _descriptors(args, config)
+        scheme_at, boundary_at, boundary = _families(args, config)
 
         if args.command == "sweep":
             lam_spec = _merged(args, config, "lambda_grid", kind=_TEXT)
@@ -306,11 +301,9 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             sigma_grid = parse_grid(sig_spec) if sig_spec else np.array([0.0])
             if np.any(lambda_grid <= 0):
                 raise UsageError("all CFL grid values must be positive")
-            scheme_family = functools.partial(scheme_at, scheme=scheme)
-            bc_family = functools.partial(boundary_at, scheme=scheme, boundary=boundary)
             # a bad scheme or boundary fails here, once, rather than in every worker
-            bc_family(float(lambda_grid[0]), float(sigma_grid[0]))
-            result = sweep(scheme_family, bc_family, lambda_grid, sigma_grid, tols=tols, n0=n0,
+            boundary_at(float(lambda_grid[0]), float(sigma_grid[0]))
+            result = sweep(scheme_at, boundary_at, lambda_grid, sigma_grid, tols=tols, n0=n0,
                            jobs=_merged(args, config, "jobs", 1, _JOBS))
             _write(result.to_csv(), out)
             return EXIT_OK
@@ -318,7 +311,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         lam = _merged(args, config, "lambda", config.get("scheme", {}).get("lambda"), _NUMBER)
         if lam is None:
             raise UsageError("a CFL number is required (--lambda)")
-        s = scheme_at(float(lam), scheme)
+        s = scheme_at(float(lam))
 
         if args.command == "simulate":
             sigma_grid = parse_grid(_merged(args, config, "sigma_grid", kind=_TEXT) or "-0.5:0.48:0.02")
@@ -330,7 +323,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 raise UsageError(f"--grid-points, --final-time or --velocity: {exc}") from None
             scan = sigma_scan(
                 s,
-                bc_family=functools.partial(boundary_at, s.lam, scheme=scheme, boundary=boundary),
+                bc_family=functools.partial(boundary_at, s.lam),
                 sigma_grid=sigma_grid,
                 run_factory=lambda sg: make_run(sigma=sg),
             )
@@ -348,7 +341,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
 
         # check and curve: one pair at the offset --sigma, else the file's
-        bc = boundary_at(s.lam, _merged(args, config, "sigma", kind=_NUMBER), scheme, boundary)
+        bc = boundary_at(s.lam, _merged(args, config, "sigma", kind=_NUMBER))
         if args.command == "check":
             verdict = analyze(s, bc, tols=tols, n0=n0)
             _write(verdict.to_json() + "\n", out)

@@ -110,13 +110,11 @@ class ReducedBoundary:
     ``block`` is the read-only closed update block ``A`` of
     :func:`upwind_blocks`; ``det_c`` holds the read-only ascending
     coefficients of ``det C``, a polynomial of exact degree ``m`` whose roots
-    are the eigenvalues of ``A``; ``sign`` is the parity prefactor
-    ``(-1)^(r(m-r))`` of the explicit formula.
+    are the eigenvalues of ``A``.
     """
 
     r: int
     m: int
-    sign: int
     block: np.ndarray
     det_c: np.ndarray
 
@@ -134,7 +132,7 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
     blocks, det_c = reduce_stack(s.a[None], bc.b[None])
     det_c.setflags(write=False)
-    return ReducedBoundary(s.r, bc.m, parity(s.r, bc.m), blocks[0], det_c[0])
+    return ReducedBoundary(s.r, bc.m, blocks[0], det_c[0])
 
 
 def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

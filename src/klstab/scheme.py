@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -90,58 +90,14 @@ def make_beam_warming(lam: float) -> Scheme:
 PRESETS = {"beam-warming": make_beam_warming}
 
 
-def scheme_from_descriptor(descriptor: dict) -> Scheme:
-    """Build a scheme from a JSON-style descriptor.
-
-    Either ``{"preset": "beam-warming", "lambda": 1.4}`` or
-    ``{"coefficients": [a_-r, ..., a_0], "lambda": 1.4}``.
-    """
-    lam = descriptor.get("lambda")
-    if lam is None:
-        raise ValueError("scheme descriptor needs a 'lambda' entry")
-    if "preset" in descriptor:
-        name = descriptor["preset"]
-        if name not in PRESETS:
-            raise ValueError(f"unknown scheme preset {name!r}; available: {sorted(PRESETS)}")
-        return PRESETS[name](float(lam))
-    if "coefficients" in descriptor:
-        return Scheme.from_coefficients(descriptor["coefficients"], float(lam))
-    raise ValueError("scheme descriptor needs 'preset' or 'coefficients'")
-
-
-def _fourier_basis(xi: np.ndarray, r: int) -> np.ndarray:
-    """``exp(i k xi)`` for ``k = -r..0``, one row per ``k``."""
-    return np.exp(1j * np.multiply.outer(np.arange(-r, 1), xi))
-
-
-def _symbol_from_basis(basis: np.ndarray, a: np.ndarray):
-    """``sum_k a_k basis[k]``, summed row by row in ascending ``k``.
-
-    Every symbol evaluation goes through here, so a cached basis and a basis
-    built per call give bit-identical values. It is elementwise on purpose:
-    a matrix-vector product runs on a multithreaded BLAS, whose threads
-    contend for the cores with the workers of a parallel sweep.
-    """
-    values = basis[0] * a[0]
-    for k in range(1, a.size):
-        values += basis[k] * a[k]
-    return values
-
-
 @functools.lru_cache(maxsize=8)
-def symbol_basis(n: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``n`` uniform frequencies on ``[0, 2pi)`` and their Fourier basis for width ``r``.
-
-    ``_symbol_from_basis(basis, s.a)`` is the amplification symbol
-    ``sum_k a_k exp(i k xi)`` of any scheme of width ``r``, bit for bit as
-    from a basis built per call. Both arrays are cached and shared, hence
-    read-only.
-    """
-    xi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    basis = _fourier_basis(xi, r)
-    xi.setflags(write=False)
+def _symbol_basis(r: int) -> np.ndarray:
+    """``exp(i k xi)`` for ``k = -r..0``, one row per ``k``, at the 4096 uniform frequencies on ``[0, 2pi)`` that
+    :func:`validate` samples; cached and shared, hence read-only."""
+    xi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    basis = np.exp(1j * np.multiply.outer(np.arange(-r, 1), xi))
     basis.setflags(write=False)
-    return xi, basis
+    return basis
 
 
 @dataclass(frozen=True)
@@ -175,8 +131,13 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     """
     h0 = abs(s.a_lead) > tols.trim_rel * float(np.max(np.abs(s.a)))
 
-    _, basis = symbol_basis(4096, s.r)
-    max_mod = float(np.max(np.abs(_symbol_from_basis(basis, s.a))))
+    # the symbol summed row by row in ascending k: elementwise on purpose, as a matrix-vector product runs on a
+    # multithreaded BLAS, whose threads contend for the cores with the workers of a parallel sweep
+    basis = _symbol_basis(s.r)
+    symbol = basis[0] * s.a[0]
+    for k in range(1, s.r + 1):
+        symbol += basis[k] * s.a[k]
+    max_mod = float(np.max(np.abs(symbol)))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
     ks = np.arange(-s.r, 1)

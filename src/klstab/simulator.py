@@ -44,21 +44,6 @@ class GaussianPulse:
             return (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g
         raise ValueError(f"analytic derivatives available up to order 3, requested {k}")
 
-    def derivatives(self, up_to: int) -> Tuple["PulseDerivative", ...]:
-        """The derivatives of orders 1..``up_to`` as callables, equal and hashing equal for equal pulses."""
-        return tuple(PulseDerivative(self, k) for k in range(1, up_to + 1))
-
-
-@dataclass(frozen=True)
-class PulseDerivative:
-    """The ``k``-th derivative of ``pulse`` as a callable of ``t``."""
-
-    pulse: GaussianPulse
-    k: int
-
-    def __call__(self, t: float) -> float:
-        return self.pulse.derivative(self.k, t)
-
 
 def _check_run(J: int, T: float, a: float) -> None:
     """Refuse a run without an interior cell, or whose final time or velocity is not positive (NaN too)."""
@@ -81,13 +66,13 @@ def _step_count(T: float, dt: float) -> int:
 class IBVPRun:
     """Geometry, time horizon and boundary data for one simulation.
 
-    ``g_derivs[k-1]`` is the k-th derivative of ``g``; missing derivatives
-    fall back to centered finite differences with step ``dt/10`` and the
-    fallback is flagged on the result. Runs marched together that have the
-    same ``dt`` and equal ``g`` and ``g_derivs`` share their boundary-data
-    samples: a hashable callable is compared by value (the derivatives of
-    equal :class:`GaussianPulse` objects are equal), any other by identity.
-    Runs themselves compare by identity, as ``f`` is an array.
+    A :class:`GaussianPulse` ``g`` gives its derivatives of orders 1 to 3 in
+    closed form; any other derivative falls back to centered finite
+    differences with step ``dt/10``, and the fallback is flagged on the
+    result. Runs marched together that have the same ``dt`` and equal ``g``
+    share their boundary-data samples: a hashable ``g`` is compared by value
+    (equal pulses are equal), any other by identity. Runs themselves compare
+    by identity, as ``f`` is an array.
     """
 
     J: int
@@ -97,7 +82,6 @@ class IBVPRun:
     a: float
     sigma: float
     g: Callable[[float], float]
-    g_derivs: Tuple[Callable[[float], float], ...] = ()
     f: Optional[np.ndarray] = None
 
     @classmethod
@@ -109,7 +93,6 @@ class IBVPRun:
         a: float = 1.0,
         sigma: float = 0.0,
         g: Callable[[float], float] = GaussianPulse(),
-        g_derivs: Optional[Tuple[Callable[[float], float], ...]] = None,
         f: Optional[np.ndarray] = None,
     ) -> "IBVPRun":
         """Choose dx = 1/J and the time step matching the scheme's CFL number; refuse 10**7 steps or more."""
@@ -117,16 +100,14 @@ class IBVPRun:
         dx = 1.0 / J
         dt = s.lam * dx / a
         _step_count(T, dt)
-        if g_derivs is None:
-            g_derivs = g.derivatives(3) if isinstance(g, GaussianPulse) else ()
-        return cls(J=J, T=T, dx=dx, dt=dt, a=a, sigma=sigma, g=g, g_derivs=tuple(g_derivs), f=f)
+        return cls(J=J, T=T, dx=dx, dt=dt, a=a, sigma=sigma, g=g, f=f)
 
     def g_derivative(self, k: int, t: float) -> Tuple[float, bool]:
         """k-th derivative of the boundary data at ``t``; flags a FD fallback."""
         if k == 0:
             return float(self.g(t)), False
-        if k <= len(self.g_derivs):
-            return float(self.g_derivs[k - 1](t)), False
+        if k <= 3 and isinstance(self.g, GaussianPulse):
+            return float(self.g.derivative(k, t)), False
         h = self.dt / 10.0
 
         def deriv(order: int, tt: float) -> float:
@@ -208,14 +189,14 @@ def march(
 def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
     """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each step, row and ghost, summed in plan order.
 
-    Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g``, ``g_derivs``
-    and ``dt`` and the order ``k``, is sampled once (one ``g_derivative`` call a
+    Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g`` and ``dt``
+    and the order ``k``, is sampled once (one ``g_derivative`` call a
     step) and shared by every row with that key; the second result flags the
     rows whose columns fell back to finite differences.
     """
     table, fallbacks, columns = np.zeros((n_steps + 1, len(rows), r)), [], {}
     for i, (_, bc, run) in enumerate(rows):
-        data = (_by_value(run.g), tuple(map(_by_value, run.g_derivs)), run.dt)
+        data = (_by_value(run.g), run.dt)
         orders = {k for plan in bc.g_plan for k, _ in plan}
         for k in orders:
             if data + (k,) not in columns:

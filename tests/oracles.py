@@ -9,7 +9,7 @@ from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, Tolerances
 from klstab.core_numerics import _horner
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
-from klstab.scheme import Scheme, _fourier_basis, _symbol_from_basis
+from klstab.scheme import Scheme
 from klstab.simulator import SolutionField, _data_table
 from klstab.winding import sample_kl_curve, winding_number
 
@@ -50,9 +50,12 @@ def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True):
 
 
 def symbol(s: Scheme, xi):
-    """Amplification symbol ``sum_k a_k exp(i k xi)``; accepts arrays."""
+    """Amplification symbol ``sum_k a_k exp(i k xi)``, summed term by term in ascending ``k``; accepts arrays."""
     xi_arr = np.asarray(xi, dtype=float)
-    values = _symbol_from_basis(_fourier_basis(xi_arr, s.r), s.a)
+    terms = [np.exp(1j * (k * xi_arr)) * a_k for k, a_k in zip(range(-s.r, 1), s.a)]
+    values = terms[0]
+    for term in terms[1:]:
+        values = values + term
     if np.isscalar(xi) or xi_arr.ndim == 0:
         return complex(values)
     return values

@@ -208,6 +208,35 @@ def test_simulate_warns_on_derivative_fallback(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_scheme_flags_and_config_build_one_scheme(tmp_path, capsys):
+    # a preset by default, by flag and by config, and Beam-Warming's coefficients by flag and by config
+    config = tmp_path / "config.json"
+    for lam in (0.5, 1.4):
+        coefficients = [float(a) for a in make_beam_warming(lam).a]
+        argvs = [
+            ["check", "--lambda", repr(lam)],
+            ["check", "--preset", "beam-warming", "--lambda", repr(lam)],
+            ["check", "--coefficients", *map(repr, coefficients), "--lambda", repr(lam)],
+        ]
+        for scheme in ({"preset": "beam-warming", "lambda": lam}, {"coefficients": coefficients, "lambda": lam}):
+            path = tmp_path / f"config-{len(argvs)}.json"
+            path.write_text(json.dumps({"scheme": scheme}))
+            argvs.append(["check", "--config", str(path)])
+        outputs = []
+        for argv in argvs:
+            code = run_cli(argv + ["--silw", "2", "3"])
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0][1].startswith("{") and outputs[0][2] == ""
+        assert all(output == outputs[0] for output in outputs), lam
+    config.write_text(json.dumps({"scheme": {"preset": "upwind9", "lambda": 0.7}}))
+    # an unknown preset is refused before a missing CFL number is
+    for argv in (["--preset", "upwind9", "--lambda", "0.7"], ["--config", str(config)], ["--preset", "upwind9"]):
+        assert run_cli(["check", "--silw", "2", "3"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown scheme preset 'upwind9'; available: ['beam-warming']\n"
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -548,11 +577,22 @@ def test_gamma_tol_flag_is_gone(capsys):
     ({"tolerances": {"cluster_radius": 1e400}}, "tolerance cluster_radius must be positive and finite, got inf"),
     ({"bogus": 1}, 'unknown config keys "bogus"'),
     ({"lam": 0.7, "Jobs": 2, "scheme": {}}, 'unknown config keys "Jobs", "lam"'),
+    ({"scheme": {"lambda": 1.4, "bogus": 1}}, 'unknown config scheme keys "bogus"; known: preset, coefficients'),
+    ({"scheme": {"preset": "beam-warming", "lamda": 1.4}}, 'unknown config scheme keys "lamda"'),
+    ({"boundary": {"silw": {"kd": 2, "d": 3, "sigmaa": 0.3}}},
+     "bad boundary condition: unknown silw keys ['sigmaa']; known: kd, d, sigma"),
+    ({"boundary": {"silw": {"kd": 2, "d": 3}, "custom": {"b": [[0.0]]}}},
+     "bad boundary condition: a boundary descriptor has one key, 'silw' or 'custom'; got ['custom', 'silw']"),
+    ({"boundary": {"silw": {"kd": 2.7, "d": 3}}}, "bad boundary condition: silw kd and d must be integers, got kd=2.7"),
+    ({"boundary": {"silw": {"kd": True, "d": 3}}}, "silw kd and d must be integers, got kd=True, d=3"),
+    ({"boundary": {"silw": {"kd": 2, "d": 3, "sigma": "0.3"}}},
+     "bad boundary condition: silw sigma must be a number, got '0.3'"),
 ])
 def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert run_cli(CHECK + ["--config", str(path)]) == 1
+    # the file's boundary object is read only without --silw
+    assert run_cli((CHECK[:3] if "boundary" in config else CHECK) + ["--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -10,6 +10,7 @@ from klstab.kl import (
     exterior_zero_count_direct,
     k_matrix,
     kl_det_stack,
+    parity,
     reduce_boundary,
     reduce_stack,
     stable_roots,
@@ -259,7 +260,7 @@ def test_reduction_matches_entrywise_elimination():
                     want = np.linalg.det(c_matrix_at(entries, z))
                     assert abs(got - want) <= (1e-4 if near_unit else 1e-12) * abs(got), (kd, d, lam, sigma, z)
                     if near_unit:
-                        prefactor = rb.sign * (s.a_lead / (s.a_zero - z)) ** (rb.m - rb.r)
+                        prefactor = parity(rb.r, rb.m) * (s.a_lead / (s.a_zero - z)) ** (rb.m - rb.r)
                         defining = kl_det_direct(s, bc, z) / prefactor
                         assert abs(got - defining) <= 1e-12 * abs(defining), (kd, d, lam, sigma, z)
 
@@ -336,7 +337,7 @@ def test_explicit_equals_det_c_when_m_equals_r():
     s = make_beam_warming(0.9)
     bc = silw_condition(2, 1, 2, 0.0)
     rb = reduce_boundary(s, bc)
-    assert rb.m == rb.r == 2 and rb.sign == 1
+    assert rb.m == rb.r == 2 and parity(rb.r, rb.m) == 1
     for _ in range(5):
         z = random_exterior_z(rng)
         assert abs(kl_det_explicit(rb, s, z) - poly_at(rb.det_c, z)) < 1e-12
@@ -515,7 +516,6 @@ def test_exterior_count_all_roots_at_origin():
     rb = ReducedBoundary(
         r=2,
         m=3,
-        sign=1,
         block=np.zeros((3, 3)),
         det_c=np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),
     )

@@ -13,7 +13,7 @@ from oracles import full_width_march_group, upwind_block
 def test_zero_data_stays_zero():
     s = make_beam_warming(1.3)
     bc = silw_condition(2, 2, 3, 0.0)
-    run = IBVPRun.from_cfl(s, J=100, T=0.05, g=lambda t: 0.0, g_derivs=(lambda t: 0.0,))
+    run = IBVPRun.from_cfl(s, J=100, T=0.05, g=lambda t: 0.0)
     result = run_ibvp(s, bc, run)
     assert result.max_amplitude == 0.0
     assert not np.any(result.values)
@@ -63,7 +63,7 @@ def test_gaussian_pulse_derivatives_match_finite_differences():
 def test_fd_fallback_flagged_for_plain_callable():
     s = make_beam_warming(0.6)
     bc = silw_condition(2, 2, 3, 0.0)  # needs g' each step
-    run = IBVPRun.from_cfl(s, J=50, T=0.01, g=lambda t: math.sin(10 * t), g_derivs=())
+    run = IBVPRun.from_cfl(s, J=50, T=0.01, g=lambda t: math.sin(10 * t))
     result = run_ibvp(s, bc, run)
     assert result.fd_derivative_fallback
 
@@ -215,9 +215,7 @@ def one_step_jacobian(s, bc, sigma):
     zero = lambda t: 0.0
     columns = []
     for k in range(bc.m):
-        run = IBVPRun.from_cfl(
-            s, J=J, T=s.lam / J, sigma=sigma, g=zero, g_derivs=(zero,) * 6, f=np.eye(J)[k]
-        )
+        run = IBVPRun.from_cfl(s, J=J, T=s.lam / J, sigma=sigma, g=zero, f=np.eye(J)[k])
         result = run_ibvp(s, bc, run)
         assert result.times.size == 2
         columns.append(result.final_profile[s.r : s.r + bc.m])
@@ -276,8 +274,8 @@ def test_batched_scan_flags_fd_fallback_per_offset():
     s = make_beam_warming(0.6)
 
     def run_factory(sigma):
-        derivs = () if sigma < 0 else (lambda t: 10 * math.cos(10 * t),)
-        return IBVPRun.from_cfl(s, J=50, T=0.05, sigma=sigma, g=lambda t: math.sin(10 * t), g_derivs=derivs)
+        g = (lambda t: math.sin(10 * t)) if sigma < 0 else GaussianPulse(width=100.0)
+        return IBVPRun.from_cfl(s, J=50, T=0.05, sigma=sigma, g=g)
 
     scan = assert_scan_is_per_offset_runs(
         s, lambda sg: silw_condition(2, 2, 3, sg), [-0.3, -0.1, 0.1, 0.3], run_factory
@@ -317,11 +315,18 @@ def test_batched_scan_groups_runs_of_different_geometry():
         sigma_scan(s, family, [0.0, 0.2], lambda sg: IBVPRun.from_cfl(s, J=40 if sg == 0 else 50, sigma=sg))
 
 
-def test_equal_pulses_have_equal_derivatives():
-    first, second = GaussianPulse().derivatives(3), GaussianPulse().derivatives(3)
-    assert first == second and hash(first) == hash(second)
-    assert first != GaussianPulse(width=100.0).derivatives(3)
-    assert [d(0.2) for d in first] == [GaussianPulse().derivative(k, 0.2) for k in (1, 2, 3)]
+def test_g_derivative_takes_a_pulse_in_closed_form_and_flags_finite_differences():
+    s = make_beam_warming(0.6)
+    pulse = GaussianPulse(width=100.0)
+    run = IBVPRun.from_cfl(s, J=50, T=0.05, g=pulse)
+    for t in (0.0, 0.13, 0.25):
+        assert [run.g_derivative(k, t) for k in (1, 2, 3)] == [(pulse.derivative(k, t), False) for k in (1, 2, 3)]
+        value, fd = run.g_derivative(4, t)
+        assert fd and math.isfinite(value)
+    plain = IBVPRun.from_cfl(s, J=50, T=0.05, g=lambda t: math.sin(10 * t))
+    assert plain.g_derivative(0, 0.1) == (math.sin(1.0), False)
+    value, fd = plain.g_derivative(1, 0.1)
+    assert fd and abs(value - 10 * math.cos(1.0)) < 1e-3
 
 
 def test_scan_samples_a_shared_pulse_once_per_step(monkeypatch):
@@ -339,37 +344,33 @@ def test_scan_samples_a_shared_pulse_once_per_step(monkeypatch):
     assert 0 < len(calls) <= (steps + 1) * len(orders)
 
 
-class UnhashablePulse:
+class UnhashablePulse(GaussianPulse):
     """A Gaussian pulse that compares equal to any other, whatever its width, and cannot be hashed."""
 
-    def __init__(self, width=200.0):
-        self.pulse = GaussianPulse(width=width)
-
-    def __call__(self, t):
-        return self.pulse(t)
+    __hash__ = None
 
     def __eq__(self, other):
         return isinstance(other, UnhashablePulse)
 
 
 def test_batched_scan_mixes_shared_and_separate_boundary_data():
-    # shared pulses, another width, a plain callable and unhashable callables
-    # (one object on two rows; equal ones of another width, and with derivatives) in one scan
+    # shared pulses, another width, a plain callable and unhashable pulses (one
+    # object on two rows; equal ones of another width and of the same) in one scan
     s = make_beam_warming(0.6)
     shared = UnhashablePulse()
     data = {
         -0.4: dict(), -0.3: dict(), -0.2: dict(),
         -0.1: dict(g=GaussianPulse(width=100.0)),
-        0.0: dict(g=lambda t: math.sin(10 * t), g_derivs=()),
-        0.1: dict(g=shared, g_derivs=()), 0.2: dict(g=shared, g_derivs=()),
-        0.3: dict(g=UnhashablePulse(width=100.0), g_derivs=()),
-        0.4: dict(g=UnhashablePulse(), g_derivs=GaussianPulse().derivatives(3)),
+        0.0: dict(g=lambda t: math.sin(10 * t)),
+        0.1: dict(g=shared), 0.2: dict(g=shared),
+        0.3: dict(g=UnhashablePulse(width=100.0)),
+        0.4: dict(g=UnhashablePulse()),
     }
     scan = assert_scan_is_per_offset_runs(
         s, lambda sg: silw_condition(2, 2, 3, sg), list(data),
         lambda sg: IBVPRun.from_cfl(s, J=100, T=0.3, sigma=sg, **data[sg]),
     )
-    assert scan.fd_derivative_fallbacks == (False,) * 4 + (True,) * 4 + (False,)
+    assert scan.fd_derivative_fallbacks == (False,) * 4 + (True,) + (False,) * 4
 
 
 def test_non_finite_initial_data_is_rejected():
@@ -500,7 +501,7 @@ def test_causal_prefix_matches_full_width_on_head_data_and_negative_zero_tails(m
     negative_tail[30] = -0.0
     zero = lambda t: 0.0
     for data in ((head, None), (negative_tail, np.full(60, -0.0))):
-        pairs = [(bc, IBVPRun.from_cfl(s, J=60, T=0.1, g=zero, g_derivs=(zero,) * 3, f=f)) for f in data]
+        pairs = [(bc, IBVPRun.from_cfl(s, J=60, T=0.1, g=zero, f=f)) for f in data]
         fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history=True)
     negative_zeros = [int(np.sum(np.signbit(u) & (u == 0))) for u in fields[0].values[:2]]
     assert negative_zeros == [16, 0]
