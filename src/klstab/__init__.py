@@ -13,7 +13,7 @@ from types import ModuleType as _ModuleType
 from .config import DEFAULT_TOLS, Tolerances
 from .core_numerics import poly_roots
 from .scheme import AssumptionReport, Scheme, make_beam_warming, validate
-from .boundary import BoundaryCondition, assemble_B, boundary_from_descriptor, custom_condition, silw_condition
+from .boundary import BoundaryCondition, assemble_B, custom_condition, silw_condition
 from .kl import (ExteriorRootCount, ReducedBoundary, exterior_zero_count_direct, k_matrix, reduce_boundary,
                  stable_roots)
 from .winding import WindingResult, curve_to_csv, sample_kl_curve, winding_number

@@ -141,27 +141,3 @@ def assemble_B(bc: BoundaryCondition) -> np.ndarray:
     """Assembled boundary matrix ``[I_r | -b]`` of shape (r, r + m)."""
     return np.hstack([np.eye(bc.r), -bc.b])
 
-
-def boundary_from_descriptor(descriptor: dict, r: int) -> BoundaryCondition:
-    """Build a boundary condition from a JSON-style descriptor.
-
-    Either ``{"silw": {"kd": 2, "d": 3, "sigma": 0.0}}`` (integers ``kd`` and
-    ``d``, an optional number ``sigma``, no other key) or
-    ``{"custom": {"b": [[...], ...]}}``, never both. ``r`` is the ghost-point
-    count of the scheme the condition will be paired with; a custom matrix is
-    fitted to it by :meth:`BoundaryCondition.restricted_to`.
-    """
-    if sorted(descriptor) not in (["custom"], ["silw"]):
-        raise ValueError(f"a boundary descriptor has one key, 'silw' or 'custom'; got {sorted(descriptor)}")
-    if "custom" in descriptor:
-        return custom_condition(descriptor["custom"]["b"]).restricted_to(r)
-    params = descriptor["silw"]
-    unknown = sorted(set(params) - {"kd", "d", "sigma"})
-    if unknown:
-        raise ValueError(f"unknown silw keys {unknown}; known: kd, d, sigma")
-    kd, d, sigma = params["kd"], params["d"], params.get("sigma", 0.0)
-    if type(kd) is not int or type(d) is not int:
-        raise ValueError(f"silw kd and d must be integers, got kd={kd!r}, d={d!r}")
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-        raise ValueError(f"silw sigma must be a number, got {sigma!r}")
-    return silw_condition(r=r, k_d=kd, d=d, sigma=float(sigma))

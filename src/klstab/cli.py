@@ -6,11 +6,14 @@ Commands
     sweep      exterior-zero-count map over a lambda (and optional sigma) grid as CSV
     simulate   final-time amplitude field of a sigma scan as CSV
 
-Every command builds its (scheme, boundary) pairs one way: ``_families``
-resolves flags over the ``--config`` file into a cached ``scheme_at(lam)``
+The ``--config`` file is a JSON object whose keys are the long names of
+the command's own flags (``lambda``, ``silw``, ``custom-b``, ``origin-tol``,
+...), each holding a value of the JSON type of its flag's values; a flag on
+the command line overrides its key. The command's parser is the one list
+of keys and types. Every command then builds its (scheme, boundary) pairs
+one way: ``_families`` turns the flags into a cached ``scheme_at(lam)``
 and a ``boundary_at(lam, sigma=None)`` that fits the boundary rows to that
-scheme (one boundary: ``--silw`` or ``--custom-b``, never both, else the
-file's ``boundary`` descriptor).
+scheme (one boundary: ``--silw`` or ``--custom-b``, never both).
 
 Exit codes: 0 success / strongly stable, 1 usage, config or input error,
 including a pair whose reduction leaves the float range (one ``error:``
@@ -31,8 +34,8 @@ from typing import List, Optional
 import numpy as np
 
 from .analyzer import StabilityStatus, analyze, sweep
-from .boundary import BoundaryCondition, boundary_from_descriptor
-from .config import DEFAULT_TOLS, Tolerances
+from .boundary import BoundaryCondition, custom_condition, silw_condition
+from .config import DEFAULT_TOLS
 from .errors import KLStabError
 from .scheme import PRESETS, Scheme
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
@@ -58,7 +61,7 @@ _STATUS_EXIT = {
 # anything is allocated
 _MAX_GRID_POINTS = 10**7
 
-# Tolerances settable by flag (--cluster-radius, ...) and by the config's "tolerances" keys
+# Tolerances settable by flag (--cluster-radius, ...)
 _TOLERANCE_NAMES = ("cluster_radius", "unit_circle_tol", "origin_tol", "kernel_tol", "cauchy_tol")
 
 
@@ -67,7 +70,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, and those of its subcommand parsers (built of its class), are :class:`UsageError`."""
+    """A parser whose errors, and those of its subcommand parsers (built of its class), are :class:`UsageError`.
+
+    The top-level parser's ``commands`` maps each command name to its parser.
+    """
 
     def error(self, message):
         raise UsageError(message)
@@ -117,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="determinant curve on the unit circle as CSV", allow_abbrev=False)
     add_common(p_curve)
-    p_curve.add_argument("--no-normalize", action="store_true",
+    # no default: a flag left off takes its config key, and the defaults apply where a value is read
+    p_curve.add_argument("--no-normalize", action="store_true", default=None,
                          help="emit the raw determinant instead of dividing by z^r")
 
     p_sweep = sub.add_parser("sweep", help="zero-count map over parameter grids as CSV", allow_abbrev=False)
@@ -129,9 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sigma-scan amplitude field as CSV", allow_abbrev=False)
     add_common(p_sim)
     p_sim.add_argument("--sigma-grid", metavar="A:B:STEP", help="grid-offset grid (default -0.5:0.48:0.02)")
-    p_sim.add_argument("--grid-points", type=int, default=1000, help="interior cells J (default 1000)")
-    p_sim.add_argument("--final-time", type=float, default=0.3, help="time horizon T (default 0.3)")
-    p_sim.add_argument("--velocity", type=float, default=1.0, help="advection velocity a (default 1)")
+    p_sim.add_argument("--grid-points", type=int, help="interior cells J (default 1000)")
+    p_sim.add_argument("--final-time", type=float, help="time horizon T (default 0.3)")
+    p_sim.add_argument("--velocity", type=float, help="advection velocity a (default 1)")
 
     # only the commands that read them get these flags
     for p in (p_check, p_curve, p_sim):
@@ -143,37 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_check, p_sweep):
         for name in _TOLERANCE_NAMES:
             p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
+    parser.commands = sub.choices
     return parser
 
 
-# JSON types of config values, as (description, test)
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
-_TEXT = ("a string", lambda v: isinstance(v, str))
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
-_ORDERS = ("two integers", lambda v: isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v))
-_JOBS = ("an integer of at least 1", lambda v: type(v) is int and v >= 1)
-
-# The top-level config keys each command reads, by _merged (under its flag's name or its dest) or as a descriptor
-_DESCRIBED = {"scheme", "boundary", "out", "preset", "coefficients", "silw", "custom-b", "custom_b"}
-_CONFIG_READS = {
-    "check": _DESCRIBED | {"tolerances", "samples", "lambda", "sigma"},
-    "curve": _DESCRIBED | {"samples", "lambda", "sigma"},
-    "sweep": _DESCRIBED | {"tolerances", "samples", "jobs", "lambda-grid", "lambda_grid", "sigma-grid", "sigma_grid"},
-    "simulate": _DESCRIBED | {"lambda", "sigma-grid", "sigma_grid"},
-}
-_CONFIG_KEYS = set().union(*_CONFIG_READS.values())
-
-
-def _merged(args, config: dict, key: str, default=None, kind=None):
-    """The flag ``key`` if given, else its config value (or ``default``), which must be of JSON type ``kind``."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    name = key.replace("_", "-")
-    value = config.get(name, config.get(key, default))
-    if value is not None and kind is not None and not kind[1](value):
-        raise UsageError(f'config key "{name}" must be {kind[0]}, got {json.dumps(value)}')
-    return value
+# The JSON words for the values of a flag's type, one and many; a switch's values are booleans
+_JSON_WORDS = {str: ("a string", "strings"), int: ("an integer", "integers"), float: ("a number", "numbers"),
+               bool: ("true or false", None)}
 
 
 def _json_object(value, what: str) -> dict:
@@ -182,71 +165,90 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _tolerances(args, config: dict) -> Tolerances:
-    overrides = {}
-    file_tols = _json_object(config.get("tolerances", {}), 'config key "tolerances"')
-    unknown = sorted(set(file_tols) - set(_TOLERANCE_NAMES))
+def _flag_value(key: str, action: argparse.Action, value):
+    """The config ``value`` of a flag as the flag would give it; refused unless of the JSON type of its values."""
+    kind = action.type or (bool if action.nargs == 0 else str)
+
+    def fits(v) -> bool:
+        return type(v) is kind or (kind is float and type(v) is int)
+
+    one, many = _JSON_WORDS[kind]
+    if action.nargs in (None, 0):
+        if fits(value):
+            return kind(value)
+    elif isinstance(value, list) and all(map(fits, value)) and action.nargs in ("+", len(value)):
+        return [kind(v) for v in value]
+    else:
+        one = f"a list of {many}" if action.nargs == "+" else f"a list of {action.nargs} {many}"
+    raise UsageError(f'config key "{key}" must be {one}, got {json.dumps(value)}')
+
+
+def _read_config(args, path: str) -> None:
+    """Give each flag left off the command line the value of the config key named as the flag (``--origin-tol``
+    reads ``origin-tol``). A key that names no flag, or a flag of another command only, is refused."""
+    with open(path) as fh:
+        config = _json_object(json.load(fh), "a config file")
+    flags = {command: {action.option_strings[-1][2:]: action for action in parser._actions
+                       if action.dest not in ("help", "config")}
+             for command, parser in _build_parser().commands.items()}
+    unknown = sorted(set(config).difference(*flags.values()))
     if unknown:
-        raise UsageError(
-            f"config tolerances {', '.join(unknown)} cannot be set; "
-            f"settable: {', '.join(_TOLERANCE_NAMES)}"
-        )
-    for attr in _TOLERANCE_NAMES:
-        value = getattr(args, attr, None)
-        if value is None:
-            value = file_tols.get(attr)
-            if value is not None and not _NUMBER[1](value):
-                raise UsageError(f"config tolerance {attr} must be a number, got {json.dumps(value)}")
-        if value is not None:
-            overrides[attr] = float(value)
-    tols = replace(DEFAULT_TOLS, **overrides)
-    tols.validate()
-    return tols
+        raise UsageError(f"unknown config keys {', '.join(map(json.dumps, unknown))}")
+    # the config keys of knobs a command does not have are refused, as the flags are
+    idle = sorted(set(config) - set(flags[args.command]))
+    if idle:
+        keys = ", ".join(map(json.dumps, idle))
+        raise UsageError(f"config key {keys} does not act on {args.command}" if len(idle) == 1 else
+                         f"config keys {keys} do not act on {args.command}")
+    for key, action in flags[args.command].items():
+        if key in config and getattr(args, action.dest) is None:
+            setattr(args, action.dest, _flag_value(key, action, config[key]))
 
 
-def _families(args, config: dict):
-    """The scheme and boundary families of flags and config, and the boundary descriptor they fit.
+def _given(args, dest: str, default):
+    """The flag ``dest`` (set on the command line or by its config key), else ``default``."""
+    value = getattr(args, dest, None)
+    return default if value is None else value
+
+
+def _families(args):
+    """The scheme and boundary families of the flags.
 
     ``scheme_at(lam)`` is the scheme at CFL ``lam``, cached so that the boundaries of a CFL value reuse its
-    scheme; ``boundary_at(lam, sigma=None)`` is the boundary fitted to it, where a given ``sigma`` replaces the
-    offset of a SILW descriptor. Flags override the file. The boundary is ``--silw`` or ``--custom-b`` (each
-    also readable from the file under its flag name), never both; without either, the file's ``boundary``.
+    scheme; ``boundary_at(lam, sigma=None)`` is the boundary fitted to it: the ``--silw`` orders at the offset
+    ``sigma`` (0 when None), or the rows of the ``--custom-b`` file, which has no offset, so ``check`` and
+    ``curve`` refuse ``--sigma`` beside it. Exactly one of ``--silw`` and ``--custom-b`` is given.
     """
-    from_file = _json_object(config.get("scheme", {}), 'config key "scheme"')
-    unknown = sorted(set(from_file) - {"preset", "coefficients", "lambda"})
-    if unknown:
-        raise UsageError(f"unknown config scheme keys {', '.join(map(json.dumps, unknown))}; "
-                         "known: preset, coefficients, lambda")
-    coeffs = _merged(args, config, "coefficients", from_file.get("coefficients"), _NUMBERS)
-    preset = _merged(args, config, "preset", from_file.get("preset"), _TEXT) or "beam-warming"
-    silw = _merged(args, config, "silw", kind=_ORDERS)
-    custom_path = _merged(args, config, "custom_b", kind=_TEXT)
-    if silw is not None and custom_path is not None:
+    custom_path = args.custom_b
+    if args.silw is not None and custom_path is not None:
         raise UsageError("give either --silw or --custom-b, not both")
-    if silw is not None:
-        boundary = {"silw": {"kd": silw[0], "d": silw[1]}}
-    elif custom_path is not None:
-        with open(custom_path) as fh:
-            boundary = {"custom": json.load(fh)}
-    elif "boundary" in config:
-        boundary = config["boundary"]
-    else:
+    if args.silw is None and custom_path is None:
         raise UsageError("a boundary condition is required (--silw KD D or --custom-b FILE)")
-    if coeffs is None and preset not in PRESETS:
+    if custom_path is not None:
+        if getattr(args, "sigma", None) is not None:
+            raise UsageError("--sigma sets the offset of a --silw boundary; a --custom-b boundary has none")
+        with open(custom_path) as fh:
+            custom = _json_object(json.load(fh), "a --custom-b file")
+        if list(custom) != ["b"]:
+            raise UsageError(f'bad boundary condition: a --custom-b file holds exactly the key "b", '
+                             f"got {json.dumps(sorted(custom))}")
+    preset = args.preset or "beam-warming"
+    if args.coefficients is None and preset not in PRESETS:
         raise UsageError(f"unknown scheme preset {preset!r}; available: {sorted(PRESETS)}")
-    build = PRESETS[preset] if coeffs is None else functools.partial(Scheme.from_coefficients, tuple(coeffs))
+    build = PRESETS[preset] if args.coefficients is None else functools.partial(Scheme.from_coefficients,
+                                                                                 tuple(args.coefficients))
     scheme_at = functools.lru_cache(maxsize=1024)(build)
 
     def boundary_at(lam: float, sigma: Optional[float] = None) -> BoundaryCondition:
         r = scheme_at(lam).r
         try:
-            if sigma is not None and "silw" in boundary:
-                return boundary_from_descriptor({**boundary, "silw": {**boundary["silw"], "sigma": sigma}}, r)
-            return boundary_from_descriptor(boundary, r)
-        except (KeyError, TypeError, ValueError) as exc:
+            if custom_path is not None:
+                return custom_condition(custom["b"]).restricted_to(r)
+            return silw_condition(r, *args.silw, 0.0 if sigma is None else float(sigma))
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad boundary condition: {exc}") from exc
 
-    return scheme_at, boundary_at, boundary
+    return scheme_at, boundary_at
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -267,56 +269,42 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
     try:
-        config = {}
-        if getattr(args, "config", None):
-            with open(args.config) as fh:
-                config = _json_object(json.load(fh), "a config file")
-        unknown = sorted(set(config) - _CONFIG_KEYS)
-        if unknown:
-            raise UsageError(f"unknown config keys {', '.join(map(json.dumps, unknown))}")
-
-        # the config keys of knobs a command does not have are refused, as the flags are
-        idle = sorted(set(config) - _CONFIG_READS[args.command])
-        if idle:
-            keys = ", ".join(map(json.dumps, idle))
-            raise UsageError(f"config key {keys} does not act on {args.command}" if len(idle) == 1 else
-                             f"config keys {keys} do not act on {args.command}")
-        tols = _tolerances(args, config)
-        n0 = _merged(args, config, "samples", 1024, _NUMBER)
-        if type(n0) is not int:
-            raise UsageError(f'config key "samples" must be an integer, got {json.dumps(n0)}')
-        for name, size in (("samples", n0), ("grid-points", getattr(args, "grid_points", 0))):
+        if args.config:
+            _read_config(args, args.config)
+        tols = replace(DEFAULT_TOLS, **{name: getattr(args, name) for name in _TOLERANCE_NAMES
+                                        if getattr(args, name, None) is not None})
+        tols.validate()
+        n0 = _given(args, "samples", 1024)
+        for name, size in (("samples", n0), ("grid-points", _given(args, "grid_points", 0))):
             if size > _MAX_GRID_POINTS:
                 raise UsageError(f"{name} must be at most {_MAX_GRID_POINTS}, got {size}")
-        out = _merged(args, config, "out", kind=_TEXT)
 
-        scheme_at, boundary_at, boundary = _families(args, config)
+        scheme_at, boundary_at = _families(args)
 
         if args.command == "sweep":
-            lam_spec = _merged(args, config, "lambda_grid", kind=_TEXT)
-            if lam_spec is None:
+            if args.lambda_grid is None:
                 raise UsageError("sweep needs --lambda-grid A:B:STEP")
-            lambda_grid = parse_grid(lam_spec)
-            sig_spec = _merged(args, config, "sigma_grid", kind=_TEXT)
-            sigma_grid = parse_grid(sig_spec) if sig_spec else np.array([0.0])
+            lambda_grid = parse_grid(args.lambda_grid)
+            sigma_grid = parse_grid(args.sigma_grid) if args.sigma_grid else np.array([0.0])
             if np.any(lambda_grid <= 0):
                 raise UsageError("all CFL grid values must be positive")
             # a bad scheme or boundary fails here, once, rather than in every worker
             boundary_at(float(lambda_grid[0]), float(sigma_grid[0]))
             result = sweep(scheme_at, boundary_at, lambda_grid, sigma_grid, tols=tols, n0=n0,
-                           jobs=_merged(args, config, "jobs", 1, _JOBS))
-            _write(result.to_csv(), out)
+                           jobs=_given(args, "jobs", 1))
+            _write(result.to_csv(), args.out)
             return EXIT_OK
 
-        lam = _merged(args, config, "lambda", config.get("scheme", {}).get("lambda"), _NUMBER)
+        lam = getattr(args, "lambda")
         if lam is None:
             raise UsageError("a CFL number is required (--lambda)")
         s = scheme_at(float(lam))
 
         if args.command == "simulate":
-            sigma_grid = parse_grid(_merged(args, config, "sigma_grid", kind=_TEXT) or "-0.5:0.48:0.02")
-            make_run = functools.partial(IBVPRun.from_cfl, s, J=int(args.grid_points), T=float(args.final_time),
-                                         a=float(args.velocity), g=GaussianPulse())
+            sigma_grid = parse_grid(args.sigma_grid or "-0.5:0.48:0.02")
+            make_run = functools.partial(IBVPRun.from_cfl, s, J=_given(args, "grid_points", 1000),
+                                         T=_given(args, "final_time", 0.3), a=_given(args, "velocity", 1.0),
+                                         g=GaussianPulse())
             try:
                 make_run()  # a bad run geometry fails here, once, naming the flags that set it
             except ValueError as exc:
@@ -327,11 +315,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 sigma_grid=sigma_grid,
                 run_factory=lambda sg: make_run(sigma=sg),
             )
-            _write(scan.to_csv(), out)
+            _write(scan.to_csv(), args.out)
             fallbacks = sum(scan.fd_derivative_fallbacks)
             if fallbacks:
                 # only SILW rows take derivatives of the boundary data
-                kd, d = int(boundary["silw"]["kd"]), int(boundary["silw"]["d"])
+                kd, d = args.silw
                 print(
                     f"warning: S{kd}ILW{d} needs boundary-data derivatives the Gaussian pulse has "
                     f"no closed form for; finite differences used at {fallbacks} of "
@@ -340,14 +328,14 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
                 )
             return EXIT_OK
 
-        # check and curve: one pair at the offset --sigma, else the file's
-        bc = boundary_at(s.lam, _merged(args, config, "sigma", kind=_NUMBER))
+        # check and curve: one pair at the offset --sigma
+        bc = boundary_at(s.lam, args.sigma)
         if args.command == "check":
             verdict = analyze(s, bc, tols=tols, n0=n0)
-            _write(verdict.to_json() + "\n", out)
+            _write(verdict.to_json() + "\n", args.out)
             return _STATUS_EXIT[verdict.status]
         rb = reduce_boundary(s, bc, tols)
-        _write(curve_to_csv(*sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)), out)
+        _write(curve_to_csv(*sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)), args.out)
         return EXIT_OK
     except (UsageError, OSError, ValueError, ArithmeticError, KLStabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,7 +179,6 @@ class ExteriorRootCount:
     count: int
     exterior: Tuple[Tuple[complex, int], ...]
     boundary_band: Tuple[Tuple[complex, int], ...]
-    interior: Tuple[Tuple[complex, int], ...]
 
     @property
     def has_boundary_band(self) -> bool:
@@ -210,14 +209,12 @@ def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List
 
 
 def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:
-    exterior, band, interior = [], [], []
+    exterior, band = [], []
     for value, mult in roots:
         modulus = abs(value)
         if modulus > 1.0 + tols.unit_circle_tol:
             exterior.append((complex(value), int(mult)))
         elif modulus >= 1.0 - tols.unit_circle_tol:
             band.append((complex(value), int(mult)))
-        else:
-            interior.append((complex(value), int(mult)))
     count = int(sum(mult for _, mult in exterior))
-    return ExteriorRootCount(count=count, exterior=tuple(exterior), boundary_band=tuple(band), interior=tuple(interior))
+    return ExteriorRootCount(count=count, exterior=tuple(exterior), boundary_band=tuple(band))

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from klstab import boundary
-from klstab.boundary import (
-    assemble_B,
-    boundary_from_descriptor,
-    custom_condition,
-    silw_condition,
-)
+from klstab.boundary import assemble_B, custom_condition, silw_condition
 from klstab.errors import InvalidOrder
 from oracles import ghost_row
 
@@ -160,15 +155,10 @@ def test_restrict_rows_keeps_innermost_ghosts():
         bc.restricted_to(3)
 
 
-def test_descriptor_forms():
-    bc = boundary_from_descriptor({"silw": {"kd": 2, "d": 3, "sigma": 0.0}}, r=2)
-    np.testing.assert_allclose(ghost_row(bc, -1), [0.5, -1.0, 0.5])
-    bc2 = boundary_from_descriptor({"custom": {"b": [[0.0, 0.0]]}}, r=1)
-    assert bc2.m == 2
-    # a custom matrix keeps its innermost rows for a narrower scheme
-    bc3 = boundary_from_descriptor({"custom": {"b": [[1.0, 0.0], [0.5, 0.5]]}}, r=1)
-    np.testing.assert_allclose(bc3.b, [[0.5, 0.5]])
+def test_custom_rows_fit_a_narrower_scheme():
+    # a custom matrix keeps its innermost rows for a narrower scheme, and never gains rows
+    bc = custom_condition([[1.0, 0.0], [0.5, 0.5]]).restricted_to(1)
+    assert (bc.r, bc.m) == (1, 2)
+    np.testing.assert_allclose(bc.b, [[0.5, 0.5]])
     with pytest.raises(ValueError, match="boundary condition has 1 ghost rows, scheme needs 2"):
-        boundary_from_descriptor({"custom": {"b": [[0.0]]}}, r=2)
-    with pytest.raises(ValueError):
-        boundary_from_descriptor({}, r=2)
+        custom_condition([[0.0]]).restricted_to(2)

@@ -220,7 +220,7 @@ def test_scheme_flags_and_config_build_one_scheme(tmp_path, capsys):
         ]
         for scheme in ({"preset": "beam-warming", "lambda": lam}, {"coefficients": coefficients, "lambda": lam}):
             path = tmp_path / f"config-{len(argvs)}.json"
-            path.write_text(json.dumps({"scheme": scheme}))
+            path.write_text(json.dumps(scheme))
             argvs.append(["check", "--config", str(path)])
         outputs = []
         for argv in argvs:
@@ -228,7 +228,7 @@ def test_scheme_flags_and_config_build_one_scheme(tmp_path, capsys):
             outputs.append((code, *capsys.readouterr()))
         assert outputs[0][1].startswith("{") and outputs[0][2] == ""
         assert all(output == outputs[0] for output in outputs), lam
-    config.write_text(json.dumps({"scheme": {"preset": "upwind9", "lambda": 0.7}}))
+    config.write_text(json.dumps({"preset": "upwind9", "lambda": 0.7}))
     # an unknown preset is refused before a missing CFL number is
     for argv in (["--preset", "upwind9", "--lambda", "0.7"], ["--config", str(config)], ["--preset", "upwind9"]):
         assert run_cli(["check", "--silw", "2", "3"] + argv) == 1
@@ -240,9 +240,7 @@ def test_scheme_flags_and_config_build_one_scheme(tmp_path, capsys):
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "scheme": {"preset": "beam-warming", "lambda": 1.4},
-        "boundary": {"silw": {"kd": 2, "d": 3, "sigma": 0.0}},
-        "tolerances": {"unit_circle_tol": 1e-6},
+        "preset": "beam-warming", "lambda": 1.4, "silw": [2, 3], "sigma": 0.0, "unit-circle-tol": 1e-6,
     }))
     code = run_cli(["check", "--config", str(config)])
     assert code == 2
@@ -263,6 +261,43 @@ def test_custom_boundary_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["status"] == "StronglyStable"
+
+
+@pytest.mark.parametrize("command", ["check", "curve"])
+def test_sigma_is_refused_beside_a_custom_boundary(tmp_path, capsys, command):
+    # a custom b has no offset, so an offset beside it would be ignored
+    bfile, config = tmp_path / "b.json", tmp_path / "config.json"
+    bfile.write_text(json.dumps({"b": [[0.3, -0.2, 0.1], [0.5, 0.1, -0.05]]}))
+    argv = [command, "--lambda", "0.7"]
+    assert run_cli(argv + ["--custom-b", str(bfile)]) == 0
+    capsys.readouterr()
+    for extra, keys in ((["--custom-b", str(bfile), "--sigma", "0.3"], {}),
+                        (["--custom-b", str(bfile), "--sigma", "7"], {}),
+                        (["--custom-b", str(bfile)], {"sigma": 0.3}),
+                        (["--sigma", "0.3"], {"custom-b": str(bfile)}),
+                        ([], {"custom-b": str(bfile), "sigma": 0.0})):
+        config.write_text(json.dumps(keys))
+        assert run_cli(argv + extra + ["--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --sigma sets the offset of a --silw boundary; a --custom-b boundary has none\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"b": [[0.0, 0.0], [0.0, 0.0]], "sigma": 0.3, "bogus": 1},
+     'bad boundary condition: a --custom-b file holds exactly the key "b", got ["b", "bogus", "sigma"]'),
+    ({}, 'bad boundary condition: a --custom-b file holds exactly the key "b", got []'),
+    ([[0.0, 0.0], [0.0, 0.0]], "a --custom-b file must be a JSON object, got [[0.0, 0.0], [0.0, 0.0]]"),
+])
+def test_custom_b_file_holds_exactly_b(tmp_path, capsys, content, message):
+    bfile = tmp_path / "b.json"
+    bfile.write_text(json.dumps(content))
+    for argv in (["check", "--lambda", "0.8"], ["sweep", "--lambda-grid", "0.8:0.8:1"],
+                 ["simulate", "--lambda", "0.6", "--sigma-grid=0:0:1", "--grid-points", "20"]):
+        assert run_cli(argv + ["--custom-b", str(bfile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_module_entrypoint_smoke():
@@ -426,11 +461,11 @@ def test_sweep_rejects_nonpositive_jobs(tmp_path, capsys):
 
 def test_sigma_flag_overrides_config_silw_sigma(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3}}}))
+    config.write_text(json.dumps({"silw": [2, 3]}))
     code = run_cli(["check", "--config", str(config), "--lambda", "1.3", "--sigma", "0.3"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["status"] == "StronglyStable"
-    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3, "sigma": 0.3}}}))
+    config.write_text(json.dumps({"silw": [2, 3], "sigma": 0.3}))
     assert run_cli(["check", "--config", str(config), "--lambda", "1.3"]) == 0
     assert run_cli(["check", "--config", str(config), "--lambda", "1.3", "--sigma", "0"]) == 2
     capsys.readouterr()
@@ -464,7 +499,7 @@ def test_sweep_takes_config_custom_boundary(tmp_path, capsys):
     b = [[0.0, 0.0], [0.0, 0.0]]
     bfile, config = tmp_path / "b.json", tmp_path / "config.json"
     bfile.write_text(json.dumps({"b": b}))
-    config.write_text(json.dumps({"boundary": {"custom": {"b": b}}}))
+    config.write_text(json.dumps({"custom-b": str(bfile)}))
     argv = ["sweep", "--lambda-grid", "0.5:1.5:0.25"]
     assert run_cli(argv + ["--config", str(config)]) == 0
     from_config = capsys.readouterr().out
@@ -474,12 +509,14 @@ def test_sweep_takes_config_custom_boundary(tmp_path, capsys):
 
 
 def test_sweep_reports_a_bad_config_boundary_once(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2}}}))
+    # one row cannot fill Beam-Warming's two ghost points below CFL 1
+    bfile, config = tmp_path / "b.json", tmp_path / "config.json"
+    bfile.write_text(json.dumps({"b": [[0.0, 0.0]]}))
+    config.write_text(json.dumps({"custom-b": str(bfile)}))
     argv = ["sweep", "--config", str(config), "--lambda-grid", "0.5:1.5:0.25", "--jobs", "2"]
     assert run_cli(argv) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: bad boundary condition"), lines
+    assert lines == ["error: bad boundary condition: boundary condition has 1 ghost rows, scheme needs 2"], lines
 
 
 def test_simulate_takes_custom_and_config_boundaries(tmp_path, capsys):
@@ -497,7 +534,7 @@ def test_simulate_takes_custom_and_config_boundaries(tmp_path, capsys):
     )
     assert capsys.readouterr().out == scan.to_csv()
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"boundary": {"silw": {"kd": 2, "d": 3}}}))
+    config.write_text(json.dumps({"silw": [2, 3]}))
     assert run_cli(argv + ["--config", str(config)]) == 0
     from_config = capsys.readouterr().out
     assert run_cli(argv + ["--silw", "2", "3"]) == 0
@@ -568,51 +605,61 @@ def test_gamma_tol_flag_is_gone(capsys):
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"tolerances": {"origin_tl": 1e-8}}, "config tolerances origin_tl cannot be set; settable: "),
-    ({"tolerances": {"trim_rel": 1e-12}}, "config tolerances trim_rel cannot be set; settable: "),
-    ({"tolerances": {"gamma_tol": 1e-6}}, "config tolerances gamma_tol cannot be set; settable: "),
+    # a key is a flag's long name: no underscore twin, no tolerance without a flag
+    ({"origin_tol": 1e-8}, 'unknown config keys "origin_tol"'),
+    ({"trim-rel": 1e-12}, 'unknown config keys "trim-rel"'),
+    ({"gamma-tol": 1e-6}, 'unknown config keys "gamma-tol"'),
     ([1, 2], "a config file must be a JSON object, got [1, 2]"),
-    ({"tolerances": [1, 2]}, 'config key "tolerances" must be a JSON object, got [1, 2]'),
-    ({"scheme": [1]}, 'config key "scheme" must be a JSON object, got [1]'),
-    ({"tolerances": {"cluster_radius": 1e400}}, "tolerance cluster_radius must be positive and finite, got inf"),
+    # the nested objects of earlier releases
+    ({"tolerances": {"origin_tol": 1e-8}}, 'unknown config keys "tolerances"'),
+    ({"scheme": {"lambda": 1.4}}, 'unknown config keys "scheme"'),
+    ({"cluster-radius": 1e400}, "tolerance cluster_radius must be positive and finite, got inf"),
     ({"bogus": 1}, 'unknown config keys "bogus"'),
-    ({"lam": 0.7, "Jobs": 2, "scheme": {}}, 'unknown config keys "Jobs", "lam"'),
-    ({"scheme": {"lambda": 1.4, "bogus": 1}}, 'unknown config scheme keys "bogus"; known: preset, coefficients'),
-    ({"scheme": {"preset": "beam-warming", "lamda": 1.4}}, 'unknown config scheme keys "lamda"'),
-    ({"boundary": {"silw": {"kd": 2, "d": 3, "sigmaa": 0.3}}},
-     "bad boundary condition: unknown silw keys ['sigmaa']; known: kd, d, sigma"),
-    ({"boundary": {"silw": {"kd": 2, "d": 3}, "custom": {"b": [[0.0]]}}},
-     "bad boundary condition: a boundary descriptor has one key, 'silw' or 'custom'; got ['custom', 'silw']"),
-    ({"boundary": {"silw": {"kd": 2.7, "d": 3}}}, "bad boundary condition: silw kd and d must be integers, got kd=2.7"),
-    ({"boundary": {"silw": {"kd": True, "d": 3}}}, "silw kd and d must be integers, got kd=True, d=3"),
-    ({"boundary": {"silw": {"kd": 2, "d": 3, "sigma": "0.3"}}},
-     "bad boundary condition: silw sigma must be a number, got '0.3'"),
+    ({"lam": 0.7, "Jobs": 2}, 'unknown config keys "Jobs", "lam"'),
+    ({"lamda": 1.4, "sigmaa": 0.3}, 'unknown config keys "lamda", "sigmaa"'),
+    ({"scheme": {"preset": "beam-warming"}, "boundary": {"silw": {"kd": 2, "d": 3}}},
+     'unknown config keys "boundary", "scheme"'),
+    ({"lambda_grid": "0.5:0.7:0.1"}, 'unknown config keys "lambda_grid"'),
+    ({"custom_b": "b.json", "sigma_grid": "0:0:1"}, 'unknown config keys "custom_b", "sigma_grid"'),
+    ({"config": "other.json"}, 'unknown config keys "config"'),
+    ({"silw": [2, 3], "custom-b": "b.json"}, "give either --silw or --custom-b, not both"),
 ])
 def test_config_errors_print_one_line(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    # the file's boundary object is read only without --silw
-    assert run_cli((CHECK[:3] if "boundary" in config else CHECK) + ["--config", str(path)]) == 1
+    # a config boundary is read only without --silw
+    assert run_cli((CHECK[:3] if "silw" in config else CHECK) + ["--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
-    if "settable" in message:
-        assert lines[0].endswith("cluster_radius, unit_circle_tol, origin_tol, kernel_tol, cauchy_tol")
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("argv, config, message", [
-    (CHECK, {"tolerances": {"origin_tol": [1]}}, "config tolerance origin_tol must be a number, got [1]"),
-    (CHECK, {"samples": [1]}, 'config key "samples" must be a number, got [1]'),
-    (["check", "--lambda", "0.7"], {"silw": 5}, 'config key "silw" must be two integers, got 5'),
+    (CHECK, {"origin-tol": [1]}, 'config key "origin-tol" must be a number, got [1]'),
+    (CHECK, {"samples": [1]}, 'config key "samples" must be an integer, got [1]'),
+    (["check", "--lambda", "0.7"], {"silw": 5}, 'config key "silw" must be a list of 2 integers, got 5'),
     (["sweep", "--silw", "2", "3"], {"lambda-grid": 5}, 'config key "lambda-grid" must be a string, got 5'),
     (CHECK, {"samples": 100.7}, 'config key "samples" must be an integer, got 100.7'),
     (CHECK, {"samples": 1e400}, 'config key "samples" must be an integer, got Infinity'),
-    (SWEEP, {"jobs": 0}, 'config key "jobs" must be an integer of at least 1, got 0'),
-    (SWEEP, {"jobs": 1.5}, 'config key "jobs" must be an integer of at least 1, got 1.5'),
-    (SWEEP, {"jobs": "2"}, 'config key "jobs" must be an integer of at least 1, got "2"'),
-    (SWEEP, {"jobs": True}, 'config key "jobs" must be an integer of at least 1, got true'),
+    (SWEEP, {"jobs": [2]}, 'config key "jobs" must be an integer, got [2]'),
+    (SWEEP, {"jobs": 1.5}, 'config key "jobs" must be an integer, got 1.5'),
+    (SWEEP, {"jobs": "2"}, 'config key "jobs" must be an integer, got "2"'),
+    (SWEEP, {"jobs": True}, 'config key "jobs" must be an integer, got true'),
     (SWEEP, {"samples": 10**11}, "samples must be at most 10000000, got 100000000000"),
+    # a config jobs of 0 is refused as the flag's is
+    (SWEEP, {"jobs": 0}, "jobs must be at least 1, got 0"),
+    (["check", "--lambda", "0.7"], {"silw": [2.7, 3]}, 'config key "silw" must be a list of 2 integers, got [2.7, 3]'),
+    (["check", "--lambda", "0.7"], {"silw": [True, 3]}, 'config key "silw" must be a list of 2 integers, got [true, 3]'),
+    (["check", "--lambda", "0.7"], {"silw": [2, 3, 4]}, 'config key "silw" must be a list of 2 integers, got [2, 3, 4]'),
+    (CHECK, {"sigma": "0.3"}, 'config key "sigma" must be a number, got "0.3"'),
+    (CHECK, {"coefficients": [0.5, "0.5"]}, 'config key "coefficients" must be a list of numbers, got [0.5, "0.5"]'),
+    (CHECK, {"preset": 1}, 'config key "preset" must be a string, got 1'),
+    (["curve", "--lambda", "0.7", "--silw", "2", "3"], {"no-normalize": "yes"},
+     'config key "no-normalize" must be true or false, got "yes"'),
+    (["simulate", "--lambda", "0.6", "--silw", "2", "3"], {"grid-points": 20.0},
+     'config key "grid-points" must be an integer, got 20.0'),
+    (["simulate", "--lambda", "0.6", "--silw", "2", "3"], {"grid-points": 10**11, "final-time": 1e-9},
+     "grid-points must be at most 10000000, got 100000000000"),
 ])
 def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, config, message):
     path = tmp_path / "config.json"
@@ -625,16 +672,22 @@ def test_config_values_of_the_wrong_type_print_one_line(tmp_path, capsys, argv, 
 
 @pytest.mark.parametrize("command, key, value", [
     ("simulate", "samples", 5),
-    ("simulate", "tolerances", {"origin_tol": 0.9}),
-    ("curve", "tolerances", {"origin_tol": 0.9}),
     ("check", "jobs", 2),
     ("curve", "jobs", 2),
     ("simulate", "jobs", 2),
     # known keys a command does not read: a grid on a one-pair command, one offset on a grid command
     ("check", "lambda-grid", "nope"),
-    ("curve", "sigma_grid", "0:0.1:0.1"),
     ("sweep", "sigma", 0.3),
     ("simulate", "sigma", 0.1),
+    ("simulate", "origin-tol", 0.9),
+    ("curve", "origin-tol", 0.9),
+    ("curve", "sigma-grid", "0:0.1:0.1"),
+    ("sweep", "lambda", 1.4),
+    # the run geometry of simulate, and curve's switch
+    ("check", "grid-points", 20),
+    ("sweep", "final-time", 0.1),
+    ("curve", "velocity", 2.0),
+    ("check", "no-normalize", True),
 ])
 def test_config_knobs_a_command_lacks_are_refused(tmp_path, capsys, command, key, value):
     path = tmp_path / "config.json"
@@ -685,3 +738,67 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Every flag of every command, as (command, long name): the parser is the one list of config keys
+FLAGS = [(command, action.option_strings[-1][2:]) for command, parser in cli._build_parser().commands.items()
+         for action in parser._actions if action.dest not in ("help", "config")]
+# Two values of each flag's key, valid JSON of its type; the second gives other output than the first
+FLAG_VALUES = {
+    "preset": ("beam-warming", "upwind9"),
+    "coefficients": ([float(a) for a in make_beam_warming(0.7).a], [0.0]),
+    "silw": ([2, 3], [4, 3]),
+    "custom-b": ("b.json", "missing.json"),
+    "out": ("a.out", "b.out"),
+    "no-normalize": (True, False),
+    "lambda-grid": ("0.5:0.7:0.1", "nope"),
+    "sigma-grid": ("-0.2:0:0.1", "nope"),
+    "jobs": (2, 0),
+    "grid-points": (20, 0),
+    "final-time": (0.1, -1.0),
+    "velocity": (0.5, 0.0),
+    "lambda": (0.7, 2.1),
+    "sigma": (0.3, 0.7),
+    "samples": (128, 10),
+    "cluster-radius": (1e-6, -1.0),
+    "unit-circle-tol": (1e-5, -1.0),
+    "origin-tol": (0.9, -1.0),
+    "kernel-tol": (1e-6, -1.0),
+    "cauchy-tol": (1e-9, -1.0),
+}
+# The other flags of each run, as config values
+FLAG_BASES = {
+    "check": {"lambda": 0.7, "silw": [2, 3]},
+    "curve": {"lambda": 0.7, "silw": [2, 3], "samples": 64},
+    "sweep": {"silw": [2, 3], "lambda-grid": "0.7:0.7:1"},
+    "simulate": {"lambda": 0.6, "silw": [2, 3], "sigma-grid": "0:0:1", "grid-points": 20},
+}
+
+
+def test_a_config_has_one_key_per_flag():
+    assert {key for _, key in FLAGS} == set(FLAG_VALUES) and len(FLAG_VALUES) == 20
+
+
+@pytest.mark.parametrize("command, key", FLAGS)
+def test_each_config_key_acts_as_its_flag_which_overrides_it(tmp_path, capsys, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.json").write_text(json.dumps({"b": [[0.0, 0.0], [0.0, 0.0]]}))
+    value, other = FLAG_VALUES[key]
+    base = {k: v for k, v in FLAG_BASES[command].items() if k != key and not (key == "custom-b" and k == "silw")}
+
+    def run(flags, config):
+        argv = [command]
+        for k, v in {**base, **flags}.items():
+            argv += [f"--{k}"] if v is True else [f"--{k}", *map(repr, v)] if isinstance(v, list) else [f"--{k}={v}"]
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = run_cli(argv + ["--config", "config.json"])
+        captured = capsys.readouterr()
+        written = {path.name: path.read_bytes() for path in sorted(tmp_path.glob("*.out"))}
+        for path in tmp_path.glob("*.out"):
+            path.unlink()
+        return code, captured.out, captured.err, written
+
+    by_flag = run({key: value}, {})
+    assert run({}, {key: value}) == by_flag
+    assert run({key: value}, {key: other}) == by_flag
+    assert run({}, {key: other}) != by_flag

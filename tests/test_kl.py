@@ -522,7 +522,6 @@ def test_exterior_count_all_roots_at_origin():
     result = exterior_zero_count_direct(rb)
     assert result.count == 0
     assert not result.boundary_band
-    assert result.interior[0][1] == 3
 
 
 def test_det_stack_matches_the_power_of_every_exponent_bit_for_bit():
