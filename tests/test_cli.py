@@ -789,7 +789,12 @@ def test_each_config_key_acts_as_its_flag_which_overrides_it(tmp_path, capsys, m
     def run(flags, config):
         argv = [command]
         for k, v in {**base, **flags}.items():
-            argv += [f"--{k}"] if v is True else [f"--{k}", *map(repr, v)] if isinstance(v, list) else [f"--{k}={v}"]
+            if v is True:
+                argv.append(f"--{k}")
+            elif isinstance(v, list):
+                argv += [f"--{k}", *map(repr, v)]
+            else:
+                argv.append(f"--{k}={v}")
         (tmp_path / "config.json").write_text(json.dumps(config))
         code = run_cli(argv + ["--config", "config.json"])
         captured = capsys.readouterr()
