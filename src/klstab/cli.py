@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -70,10 +71,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, and those of its subcommand parsers (built of its class), are :class:`UsageError`.
+    """A parser whose errors, and those of its subcommand parsers (built of its class), are :class:`UsageError`, and
+    that takes a negative number in exponent form (``-4.9e-08``) for a value, which argparse's pattern has not.
 
     The top-level parser's ``commands`` maps each command name to its parser.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
 
     def error(self, message):
         raise UsageError(message)

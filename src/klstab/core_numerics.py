@@ -47,17 +47,17 @@ def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int
     sorted by real, then imaginary part. Rows of finite values whose pairs all clear the radius are
     singletons, sorted in one vectorized pass, when no real part is 0 and no imaginary part -0.0
     (the mean of one member would change a zero's sign); the others go through union-find."""
+    n = values.shape[1]
     gaps = np.abs(values[:, :, None] - values[:, None, :])
-    apart = (gaps > radius * (1.0 + _CLUSTER_MARGIN)) | np.eye(values.shape[1], dtype=bool)
+    # a row of finite values has n gaps of 0, its own; all the others must clear the radius
+    apart = np.add.reduce(gaps > radius * (1.0 + _CLUSTER_MARGIN), axis=(1, 2)) == n * (n - 1)
     imag = values.imag
     plain = np.isfinite(values) & (values.real != 0.0) & ((imag != 0.0) | ~np.signbit(imag))
-    simple = np.logical_and.reduce(apart, axis=(1, 2)) & np.logical_and.reduce(plain, axis=1)
+    simple = (apart & np.logical_and.reduce(plain, axis=1)).tolist()
     order = np.lexsort((imag, values.real), axis=-1)
     ordered = values[np.arange(values.shape[0])[:, None], order].astype(complex).tolist()
-    return [
-        tuple((value, 1) for value in ordered[i]) if simple[i] else _union_find(values[i], radius)
-        for i in range(values.shape[0])
-    ]
+    return [tuple((value, 1) for value in row) if single else _union_find(values[i], radius)
+            for i, (row, single) in enumerate(zip(ordered, simple))]
 
 
 def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int], ...]:

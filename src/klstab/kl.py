@@ -24,6 +24,7 @@ classifying zeros on the unit circle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -82,20 +83,31 @@ def upwind_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Row ``j`` is the update of ``U_j``: ``a_k`` goes to column ``j + k`` when
     that is an interior point and, spread by ghost row ``j + k`` of ``b``,
-    over columns ``0..m-1`` when it is a ghost point.
+    over columns ``0..m-1`` when it is a ghost point. The terms are added
+    where the :func:`_scatter_plan` of ``(r, r', m)`` puts them.
     """
-    r, ghosts, m = a.shape[1] - 1, b.shape[1], b.shape[2]
+    (n, ghosts, m), r = b.shape, a.shape[1] - 1
     if ghosts < r:
         raise ValueError(f"boundary condition has {ghosts} ghost rows, scheme needs {r}")
-    blocks = np.zeros((a.shape[0], m, m))
-    for j in range(m):
-        for offset in range(-r, 1):
-            coeff = a[:, offset + r]
-            if j + offset >= 0:
-                blocks[:, j, j + offset] += coeff
-            else:
-                blocks[:, j] += coeff[:, None] * b[:, j + offset + ghosts]
-    return blocks
+    at, coeff, row, interior, diagonal = _scatter_plan(r, ghosts, m)
+    blocks = np.zeros((n, m * m))
+    np.add.at(blocks, (slice(None), at), a.take(coeff, axis=1) * b.reshape(n, -1).take(row, axis=1))
+    blocks[:, interior] += a.take(diagonal, axis=1)
+    return blocks.reshape(n, m, m)
+
+
+@functools.lru_cache(maxsize=16)
+def _scatter_plan(r: int, ghosts: int, m: int) -> Tuple[np.ndarray, ...]:
+    """The flat entry of a block, the index into ``a`` and the flat index into ``b`` of each ghost term, in the order
+    of a loop over rows ``j``, offsets ``k`` and columns, then the flat entry and the index into ``a`` of each
+    interior term; cached and shared, hence read-only. A row's ghost offsets all precede its interior ones, so the
+    sums are those of that loop."""
+    ghost = [(j * m + c, k + r, (j + k + ghosts) * m + c) for j in range(m) for k in range(-r, -j) for c in range(m)]
+    interior = [(j * m + j + k, k + r) for j in range(m) for k in range(max(-r, -j), 1)]
+    plan = [np.array(terms, dtype=np.intp).reshape(-1, width).T.copy() for terms, width in ((ghost, 3), (interior, 2))]
+    for array in plan:
+        array.setflags(write=False)
+    return (*plan[0], *plan[1])
 
 
 def parity(r: int, m: int) -> int:
@@ -145,17 +157,24 @@ def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     r, m = a.shape[1] - 1, b.shape[2]
     blocks = upwind_blocks(a, b)
     blocks.setflags(write=False)
-    nodes = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-    values = np.linalg.det(nodes[:, None, None] * np.eye(m) - blocks[:, None])
-    # values[k] = sum_j c_j nodes[k]^j, an inverse DFT of the coefficients;
+    values = np.linalg.det(_node_diagonals(m) - blocks[:, None])
+    # values[k] = sum_j c_j z_k^j, an inverse DFT of the coefficients;
     # A is real, so they are too
     coeffs = np.fft.fft(values, axis=-1).real / (m + 1)
     try:
-        factor = np.array([(-1) ** ((r + 1) * m) * float(lead) ** (-m) for lead in a[:, 0]])  # as Python floats
+        factor = np.array([(-1) ** ((r + 1) * m) * lead ** (-m) for lead in a[:, 0].tolist()])  # Python floats
     except OverflowError:
         lead = float(min(a[:, 0], key=abs))
         raise OverflowError(f"a_{{-r}}^(-m) = ({lead!r})^(-{m}) is beyond the float range") from None
     return blocks, (factor[:, None] * coeffs).astype(complex)
+
+
+@functools.lru_cache(maxsize=16)
+def _node_diagonals(m: int) -> np.ndarray:
+    """``z_k I_m`` (m+1, m, m) at the ``m + 1`` roots of unity ``z_k``; cached and shared, hence read-only."""
+    diagonals = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))[:, None, None] * np.eye(m)
+    diagonals.setflags(write=False)
+    return diagonals
 
 
 def kl_det_stack(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndarray) -> np.ndarray:
@@ -199,13 +218,12 @@ def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List
     """
     eigenvalues = np.linalg.eigvals(blocks)
     # a block's own eigvals call returns real values exactly when all its imaginary parts are 0
-    real = np.logical_and.reduce(eigenvalues.imag == 0.0, axis=-1)
-    roots: List = [None] * len(blocks)
-    for rows, values in ((real, eigenvalues.real), (~real, eigenvalues)):
-        if rows.any():
-            for i, clustered in zip(np.flatnonzero(rows), _cluster(values[rows], tols.cluster_radius)):
-                roots[i] = clustered
-    return [_split_by_modulus(row, tols) for row in roots]
+    real = np.logical_and.reduce(eigenvalues.imag == 0.0, axis=-1).tolist()
+    roots = {}
+    for kind, values in ((True, eigenvalues.real), (False, eigenvalues)):
+        if rows := [i for i, flag in enumerate(real) if flag is kind]:
+            roots.update(zip(rows, _cluster(values[rows], tols.cluster_radius)))
+    return [_split_by_modulus(roots[i], tols) for i in range(len(blocks))]
 
 
 def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:
@@ -216,5 +234,4 @@ def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:
             exterior.append((complex(value), int(mult)))
         elif modulus >= 1.0 - tols.unit_circle_tol:
             band.append((complex(value), int(mult)))
-    count = int(sum(mult for _, mult in exterior))
-    return ExteriorRootCount(count=count, exterior=tuple(exterior), boundary_band=tuple(band))
+    return ExteriorRootCount(int(sum(mult for _, mult in exterior)), tuple(exterior), tuple(band))

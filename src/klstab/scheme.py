@@ -129,7 +129,7 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     4096 uniform frequencies; the symbols in scope are trigonometric
     polynomials of tiny degree, so sampling is reliable.
     """
-    h0 = abs(s.a_lead) > tols.trim_rel * float(np.max(np.abs(s.a)))
+    h0 = abs(s.a_lead) > tols.trim_rel * float(np.maximum.reduce(np.abs(s.a)))
 
     # the symbol summed row by row in ascending k: elementwise on purpose, as a matrix-vector product runs on a
     # multithreaded BLAS, whose threads contend for the cores with the workers of a parallel sweep
@@ -137,23 +137,15 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     symbol = basis[0] * s.a[0]
     for k in range(1, s.r + 1):
         symbol += basis[k] * s.a[k]
-    max_mod = float(np.max(np.abs(symbol)))
+    max_mod = float(np.maximum.reduce(np.abs(symbol)))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
-    ks = np.arange(-s.r, 1)
-    residual_sum = float(np.sum(s.a) - 1.0)
-    residual_order1 = float(np.dot(ks, s.a) + s.lam)
+    residual_sum = float(np.add.reduce(s.a) - 1.0)
+    residual_order1 = float(np.dot(np.arange(-s.r, 1), s.a) + s.lam)
     h3 = abs(residual_sum) <= tols.consistency_tol and abs(residual_order1) <= tols.consistency_tol
 
     a0 = s.a_zero
-    return AssumptionReport(
-        h0_nondegenerate=bool(h0),
-        h2_cauchy_stable=bool(h2),
-        h2_max_symbol_modulus=max_mod,
-        h3_consistent=bool(h3),
-        h3_residual_sum=residual_sum,
-        h3_residual_order1=residual_order1,
-        a0_interior=bool(abs(a0) < 1.0),
-        a0=a0,
-    )
+    return AssumptionReport(h0_nondegenerate=bool(h0), h2_cauchy_stable=bool(h2), h2_max_symbol_modulus=max_mod,
+                            h3_consistent=bool(h3), h3_residual_sum=residual_sum, h3_residual_order1=residual_order1,
+                            a0_interior=bool(abs(a0) < 1.0), a0=a0)
 

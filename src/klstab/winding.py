@@ -140,10 +140,9 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
     rel, budget = tols.origin_tol, tols.max_evaluations
     moduli = np.abs(points)
     top = np.maximum.reduce(moduli, axis=1)
-    close = moduli < rel * top[:, None]
-    first_close = close.argmax(axis=1)
-    units = np.array([_unit(scale) for scale in top.tolist()])
-    divided = bool((units != 1.0).any())
+    units = [_unit(scale) for scale in top.tolist()]
+    divided = units.count(1.0) < rows
+    units = np.array(units)
     if divided:
         points = points / units[:, None]
     # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
@@ -151,23 +150,24 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite; it is decided before any walk
         seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), tols)
     increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
-    scales = top / units
+    scales = top / units if divided else top
     low = np.minimum.reduce(distance, axis=1)
     turns = np.add.reduce(increment, axis=1) / (2.0 * math.pi)
     index = np.rint(turns)
-    decided = (~np.logical_or.reduce(split, axis=1) & (low >= rel * scales)
-               & (np.abs(turns - index) <= tols.integer_tol))
     outcomes: List = [None] * rows
     walk = []
-    for k, scale in enumerate(top.tolist()):
+    # each row's scalars, decided in Python
+    columns = (array.tolist() for array in (top, np.minimum.reduce(moduli, axis=1),
+                                            np.logical_or.reduce(split, axis=1), low, scales, turns, index))
+    for k, (scale, near, splits, low_k, scale_k, turns_k, index_k) in enumerate(zip(*columns)):
         if not math.isfinite(scale):
             outcomes[k] = ValueError(f"curve is not finite at t={float(params[np.argmin(np.isfinite(moduli[k]))])!r}")
         elif scale == 0.0:
             outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, n, True))
-        elif close[k, first_close[k]]:
-            outcomes[k] = _on_curve(moduli[k, first_close[k]], rel * scale, n)
-        elif decided[k]:
-            outcomes[k] = WindingResult(int(index[k]), float(low[k] * units[k]), n, False)
+        elif near < rel * scale:  # the first sample under the threshold
+            outcomes[k] = _on_curve(moduli[k, np.argmax(moduli[k] < rel * scale)], rel * scale, n)
+        elif not splits and low_k >= rel * scale_k and abs(turns_k - index_k) <= tols.integer_tol:
+            outcomes[k] = WindingResult(int(index_k), float(low_k * units[k]), n, False)
         else:
             walk.append(k)
     if not walk:

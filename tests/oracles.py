@@ -99,6 +99,22 @@ def newton_refine_by_polynomials(coeffs: np.ndarray, roots: np.ndarray, passes: 
     return roots
 
 
+def upwind_blocks_by_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kl.upwind_blocks`` as a loop over rows ``j`` and offsets ``k``: ``a_k`` is added to column ``j + k`` of row
+    ``j`` when that is an interior point, and times ghost row ``j + k`` of ``b`` to the whole row when it is a ghost
+    point."""
+    r, ghosts, m = a.shape[1] - 1, b.shape[1], b.shape[2]
+    blocks = np.zeros((a.shape[0], m, m))
+    for j in range(m):
+        for offset in range(-r, 1):
+            coeff = a[:, offset + r]
+            if j + offset >= 0:
+                blocks[:, j, j + offset] += coeff
+            else:
+                blocks[:, j] += coeff[:, None] * b[:, j + offset + ghosts]
+    return blocks
+
+
 def upwind_block(s: Scheme, bc: BoundaryCondition) -> np.ndarray:
     """Closed top-left ``m x m`` block ``A`` of the half-line update matrix of one pair."""
     return upwind_blocks(s.a[None], bc.b[None])[0]

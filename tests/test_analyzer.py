@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import multiprocessing
@@ -182,13 +183,30 @@ def test_sweep_grid_refinement_consistency():
     np.testing.assert_array_equal(res_coarse.zero_counts[:, 0], res_fine.zero_counts[::2, 0])
 
 
-def mark_and_wait(directory, parent: int, others: int) -> None:
-    """Leave this process's pid in ``directory``; in the process ``parent``, then wait (10 s at most) until
-    ``others`` other processes have left theirs, so that forked workers have claimed chunks of their own."""
+def mark_and_wait(directory, processes: int) -> None:
+    """Leave this process's pid in ``directory``, then wait until ``processes`` processes have left theirs: a
+    process that calls it in its first cell holds its first chunk until every process has claimed one. The wait ends
+    on the marks alone, so a slow host waits longer rather than running another schedule; a test that calls it runs
+    under :func:`alarm_after`."""
     (directory / str(os.getpid())).touch()
-    deadline = time.monotonic() + 10.0
-    while os.getpid() == parent and len(list(directory.iterdir())) <= others and time.monotonic() < deadline:
+    while len(list(directory.iterdir())) < processes:
         time.sleep(0.001)
+
+
+@contextlib.contextmanager
+def alarm_after(seconds: int, message: str):
+    """Raise ``TimeoutError(message)`` in the body once ``seconds`` have passed: a sweep that hangs fails its test."""
+
+    def expired(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sweep_pool_never_exceeds_cells(monkeypatch):
@@ -227,34 +245,35 @@ def test_sweep_leaves_no_process_behind():
 
 
 def test_sweep_takes_lambda_families_at_jobs_2(monkeypatch, tmp_path):
-    # forked workers inherit the families, so they need not be picklable; the caller's first cell waits until a
-    # worker has decided a cell with them
+    # forked workers inherit the families, so they need not be picklable; the first cells of the caller and of the
+    # worker wait until both have claimed a chunk, so that the worker decides cells with them
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    lams, sigmas, parent = np.linspace(0.3, 1.9, 9), (0.0, 0.2), os.getpid()
+    lams, sigmas = np.linspace(0.3, 1.9, 9), (0.0, 0.2)
     serial = sweep(bw_family, s2ilw3_family, lams, sigmas, n0=256)
-    result = sweep(lambda lam: make_beam_warming(lam),
-                   lambda lam, sigma: mark_and_wait(tmp_path, parent, 1) or silw_condition(2, 2, 3, sigma),
-                   lams, sigmas, n0=256, jobs=2)
+    with alarm_after(60, "a process still waits for the other's mark"):
+        result = sweep(lambda lam: make_beam_warming(lam),
+                       lambda lam, sigma: mark_and_wait(tmp_path, 2) or silw_condition(2, 2, 3, sigma),
+                       lams, sigmas, n0=256, jobs=2)
     assert len(list(tmp_path.iterdir())) == 2
     assert result.to_csv() == serial.to_csv()
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_sweep_raises_the_error_of_the_first_failing_chunk(monkeypatch, tmp_path, jobs):
-    # four chunks of one cell, of which the second and the fourth raise; the caller claims the first and waits
-    # until every worker has claimed one, so that a worker meets the second chunk's error and a later chunk's
-    # error is met after it
+    # four chunks of one cell, of which the second and the fourth raise; each process waits in its first chunk
+    # until every process has claimed one, so that the first `jobs` chunks go to `jobs` processes, one meets the
+    # second chunk's error, and with two processes or more another meets the fourth's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    parent = os.getpid()
 
     def family(lam, sigma):
-        mark_and_wait(tmp_path, parent, jobs - 1)
+        mark_and_wait(tmp_path, jobs)
         if lam in (0.75, 1.4):
             raise RuntimeError(f"no boundary at CFL {lam}")
         return silw_condition(2, 2, 3, sigma)
 
-    with pytest.raises(RuntimeError, match=r"^no boundary at CFL 0\.75$"):
-        sweep(bw_family, family, [0.5, 0.75, 1.0, 1.4], n0=256, jobs=jobs)
+    with alarm_after(60, "a process still waits for the others' marks"):
+        with pytest.raises(RuntimeError, match=r"^no boundary at CFL 0\.75$"):
+            sweep(bw_family, family, [0.5, 0.75, 1.0, 1.4], n0=256, jobs=jobs)
     assert len(list(tmp_path.iterdir())) == jobs
     assert multiprocessing.active_children() == []
 
@@ -264,22 +283,15 @@ def test_sweep_worker_that_dies_is_one_error(monkeypatch, tmp_path):
     parent = os.getpid()
 
     def family(lam, sigma):
-        mark_and_wait(tmp_path, parent, 1)
+        mark_and_wait(tmp_path, 2)
         if os.getpid() != parent:
             os._exit(3)
         return silw_condition(2, 2, 3, sigma)
 
-    def hung(signum, frame):
-        raise TimeoutError("the sweep still waits for its dead worker")
-
-    start, previous = time.perf_counter(), signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)
-    try:
+    start = time.perf_counter()
+    with alarm_after(20, "the sweep still waits for its dead worker"):
         with pytest.raises(RuntimeError, match="^a sweep worker exited with code 3 without sending its chunks$"):
             sweep(bw_family, family, [0.5, 0.75, 1.0, 1.4], n0=256, jobs=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 10.0
     assert multiprocessing.active_children() == []
 

@@ -93,6 +93,7 @@ def test_usage_errors_exit_one(capsys):
     (["check", "--lambda", "0.7", "--silw"], "argument --silw: expected 2 arguments"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
+    (["check", "--lambda", "0.7", "--silw", "2", "3", "--bogus", "-1e-3"], "unrecognized arguments: --bogus -1e-3"),
 ])
 def test_argparse_errors_print_one_line(capsys, argv, message):
     assert run_cli(argv) == 1
@@ -412,6 +413,23 @@ def test_check_next_to_unit_cfl_prints_a_verdict(capsys):
     payload = json.loads(captured.out)
     assert payload["status"] == "Inconclusive"
     assert len(payload["diagnostics"]["det_c_coefficients"]) == 4
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["check", "--lambda", "1.0000001", "--silw", "2", "3",
+      "--coefficients", "5.0000005029193364e-08", "0.99999999999999", "-4.9999995029193354e-08"], 4),
+    (["check", "--lambda", "0.7", "--silw", "2", "3", "--coefficients", "-1e-3", "1", "0.001"], 3),
+])
+def test_negative_values_in_exponent_form_are_values(tmp_path, capsys, argv, exit_code):
+    # argparse's own negative-number pattern has no exponent; by flags and by config key, one verdict
+    at = argv.index("--coefficients")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"coefficients": [float(value) for value in argv[at + 1:]]}))
+    assert run_cli(argv) == exit_code
+    by_flags = capsys.readouterr()
+    assert by_flags.err == "" and json.loads(by_flags.out)["diagnostics"]["assumptions"]["a0"] == float(argv[-1])
+    assert run_cli(argv[:at] + ["--config", str(config)]) == exit_code
+    assert capsys.readouterr() == by_flags
 
 
 def test_sweep_records_failing_cells_as_inconclusive(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from klstab.kl import (
     reduce_boundary,
     reduce_stack,
     stable_roots,
+    upwind_blocks,
 )
 from klstab.scheme import Scheme, make_beam_warming, validate
-from oracles import kl_det_direct, kl_det_explicit, kl_det_stack_by_power, poly_at, symbol, upwind_block
+from oracles import (kl_det_direct, kl_det_explicit, kl_det_stack_by_power, poly_at, symbol, upwind_block,
+                     upwind_blocks_by_loop)
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
@@ -543,3 +547,20 @@ def test_det_stack_matches_the_power_of_every_exponent_bit_for_bit():
         _, det_c = reduce_stack(a, np.array([silw_condition(2, kd, d, 0.0).b] * len(schemes)))
         got = kl_det_stack(det_c, a[:, 0], a[:, -1], 2, z)
         assert got.tobytes() == kl_det_stack_by_power(det_c, a[:, 0], a[:, -1], 2, z).tobytes()
+
+
+def test_upwind_blocks_match_the_loop_bit_for_bit():
+    # the scatter plan adds each term where and when the loop does: 1 and 7 pairs, widths r = 1..5 with r and
+    # r + 2 ghost rows and m of 1 (below r from r = 2), r and r + 4 columns, entries of either sign, of magnitudes
+    # 1e-4 to 1e4, and signed zeros; about 0.03 s
+    rng = np.random.default_rng(26)
+    for n, r in itertools.product((1, 7), range(1, 6)):
+        for ghosts, m in itertools.product((r, r + 2), (1, r, r + 4)):
+            a = rng.standard_normal((n, r + 1)) * 10.0 ** rng.integers(-4, 5, (n, r + 1))
+            b = rng.standard_normal((n, ghosts, m)) * 10.0 ** rng.integers(-4, 5, (n, ghosts, m))
+            for array in (a, b):
+                array[rng.random(array.shape) < 0.15] = 0.0
+                array[rng.random(array.shape) < 0.15] = -0.0
+            got, expected = upwind_blocks(a, b), upwind_blocks_by_loop(a, b)
+            assert got.shape == (n, m, m)
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
