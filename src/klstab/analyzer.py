@@ -154,6 +154,8 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
     needs a split or comes near the origin walked together. Each verdict is bit for bit the one the pair gets alone;
     ``classify=False`` leaves the zeros of an ``UnstableBoundaryZero`` verdict unclassified, ``boundary_zeros`` empty.
     """
+    if n0 < 64:  # an error of the call, not of a pair
+        raise ValueError("n0 must be at least 64")
     outcomes: List = [None] * len(pairs)
     reports, groups = {}, {}
     for k, (s, bc) in enumerate(pairs):
@@ -175,8 +177,6 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
 
 def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, classify: bool) -> None:
     """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
-    if n0 < 64:  # an error of the call, not of a row
-        raise ValueError("n0 must be at least 64")
     a = np.array([s.a for _, s, _, _ in block])
     try:
         blocks, det_c = reduce_stack(a, np.array([bc.b for _, _, bc, _ in block]))
@@ -501,19 +501,18 @@ def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> 
     return _illinois(gap, x, end)
 
 
-def _illinois(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
-              rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+def _illinois(f: Callable[[float], float], a: float, b: float) -> float:
     """A root of ``f`` on ``[a, b]`` by the Illinois variant of regula falsi.
 
-    It stops where ``f`` vanishes or once the bracket is narrower than
-    ``xtol + rtol * |x|``, brentq's default tolerance. Raises ``ValueError``
-    when ``f`` has the same sign at both ends.
+    It stops where ``f`` vanishes, after 100 steps, or once the bracket is
+    narrower than ``2e-12 + 4 eps |x|`` (``4 eps = 2**-50``), brentq's default
+    tolerance. Raises ``ValueError`` when ``f`` has the same sign at both ends.
     """
     fa, fb = f(a), f(b)
     if np.sign(fa) == np.sign(fb) != 0.0:
         raise ValueError("f must have different signs at the ends of the bracket")
     x, side = a, 0
-    for _ in range(maxiter):
+    for _ in range(100):
         x = b - fb * (b - a) / (fb - fa)
         fx = f(x)
         if fx == 0.0:
@@ -523,6 +522,6 @@ def _illinois(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-
             b, fb, fa, side = x, fx, fa * (0.5 if side == -1 else 1.0), -1
         else:
             a, fa, fb, side = x, fx, fb * (0.5 if side == 1 else 1.0), 1
-        if abs(b - a) < xtol + rtol * abs(x):
+        if abs(b - a) < 2e-12 + 2.0**-50 * abs(x):
             break
     return x

@@ -35,26 +35,28 @@ GhostDataPlan = Tuple[Tuple[Tuple[int, float], ...], ...]
 class BoundaryCondition:
     """Extrapolation matrix ``b`` plus the data-term plan for the simulator.
 
-    Row ``i`` of ``b`` belongs to ghost index ``j = -r + i``; columns are the
-    interior points ``0 .. m-1``.
+    ``b`` has shape ``(r, m)``: row ``i`` belongs to ghost index ``j = -r + i``;
+    columns are the interior points ``0 .. m-1``.
     """
 
-    r: int
-    m: int
     b: np.ndarray
     g_plan: GhostDataPlan
     sigma: Optional[float] = None
-    source: str = "custom (unchecked)"
 
     def __post_init__(self):
-        arr = np.asarray(self.b, dtype=float)
-        if arr.shape != (self.r, self.m):
-            raise ValueError(f"b must have shape ({self.r}, {self.m}), got {arr.shape}")
-        arr = arr.copy()
+        arr = np.array(self.b, dtype=float)  # a copy
         arr.setflags(write=False)
         object.__setattr__(self, "b", arr)
-        if len(self.g_plan) != self.r:
-            raise ValueError("g_plan must have one entry per ghost row")
+        if arr.ndim != 2 or len(self.g_plan) != len(arr):
+            raise ValueError(f"b must be 2-D with one g_plan entry a row, got shape {arr.shape} and {len(self.g_plan)}")
+
+    @property
+    def r(self) -> int:
+        return self.b.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.b.shape[1]
 
     def restricted_to(self, new_r: int) -> "BoundaryCondition":
         """Fit to a scheme with ``new_r`` ghost points: keep rows ``-new_r .. -1``, never add any."""
@@ -63,14 +65,7 @@ class BoundaryCondition:
         if not 1 <= new_r < self.r:
             raise ValueError(f"boundary condition has {self.r} ghost rows, scheme needs {new_r}")
         drop = self.r - new_r
-        return BoundaryCondition(
-            r=new_r,
-            m=self.m,
-            b=self.b[drop:],
-            g_plan=self.g_plan[drop:],
-            sigma=self.sigma,
-            source=self.source + f" [rows -{new_r}..-1]",
-        )
+        return BoundaryCondition(b=self.b[drop:], g_plan=self.g_plan[drop:], sigma=self.sigma)
 
 
 def silw_condition(r: int, k_d: int, d: int, sigma: float = 0.0) -> BoundaryCondition:
@@ -114,14 +109,7 @@ def _silw_condition(r: int, k_d: int, d: int, sigma: float, sign: float) -> Boun
             b[i, s] = acc
         plan.append(tuple((k, (-base) ** k / math.factorial(k)) for k in range(k_d)))
 
-    return BoundaryCondition(
-        r=r,
-        m=m,
-        b=b,
-        g_plan=tuple(plan),
-        sigma=float(sigma),
-        source=f"S{k_d}ILW{d} (sigma={sigma})",
-    )
+    return BoundaryCondition(b=b, g_plan=tuple(plan), sigma=float(sigma))
 
 
 def custom_condition(b_matrix) -> BoundaryCondition:
@@ -132,9 +120,7 @@ def custom_condition(b_matrix) -> BoundaryCondition:
     arr = np.asarray(b_matrix, dtype=float)
     if arr.ndim != 2:
         raise ValueError("custom boundary matrix must be two-dimensional")
-    r, m = arr.shape
-    plan = tuple(((0, 1.0),) for _ in range(r))
-    return BoundaryCondition(r=r, m=m, b=arr, g_plan=plan, sigma=None)
+    return BoundaryCondition(b=arr, g_plan=tuple(((0, 1.0),) for _ in arr))
 
 
 def assemble_B(bc: BoundaryCondition) -> np.ndarray:

@@ -29,14 +29,14 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .analyzer import StabilityStatus, analyze, sweep
 from .boundary import BoundaryCondition, custom_condition, silw_condition
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, Tolerances
 from .errors import KLStabError
 from .scheme import PRESETS, Scheme
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
@@ -61,9 +61,6 @@ _STATUS_EXIT = {
 # Largest grid parse_grid builds, and the most curve samples and simulated cells; a larger size is refused before
 # anything is allocated
 _MAX_GRID_POINTS = 10**7
-
-# Tolerances settable by flag (--cluster-radius, ...)
-_TOLERANCE_NAMES = ("cluster_radius", "unit_circle_tol", "origin_tol", "kernel_tol", "cauchy_tol")
 
 
 class UsageError(Exception):
@@ -154,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (p_check, p_curve, p_sweep):
         p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
     for p in (p_check, p_sweep):
-        for name in _TOLERANCE_NAMES:
+        for name in (f.name for f in fields(Tolerances)):
             p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
     parser.commands = sub.choices
     return parser
@@ -277,8 +274,8 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
     try:
         if args.config:
             _read_config(args, args.config)
-        tols = replace(DEFAULT_TOLS, **{name: getattr(args, name) for name in _TOLERANCE_NAMES
-                                        if getattr(args, name, None) is not None})
+        tols = replace(DEFAULT_TOLS, **{f.name: getattr(args, f.name) for f in fields(Tolerances)
+                                        if getattr(args, f.name, None) is not None})
         tols.validate()
         n0 = _given(args, "samples", 1024)
         for name, size in (("samples", n0), ("grid-points", _given(args, "grid_points", 0))):
@@ -340,8 +337,11 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             verdict = analyze(s, bc, tols=tols, n0=n0)
             _write(verdict.to_json() + "\n", args.out)
             return _STATUS_EXIT[verdict.status]
-        rb = reduce_boundary(s, bc, tols)
-        _write(curve_to_csv(*sample_kl_curve(s, rb, n0=n0, normalize=not args.no_normalize)), args.out)
+        with np.errstate(all="ignore"):  # a curve that is not finite is refused, without numpy's warnings
+            params, points = sample_kl_curve(s, reduce_boundary(s, bc), n0=n0, normalize=not args.no_normalize)
+        if not np.isfinite(points).all():
+            raise ValueError("the determinant curve is not finite: det C or its prefactor leaves the float range")
+        _write(curve_to_csv(params, points), args.out)
         return EXIT_OK
     except (UsageError, OSError, ValueError, ArithmeticError, KLStabError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

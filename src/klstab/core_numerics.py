@@ -10,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
+from .config import DEFAULT_TOLS, TRIM_REL
 from .errors import DegenerateLeadingCoefficient
 
 
@@ -22,11 +22,11 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _newton_refine(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Polish companion-matrix roots; keep a step only when it reduces |p|."""
+def _newton_refine(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Polish companion-matrix roots by two Newton passes; keep a step only when it reduces |p|."""
     coeffs, roots = np.asarray(coeffs, dtype=complex), np.asarray(roots, dtype=complex)
     derivative = coeffs[1:] * np.arange(1, coeffs.size)
-    for _ in range(passes):
+    for _ in range(2):
         pv = _horner(coeffs, roots)
         dv = _horner(derivative, roots)
         safe = np.abs(dv) > 1e-300
@@ -86,8 +86,7 @@ def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int],
     return tuple(merged)
 
 
-def poly_roots(coeffs, cluster_radius: float = DEFAULT_TOLS.cluster_radius,
-               trim_rel: float = DEFAULT_TOLS.trim_rel) -> Tuple[Tuple[complex, int], ...]:
+def poly_roots(coeffs, cluster_radius: float = DEFAULT_TOLS.cluster_radius) -> Tuple[Tuple[complex, int], ...]:
     """All complex roots of the polynomial with ascending coefficients ``coeffs``, as ``(value, multiplicity)``
     pairs of clustered representatives whose multiplicities sum to the degree.
 
@@ -96,7 +95,7 @@ def poly_roots(coeffs, cluster_radius: float = DEFAULT_TOLS.cluster_radius,
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if coeffs.size:
         scale = float(np.max(np.abs(coeffs)))
-        if scale == 0.0 or abs(coeffs[-1]) <= trim_rel * scale:
+        if scale == 0.0 or abs(coeffs[-1]) <= TRIM_REL * scale:
             raise DegenerateLeadingCoefficient(
                 "leading coefficient is below the trim tolerance; trim the polynomial first"
             )

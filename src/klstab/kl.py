@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .boundary import BoundaryCondition
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, TRIM_REL, Tolerances
 from .core_numerics import _cluster, poly_roots
 from .errors import DegenerateLeadingCoefficient, RootAtZero
 from .scheme import Scheme
@@ -48,12 +48,12 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Tupl
     polynomial would lose its leading term).
     """
     scale = float(np.max(np.abs(s.a))) + abs(z)
-    if abs(s.a_zero - z) <= tols.trim_rel * scale:
+    if abs(s.a_zero - z) <= TRIM_REL * scale:
         raise DegenerateLeadingCoefficient(f"characteristic polynomial degenerates at z={z} "
                                            "(leading coefficient a_0 - z ~ 0)")
     coeffs = np.asarray(s.a, dtype=complex).copy()
     coeffs[-1] -= z
-    return poly_roots(coeffs, cluster_radius=tols.cluster_radius, trim_rel=tols.trim_rel)
+    return poly_roots(coeffs, cluster_radius=tols.cluster_radius)
 
 
 def k_matrix(roots: Sequence[Tuple[complex, int]], i: int, j: int) -> np.ndarray:
@@ -131,7 +131,7 @@ class ReducedBoundary:
     det_c: np.ndarray
 
 
-def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS) -> ReducedBoundary:
+def reduce_boundary(s: Scheme, bc: BoundaryCondition) -> ReducedBoundary:
     """Reduce the pair to its closed update block and ``det C``."""
     if bc.r != s.r:
         raise ValueError(f"boundary condition has {bc.r} ghost rows but the scheme needs {s.r}; "
@@ -140,7 +140,7 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT
         raise ValueError(f"the reduction requires |a_0| < 1 (Cauchy-stable consistent schemes satisfy this); "
                          f"got a_0 = {s.a_zero}")
     scale = float(np.max(np.abs(s.a)))
-    if abs(s.a_lead) <= tols.trim_rel * scale:
+    if abs(s.a_lead) <= TRIM_REL * scale:
         raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
     blocks, det_c = reduce_stack(s.a[None], bc.b[None])
     det_c.setflags(write=False)

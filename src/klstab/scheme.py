@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS, TRIM_REL, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +26,7 @@ class Scheme:
     """Totally upwind stencil ``(a_{-r}, ..., a_0)`` with its CFL number.
 
     ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through ``a[-1] = a_0``. Construction trims leading
-    coefficients below ``DEFAULT_TOLS.trim_rel`` times the largest, so the non-degeneracy requirement on ``a_{-r}``
+    coefficients below ``TRIM_REL`` times the largest, so the non-degeneracy requirement on ``a_{-r}``
     holds by representation.
     """
 
@@ -44,7 +44,7 @@ class Scheme:
         values = [float(value) for value in coefficients]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"scheme coefficients must be finite, got {values}")
-        threshold = DEFAULT_TOLS.trim_rel * max(map(abs, values), default=0.0)
+        threshold = TRIM_REL * max(map(abs, values), default=0.0)
         first = next((i for i, value in enumerate(values) if abs(value) > threshold), None)
         if first is None:
             raise ValueError("a scheme needs a nonzero coefficient")
@@ -122,6 +122,10 @@ class AssumptionReport:
         return self.h0_nondegenerate and self.h2_cauchy_stable and self.h3_consistent and self.a0_interior
 
 
+# Allowed residual in the consistency relations on the coefficients
+_CONSISTENCY_TOL = 1e-10
+
+
 def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     """Check non-degeneracy, Cauchy stability, consistency and ``|a_0| < 1``.
 
@@ -129,7 +133,7 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     4096 uniform frequencies; the symbols in scope are trigonometric
     polynomials of tiny degree, so sampling is reliable.
     """
-    h0 = abs(s.a_lead) > tols.trim_rel * float(np.maximum.reduce(np.abs(s.a)))
+    h0 = abs(s.a_lead) > TRIM_REL * float(np.maximum.reduce(np.abs(s.a)))
 
     # the symbol summed row by row in ascending k: elementwise on purpose, as a matrix-vector product runs on a
     # multithreaded BLAS, whose threads contend for the cores with the workers of a parallel sweep
@@ -142,7 +146,7 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
 
     residual_sum = float(np.add.reduce(s.a) - 1.0)
     residual_order1 = float(np.dot(np.arange(-s.r, 1), s.a) + s.lam)
-    h3 = abs(residual_sum) <= tols.consistency_tol and abs(residual_order1) <= tols.consistency_tol
+    h3 = abs(residual_sum) <= _CONSISTENCY_TOL and abs(residual_order1) <= _CONSISTENCY_TOL
 
     a0 = s.a_zero
     return AssumptionReport(h0_nondegenerate=bool(h0), h2_cauchy_stable=bool(h2), h2_max_symbol_modulus=max_mod,

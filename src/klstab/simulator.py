@@ -77,7 +77,6 @@ class IBVPRun:
 
     J: int
     T: float
-    dx: float
     dt: float
     a: float
     sigma: float
@@ -95,12 +94,16 @@ class IBVPRun:
         g: Callable[[float], float] = GaussianPulse(),
         f: Optional[np.ndarray] = None,
     ) -> "IBVPRun":
-        """Choose dx = 1/J and the time step matching the scheme's CFL number; refuse 10**7 steps or more."""
+        """The run with the time step matching the scheme's CFL number; refuse 10**7 steps or more."""
         _check_run(J, T, a)
-        dx = 1.0 / J
-        dt = s.lam * dx / a
+        dt = s.lam * (1.0 / J) / a
         _step_count(T, dt)
-        return cls(J=J, T=T, dx=dx, dt=dt, a=a, sigma=sigma, g=g, f=f)
+        return cls(J=J, T=T, dt=dt, a=a, sigma=sigma, g=g, f=f)
+
+    @property
+    def dx(self) -> float:
+        """The cell width of the unit interval, ``1/J``."""
+        return 1.0 / self.J
 
     def g_derivative(self, k: int, t: float) -> Tuple[float, bool]:
         """k-th derivative of the boundary data at ``t``; flags a FD fallback."""
@@ -134,28 +137,22 @@ class SolutionField:
         return self.values[-1]
 
 
-def run_ibvp(
-    s: Scheme,
-    bc: BoundaryCondition,
-    run: IBVPRun,
-    blowup_threshold: float = 1e6,
-    keep_history: bool = True,
-) -> SolutionField:
+# A run blows up, and stops, once its amplitude passes this
+_BLOWUP_THRESHOLD = 1e6
+
+
+def run_ibvp(s: Scheme, bc: BoundaryCondition, run: IBVPRun, keep_history: bool = True) -> SolutionField:
     """March the interior update with ghost cells filled from the boundary rule: the one-row :func:`march`.
 
     Each step rebuilds the ghost values from the interior values plus the boundary-data terms, then
     advances the interior. It stops early once the amplitude passes the blowup threshold or is not
     finite; blowing up is data, not an error.
     """
-    return march(s, [(bc, run)], blowup_threshold, keep_history)[0]
+    return march(s, [(bc, run)], keep_history)[0]
 
 
-def march(
-    s: Scheme,
-    pairs: Sequence[Tuple[BoundaryCondition, IBVPRun]],
-    blowup_threshold: float = 1e6,
-    keep_history: bool = False,
-) -> List[SolutionField]:
+def march(s: Scheme, pairs: Sequence[Tuple[BoundaryCondition, IBVPRun]],
+          keep_history: bool = False) -> List[SolutionField]:
     """Run every (boundary, run) pair with scheme ``s``; one result per pair, in order.
 
     Pairs that share ``J``, the step count and the boundary width ``m`` march
@@ -181,7 +178,7 @@ def march(
         groups.setdefault((run.J, n_steps, bc.m), []).append((index, bc, run))
     results = {}
     for (J, n_steps, m), rows in groups.items():
-        fields = _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history)
+        fields = _march_group(s, rows, J, n_steps, m, keep_history)
         results.update(zip([index for index, _, _ in rows], fields))
     return [results[index] for index in range(len(pairs))]
 
@@ -218,7 +215,7 @@ def _by_value(f):
     return f
 
 
-def _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history) -> List[SolutionField]:
+def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
     """March the rows of one group of :func:`march` as the columns of one cell-major array.
 
     Only the causal prefix ``U[:width]`` is updated: cell ``j`` reads cells
@@ -247,15 +244,15 @@ def _march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history) -> List
         if keep_history:
             for i, row in enumerate(ids):
                 recorded[row].append((n, U[:, i].copy()))
-        if n == n_steps or not P[:width].max() <= blowup_threshold:  # true for NaN data too
+        if n == n_steps or not P[:width].max() <= _BLOWUP_THRESHOLD:  # true for NaN data too
             amplitude, peak = scratch[:width].max(axis=0), P[:width].max(axis=0)
             amplitude[np.isnan(amplitude)], peak[np.isnan(peak)] = np.inf, np.inf
-            done = (amplitude > blowup_threshold) | (n == n_steps)
+            done = (amplitude > _BLOWUP_THRESHOLD) | (n == n_steps)
             for i in np.flatnonzero(done):
                 if not keep_history:
                     recorded[ids[i]].append((n, U[:, i].copy()))
                 peaks[ids[i]] = float(peak[i])
-                blowup_steps[ids[i]] = n if amplitude[i] > blowup_threshold else None
+                blowup_steps[ids[i]] = n if amplitude[i] > _BLOWUP_THRESHOLD else None
             if done.all():
                 break
             U, V, P, scratch = (X.compress(~done, axis=1) for X in (U, V, P, scratch))  # C order, for the flat pass
@@ -306,9 +303,10 @@ def sigma_scan(
     s: Scheme,
     bc_family: Callable[[float], BoundaryCondition],
     sigma_grid: Sequence[float],
-    run_factory: Optional[Callable[[float], IBVPRun]] = None,
+    run_factory: Callable[[float], IBVPRun],
 ) -> SigmaScan:
-    """One simulation per grid offset, blowing up past amplitude 1e6; profiles are clipped at +-1 for export.
+    """One simulation per grid offset, ``run_factory(sigma)``, blowing up past amplitude 1e6; profiles are clipped
+    at +-1 for export.
 
     The unclipped running maximum per offset is kept alongside, which is what
     the verdict-agreement checks consume. All offsets go to one :func:`march`
@@ -319,9 +317,6 @@ def sigma_scan(
     sigma_grid = np.asarray(list(sigma_grid), dtype=float)
     if sigma_grid.size == 0:
         raise ValueError("sigma grid must be nonempty")
-    if run_factory is None:
-        run_factory = lambda sigma: IBVPRun.from_cfl(s, sigma=sigma)
-
     bcs = [bc_family(float(sigma)) for sigma in sigma_grid]
     offset_free = [i for i, bc in enumerate(bcs) if bc.sigma is None][:1]
     marched = [i for i, bc in enumerate(bcs) if bc.sigma is not None or i in offset_free]

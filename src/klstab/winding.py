@@ -43,7 +43,7 @@ class WindingResult:
     origin_on_curve: bool
 
 
-def _segments(ta, tb, pa, pb, tols: Tolerances) -> dict:
+def _segments(ta, tb, pa, pb) -> dict:
     """Segments ``pa -> pb`` over ``[ta, tb]`` as a block of arrays, with their increments, distances,
     split flags and midpoint moduli (nan until evaluated, and for leaves)."""
     d = pb - pa
@@ -55,7 +55,7 @@ def _segments(ta, tb, pa, pb, tols: Tolerances) -> dict:
     distance = np.abs(pa + np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t) * d)  # np.clip, without its wrapper
     turn = np.multiply(pb, np.conjugate(pa))
     increment = np.arctan2(turn.imag, turn.real)
-    sharp = (np.abs(increment) > tols.angle_threshold) | (distance < tols.proximity_factor * length)
+    sharp = (np.abs(increment) > _ANGLE_THRESHOLD) | (distance < _PROXIMITY_FACTOR * length)
     split = (length > 0.0) & sharp
     return dict(ta=ta, tb=tb, pa=pa, pb=pb, increment=increment, distance=distance, split=split,
                 mid=np.full(length.shape, np.nan))
@@ -68,6 +68,11 @@ def _unit(scale: float) -> float:
 
 
 _KEYS = ("ta", "tb", "pa", "pb", "increment", "distance", "split", "mid")
+
+# The walk splits a segment whose angle increment exceeds _ANGLE_THRESHOLD or whose distance to the origin is below
+# _PROXIMITY_FACTOR times its length, stops at _MAX_EVALUATIONS curve evaluations, and trusts an angle sum within
+# _INTEGER_TOL turns of an integer.
+_MAX_EVALUATIONS, _ANGLE_THRESHOLD, _PROXIMITY_FACTOR, _INTEGER_TOL = 2**16, math.pi / 2.0, 4.0, 1e-6
 
 # A pass takes each pending split's subtree _DEPTH (K) levels deep: its 2^K + 1 points in parameter order, the split's
 # ends first and last, and its halves, those of level d (1 to K) between the points 2^(K-d) apart, level after level.
@@ -137,7 +142,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
     rows, n = points.shape
     if n < 4:
         return [ValueError("need at least 3 distinct points on a closed curve") for _ in range(rows)]
-    rel, budget = tols.origin_tol, tols.max_evaluations
+    rel, budget = tols.origin_tol, _MAX_EVALUATIONS
     moduli = np.abs(points)
     top = np.maximum.reduce(moduli, axis=1)
     units = [_unit(scale) for scale in top.tolist()]
@@ -148,7 +153,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
     # all rows as one contiguous run, as for a single curve; the segment joining two rows is dropped
     flat = points.ravel()
     with np.errstate(over="ignore", invalid="ignore"):  # a row that is not finite; it is decided before any walk
-        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])), tols)
+        seg = _segments(None, None, flat, np.concatenate((flat[1:], flat[:1])))
     increment, distance, split = (seg[key].reshape(rows, n)[:, :-1] for key in ("increment", "distance", "split"))
     scales = top / units if divided else top
     low = np.minimum.reduce(distance, axis=1)
@@ -166,7 +171,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
             outcomes[k] = OriginOnCurve("curve is identically zero", WindingResult(None, 0.0, n, True))
         elif near < rel * scale:  # the first sample under the threshold
             outcomes[k] = _on_curve(moduli[k, np.argmax(moduli[k] < rel * scale)], rel * scale, n)
-        elif not splits and low_k >= rel * scale_k and abs(turns_k - index_k) <= tols.integer_tol:
+        elif not splits and low_k >= rel * scale_k and abs(turns_k - index_k) <= _INTEGER_TOL:
             outcomes[k] = WindingResult(int(index_k), float(low_k * units[k]), n, False)
         else:
             walk.append(k)
@@ -214,7 +219,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
                     outcomes[k] = _on_curve(glow_leaf[g], threshold, evaluations, units[k])
                 elif outcomes[k] is None:
                     leaves = _depth_first(history, k, ("increment",), leaves=True)["increment"]
-                    outcomes[k] = _result(leaves, float(glow_leaf[g] * units[k]), evaluations, tols)
+                    outcomes[k] = _result(leaves, float(glow_leaf[g] * units[k]), evaluations)
             keep = count > 0
             if not keep.any():
                 return outcomes
@@ -237,7 +242,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
         P[:, 0], P[:, _N], P[:, 1:-1] = pa, pb, pm.reshape(M.shape)
         F["mid"][take] = M[:, _CENTER]
         with np.errstate(over="ignore", invalid="ignore"):  # a point evaluated ahead may be huge, and is never read
-            F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)), tols)
+            F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)))
         # a half is real, met by the depth-first walk, when every ancestor in its subtree splits (a boolean product,
         # not BLAS); real splits above the last level are walked past, midpoints counted, and the last level's pend
         split = F["split"].reshape(ta.size, _W)
@@ -261,7 +266,7 @@ def _replay(seg: dict, n: int, scale: float, unit: float, tols: Tolerances):
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
     scale_before = np.concatenate(([scale], scale_with[:-1]))
-    over_budget = split & (n + before >= tols.max_evaluations)
+    over_budget = split & (n + before >= _MAX_EVALUATIONS)
     stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
     first = int(np.argmax(stops)) if stops.any() else None
     pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
@@ -271,7 +276,7 @@ def _replay(seg: dict, n: int, scale: float, unit: float, tols: Tolerances):
     if not split[first] or (over_budget[first] and distance[first] < threshold):
         error = _on_curve(distance[first], threshold, evaluations, unit)
     elif over_budget[first]:
-        error = RefinementBudgetExceeded(f"refinement exceeded {tols.max_evaluations} curve evaluations")
+        error = RefinementBudgetExceeded(f"refinement exceeded {_MAX_EVALUATIONS} curve evaluations")
     elif mid[first] < 0.0:
         error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
     else:
@@ -279,12 +284,12 @@ def _replay(seg: dict, n: int, scale: float, unit: float, tols: Tolerances):
     return seg["ta"][pending], error
 
 
-def _result(increments: np.ndarray, low_leaf: float, evaluations: int, tols: Tolerances):
+def _result(increments: np.ndarray, low_leaf: float, evaluations: int):
     """The outcome of a walk that no segment stops, from its leaves' increments in depth-first order."""
     turns = float(np.sum(increments)) / (2.0 * math.pi)
     index = np.rint(turns)
-    if not abs(turns - index) <= tols.integer_tol:  # nor when not finite
-        return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {tols.integer_tol} of an integer")
+    if not abs(turns - index) <= _INTEGER_TOL:  # nor when not finite
+        return RefinementBudgetExceeded(f"angle sum {turns:.3e} turns is not within {_INTEGER_TOL} of an integer")
     return WindingResult(index=int(index), min_distance=low_leaf, samples_used=evaluations, origin_on_curve=False)
 
 

@@ -4,9 +4,10 @@ import functools
 
 import numpy as np
 
+from klstab import simulator
 from klstab.analyzer import _illinois
 from klstab.boundary import BoundaryCondition, assemble_B
-from klstab.config import DEFAULT_TOLS, Tolerances
+from klstab.config import DEFAULT_TOLS, TRIM_REL, Tolerances
 from klstab.core_numerics import _horner
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme
@@ -61,7 +62,7 @@ def symbol(s: Scheme, xi):
     return values
 
 
-def stencil_by_numpy(coefficients, lam, trim_rel: float = DEFAULT_TOLS.trim_rel) -> np.ndarray:
+def stencil_by_numpy(coefficients, lam, trim_rel: float = TRIM_REL) -> np.ndarray:
     """The stencil ``Scheme.from_coefficients`` keeps, with its checks and messages, built as one float array and
     checked and trimmed by numpy calls."""
     arr = np.asarray(list(coefficients), dtype=float)
@@ -156,7 +157,7 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
     @functools.lru_cache(maxsize=None)
     def reduced(lam):
         s, bc = pair(lam)
-        return s, reduce_boundary(s, bc.restricted_to(s.r), tols)
+        return s, reduce_boundary(s, bc.restricted_to(s.r))
 
     scale = float(np.max(np.abs(sample_kl_curve(*reduced(x), n0=n0)[1])))
 
@@ -170,9 +171,9 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
     return _illinois(gap, x, end)
 
 
-def full_width_march_group(s, rows, J, n_steps, m, blowup_threshold, keep_history):
+def full_width_march_group(s, rows, J, n_steps, m, keep_history):
     """``simulator._march_group`` before the causal prefix: every cell of each row-major row, every step."""
-    r, count = s.r, len(rows)
+    r, count, blowup_threshold = s.r, len(rows), simulator._BLOWUP_THRESHOLD
     U = np.zeros((count, J + r))
     for i, (_, _, run) in enumerate(rows):
         U[i, r:] = 0.0 if run.f is None else run.f

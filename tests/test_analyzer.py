@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from klstab import analyzer
+from klstab import analyzer, winding
 from klstab.analyzer import (
     BoundaryZeroType,
     StabilityStatus,
@@ -449,6 +449,15 @@ def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_b
     assert [len(pairs) for pairs in calls] == [2] + [1] * max_iter
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinant of a block that holds a NaN
+def test_bisect_stability_edge_reraises_the_error_of_a_bracket_end():
+    # a NaN in the boundary at the lower end: its outcome is the LinAlgError of its reduction, raised
+    nan_end = lambda lam, sigma: (custom_condition([[np.nan, 0.1, 0.2], [0.1, 0.2, 0.3]]) if lam == 1.45 else
+                                  s2ilw3_family(lam, sigma))
+    with pytest.raises(np.linalg.LinAlgError):
+        bisect_stability_edge(bw_family, nan_end, 1.45, 1.55, n0=256)
+
+
 def test_bisect_stability_edge_redoes_a_prediction_on_the_wrong_side(monkeypatch):
     # rho(A) is mirrored about 1, so the ends where rho(A) < 1 are the unstable ones: the batched
     # probes sit on the wrong side, and the search predicts again for the side the verdicts give
@@ -564,15 +573,11 @@ def test_verdict_json_roundtrip():
     assert payload["diagnostics"]["assumptions"]["h3_consistent"] is True
 
 
-def test_analyze_inconclusive_on_exhausted_refinement():
+def test_analyze_inconclusive_on_exhausted_refinement(monkeypatch):
     # near the stability edge the curve grazes the origin; a tiny budget
     # cannot resolve it and the verdict must degrade instead of guessing
-    verdict = analyze(
-        make_beam_warming(1.5176),
-        silw_condition(2, 2, 3, 0.0),
-        n0=64,
-        tols=Tolerances(max_evaluations=70),
-    )
+    monkeypatch.setattr(winding, "_MAX_EVALUATIONS", 70)
+    verdict = analyze(make_beam_warming(1.5176), silw_condition(2, 2, 3, 0.0), n0=64)
     assert verdict.status is StabilityStatus.INCONCLUSIVE
     assert any("refinement exceeded" in note for note in verdict.notes)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from klstab import boundary
-from klstab.boundary import assemble_B, custom_condition, silw_condition
+from klstab.boundary import BoundaryCondition, assemble_B, custom_condition, silw_condition
 from klstab.errors import InvalidOrder
 from oracles import ghost_row
 
@@ -125,9 +125,9 @@ def test_silw_condition_is_shared_and_equals_a_fresh_build():
         fresh = silw_condition(*a)
         assert fresh is not bc
         assert fresh.b.tobytes() == bc.b.tobytes() and repr(fresh.g_plan) == repr(bc.g_plan)
-        assert (fresh.r, fresh.m, fresh.source) == (bc.r, bc.m, bc.source)
+        assert (fresh.r, fresh.m) == (bc.r, bc.m)
         assert fresh.sigma == bc.sigma and math.copysign(1.0, fresh.sigma) == math.copysign(1.0, a[3])
-    assert cached[1].source == "S2ILW3 (sigma=-0.0)" and cached[2].source == "S2ILW3 (sigma=0)"
+    assert math.copysign(1.0, cached[1].sigma) == -1.0 and type(cached[2].sigma) is float
 
 
 def test_silw_condition_checks_every_call():
@@ -162,3 +162,11 @@ def test_custom_rows_fit_a_narrower_scheme():
     np.testing.assert_allclose(bc.b, [[0.5, 0.5]])
     with pytest.raises(ValueError, match="boundary condition has 1 ghost rows, scheme needs 2"):
         custom_condition([[0.0]]).restricted_to(2)
+
+
+@pytest.mark.parametrize("b, g_plan", [([0.5, 0.5], ((), ())), (0.5, ()), ([[0.5, 0.5]], ((), ()))],
+                         ids=["one-dimensional", "scalar", "a plan entry too many"])
+def test_the_constructor_refuses_a_b_that_fixes_no_shape(b, g_plan):
+    # r and m are the shape of b, so b must be a matrix with one plan entry a row
+    with pytest.raises(ValueError, match=r"^b must be 2-D with one g_plan entry a row, got shape"):
+        BoundaryCondition(b=b, g_plan=g_plan)

@@ -289,6 +289,7 @@ def test_sigma_is_refused_beside_a_custom_boundary(tmp_path, capsys, command):
      'bad boundary condition: a --custom-b file holds exactly the key "b", got ["b", "bogus", "sigma"]'),
     ({}, 'bad boundary condition: a --custom-b file holds exactly the key "b", got []'),
     ([[0.0, 0.0], [0.0, 0.0]], "a --custom-b file must be a JSON object, got [[0.0, 0.0], [0.0, 0.0]]"),
+    ({"b": [0.1, 0.2]}, "bad boundary condition: custom boundary matrix must be two-dimensional"),
 ])
 def test_custom_b_file_holds_exactly_b(tmp_path, capsys, content, message):
     bfile = tmp_path / "b.json"
@@ -324,6 +325,11 @@ def test_library_errors_print_one_line(capsys):
     cases = [
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
         (["sweep", "--lambda-grid", "0.5:0.7:0.1", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
+        # refused by the call, also where no pair passes validate (CFL 2.5 is not Cauchy stable)
+        (["check", "--lambda", "2.5", "--silw", "2", "3", "--samples", "10"], "n0 must be at least 64"),
+        (["sweep", "--silw", "2", "3", "--lambda-grid", "2.5:2.6:0.1", "--samples", "10"], "n0 must be at least 64"),
+        (["simulate", "--lambda", "0.7", "--silw", "2", "5", "--grid-points", "3"],
+         "boundary uses 5 interior points but the run has only 3"),
         (["check", "--lambda", "0.7", "--silw", "4", "3"], "need 0 <= k_d <= d"),
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "-1"], "origin_tol must be positive"),
         (["check", "--lambda", "0.7", "--silw", "2", "3", "--origin-tol", "inf"],
@@ -367,6 +373,19 @@ def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
     assert out.read_text().splitlines()[1:] == ["1e-09,0.0,-1,Inconclusive"]
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed
+def test_a_curve_that_is_not_finite_prints_one_line(tmp_path, capsys):
+    # a_{-1} = -1e200 leaves det C NaN: curve refuses the pair, and check finds it not Cauchy stable
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"b": [[0.1, 0.2, 0.3]]}))
+    argv = ["--coefficients", "-1e200", "0.5", "--lambda", "1", "--custom-b", str(path), "--samples", "64"]
+    assert run_cli(["curve"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the determinant curve is not finite: det C or its prefactor leaves the float range\n"
+    assert run_cli(["check"] + argv) == 3
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--lambda", "nan", "--silw", "2", "3"], "CFL number must be finite, got nan"),
     (["check", "--lambda", "inf", "--silw", "2", "3"], "CFL number must be finite, got inf"),
@@ -396,6 +415,10 @@ def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
      "samples must be at most 10000000, got 100000000000"),
     (["simulate", "--lambda", "0.7", "--silw", "2", "3", "--grid-points", "100000000000", "--final-time", "1e-9"],
      "grid-points must be at most 10000000, got 100000000000"),
+    (["sweep", "--silw", "2", "3", "--lambda-grid=-0.5:0.5:0.5"], "all CFL grid values must be positive"),
+    # a_{-1} = -1e200: det C overflows, and the curve is NaN
+    (["curve", "--coefficients", "-1e200", "0.5", "--lambda", "1", "--silw", "1", "3", "--samples", "64"],
+     "the determinant curve is not finite"),
 ])
 def test_nonfinite_input_prints_one_line(capsys, argv, message):
     assert run_cli(argv) == 1

@@ -7,8 +7,9 @@ from klstab.config import DEFAULT_TOLS, Tolerances
 
 def test_defaults_validate():
     DEFAULT_TOLS.validate()
-    assert {f.name for f in fields(Tolerances)} >= {"max_evaluations", "angle_threshold", "proximity_factor",
-                                                    "integer_tol"}
+    # the five tolerances the CLI sets by flag; the winding walk's settings are constants of winding
+    assert [f.name for f in fields(Tolerances)] == ["cluster_radius", "unit_circle_tol", "origin_tol", "kernel_tol",
+                                                    "cauchy_tol"]
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(Tolerances)])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from klstab import simulator
 from klstab.analyzer import analyze
 from klstab.boundary import custom_condition, silw_condition
 from klstab.scheme import Scheme, make_beam_warming, validate
@@ -102,14 +103,10 @@ def test_run_guards():
     s = make_beam_warming(0.8)
     bc = silw_condition(2, 2, 3, 0.0)
     good = IBVPRun.from_cfl(s, J=40, T=0.02)
-    bad_dt = IBVPRun(
-        J=40, T=0.02, dx=good.dx, dt=good.dt * 1.5, a=good.a, sigma=0.0, g=good.g
-    )
+    bad_dt = IBVPRun(J=40, T=0.02, dt=good.dt * 1.5, a=good.a, sigma=0.0, g=good.g)
     with pytest.raises(ValueError):
         run_ibvp(s, bc, bad_dt)
-    mismatched_sigma = IBVPRun(
-        J=40, T=0.02, dx=good.dx, dt=good.dt, a=good.a, sigma=0.25, g=good.g
-    )
+    mismatched_sigma = IBVPRun(J=40, T=0.02, dt=good.dt, a=good.a, sigma=0.25, g=good.g)
     with pytest.raises(ValueError):
         run_ibvp(s, bc, mismatched_sigma)
     for bad in ({"J": 0}, {"T": 0.0}, {"T": -1.0}, {"a": 0.0}, {"a": -1.0}):
@@ -132,11 +129,11 @@ def test_march_refuses_ten_million_steps_of_a_direct_run():
     s = make_beam_warming(0.5)
     bc = silw_condition(2, 2, 3, 0.0)
     for T in (1e300, math.inf, 0.05 * 10**7):
-        run = IBVPRun(J=10, T=T, dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+        run = IBVPRun(J=10, T=T, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
         with pytest.raises(ValueError, match=r"^the final time T=") as info:
             run_ibvp(s, bc, run)
         assert "\n" not in str(info.value)
-    good = IBVPRun(J=10, T=0.05 * (10**7 - 1), dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+    good = IBVPRun(J=10, T=0.05 * (10**7 - 1), dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
     with pytest.raises(ValueError, match=r"^the final time T="):
         march(s, [(bc, good), (bc, run)])
 
@@ -150,7 +147,7 @@ def test_march_refuses_ten_million_steps_of_a_direct_run():
 def test_march_refuses_bad_fields_of_a_direct_run(field, value, message):
     # from_cfl and march share their checks; a NaN fails them instead of slipping past a > test
     s = make_beam_warming(0.5)
-    fields = dict(J=10, T=0.1, dx=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
+    fields = dict(J=10, T=0.1, dt=0.05, a=1.0, sigma=0.0, g=GaussianPulse())
     run = IBVPRun(**{**fields, field: value})
     with pytest.raises(ValueError, match=message) as info:
         run_ibvp(s, silw_condition(2, 2, 3, 0.0), run)
@@ -421,10 +418,11 @@ def test_blowup_happens_exactly_at_positive_exterior_count(lagrange_upwind):
     assert blowups > 0
 
 
-def test_growth_rate_of_the_boundary_cells_is_log_rho(lagrange_upwind):
+def test_growth_rate_of_the_boundary_cells_is_log_rho(monkeypatch, lagrange_upwind):
     # With zero boundary data the cells U_0..U_{m-1} step by the closed block A, so on Lagrange upwind pairs of
     # widths 1..4 with rho(A) > 1.02 the per-step growth of their largest modulus, fitted over the second half of
     # the run, is log rho(A) within 5 %
+    monkeypatch.setattr(simulator, "_BLOWUP_THRESHOLD", 1e300)
     rng = np.random.default_rng(5)
     J = 40
     for r in range(1, 5):
@@ -443,7 +441,7 @@ def test_growth_rate_of_the_boundary_cells_is_log_rho(lagrange_upwind):
             run = IBVPRun.from_cfl(s, J=J, T=(steps - 0.5) * s.lam / J, g=lambda t: 0.0, f=rng.uniform(-1, 1, J))
             pairs.append((bc, run))
             rhos.append(rho)
-        for (bc, _), rho, field in zip(pairs, rhos, march(s, pairs, blowup_threshold=1e300, keep_history=True)):
+        for (bc, _), rho, field in zip(pairs, rhos, march(s, pairs, keep_history=True)):
             head = np.max(np.abs(field.values[:, r : r + bc.m]), axis=1)
             second = np.arange(head.size // 2, head.size)
             rate = np.polyfit(second, np.log(head[second]), 1)[0]
@@ -452,8 +450,6 @@ def test_growth_rate_of_the_boundary_cells_is_log_rho(lagrange_upwind):
 
 def assert_march_is_full_width(monkeypatch, s, pairs, keep_history=False):
     """``march`` equals the full-width row-major march of the oracle, byte for byte."""
-    from klstab import simulator
-
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "_march_group", full_width_march_group)
         expected = march(s, pairs, keep_history=keep_history)

@@ -1,12 +1,14 @@
 import cmath
+import contextlib
 import math
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from klstab import winding
 from klstab.boundary import custom_condition, silw_condition
-from klstab.config import DEFAULT_TOLS, Tolerances
+from klstab.config import Tolerances
 from klstab.errors import OriginOnCurve, RefinementBudgetExceeded
 from klstab.kl import exterior_zero_count_direct, reduce_boundary
 from klstab.scheme import Scheme, make_beam_warming, validate
@@ -24,6 +26,15 @@ AGREEMENT_PRESETS = [(1, 2), (2, 3), (1, 3)]
 
 # a sampled closed curve; winding_number(*curve, ...) takes its arrays
 Curve = namedtuple("Curve", "params points")
+
+
+@contextlib.contextmanager
+def walk_constants(**values):
+    """The winding walk's constants set for a block: ``max_evaluations=6`` sets ``winding._MAX_EVALUATIONS``."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(winding, f"_{name.upper()}", value)
+        yield
 
 
 def circle_curve(fn, n):
@@ -72,6 +83,7 @@ def test_open_curve_rejected():
     (np.linspace(0.0, 2.0 * np.pi, 5), np.array([1.0, 1j, -1.0, 1.0]), "params and points must have the same length"),
     (np.linspace(0.0, 2.0 * np.pi, 6), np.array([1.0, 1j, -1.0, -1j, 0.5, 0.9]),
      "closed curve must end where it starts"),
+    (np.linspace(0.0, 2.0 * np.pi, 3), np.array([1.0, -1.0, 1.0]), "need at least 3 distinct points on a closed curve"),
 ])
 def test_winding_number_checks_its_curve(params, points, message):
     # a strictly increasing parameter, one point a parameter, and a curve that closes: each checked before any walk
@@ -88,10 +100,9 @@ def test_origin_on_curve_raises():
 
 
 def test_refinement_budget_exceeded():
-    tols = Tolerances(max_evaluations=6)
     curve = circle_curve(lambda t: np.exp(1j * t), 4)
-    with pytest.raises(RefinementBudgetExceeded):
-        winding_number(*curve, tols, evaluator=lambda t: np.exp(1j * t))
+    with walk_constants(max_evaluations=6), pytest.raises(RefinementBudgetExceeded):
+        winding_number(*curve, evaluator=lambda t: np.exp(1j * t))
 
 
 def test_coarse_start_refines_to_correct_index():
@@ -123,7 +134,8 @@ def test_evaluator_called_once_per_pass_with_an_array():
 
 
 def depth_first_reference(curve, tols, evaluator):
-    """The refinement as a scalar depth-first walk over the segments in parameter order."""
+    """The refinement as a scalar depth-first walk over the segments in parameter order, with the walk's
+    constants of ``winding``."""
     params, points = curve.params, curve.points
     scale = float(np.max(np.abs(points)))
     evaluations = params.size
@@ -146,8 +158,8 @@ def depth_first_reference(curve, tols, evaluator):
         t = min(1.0, max(0.0, -(pa * d.conjugate()).real / length**2)) if length else 0.0
         dist = abs(pa + t * d)
         increment = cmath.phase(pb * pa.conjugate())
-        if length > 0 and (abs(increment) > tols.angle_threshold or dist < tols.proximity_factor * length):
-            if evaluations + 1 > tols.max_evaluations:
+        if length > 0 and (abs(increment) > winding._ANGLE_THRESHOLD or dist < winding._PROXIMITY_FACTOR * length):
+            if evaluations + 1 > winding._MAX_EVALUATIONS:
                 return ("origin", evaluations, dist) if dist < tol() else ("budget",)
             tm = 0.5 * (ta + tb)
             pm = complex(evaluator(np.array([tm]))[0])
@@ -164,7 +176,7 @@ def depth_first_reference(curve, tols, evaluator):
     if min_distance < tol():
         return ("origin", evaluations, min_distance)
     turns = total / (2.0 * math.pi)
-    if abs(turns - round(turns)) > tols.integer_tol:
+    if abs(turns - round(turns)) > winding._INTEGER_TOL:
         return ("budget",)
     return ("ok", evaluations, min_distance, round(turns))
 
@@ -200,13 +212,14 @@ def test_matches_depth_first_reference_on_random_curves():
         fn = random_trig_curve(rng)
         n = int(rng.integers(3, 120))
         curve = circle_curve(fn, n)
-        tols = Tolerances(
+        walk = walk_constants(
             max_evaluations=int(rng.choice([n + 1 + int(rng.integers(0, 40)), n + 300, 4096])),
             angle_threshold=float(rng.choice([np.pi / 2, 0.3, 2.5])),
             proximity_factor=float(rng.choice([4.0, 1.0, 0.5, 10.0])),
-            origin_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])),
         )
-        outcomes.add(assert_matches_reference(curve, tols, fn))
+        tols = Tolerances(origin_tol=float(rng.choice([1e-8, 1e-4, 1e-2, 0.3])))
+        with walk:
+            outcomes.add(assert_matches_reference(curve, tols, fn))
     assert outcomes == {"ok", "origin", "budget"}
 
 
@@ -239,7 +252,7 @@ def test_a_midpoint_that_is_not_finite_ends_the_walk():
     with pytest.raises(ValueError, match="curve is not finite at t=") as excinfo:
         winding_number(*circle_curve(lambda t: np.exp(1j * t) - 0.999, 64), evaluator=holed)
     assert 0.01 < float(str(excinfo.value).split("t=")[1]) < 0.03
-    assert len(calls) <= 10 and 65 + sum(calls) <= DEFAULT_TOLS.max_evaluations
+    assert len(calls) <= 10 and 65 + sum(calls) <= winding._MAX_EVALUATIONS
 
 
 class NotFinite(Exception):
@@ -251,7 +264,7 @@ OUTCOME_TYPES = {"ok": "WindingResult", "origin": "OriginOnCurve", "budget": "Re
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on infinities
-def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_meets_it():
+def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_meets_it(monkeypatch):
     # a sample that is not finite is an error before any walk; a midpoint is one where the depth-first walk
     # evaluates it, unless a stop comes first; a stack of curves gives each curve its own outcome
     rng = np.random.default_rng(13)
@@ -262,7 +275,8 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
         holed = lambda t, fn=fn, bad=bad, c=centre, w=width: np.where(np.abs(t - c) < w, bad, fn(t))
         n = int(rng.integers(3, 120))
         curve = circle_curve(holed, n)
-        tols = Tolerances(max_evaluations=int(rng.choice([n + 40, 4096])), origin_tol=float(rng.choice([1e-8, 1e-2])))
+        monkeypatch.setattr(winding, "_MAX_EVALUATIONS", int(rng.choice([n + 40, 4096])))
+        tols = Tolerances(origin_tol=float(rng.choice([1e-8, 1e-2])))
 
         def reference_evaluator(t, holed=holed):
             value = holed(t)
@@ -297,7 +311,7 @@ def test_a_value_that_is_not_finite_ends_the_walk_where_the_depth_first_walk_mee
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # arithmetic on infinities
 def test_a_leaf_increment_that_is_not_finite_is_an_error_not_a_crash():
     for increments in ([np.nan, 1.0], [np.inf, -np.inf], [np.inf]):
-        assert isinstance(_result(np.array(increments), 1.0, 10, DEFAULT_TOLS), RefinementBudgetExceeded)
+        assert isinstance(_result(np.array(increments), 1.0, 10), RefinementBudgetExceeded)
 
 
 # Beam-Warming CFL numbers within about 1e-8 of a stability edge, where the
@@ -405,8 +419,8 @@ def test_lockstep_walk_matches_each_curve_alone():
     # or error is bit for bit its own, and the walk takes one evaluator call a pass of the deepest curve
     rng = np.random.default_rng(11)
     near_edge = [near_edge_curve(orders, lam) for orders, lam, _ in NEAR_EDGE]
-    settings = [Tolerances(), Tolerances(max_evaluations=1100),
-                Tolerances(origin_tol=1e-2, proximity_factor=10.0), Tolerances(angle_threshold=0.3)]
+    settings = [(Tolerances(), {}), (Tolerances(), {"max_evaluations": 1100}),
+                (Tolerances(origin_tol=1e-2), {"proximity_factor": 10.0}), (Tolerances(), {"angle_threshold": 0.3})]
     kinds = set()
     for trial in range(24):
         fns = [random_trig_curve(rng) for _ in range(int(rng.integers(0 if trial % 4 else 1, 6)))]
@@ -414,7 +428,7 @@ def test_lockstep_walk_matches_each_curve_alone():
         stack = [(circle_curve(fn, n), fn) for fn in fns] + near_edge[: trial % 4]
         order = rng.permutation(len(stack))
         stack = [stack[k] for k in order]
-        tols = settings[trial % len(settings)]
+        tols, walk = settings[trial % len(settings)]
         params, points, evaluate = stacked(stack)
         levels = [0] * len(stack)
 
@@ -428,10 +442,11 @@ def test_lockstep_walk_matches_each_curve_alone():
             return lambda t: counted(np.full(t.size, k), t)
 
         calls = []
-        expected = [_bits(_alone(curve, tols, one(k))) for k, (curve, _) in enumerate(stack)]
-        alone_levels = levels[:]
-        levels[:], calls = [0] * len(stack), []
-        walked = winding_numbers(params, points, tols, counted)
+        with walk_constants(**walk):
+            expected = [_bits(_alone(curve, tols, one(k))) for k, (curve, _) in enumerate(stack)]
+            alone_levels = levels[:]
+            levels[:], calls = [0] * len(stack), []
+            walked = winding_numbers(params, points, tols, counted)
         assert [_bits(outcome) for outcome in walked] == expected, trial
         assert levels == alone_levels and len(calls) == max(levels, default=0), trial
         assert all(t.size > 0 for t in calls)
@@ -473,7 +488,7 @@ def as_reference(outcome):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
+def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk(monkeypatch):
     # random curves beside the near-edge determinant curves in one call, under budgets just below, at and just
     # above what a deep walk needs, so that a pass's subtrees cross the budget: every outcome is bit for bit the
     # curve's own and that of the depth-first walk
@@ -487,7 +502,8 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
         deep = rng.choice(len(near_edge), size=int(rng.integers(1, 4)), replace=False)
         stack += [near_edge[k] for k in deep]
         stack = [stack[k] for k in rng.permutation(len(stack))]
-        tols = Tolerances(max_evaluations=needs[deep[0]] + int(rng.integers(-2, 3)))
+        monkeypatch.setattr(winding, "_MAX_EVALUATIONS", needs[deep[0]] + int(rng.integers(-2, 3)))
+        tols = Tolerances()
         params, points, evaluate = stacked(stack)
         walked = winding_numbers(params, points, tols, evaluate)
         for outcome, (curve, fn) in zip(walked, stack):
@@ -497,6 +513,7 @@ def test_frontier_passes_match_each_curve_alone_and_the_depth_first_walk():
             assert got[2:3] == pytest.approx(expected[2:3], rel=1e-9, abs=1e-300)
             kinds.add(got[0])
     assert kinds == {"ok", "origin", "budget"}
+    monkeypatch.undo()
 
     # a value that is not finite, or that is far the largest (even beyond the segment pass's range), where a pass
     # evaluates ahead but the depth-first walk never does changes nothing, and warns of nothing; the determinant
