@@ -49,6 +49,8 @@ class BoundaryCondition:
         object.__setattr__(self, "b", arr)
         if arr.ndim != 2 or len(self.g_plan) != len(arr):
             raise ValueError(f"b must be 2-D with one g_plan entry a row, got shape {arr.shape} and {len(self.g_plan)}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"b must be finite, got {arr.tolist()}")
 
     @property
     def r(self) -> int:

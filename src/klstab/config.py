@@ -2,7 +2,7 @@
 
 Every tolerance that a caller may set is a field of one object threaded
 through the pipeline. The fixed settings live as constants next to the code
-that reads them: ``TRIM_REL`` here, as three modules trim with it, the
+that reads them: ``TRIM_REL`` here, as two modules trim with it, the
 consistency residual in ``scheme`` and the winding walk's budget and
 thresholds in ``winding``.
 """

@@ -19,7 +19,8 @@ The direct count takes the eigenvalues of ``A``; the winding evaluates
 ``det C``, whose coefficients come from LU determinants of ``z I - A`` at
 the ``m + 1`` roots of unity and one FFT, so the two counts share no
 arithmetic. The characteristic roots and their mode matrix remain for
-classifying zeros on the unit circle.
+classifying zeros on the unit circle. They are polished by Newton steps and,
+like the eigenvalues of ``A``, clustered with multiplicity here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .config import DEFAULT_TOLS, TRIM_REL, Tolerances
-from .core_numerics import _cluster, poly_roots
 from .errors import DegenerateLeadingCoefficient, RootAtZero
 from .scheme import Scheme
 
@@ -53,7 +53,27 @@ def stable_roots(s: Scheme, z: complex, tols: Tolerances = DEFAULT_TOLS) -> Tupl
                                            "(leading coefficient a_0 - z ~ 0)")
     coeffs = np.asarray(s.a, dtype=complex).copy()
     coeffs[-1] -= z
-    return poly_roots(coeffs, cluster_radius=tols.cluster_radius)
+    return _roots(coeffs, tols.cluster_radius)
+
+
+def _roots(coeffs: np.ndarray, radius: float) -> Tuple[Tuple[complex, int], ...]:
+    """``(value, multiplicity)`` roots of ascending complex ``coeffs`` (degree >= 1, leading term clear of 0)."""
+    return _cluster(_newton_refine(coeffs, np.roots(coeffs[::-1]))[None], radius)[0]
+
+
+def _newton_refine(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Polish companion-matrix roots by two Newton passes; keep a step only when it reduces |p|."""
+    coeffs, roots = np.asarray(coeffs, dtype=complex), np.asarray(roots, dtype=complex)
+    descending, derivative = coeffs[::-1], (coeffs[1:] * np.arange(1, coeffs.size))[::-1]
+    for _ in range(2):
+        pv = np.polyval(descending, roots)
+        dv = np.polyval(derivative, roots)
+        safe = np.abs(dv) > 1e-300
+        step = np.where(safe, pv / np.where(safe, dv, 1.0), 0.0)
+        candidate = roots - step
+        better = np.abs(np.polyval(descending, candidate)) <= np.abs(pv)
+        roots = np.where(better, candidate, roots)
+    return roots
 
 
 def k_matrix(roots: Sequence[Tuple[complex, int]], i: int, j: int) -> np.ndarray:
@@ -224,6 +244,55 @@ def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List
         if rows := [i for i, flag in enumerate(real) if flag is kind]:
             roots.update(zip(rows, _cluster(values[rows], tols.cluster_radius)))
     return [_split_by_modulus(roots[i], tols) for i in range(len(blocks))]
+
+
+# Relative margin by which the pairs of a row must clear the cluster radius for the vectorized
+# path: numpy's stacked modulus may differ from the scalar one in the last bit.
+_CLUSTER_MARGIN = 1e-9
+
+
+def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int], ...]]:
+    """Each row of ``values`` as ``(mean, multiplicity)`` pairs of its values closer than ``radius``,
+    sorted by real, then imaginary part. Rows of finite values whose pairs all clear the radius are
+    singletons, sorted in one vectorized pass, when no real part is 0 and no imaginary part -0.0
+    (the mean of one member would change a zero's sign); the others go through union-find."""
+    n = values.shape[1]
+    gaps = np.abs(values[:, :, None] - values[:, None, :])
+    # a row of finite values has n gaps of 0, its own; all the others must clear the radius
+    apart = np.add.reduce(gaps > radius * (1.0 + _CLUSTER_MARGIN), axis=(1, 2)) == n * (n - 1)
+    imag = values.imag
+    plain = np.isfinite(values) & (values.real != 0.0) & ((imag != 0.0) | ~np.signbit(imag))
+    simple = (apart & np.logical_and.reduce(plain, axis=1)).tolist()
+    order = np.lexsort((imag, values.real), axis=-1)
+    ordered = values[np.arange(values.shape[0])[:, None], order].astype(complex).tolist()
+    return [tuple((value, 1) for value in row) if single else _union_find(values[i], radius)
+            for i, (row, single) in enumerate(zip(ordered, simple))]
+
+
+def _union_find(values: np.ndarray, radius: float) -> Tuple[Tuple[complex, int], ...]:
+    """Merge values pairwise closer than ``radius`` (transitively, union-find)."""
+    n = values.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= radius:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+
+    clusters: dict[int, list[complex]] = {}
+    for i in range(n):
+        clusters.setdefault(find(i), []).append(values[i])
+    merged = [(complex(np.mean(members)), len(members)) for members in clusters.values()]
+    merged.sort(key=lambda item: (item[0].real, item[0].imag))
+    return tuple(merged)
 
 
 def _split_by_modulus(roots, tols: Tolerances) -> ExteriorRootCount:

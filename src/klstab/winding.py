@@ -187,7 +187,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
     F = {key: seg[key].reshape(rows, n)[walk, :-1].ravel() for key in _KEYS[2:]}
     F.update(ta=np.tile(params[:-1], len(walk)), tb=np.tile(params[1:], len(walk)),
              real=np.ones(F["split"].size, dtype=bool), leaf=~F["split"], pend=F["split"])
-    history, gk, bounds, spent = [F], np.array(walk), (n - 1) * np.arange(len(walk) + 1), n
+    history, gk, bounds = [F], np.array(walk), (n - 1) * np.arange(len(walk) + 1)
     groom, gtop = np.full(len(walk), float(budget - n)), scales[walk]
     glow_mid = glow_leaf = np.full(len(walk), np.inf)
     while True:
@@ -196,11 +196,8 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
         marks = at.searchsorted(bounds)
         count = marks[1:] - marks[:-1]
         groom -= count
-        spent += at.size  # no row's budget test can fail while n plus all splits so far fits
         glow_leaf = np.minimum(glow_leaf, np.minimum.reduceat(np.where(F["leaf"], F["distance"], np.inf), bounds[:-1]))
-        fast = np.minimum(glow_leaf, glow_mid) >= rel * gtop
-        if spent > budget:
-            fast &= groom >= 0
+        fast = (np.minimum(glow_leaf, glow_mid) >= rel * gtop) & (groom >= 0)
         if all(fast.tolist()) and all(count.tolist()):
             take = at
         else:
@@ -252,7 +249,7 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
         gtop = np.fmax(gtop, np.fmax.reduceat(np.fmax(np.fmax.reduce(mid, axis=1), M[:, _CENTER]), marks[:-1]))
         glow_mid = np.fmin(glow_mid, np.fmin.reduceat(np.fmin(np.fmin.reduce(mid, axis=1), M[:, _CENTER]), marks[:-1]))
         walked = np.add.reduceat(past.sum(axis=1), marks[:-1])
-        groom, spent = groom - walked, spent + int(walked.sum())
+        groom = groom - walked
         F.update(mid=mid.ravel(), real=real.ravel(), leaf=(real ^ both).ravel(), pend=(both ^ past).ravel())
         bounds = _W * marks
         history.append(F)

@@ -8,7 +8,6 @@ from klstab import simulator
 from klstab.analyzer import _illinois
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, TRIM_REL, Tolerances
-from klstab.core_numerics import _horner
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme
 from klstab.simulator import SolutionField, _data_table
@@ -17,7 +16,7 @@ from klstab.winding import sample_kl_curve, winding_number
 
 def poly_at(coeffs, z):
     """The polynomial with ascending coefficients ``coeffs`` at the scalar or array ``z``, by Horner's rule."""
-    return _horner(np.asarray(coeffs, dtype=complex), np.asarray(z, dtype=complex))
+    return np.polyval(np.asarray(coeffs, dtype=complex)[::-1], np.asarray(z, dtype=complex))
 
 
 def ghost_row(bc: BoundaryCondition, j: int) -> np.ndarray:
@@ -78,7 +77,7 @@ def stencil_by_numpy(coefficients, lam, trim_rel: float = TRIM_REL) -> np.ndarra
 
 
 def newton_refine_by_polynomials(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:
-    """``core_numerics._newton_refine`` through polynomial objects: Horner over the numpy scalars of the
+    """``kl._newton_refine`` through polynomial objects: Horner over the numpy scalars of the
     coefficients and of the derivative's coefficients, from a zero array each time."""
 
     def horner(c, z):

@@ -449,13 +449,14 @@ def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_b
     assert [len(pairs) for pairs in calls] == [2] + [1] * max_iter
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinant of a block that holds a NaN
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the block overflows, and its determinant is NaN
 def test_bisect_stability_edge_reraises_the_error_of_a_bracket_end():
-    # a NaN in the boundary at the lower end: its outcome is the LinAlgError of its reduction, raised
-    nan_end = lambda lam, sigma: (custom_condition([[np.nan, 0.1, 0.2], [0.1, 0.2, 0.3]]) if lam == 1.45 else
+    # a finite boundary at the lower end whose update block overflows to inf (a boundary that is not finite is
+    # refused when it is built): its outcome is the LinAlgError of its reduction, raised
+    inf_end = lambda lam, sigma: (custom_condition([[1.7e308, 0.1, 0.2], [1.7e308, 0.2, 0.3]]) if lam == 1.45 else
                                   s2ilw3_family(lam, sigma))
     with pytest.raises(np.linalg.LinAlgError):
-        bisect_stability_edge(bw_family, nan_end, 1.45, 1.55, n0=256)
+        bisect_stability_edge(bw_family, inf_end, 1.45, 1.55, n0=256)
 
 
 def test_bisect_stability_edge_redoes_a_prediction_on_the_wrong_side(monkeypatch):

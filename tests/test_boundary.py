@@ -170,3 +170,12 @@ def test_the_constructor_refuses_a_b_that_fixes_no_shape(b, g_plan):
     # r and m are the shape of b, so b must be a matrix with one plan entry a row
     with pytest.raises(ValueError, match=r"^b must be 2-D with one g_plan entry a row, got shape"):
         BoundaryCondition(b=b, g_plan=g_plan)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_b_that_is_not_finite_is_refused(value):
+    b = [[0.5, 0.25], [0.1, value]]
+    with pytest.raises(ValueError, match=r"^b must be finite, got \[\[0\.5, 0\.25\], \[0\.1, -?(nan|inf)\]\]$"):
+        custom_condition(b)
+    with pytest.raises(ValueError, match=r"^b must be finite"):
+        BoundaryCondition(b=b, g_plan=((), ()))

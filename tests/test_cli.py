@@ -290,11 +290,17 @@ def test_sigma_is_refused_beside_a_custom_boundary(tmp_path, capsys, command):
     ({}, 'bad boundary condition: a --custom-b file holds exactly the key "b", got []'),
     ([[0.0, 0.0], [0.0, 0.0]], "a --custom-b file must be a JSON object, got [[0.0, 0.0], [0.0, 0.0]]"),
     ({"b": [0.1, 0.2]}, "bad boundary condition: custom boundary matrix must be two-dimensional"),
+    # json.load reads NaN and Infinity, which json.dumps writes
+    ({"b": [[float("nan"), 0.1, 0.2], [0.1, 0.2, 0.3]]},
+     "bad boundary condition: b must be finite, got [[nan, 0.1, 0.2], [0.1, 0.2, 0.3]]"),
+    ({"b": [[0.1, 0.2, 0.3], [0.1, float("inf"), 0.3]]},
+     "bad boundary condition: b must be finite, got [[0.1, 0.2, 0.3], [0.1, inf, 0.3]]"),
 ])
+@pytest.mark.filterwarnings("error")  # no numpy warning precedes the error line
 def test_custom_b_file_holds_exactly_b(tmp_path, capsys, content, message):
     bfile = tmp_path / "b.json"
     bfile.write_text(json.dumps(content))
-    for argv in (["check", "--lambda", "0.8"], ["sweep", "--lambda-grid", "0.8:0.8:1"],
+    for argv in (["check", "--lambda", "0.8"], ["curve", "--lambda", "0.8"], ["sweep", "--lambda-grid", "0.8:0.8:1"],
                  ["simulate", "--lambda", "0.6", "--sigma-grid=0:0:1", "--grid-points", "20"]):
         assert run_cli(argv + ["--custom-b", str(bfile)]) == 1
         captured = capsys.readouterr()

@@ -5,10 +5,10 @@ import pytest
 
 from klstab.boundary import assemble_B, custom_condition, silw_condition
 from klstab.config import DEFAULT_TOLS
-from klstab.core_numerics import poly_roots
 from klstab.errors import DegenerateLeadingCoefficient, RootAtZero
 from klstab.kl import (
     ReducedBoundary,
+    _roots,
     exterior_zero_count_direct,
     k_matrix,
     kl_det_stack,
@@ -500,8 +500,8 @@ def test_zero_set_invariant_under_rescaling():
     # multiplying the determinant by a_{-r}^2 must not move its zeros
     s = make_beam_warming(1.4)
     rb = reduce_boundary(s, S2ILW3())
-    base = poly_roots(rb.det_c)
-    scaled = poly_roots(rb.det_c * s.a_lead**2)
+    base = _roots(rb.det_c, DEFAULT_TOLS.cluster_radius)
+    scaled = _roots(rb.det_c * s.a_lead**2, DEFAULT_TOLS.cluster_radius)
     key = lambda v: (round(v.real, 8), round(v.imag, 8))
     np.testing.assert_allclose(
         sorted([v for v, _ in base], key=key), sorted([v for v, _ in scaled], key=key), atol=1e-8
