@@ -5,7 +5,7 @@ pair to its closed update block and determinant polynomial, count exterior
 determinant zeros by winding, cross-check against the block's eigenvalues,
 and classify any zero sitting on the unit circle itself (eigenvalue away
 from the symbol curve, eigenvalue on it, or generalized eigenvalue).
-``analyze_many`` runs it for many pairs as stacked arrays; ``analyze`` is its one-pair call.
+``analyze_many`` runs it, unclassified, for many pairs as stacked arrays; ``analyze`` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import json
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -138,21 +138,22 @@ _ROW_ERRORS = (KLStabError, ValueError, ArithmeticError)
 
 
 def analyze(s: Scheme, bc: BoundaryCondition, tols: Tolerances = DEFAULT_TOLS, n0: int = 1024) -> StabilityVerdict:
-    """Full decision procedure for one (scheme, boundary condition) pair: its :func:`analyze_many`."""
+    """Full decision procedure for one (scheme, boundary condition) pair: its :func:`analyze_many`, classified."""
     (outcome,) = analyze_many([(s, bc)], tols, n0)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    on_circle = outcome.status is StabilityStatus.UNSTABLE_BOUNDARY_ZERO
+    return _classify_band_zeros(s, bc, outcome, tols) if on_circle else outcome
 
 
-def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolerances = DEFAULT_TOLS, n0: int = 1024,
-                 *, classify: bool = True) -> List[Union[StabilityVerdict, Exception]]:
+def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolerances = DEFAULT_TOLS,
+                 n0: int = 1024) -> List[Union[StabilityVerdict, Exception]]:
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
     Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
     by ``(r, m)`` and decided in stacked blocks; the curves are wound 4 at a time, those whose first winding level
-    needs a split or comes near the origin walked together. Each verdict is bit for bit the one the pair gets alone;
-    ``classify=False`` leaves the zeros of an ``UnstableBoundaryZero`` verdict unclassified, ``boundary_zeros`` empty.
+    needs a split or comes near the origin walked together. Each verdict is bit for bit the one the pair gets alone.
+    The zeros of an ``UnstableBoundaryZero`` verdict are left unclassified, ``boundary_zeros`` empty.
     """
     if n0 < 64:  # an error of the call, not of a pair
         raise ValueError("n0 must be at least 64")
@@ -171,11 +172,11 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
             outcomes[k] = StabilityVerdict(StabilityStatus.ASSUMPTION_VIOLATED, None, (), report)
     for rows in groups.values():
         for start in range(0, len(rows), _BLOCK):
-            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0, classify)
+            _decide_block(rows[start:start + _BLOCK], outcomes, tols, n0)
     return outcomes
 
 
-def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, classify: bool) -> None:
+def _decide_block(block, outcomes: list, tols: Tolerances, n0: int) -> None:
     """Decide validated ``(k, scheme, boundary, report)`` rows that share ``r`` and ``m`` into ``outcomes``."""
     a = np.array([s.a for _, s, _, _ in block])
     try:
@@ -184,19 +185,16 @@ def _decide_block(block, outcomes: list, tols: Tolerances, n0: int, classify: bo
         windings = [winding for start in range(0, len(a), _CURVE_ROWS) for winding in
                     _windings(det_c[start:start + _CURVE_ROWS], a[start:start + _CURVE_ROWS], n0, tols)]
     except _ROW_ERRORS as exc:
-        # a row whose factor a_{-r}^(-m) overflows, whose block is not finite, or whose curve raises fails
+        # a row whose factor a_{-r}^(-m), block or det C leaves the float range, or whose curve raises, fails
         # the stacked calls; alone, that is its error, and in a block the rows are decided one at a time
         if len(block) == 1:
             outcomes[block[0][0]] = exc
         else:
             for row in block:
-                _decide_block([row], outcomes, tols, n0, classify)
+                _decide_block([row], outcomes, tols, n0)
         return
-    for (k, s, bc, report), det, direct, winding in zip(block, det_c, directs, windings):
-        try:
-            outcomes[k] = _verdict(s, bc, report, det, direct, winding, tols, classify)
-        except _ROW_ERRORS as exc:
-            outcomes[k] = exc
+    for (k, _, _, report), det, direct, winding in zip(block, det_c, directs, windings):
+        outcomes[k] = _verdict(report, det, direct, winding)
 
 
 def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, tols: Tolerances) -> list:
@@ -213,13 +211,12 @@ def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, tols: Tolerances) -> li
     return winding_numbers(params, points, tols, evaluate)
 
 
-def _verdict(s, bc, report, det_c, direct, winding, tols, classify) -> StabilityVerdict:
+def _verdict(report, det_c, direct, winding) -> StabilityVerdict:
     """The verdict of a validated pair from its ``det C`` coefficients, its direct count and its winding
-    result, or the error that stopped its winding walk; its boundary zeros are classified with ``classify``."""
-    zeros, notes, count = (), [], None
+    result, or the error that stopped its winding walk; its boundary zeros are left unclassified."""
+    notes, count = [], None
     if isinstance(winding, OriginOnCurve):
         status, winding = StabilityStatus.UNSTABLE_BOUNDARY_ZERO, winding.result
-        zeros = _classify_band_zeros(s, bc, det_c, direct, tols, notes) if classify else ()
     elif isinstance(winding, Exception):  # a budget exceeded or a curve value that is not finite
         notes.append(f"winding failed: {winding}")
         status, winding = StabilityStatus.INCONCLUSIVE, None
@@ -234,25 +231,25 @@ def _verdict(s, bc, report, det_c, direct, winding, tols, classify) -> Stability
             status, count = StabilityStatus.INCONCLUSIVE, None
         else:
             status = StabilityStatus.UNSTABLE_EXTERIOR_EIGENVALUE if count else StabilityStatus.STRONGLY_STABLE
-    return StabilityVerdict(status, count, zeros, report, winding, direct, tuple(det_c.tolist()), tuple(notes))
+    return StabilityVerdict(status, count, (), report, winding, direct, tuple(det_c.tolist()), tuple(notes))
 
 
-def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, det_c: np.ndarray, direct: ExteriorRootCount,
-                         tols: Tolerances, notes: List[str]) -> Tuple[BoundaryZero, ...]:
-    """Locate and classify determinant zeros on (or numerically on) the circle.
+def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, verdict: StabilityVerdict,
+                         tols: Tolerances) -> StabilityVerdict:
+    """``verdict`` with its determinant zeros on (or numerically on) the circle located and classified.
 
     Eigenvalues of the update block in the band around the unit circle are
     sharper than curve-proximity estimates; if none are found the closest curve point is
-    classified instead so the verdict still names a witness.
+    classified instead so the verdict still names a witness, and a note says so.
     """
-    candidates = [complex(v) for v, _ in direct.boundary_band]
+    candidates, notes = [complex(v) for v, _ in verdict.direct_count.boundary_band], ()
     if not candidates:
         thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         z = np.exp(1j * thetas)
-        values = np.abs(kl_det_stack(det_c, s.a_lead, s.a_zero, s.r, z) / z**s.r)
+        values = np.abs(kl_det_stack(np.array(verdict.det_c_coeffs), s.a_lead, s.a_zero, s.r, z) / z**s.r)
         z0 = complex(np.exp(1j * thetas[int(np.argmin(values))]))
         candidates = [z0]
-        notes.append("no determinant root inside the circle band; classified the closest curve point")
+        notes = ("no determinant root inside the circle band; classified the closest curve point",)
     zeros = []
     for z0 in candidates:
         z0_on_circle = z0 / abs(z0)
@@ -261,7 +258,7 @@ def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, det_c: np.ndarray, di
         except (IllConditionedKernel, DegenerateLeadingCoefficient):
             classification = BoundaryZeroType.UNRESOLVED
         zeros.append(BoundaryZero(z0=z0, classification=classification))
-    return tuple(zeros)
+    return replace(verdict, boundary_zeros=tuple(zeros), notes=verdict.notes + notes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +415,7 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
 
     def stable(lam: float) -> bool:
         if lam not in known:
-            (known[lam],) = analyze_many([pair(lam)], tols, n0, classify=False)
+            (known[lam],) = analyze_many([pair(lam)], tols, n0)
         verdict = known[lam]
         if isinstance(verdict, Exception):
             raise verdict
@@ -454,7 +451,7 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
         if abs(stable_end - start) > step:
             # the first step, taken when the verdict at start is the unstable one that the prediction expects
             lams.append(start + (step if stable_end > start else -step))
-    known.update(zip(lams, analyze_many([pair(lam) for lam in lams], tols, n0, classify=False)))
+    known.update(zip(lams, analyze_many([pair(lam) for lam in lams], tols, n0)))
     sa, sb = stable(lam_a), stable(lam_b)
     if sa == sb:
         raise ValueError(f"no transition: both endpoints have stable={sa}")

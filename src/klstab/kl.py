@@ -170,23 +170,26 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition) -> ReducedBoundary:
 def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only closed blocks ``A`` (N, m, m) and ``det C`` coefficients (N, m+1) of a stack of pairs.
 
-    ``det(z I - A)`` is monic of degree ``m``; its values at the ``m + 1``
-    roots of unity (one stacked LU call) give its coefficients through one
-    FFT, and ``det C`` is that polynomial times ``(-1)^((r+1)m) a_{-r}^(-m)``.
+    ``det(z I - A)`` is monic of degree ``m``; its values at the ``m + 1`` roots of unity (one stacked LU call) give
+    its coefficients through one FFT, and ``det C`` is that polynomial times ``(-1)^((r+1)m) a_{-r}^(-m)``. Raises
+    ``OverflowError`` when ``a_{-r}^(-m)``, a block or ``det C`` leaves the float range.
     """
     r, m = a.shape[1] - 1, b.shape[2]
-    blocks = upwind_blocks(a, b)
-    blocks.setflags(write=False)
-    values = np.linalg.det(_node_diagonals(m) - blocks[:, None])
-    # values[k] = sum_j c_j z_k^j, an inverse DFT of the coefficients;
-    # A is real, so they are too
-    coeffs = np.fft.fft(values, axis=-1).real / (m + 1)
-    try:
-        factor = np.array([(-1) ** ((r + 1) * m) * lead ** (-m) for lead in a[:, 0].tolist()])  # Python floats
-    except OverflowError:
-        lead = float(min(a[:, 0], key=abs))
-        raise OverflowError(f"a_{{-r}}^(-m) = ({lead!r})^(-{m}) is beyond the float range") from None
-    return blocks, (factor[:, None] * coeffs).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # a result that is not finite is refused below
+        blocks = upwind_blocks(a, b)
+        blocks.setflags(write=False)
+        values = np.linalg.det(_node_diagonals(m) - blocks[:, None])
+        # values[k] = sum_j c_j z_k^j, an inverse DFT of the coefficients; A is real, so they are too
+        coeffs = np.fft.fft(values, axis=-1).real / (m + 1)
+        try:
+            factor = np.array([(-1) ** ((r + 1) * m) * lead ** (-m) for lead in a[:, 0].tolist()])  # Python floats
+        except OverflowError:
+            lead = float(min(a[:, 0], key=abs))
+            raise OverflowError(f"a_{{-r}}^(-m) = ({lead!r})^(-{m}) is beyond the float range") from None
+        det_c = (factor[:, None] * coeffs).astype(complex)
+    if not (np.isfinite(blocks).all() and np.isfinite(det_c).all()):
+        raise OverflowError("the determinant curve is not finite: det C or its prefactor leaves the float range")
+    return blocks, det_c
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,14 +239,8 @@ def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List
     the update block with modulus above 1, clustered with multiplicity (one ``eigvals`` call for all).
     Eigenvalues inside the band around the unit circle are reported apart, for the caller to classify.
     """
-    eigenvalues = np.linalg.eigvals(blocks)
-    # a block's own eigvals call returns real values exactly when all its imaginary parts are 0
-    real = np.logical_and.reduce(eigenvalues.imag == 0.0, axis=-1).tolist()
-    roots = {}
-    for kind, values in ((True, eigenvalues.real), (False, eigenvalues)):
-        if rows := [i for i, flag in enumerate(real) if flag is kind]:
-            roots.update(zip(rows, _cluster(values[rows], tols.cluster_radius)))
-    return [_split_by_modulus(roots[i], tols) for i in range(len(blocks))]
+    roots = _cluster(np.linalg.eigvals(blocks), tols.cluster_radius)
+    return [_split_by_modulus(row, tols) for row in roots]
 
 
 # Relative margin by which the pairs of a row must clear the cluster radius for the vectorized
@@ -252,10 +249,11 @@ _CLUSTER_MARGIN = 1e-9
 
 
 def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int], ...]]:
-    """Each row of ``values`` as ``(mean, multiplicity)`` pairs of its values closer than ``radius``,
-    sorted by real, then imaginary part. Rows of finite values whose pairs all clear the radius are
-    singletons, sorted in one vectorized pass, when no real part is 0 and no imaginary part -0.0
-    (the mean of one member would change a zero's sign); the others go through union-find."""
+    """Each row of ``values`` as ``(mean, multiplicity)`` pairs of its values closer than ``radius``, sorted by real,
+    then imaginary part. Rows of finite values whose pairs all clear the radius are singletons, sorted in one
+    vectorized pass, when no real part is 0 and no imaginary part -0.0 (the mean of one member would change a zero's
+    sign); the others go through union-find, as real numbers when all their imaginary parts are 0: ``eigvals`` of
+    such a block alone returns them real, and numpy's complex mean of three or more may differ in the last bit."""
     n = values.shape[1]
     gaps = np.abs(values[:, :, None] - values[:, None, :])
     # a row of finite values has n gaps of 0, its own; all the others must clear the radius
@@ -265,7 +263,8 @@ def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int
     simple = (apart & np.logical_and.reduce(plain, axis=1)).tolist()
     order = np.lexsort((imag, values.real), axis=-1)
     ordered = values[np.arange(values.shape[0])[:, None], order].astype(complex).tolist()
-    return [tuple((value, 1) for value in row) if single else _union_find(values[i], radius)
+    return [tuple((value, 1) for value in row) if single else
+            _union_find(values[i].real if not imag[i].any() else values[i], radius)
             for i, (row, single) in enumerate(zip(ordered, simple))]
 
 

@@ -46,13 +46,13 @@ class GaussianPulse:
 
 
 def _check_run(J: int, T: float, a: float) -> None:
-    """Refuse a run without an interior cell, or whose final time or velocity is not positive (NaN too)."""
+    """Refuse a run without an interior cell, whose final time is not positive or whose velocity is not in (0, inf)."""
     if J < 1:
         raise ValueError(f"the run needs at least one interior cell, got J={J}")
     if not T > 0:
         raise ValueError(f"the final time must be positive, got T={T}")
-    if not a > 0:
-        raise ValueError(f"the advection velocity must be positive, got a={a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"the advection velocity must be {'finite' if a > 0 else 'positive'}, got a={a}")
 
 
 def _step_count(T: float, dt: float) -> int:

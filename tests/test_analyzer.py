@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -449,13 +450,13 @@ def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_b
     assert [len(pairs) for pairs in calls] == [2] + [1] * max_iter
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the block overflows, and its determinant is NaN
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the block of the rho(A) solve overflows
 def test_bisect_stability_edge_reraises_the_error_of_a_bracket_end():
     # a finite boundary at the lower end whose update block overflows to inf (a boundary that is not finite is
-    # refused when it is built): its outcome is the LinAlgError of its reduction, raised
+    # refused when it is built): its outcome is the OverflowError of its reduction, raised
     inf_end = lambda lam, sigma: (custom_condition([[1.7e308, 0.1, 0.2], [1.7e308, 0.2, 0.3]]) if lam == 1.45 else
                                   s2ilw3_family(lam, sigma))
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(OverflowError):
         bisect_stability_edge(bw_family, inf_end, 1.45, 1.55, n0=256)
 
 
@@ -512,7 +513,7 @@ def test_flip_prediction_raises_where_its_curve_leaves_the_float_range():
 def test_verdicts_without_classification_differ_only_in_their_boundary_zeros():
     schemes = [make_beam_warming(lam) for _, lam, _ in NEAR_EDGE]
     pairs = [(s, silw_condition(s.r, *orders, 0.0)) for s, (orders, _, _) in zip(schemes, NEAR_EDGE)]
-    classified, unclassified = analyze_many(pairs), analyze_many(pairs, classify=False)
+    classified, unclassified = [analyze(*pair) for pair in pairs], analyze_many(pairs)
     assert StabilityStatus.UNSTABLE_BOUNDARY_ZERO in [verdict.status for verdict in classified]
     assert any(verdict.boundary_zeros for verdict in classified)
     for full, bare in zip(classified, unclassified, strict=True):
@@ -542,6 +543,23 @@ def test_the_edge_search_classifies_no_boundary_zero(monkeypatch):
     verdict = analyze(make_beam_warming(1.5175048345), silw_condition(2, 2, 3, 0.0))
     assert verdict.status is StabilityStatus.UNSTABLE_BOUNDARY_ZERO and verdict.boundary_zeros
     assert len(classified) >= 1
+
+
+def test_a_sweep_classifies_no_boundary_zero(monkeypatch):
+    classified = []
+
+    def counted(*args, **kwargs):
+        classified.append(args)
+        return classify_boundary_zero(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "classify_boundary_zero", counted)
+    # S2ILW3 meets a boundary zero at CFL 1 and next to the Fig. 5 edge, at offset 0; the CSV drops its classes
+    result = sweep(bw_family, s2ilw3_family, [0.7, 1.0, 1.5175048345], [0.0, 0.2])
+    assert classified == []
+    assert result.to_csv() == ("lambda,sigma,zero_count,status\n"
+                               "0.7,0.0,0,StronglyStable\n0.7,0.2,0,StronglyStable\n"
+                               "1.0,0.0,-1,UnstableBoundaryZero\n1.0,0.2,0,StronglyStable\n"
+                               "1.5175048345,0.0,-1,UnstableBoundaryZero\n1.5175048345,0.2,0,StronglyStable\n")
 
 
 def test_a_boundary_whose_curve_passes_1e154_is_decided_at_once():
@@ -583,13 +601,17 @@ def test_analyze_inconclusive_on_exhausted_refinement(monkeypatch):
     assert any("refinement exceeded" in note for note in verdict.notes)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the determinant overflows on purpose
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the curve overflows on purpose
 def test_analyze_inconclusive_on_a_curve_that_is_not_finite():
-    # extrapolation weights of 1e250 leave det C beyond the float range, and the curve with it
+    # an extrapolation weight of 8e307 leaves det C finite, with coefficients 8e307 and -1.6e308, and its curve
+    # beyond the float range around z = -1, where they add up
+    verdict = analyze(Scheme.from_coefficients([0.5, 0.5], 0.5), custom_condition([[8e307, 0.0]]))
+    assert verdict.status is StabilityStatus.INCONCLUSIVE and verdict.winding is None
+    assert verdict.notes == ("winding failed: curve is not finite at t=2.2457478734645786",)
+    # weights of 1e250 and 1e305 leave det C itself beyond the float range: the reduction refuses the pair
     for weight in (1e250, 1e305):
-        verdict = analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), weight)))
-        assert verdict.status is StabilityStatus.INCONCLUSIVE and verdict.winding is None
-        assert verdict.notes == ("winding failed: curve is not finite at t=0.0",)
+        with pytest.raises(OverflowError, match="det C or its prefactor leaves the float range"):
+            analyze(make_beam_warming(0.7), custom_condition(np.full((2, 3), weight)))
 
 
 def test_analyze_restricts_boundary_rows_at_unit_cfl():
@@ -610,11 +632,25 @@ def test_verdict_json_exports_det_c_coefficients():
 
 
 def _alone(pair, n0=1024):
+    """The outcome of one pair in a stack of its own."""
+    (outcome,) = analyze_many([pair], n0=n0)
+    return outcome
+
+
+def _analyzed(pair):
     """``analyze`` of one pair, or the error it raises."""
     try:
-        return analyze(*pair, n0=n0)
+        return analyze(*pair)
     except Exception as exc:
         return exc
+
+
+def _unclassified(outcome):
+    """An outcome of ``analyze`` without its classified zeros and the note of their classification."""
+    if isinstance(outcome, Exception):
+        return outcome
+    notes = tuple(note for note in outcome.notes if not note.startswith("no determinant root inside the circle"))
+    return dataclasses.replace(outcome, boundary_zeros=(), notes=notes)
 
 
 def _comparable(outcome):
@@ -653,6 +689,10 @@ def test_analyze_many_matches_one_pair_at_a_time(lagrange_upwind):
                and json.loads(e)["diagnostics"]["winding"]["samples_used"] > 1025 for e in expected)
     batched = analyze_many(pairs)
     assert [_comparable(o) for o in batched] == expected
+    # analyze adds the classification of the boundary zeros alone
+    analyzed = [_analyzed(pair) for pair in pairs]
+    assert any(isinstance(outcome, StabilityVerdict) and outcome.boundary_zeros for outcome in analyzed)
+    assert [_comparable(_unclassified(outcome)) for outcome in analyzed] == expected
     order = rng.permutation(len(pairs))
     shuffled = analyze_many([pairs[k] for k in order])
     assert [_comparable(o) for o in shuffled] == [expected[k] for k in order]

@@ -179,6 +179,8 @@ def test_simulate_matches_the_readme_csv(capsys):
     ("--final-time", "-1", "final time must be positive"),
     # 1.7e303 steps: the data table would exceed numpy's largest dimension
     ("--final-time", "1e300", "--final-time or --velocity: the final time T=1e+300"),
+    # dt = 0 at an infinite velocity
+    ("--velocity", "inf", "--grid-points, --final-time or --velocity: the advection velocity must be finite"),
 ])
 def test_simulate_rejects_bad_run_geometry(capsys, flag, value, message):
     argv = ["simulate", "--lambda", "0.6", "--silw", "2", "3", "--sigma-grid=0:0:1", flag, value]
@@ -377,6 +379,24 @@ def test_reduction_beyond_the_float_range_prints_one_line(tmp_path, capsys):
     out = tmp_path / "map.csv"
     assert run_cli(["sweep", "--lambda-grid", "1e-9:1e-9:1", "--custom-b", str(path), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1:] == ["1e-09,0.0,-1,Inconclusive"]
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed
+@pytest.mark.parametrize("lam", ["0.7", "1.45"])
+def test_a_boundary_whose_reduction_leaves_the_float_range_prints_one_line(tmp_path, capsys, lam):
+    # finite rows whose det C (at CFL 0.7) or update block itself (at CFL 1.45) overflows: check and curve refuse
+    # the pair, and its sweep cell is Inconclusive
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"b": [[1.7e308, 0.1, 0.2], [1.7e308, 0.2, 0.3]]}))
+    for command in ("check", "curve"):
+        assert run_cli([command, "--lambda", lam, "--custom-b", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the determinant curve is not finite: det C or its prefactor leaves the "
+                                "float range\n")
+    assert run_cli(["sweep", "--lambda-grid", f"{lam}:{lam}:1", "--custom-b", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [f"{lam},0.0,-1,Inconclusive"] and captured.err == ""
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from klstab.config import DEFAULT_TOLS
-from klstab.kl import _cluster, _newton_refine, _roots, _union_find
+from klstab.kl import _cluster, _newton_refine, _roots, _union_find, exterior_counts
 from oracles import newton_refine_by_polynomials, poly_at
 
 
@@ -128,6 +128,18 @@ def test_cluster_vectorized_rows_match_union_find():
     for values in (rows, real, np.sort(real, axis=1)):
         # repr tells the signs of zeros apart
         assert repr(_cluster(values, 1e-7)) == repr([_union_find(row, 1e-7) for row in values])
+    # a real triple cluster is merged as real numbers in a complex row too: numpy's complex mean of these three
+    # values differs from the real one in the last bit
+    triple = np.array([1.1, 1.1 + 1e-8, 1.1 + 2e-8])
+    assert np.mean(triple.astype(complex)) != np.mean(triple)
+    assert repr(_cluster(triple.astype(complex)[None], 1e-7)) == repr(_cluster(triple[None], 1e-7))
+    # so a block of that spectrum counts the same in a stack with complex spectra as alone
+    rotation = np.array([[0.5, -1.2, 0.0], [1.2, 0.5, 0.0], [0.0, 0.0, 0.3]])
+    blocks = np.array([rotation, np.diag(triple), 0.5 * rotation])
+    assert np.linalg.eigvals(blocks[1:2]).dtype == float and np.linalg.eigvals(blocks).dtype == complex
+    counts = exterior_counts(blocks)
+    assert counts[1].exterior == ((complex(np.mean(triple)), 3),)
+    assert repr(counts) == repr([exterior_counts(block[None])[0] for block in blocks])
 
 
 def test_newton_refine_matches_polynomial_objects_bit_for_bit(lagrange_upwind):

@@ -143,6 +143,7 @@ def test_march_refuses_ten_million_steps_of_a_direct_run():
     ("a", math.nan, r"^the advection velocity must be positive, got a=nan$"),
     ("T", -1.0, r"^the final time must be positive, got T=-1\.0$"),
     ("dt", math.nan, r"^dt=nan does not match lambda\*dx/a=0\.05$"),
+    ("a", math.inf, r"^the advection velocity must be finite, got a=inf$"),
 ])
 def test_march_refuses_bad_fields_of_a_direct_run(field, value, message):
     # from_cfl and march share their checks; a NaN fails them instead of slipping past a > test
