@@ -24,7 +24,8 @@ import numpy as np
 from .boundary import BoundaryCondition, assemble_B
 from .config import DEFAULT_TOLS, Tolerances
 from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabError, OriginOnCurve
-from .kl import ExteriorRootCount, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots, upwind_blocks
+from .kl import (ExteriorRootCount, check_finite, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots,
+                 upwind_blocks)
 from .scheme import AssumptionReport, Scheme, validate
 from .winding import WindingResult, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
@@ -202,11 +203,13 @@ def _windings(det_c: np.ndarray, a: np.ndarray, n0: int, tols: Tolerances) -> li
     time, so that a chunk's arrays are freed before the next chunk's are made and numpy reuses their heap memory:
     kept until then, they cost a jobs-1 ``sigma-map`` sweep about 400 more minor faults and 8 %."""
     r = a.shape[1] - 1
-    params, points = sample_kl_curves(det_c, a[:, 0], a[:, -1], r, n0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the walk refuses a curve value that is not finite
+        params, points = sample_kl_curves(det_c, a[:, 0], a[:, -1], r, n0)
 
     def evaluate(rows, theta):
         z = np.exp(1j * theta)[:, None]
-        return (kl_det_stack(det_c[rows], a[rows, 0], a[rows, -1], r, z) / z**r)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (kl_det_stack(det_c[rows], a[rows, 0], a[rows, -1], r, z) / z**r)[:, 0]
 
     return winding_numbers(params, points, tols, evaluate)
 
@@ -244,11 +247,9 @@ def _classify_band_zeros(s: Scheme, bc: BoundaryCondition, verdict: StabilityVer
     """
     candidates, notes = [complex(v) for v, _ in verdict.direct_count.boundary_band], ()
     if not candidates:
-        thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        z = np.exp(1j * thetas)
-        values = np.abs(kl_det_stack(np.array(verdict.det_c_coeffs), s.a_lead, s.a_zero, s.r, z) / z**s.r)
-        z0 = complex(np.exp(1j * thetas[int(np.argmin(values))]))
-        candidates = [z0]
+        # the closing point repeats the first, so it is never the first minimum
+        params, points = sample_kl_curves(np.array(verdict.det_c_coeffs), s.a_lead, s.a_zero, s.r, 4096)
+        candidates = [complex(np.exp(1j * params[int(np.argmin(np.abs(points)))]))]
         notes = ("no determinant root inside the circle band; classified the closest curve point",)
     zeros = []
     for z0 in candidates:
@@ -286,7 +287,7 @@ def _sweep_chunk(scheme_family, bc_family, tols: Tolerances, n0: int, cells) -> 
             schemes[lam] = schemes.get(lam) or scheme_family(lam)
             pairs.append((schemes[lam], bc_family(lam, sigma)))
             index.append(k)
-        except KLStabError:
+        except _ROW_ERRORS:  # the cell stays Inconclusive, as does a pair that raises
             pass
     results = [(-1, StabilityStatus.INCONCLUSIVE.value)] * len(cells)
     for k, verdict in zip(index, analyze_many(pairs, tols, n0)):
@@ -306,8 +307,8 @@ def sweep(scheme_family: Callable[[float], Scheme], bc_family: Callable[[float, 
     cells, CPUs)`` processes, ``workers - 1`` are forked (in-process where ``fork`` does not exist) and, with the
     caller, claim the next undecided chunk from one shared counter until none is left. The chunks join in order,
     so the result is identical for any parallelism degree, and an error is the one of the lowest chunk that
-    raised, as at ``jobs=1``. A cell whose families raise a :class:`~klstab.errors.KLStabError`, or whose pair
-    raises, is ``Inconclusive`` with count -1, not an abort.
+    raised, as at ``jobs=1``. A cell whose families or pair raise a :class:`~klstab.errors.KLStabError`, a
+    ``ValueError`` or an ``ArithmeticError`` is ``Inconclusive`` with count -1, not an abort.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -411,7 +412,10 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     @functools.lru_cache(maxsize=None)
     def spectrum(lam: float):
         s, bc = pair(lam)
-        return s, np.linalg.eigvals(upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # a block that is not finite is refused below
+            block = upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0]
+        check_finite(block)
+        return s, np.linalg.eigvals(block)
 
     def stable(lam: float) -> bool:
         if lam not in known:
@@ -440,7 +444,7 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
 
     try:
         x = _illinois(excess, lo, hi)
-    except (KLStabError, ValueError):
+    except _ROW_ERRORS:
         x = None
     lams = [lam_a, lam_b]
     if x is not None:

@@ -41,7 +41,7 @@ from .errors import KLStabError
 from .scheme import PRESETS, Scheme
 from .simulator import GaussianPulse, IBVPRun, sigma_scan
 from .winding import curve_to_csv, sample_kl_curve
-from .kl import reduce_boundary
+from .kl import check_finite, reduce_boundary
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=float, help="grid offset in [-1/2, 1/2), default 0")
     for p in (p_check, p_curve, p_sweep):
         p.add_argument("--samples", type=int, help="curve samples on the unit circle (default 1024)")
-    for p in (p_check, p_sweep):
-        for name in (f.name for f in fields(Tolerances)):
+    for p, skip in ((p_check, None), (p_sweep, "kernel_tol")):  # no sweep classifies a boundary zero
+        for name in (f.name for f in fields(Tolerances) if f.name != skip):
             p.add_argument(f"--{name.replace('_', '-')}", type=float, help=f"override tolerance {name}")
     parser.commands = sub.choices
     return parser
@@ -219,8 +219,9 @@ def _families(args):
 
     ``scheme_at(lam)`` is the scheme at CFL ``lam``, cached so that the boundaries of a CFL value reuse its
     scheme; ``boundary_at(lam, sigma=None)`` is the boundary fitted to it: the ``--silw`` orders at the offset
-    ``sigma`` (0 when None), or the rows of the ``--custom-b`` file, which has no offset, so ``check`` and
-    ``curve`` refuse ``--sigma`` beside it. Exactly one of ``--silw`` and ``--custom-b`` is given.
+    ``sigma`` (0 when None), or the ``--custom-b`` rows, which have no offset, so ``check`` and ``curve`` refuse
+    ``--sigma`` beside them. Exactly one of ``--silw`` and ``--custom-b`` is given, and not both ``--preset``
+    and ``--coefficients``.
     """
     custom_path = args.custom_b
     if args.silw is not None and custom_path is not None:
@@ -235,11 +236,12 @@ def _families(args):
         if list(custom) != ["b"]:
             raise UsageError(f'bad boundary condition: a --custom-b file holds exactly the key "b", '
                              f"got {json.dumps(sorted(custom))}")
+    if args.preset is not None and args.coefficients is not None:
+        raise UsageError("give either --preset or --coefficients, not both")
     preset = args.preset or "beam-warming"
     if args.coefficients is None and preset not in PRESETS:
         raise UsageError(f"unknown scheme preset {preset!r}; available: {sorted(PRESETS)}")
-    build = PRESETS[preset] if args.coefficients is None else functools.partial(Scheme.from_coefficients,
-                                                                                 tuple(args.coefficients))
+    build = PRESETS[preset] if args.coefficients is None else functools.partial(Scheme, tuple(args.coefficients))
     scheme_at = functools.lru_cache(maxsize=1024)(build)
 
     def boundary_at(lam: float, sigma: Optional[float] = None) -> BoundaryCondition:
@@ -276,7 +278,6 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             _read_config(args, args.config)
         tols = replace(DEFAULT_TOLS, **{f.name: getattr(args, f.name) for f in fields(Tolerances)
                                         if getattr(args, f.name, None) is not None})
-        tols.validate()
         n0 = _given(args, "samples", 1024)
         for name, size in (("samples", n0), ("grid-points", _given(args, "grid_points", 0))):
             if size > _MAX_GRID_POINTS:
@@ -339,8 +340,7 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
             return _STATUS_EXIT[verdict.status]
         with np.errstate(all="ignore"):  # a curve that is not finite is refused, without numpy's warnings
             params, points = sample_kl_curve(s, reduce_boundary(s, bc), n0=n0, normalize=not args.no_normalize)
-        if not np.isfinite(points).all():
-            raise ValueError("the determinant curve is not finite: det C or its prefactor leaves the float range")
+        check_finite(points)
         _write(curve_to_csv(params, points), args.out)
         return EXIT_OK
     except (UsageError, OSError, ValueError, ArithmeticError, KLStabError, MemoryError) as exc:

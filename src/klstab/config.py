@@ -18,7 +18,7 @@ TRIM_REL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerances of root clustering, band classification and gating; each must be positive and finite.
+    """Tolerances of root clustering, band classification and gating; each is refused unless positive and finite.
 
     ``cluster_radius``: roots of a polynomial closer than this merge into one root with summed multiplicity.
     ``unit_circle_tol``: half-width of the ambiguity band around the unit circle that classifies roots as
@@ -35,7 +35,7 @@ class Tolerances:
     kernel_tol: float = 1e-7
     cauchy_tol: float = 1e-10
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not (value > 0.0 and math.isfinite(value)):

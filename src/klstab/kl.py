@@ -159,9 +159,6 @@ def reduce_boundary(s: Scheme, bc: BoundaryCondition) -> ReducedBoundary:
     if abs(s.a_zero) >= 1.0:
         raise ValueError(f"the reduction requires |a_0| < 1 (Cauchy-stable consistent schemes satisfy this); "
                          f"got a_0 = {s.a_zero}")
-    scale = float(np.max(np.abs(s.a)))
-    if abs(s.a_lead) <= TRIM_REL * scale:
-        raise DegenerateLeadingCoefficient("a_{-r} is below the trim tolerance; trim the scheme first")
     blocks, det_c = reduce_stack(s.a[None], bc.b[None])
     det_c.setflags(write=False)
     return ReducedBoundary(s.r, bc.m, blocks[0], det_c[0])
@@ -187,9 +184,14 @@ def reduce_stack(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             lead = float(min(a[:, 0], key=abs))
             raise OverflowError(f"a_{{-r}}^(-m) = ({lead!r})^(-{m}) is beyond the float range") from None
         det_c = (factor[:, None] * coeffs).astype(complex)
-    if not (np.isfinite(blocks).all() and np.isfinite(det_c).all()):
-        raise OverflowError("the determinant curve is not finite: det C or its prefactor leaves the float range")
+    check_finite(blocks, det_c)
     return blocks, det_c
+
+
+def check_finite(*arrays: np.ndarray) -> None:
+    """Raise the reduction's ``OverflowError`` unless every entry of ``arrays`` is finite."""
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise OverflowError("the determinant curve is not finite: det C or its prefactor leaves the float range")
 
 
 @functools.lru_cache(maxsize=16)

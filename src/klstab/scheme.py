@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -25,23 +24,21 @@ from .config import DEFAULT_TOLS, TRIM_REL, Tolerances
 class Scheme:
     """Totally upwind stencil ``(a_{-r}, ..., a_0)`` with its CFL number.
 
-    ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through ``a[-1] = a_0``. Construction trims leading
-    coefficients below ``TRIM_REL`` times the largest, so the non-degeneracy requirement on ``a_{-r}``
-    holds by representation.
+    ``a`` is stored in ascending index order, ``a[0] = a_{-r}`` through ``a[-1] = a_0``. Construction refuses a CFL
+    number that is not finite and positive and coefficients that are not finite, and trims leading coefficients
+    below ``TRIM_REL`` times the largest, keeping at least two, so ``a_{-r}`` is nondegenerate by representation.
     """
 
     a: np.ndarray
     lam: float
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "a", arr)
-
-    @classmethod
-    def from_coefficients(cls, coefficients: Iterable[float], lam: float) -> "Scheme":
-        _check_cfl(lam)
-        values = [float(value) for value in coefficients]
+        lam = self.lam
+        if not math.isfinite(lam):
+            raise ValueError(f"the CFL number must be finite, got {lam}")
+        if lam <= 0:
+            raise ValueError("the CFL number must be positive")
+        values = [float(value) for value in self.a]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"scheme coefficients must be finite, got {values}")
         threshold = TRIM_REL * max(map(abs, values), default=0.0)
@@ -51,7 +48,9 @@ class Scheme:
         if len(values) - first < 2:
             raise ValueError(f"at CFL {lam} the trimmed stencil is the single coefficient a_0; "
                              "a scheme needs at least two")
-        return cls(np.array(values[first:]), float(lam))
+        object.__setattr__(self, "a", np.array(values[first:]))
+        object.__setattr__(self, "lam", float(lam))
+        self.a.setflags(write=False)
 
     @property
     def r(self) -> int:
@@ -68,13 +67,6 @@ class Scheme:
         return float(self.a[-1])
 
 
-def _check_cfl(lam: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"the CFL number must be finite, got {lam}")
-    if lam <= 0:
-        raise ValueError("the CFL number must be positive")
-
-
 def make_beam_warming(lam: float) -> Scheme:
     """Second-order upwind (Beam-Warming) scheme for advection at CFL ``lam``.
 
@@ -84,7 +76,7 @@ def make_beam_warming(lam: float) -> Scheme:
     a_m2 = lam * (lam - 1.0) / 2.0
     a_m1 = lam * (2.0 - lam)
     a_0 = (lam - 1.0) * (lam - 2.0) / 2.0
-    return Scheme.from_coefficients([a_m2, a_m1, a_0], lam)
+    return Scheme([a_m2, a_m1, a_0], lam)
 
 
 PRESETS = {"beam-warming": make_beam_warming}
@@ -104,8 +96,8 @@ def _symbol_basis(r: int) -> np.ndarray:
 class AssumptionReport:
     """Outcome of the structural checks on a scheme.
 
-    Flags are advisory: construction never refuses a scheme, the analyzer
-    decides what to do with violations.
+    Flags are advisory: the analyzer decides what to do with violations.
+    ``h0_nondegenerate`` always holds, as construction trims the stencil.
     """
 
     h0_nondegenerate: bool
@@ -127,14 +119,12 @@ _CONSISTENCY_TOL = 1e-10
 
 
 def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
-    """Check non-degeneracy, Cauchy stability, consistency and ``|a_0| < 1``.
+    """Check Cauchy stability, consistency and ``|a_0| < 1``; non-degeneracy holds by construction.
 
     Cauchy stability is checked by dense sampling of the symbol modulus on
     4096 uniform frequencies; the symbols in scope are trigonometric
     polynomials of tiny degree, so sampling is reliable.
     """
-    h0 = abs(s.a_lead) > TRIM_REL * float(np.maximum.reduce(np.abs(s.a)))
-
     # the symbol summed row by row in ascending k: elementwise on purpose, as a matrix-vector product runs on a
     # multithreaded BLAS, whose threads contend for the cores with the workers of a parallel sweep
     basis = _symbol_basis(s.r)
@@ -149,7 +139,7 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
     h3 = abs(residual_sum) <= _CONSISTENCY_TOL and abs(residual_order1) <= _CONSISTENCY_TOL
 
     a0 = s.a_zero
-    return AssumptionReport(h0_nondegenerate=bool(h0), h2_cauchy_stable=bool(h2), h2_max_symbol_modulus=max_mod,
+    return AssumptionReport(h0_nondegenerate=True, h2_cauchy_stable=bool(h2), h2_max_symbol_modulus=max_mod,
                             h3_consistent=bool(h3), h3_residual_sum=residual_sum, h3_residual_order1=residual_order1,
                             a0_interior=bool(abs(a0) < 1.0), a0=a0)
 

@@ -62,7 +62,7 @@ def symbol(s: Scheme, xi):
 
 
 def stencil_by_numpy(coefficients, lam, trim_rel: float = TRIM_REL) -> np.ndarray:
-    """The stencil ``Scheme.from_coefficients`` keeps, with its checks and messages, built as one float array and
+    """The stencil that ``Scheme(...)`` keeps, with its checks and messages, built as one float array and
     checked and trimmed by numpy calls."""
     arr = np.asarray(list(coefficients), dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -25,7 +25,7 @@ from klstab.analyzer import (
 from klstab.boundary import custom_condition, silw_condition
 from klstab.config import Tolerances
 from klstab.errors import IllConditionedKernel
-from klstab.kl import exterior_zero_count_direct, reduce_boundary, stable_roots
+from klstab.kl import exterior_zero_count_direct, kl_det_stack, reduce_boundary, stable_roots
 from klstab.scheme import Scheme, make_beam_warming
 from klstab.winding import sample_kl_curve, winding_number
 from oracles import kl_curve_evaluator, predict_flip_by_reduction
@@ -450,10 +450,11 @@ def test_bisect_stability_edge_falls_back_to_plain_bisection(monkeypatch, fake_b
     assert [len(pairs) for pairs in calls] == [2] + [1] * max_iter
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the block of the rho(A) solve overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflowing block of the rho(A) solve warns of nothing
 def test_bisect_stability_edge_reraises_the_error_of_a_bracket_end():
     # a finite boundary at the lower end whose update block overflows to inf (a boundary that is not finite is
-    # refused when it is built): its outcome is the OverflowError of its reduction, raised
+    # refused when it is built): the rho(A) solve finds no crossing there, and the end's outcome is the
+    # OverflowError of its reduction, raised
     inf_end = lambda lam, sigma: (custom_condition([[1.7e308, 0.1, 0.2], [1.7e308, 0.2, 0.3]]) if lam == 1.45 else
                                   s2ilw3_family(lam, sigma))
     with pytest.raises(OverflowError):
@@ -505,7 +506,7 @@ def test_flip_prediction_from_eigenvalues_matches_the_reduction_route(monkeypatc
 def test_flip_prediction_raises_where_its_curve_leaves_the_float_range():
     # a_0 = 1 puts the pole of the prefactor a_{-r} / (a_0 - z) at z = 1, the first sampled point; the search
     # replaces a prediction that raises by the crossing
-    s = Scheme.from_coefficients([0.5, -0.5, 1.0], 0.5)
+    s = Scheme([0.5, -0.5, 1.0], 0.5)
     with pytest.raises(ArithmeticError):
         analyzer._predict_flip(lambda lam: (s, np.array([0.9, 0.5 + 0.1j])), 0.5, 0.6, analyzer.DEFAULT_TOLS, 64)
 
@@ -521,6 +522,27 @@ def test_verdicts_without_classification_differ_only_in_their_boundary_zeros():
         assert bare.status is full.status and bare.exterior_zero_count == full.exterior_zero_count
         assert (bare.winding, bare.direct_count, bare.det_c_coeffs) == (full.winding, full.direct_count,
                                                                       full.det_c_coeffs)
+
+
+def test_without_a_band_root_the_closest_of_4096_curve_points_is_classified(monkeypatch):
+    # the witness of the fallback is the first of 4096 uniform circle points where the normalized curve comes
+    # closest to the origin; the curve's closing point repeats its first and is never taken
+    witnesses = []
+    monkeypatch.setattr(analyzer, "classify_boundary_zero", lambda s, bc, z0, tols: witnesses.append(z0) or
+                        BoundaryZeroType.TYPE_II)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    z = np.exp(1j * thetas)
+    for lam, orders in ((0.3, (1, 2)), (0.7, (2, 3)), (1.3, (3, 4)), (1.5175048345, (2, 3))):
+        s = make_beam_warming(lam)
+        bc = silw_condition(s.r, *orders, 0.0)
+        (verdict,) = analyze_many([(s, bc)])
+        bandless = dataclasses.replace(verdict, status=StabilityStatus.UNSTABLE_BOUNDARY_ZERO,
+                                       direct_count=dataclasses.replace(verdict.direct_count, boundary_band=()))
+        classified = analyzer._classify_band_zeros(s, bc, bandless, analyzer.DEFAULT_TOLS)
+        values = np.abs(kl_det_stack(np.array(verdict.det_c_coeffs), s.a_lead, s.a_zero, s.r, z) / z**s.r)
+        expected = complex(np.exp(1j * thetas[int(np.argmin(values))]))
+        assert [zero.z0 for zero in classified.boundary_zeros] == [expected] == witnesses[-1:]
+        assert classified.notes[-1] == "no determinant root inside the circle band; classified the closest curve point"
 
 
 def test_the_edge_search_classifies_no_boundary_zero(monkeypatch):
@@ -601,11 +623,11 @@ def test_analyze_inconclusive_on_exhausted_refinement(monkeypatch):
     assert any("refinement exceeded" in note for note in verdict.notes)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the curve overflows on purpose
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the curve overflows on purpose, without numpy's warnings
 def test_analyze_inconclusive_on_a_curve_that_is_not_finite():
     # an extrapolation weight of 8e307 leaves det C finite, with coefficients 8e307 and -1.6e308, and its curve
     # beyond the float range around z = -1, where they add up
-    verdict = analyze(Scheme.from_coefficients([0.5, 0.5], 0.5), custom_condition([[8e307, 0.0]]))
+    verdict = analyze(Scheme([0.5, 0.5], 0.5), custom_condition([[8e307, 0.0]]))
     assert verdict.status is StabilityStatus.INCONCLUSIVE and verdict.winding is None
     assert verdict.notes == ("winding failed: curve is not finite at t=2.2457478734645786",)
     # weights of 1e250 and 1e305 leave det C itself beyond the float range: the reduction refuses the pair
@@ -671,7 +693,7 @@ def test_analyze_many_matches_one_pair_at_a_time(lagrange_upwind):
     for r in range(1, 5):
         for _ in range(6):
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             m = int(rng.integers(1, 6))
             bc = silw_condition(r, int(rng.integers(0, m + 1)), m, float(rng.uniform(-0.5, 0.49)))
             pairs.append((s, bc if rng.uniform() < 0.5 else custom_condition(rng.uniform(-1, 1, (r, m)))))

@@ -399,6 +399,33 @@ def test_a_boundary_whose_reduction_leaves_the_float_range_prints_one_line(tmp_p
     assert captured.out.splitlines()[1:] == [f"{lam},0.0,-1,Inconclusive"] and captured.err == ""
 
 
+def test_a_sweep_cell_whose_boundary_raises_is_inconclusive(capsys):
+    # sigma = 0.5 lies outside [-1/2, 1/2): that cell reads -1,Inconclusive, the others are decided, and the sweep
+    # exits 0 with an empty stderr; the first cell is still checked up front
+    argv = ["sweep", "--silw", "2", "3", "--lambda-grid", "0.7:0.7:1"]
+    assert run_cli(argv + ["--sigma-grid", "0:0.25:0.25"]) == 0
+    decided = capsys.readouterr().out.splitlines()
+    assert run_cli(argv + ["--sigma-grid", "0:0.5:0.25"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == decided + ["0.7,0.5,-1,Inconclusive"] and captured.err == ""
+    assert run_cli(argv + ["--sigma-grid", "0.5:0.5:1"]) == 1
+    assert capsys.readouterr().err == "error: bad boundary condition: sigma must lie in [-1/2, 1/2), got 0.5\n"
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed
+def test_a_curve_beyond_the_float_range_is_inconclusive_without_warnings(tmp_path, capsys):
+    # an extrapolation weight of 8e307 leaves det C finite, with coefficients 8e307 and -1.6e308, and its curve
+    # beyond the float range around z = -1: the verdict is Inconclusive, exit 4, and stderr stays empty
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"b": [[8e307, 0.0]]}))
+    assert run_cli(["check", "--coefficients", "0.5", "0.5", "--lambda", "0.5", "--custom-b", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = json.loads(captured.out)
+    assert verdict["status"] == "Inconclusive"
+    assert verdict["diagnostics"]["notes"] == ["winding failed: curve is not finite at t=2.2457478734645786"]
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warnings are not printed
 def test_a_curve_that_is_not_finite_prints_one_line(tmp_path, capsys):
     # a_{-1} = -1e200 leaves det C NaN: curve refuses the pair, and check finds it not Cauchy stable
@@ -562,6 +589,20 @@ def test_sweep_rejects_silw_with_custom_b(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not both" in lines[0], lines
 
 
+def test_preset_is_refused_beside_coefficients(tmp_path, capsys):
+    # a preset, even one that does not exist, is not dropped in silence beside --coefficients: one error line on
+    # every command, by flags and by config
+    coefficients = [repr(float(a)) for a in make_beam_warming(0.7).a]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"preset": "nosuch"}))
+    for argv in COMMANDS.values():
+        for preset in (["--preset", "beam-warming"], ["--preset", "nosuch"], ["--config", str(config)]):
+            assert run_cli(argv + ["--coefficients", *coefficients] + preset) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: give either --preset or --coefficients, not both\n"
+
+
 def test_sweep_takes_config_custom_boundary(tmp_path, capsys):
     b = [[0.0, 0.0], [0.0, 0.0]]
     bfile, config = tmp_path / "b.json", tmp_path / "config.json"
@@ -653,7 +694,8 @@ COMMANDS = {
     ("--cluster-radius", "1e-7", ("simulate", "curve")),
     ("--unit-circle-tol", "1e-6", ("simulate", "curve")),
     ("--origin-tol", "1e-8", ("simulate", "curve")),
-    ("--kernel-tol", "1e-7", ("simulate", "curve")),
+    # no sweep classifies a boundary zero
+    ("--kernel-tol", "1e-7", ("simulate", "curve", "sweep")),
     ("--cauchy-tol", "1e-10", ("simulate", "curve")),
     # not abbreviated to --lambda-grid either
     ("--lambda", "0.7", ("sweep",)),

@@ -8,7 +8,11 @@ from klstab.config import DEFAULT_TOLS
 from klstab.errors import DegenerateLeadingCoefficient, RootAtZero
 from klstab.kl import (
     ReducedBoundary,
+    _cluster,
+    _newton_refine,
     _roots,
+    _union_find,
+    exterior_counts,
     exterior_zero_count_direct,
     k_matrix,
     kl_det_stack,
@@ -19,8 +23,8 @@ from klstab.kl import (
     upwind_blocks,
 )
 from klstab.scheme import Scheme, make_beam_warming, validate
-from oracles import (kl_det_direct, kl_det_explicit, kl_det_stack_by_power, poly_at, symbol, upwind_block,
-                     upwind_blocks_by_loop)
+from oracles import (kl_det_direct, kl_det_explicit, kl_det_stack_by_power, newton_refine_by_polynomials, poly_at,
+                     symbol, upwind_block, upwind_blocks_by_loop)
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
@@ -59,7 +63,7 @@ def test_stable_roots_symbol_curve_points(lagrange_upwind):
     schemes = [make_beam_warming(lam) for lam in (0.4, 1.3, 1.9)]
     for r in range(1, 5):
         for lam in rng.uniform(0.05, r, 3):
-            schemes.append(Scheme.from_coefficients(lagrange_upwind(r, lam), lam))
+            schemes.append(Scheme(lagrange_upwind(r, lam), lam))
     for s in schemes:
         for xi in rng.uniform(0, 2 * np.pi, 5):
             z = symbol(s, float(xi))
@@ -331,7 +335,7 @@ def test_reduction_requires_matching_rows_and_contractive_a0():
     bad = make_beam_warming(2.0)  # a_0 = 0 is fine; force violation via raw coefficients
     from klstab.scheme import Scheme
 
-    shaky = Scheme.from_coefficients([0.5, -0.7, 1.2], lam=0.2)
+    shaky = Scheme([0.5, -0.7, 1.2], lam=0.2)
     with pytest.raises(ValueError):
         reduce_boundary(shaky, custom_condition(np.zeros((2, 2))))
 
@@ -401,7 +405,7 @@ def test_reduction_matches_direct_on_random_upwind_pairs(lagrange_upwind):
         pairs = 0
         while pairs < 10:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if s.r != r or not validate(s).all_pass:
                 continue
             m = int(rng.integers(r, r + 4))
@@ -467,7 +471,7 @@ def test_hersh_root_separation():
 def test_hersh_violation_alarm():
     # a Cauchy-unstable stencil breaks root separation: a_{-1} = 1.8, a_0 = 0.5
     # has the root 1.8 / (z - 0.5) = 1.2 at z = 2
-    s = Scheme.from_coefficients([1.8, 0.5], lam=0.3)
+    s = Scheme([1.8, 0.5], lam=0.3)
     assert not validate(s).h2_cauchy_stable
     roots = stable_roots(s, 2.0)
     assert [v for v in [v for v, _ in roots] if abs(v) >= 1.0] == [pytest.approx(1.2 + 0j, abs=1e-12)]
@@ -564,3 +568,156 @@ def test_upwind_blocks_match_the_loop_bit_for_bit():
             got, expected = upwind_blocks(a, b), upwind_blocks_by_loop(a, b)
             assert got.shape == (n, m, m)
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# The root finding and clustering of kl (_roots, _newton_refine, _cluster) and oracles.poly_at
+
+
+def roots_of(coeffs, cluster_radius=DEFAULT_TOLS.cluster_radius):
+    """``kl._roots`` of the ascending coefficients ``coeffs``, taken as complex."""
+    return _roots(np.asarray(coeffs, dtype=complex), cluster_radius)
+
+
+def test_eval_constant():
+    assert poly_at([1.0], 5 + 2j) == 1.0
+
+
+def test_eval_known_root():
+    assert poly_at([-1.0, 0.0, 1.0], 1.0) == 0.0
+
+
+def test_eval_constant_term():
+    assert poly_at([-0.125, 0.75, -1.625], 0.0) == -0.125
+
+
+def test_eval_vectorized_matches_scalar():
+    p = [1.0, -2.0, 0.5j]
+    zs = np.array([0.3 + 1j, -2.0, 5.0j])
+    np.testing.assert_allclose(poly_at(p, zs), [poly_at(p, z) for z in zs])
+
+
+def test_arithmetic_sanity():
+    # sums and products on ascending coefficient arrays are sums and products of the polynomials
+    p, q = np.array([1.0, 2.0]), np.array([-1.0, 1.0])
+    assert (p + q).tolist() == [0.0, 3.0]
+    assert np.convolve(p, q).tolist() == [-1.0, -1.0, 2.0]
+    for z in (0.5, -2.0 + 1j):
+        assert poly_at(np.convolve(p, q), z) == pytest.approx(poly_at(p, z) * poly_at(q, z), abs=1e-14)
+
+
+def test_roots_factored_quadratic():
+    roots = roots_of([-1.0, 0.0, 1.0], cluster_radius=1e-8)
+    values = sorted([v for v, _ in roots], key=lambda z: z.real)
+    assert [m for _, m in roots] == [1, 1]
+    np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
+
+
+def test_roots_perfect_square():
+    roots = roots_of([0.25, -1.0, 1.0], cluster_radius=1e-8)
+    assert len(roots) == 1
+    (value, mult), = roots
+    assert mult == 2
+    assert abs(value - 0.5) < 1e-7
+
+
+def test_roots_beam_warming_quadratic_against_formula():
+    # -1.625 k^2 + 0.75 k - 0.125: quadratic formula gives |k|^2 = c/a = 0.8125/10.5625
+    coeffs = [-0.125, 0.75, -1.625]
+    a, b, c = -1.625, 0.75, -0.125
+    disc = np.sqrt(complex(b * b - 4 * a * c))
+    expected = sorted([(-b + disc) / (2 * a), (-b - disc) / (2 * a)], key=lambda z: z.imag)
+    roots = roots_of(coeffs)
+    got = sorted([v for v, _ in roots], key=lambda z: z.imag)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
+    for v in got:
+        assert abs(abs(v) ** 2 - 0.8125 / 10.5625) < 1e-12
+
+
+def test_reexpansion_of_random_polynomials():
+    # product of (k - root)^mult re-expanded matches the monic input
+    rng = np.random.default_rng(1234)
+    for _ in range(60):
+        degree = rng.integers(1, 9)
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        while abs(coeffs[-1]) < 0.1:
+            coeffs[-1] = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        roots = roots_of(coeffs)
+        assert sum(m for _, m in roots) == coeffs.size - 1
+        expanded = np.poly([v for v, m in roots for _ in range(m)])[::-1]
+        monic = coeffs / coeffs[-1]
+        err = np.max(np.abs(expanded - monic))
+        scale = np.max(np.abs(monic))
+        assert err <= 1e-8 * scale
+
+
+def test_eval_at_reported_simple_roots():
+    rng = np.random.default_rng(99)
+    for _ in range(60):
+        degree = rng.integers(1, 9)
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        while abs(coeffs[-1]) < 0.1:
+            coeffs[-1] = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        bound = 1e-7 * (1.0 + float(np.max(np.abs(coeffs))))
+        for value, mult in roots_of(coeffs):
+            if mult == 1:
+                assert abs(poly_at(coeffs, value)) <= bound
+
+
+def test_root_set_invariant_under_scaling():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        degree = rng.integers(1, 7)
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        while abs(coeffs[-1]) < 0.1:
+            coeffs[-1] = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        scalar = rng.uniform(0.2, 5.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        base = roots_of(coeffs)
+        scaled = roots_of(coeffs * scalar)
+        assert [m for _, m in base] == [m for _, m in scaled]
+        np.testing.assert_allclose(
+            sorted([v for v, _ in base], key=lambda z: (z.real, z.imag)),
+            sorted([v for v, _ in scaled], key=lambda z: (z.real, z.imag)),
+            atol=1e-6,
+        )
+
+
+def test_cluster_vectorized_rows_match_union_find():
+    # the vectorized path of each row against the union-find it replaces, mean and order included
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
+    rows[::4, 1] = rows[::4, 0] + 5e-8  # a pair inside the radius
+    rows.imag[1::4, 2] = -0.0  # a real value with the imaginary part -0.0
+    rows[2::4, 3] = 0.0 + 1j * rows[2::4, 3].imag  # a zero real part
+    real = rng.normal(size=(10, 4))
+    real[::3, 0] = -0.0
+    for values in (rows, real, np.sort(real, axis=1)):
+        # repr tells the signs of zeros apart
+        assert repr(_cluster(values, 1e-7)) == repr([_union_find(row, 1e-7) for row in values])
+    # a real triple cluster is merged as real numbers in a complex row too: numpy's complex mean of these three
+    # values differs from the real one in the last bit
+    triple = np.array([1.1, 1.1 + 1e-8, 1.1 + 2e-8])
+    assert np.mean(triple.astype(complex)) != np.mean(triple)
+    assert repr(_cluster(triple.astype(complex)[None], 1e-7)) == repr(_cluster(triple[None], 1e-7))
+    # so a block of that spectrum counts the same in a stack with complex spectra as alone
+    rotation = np.array([[0.5, -1.2, 0.0], [1.2, 0.5, 0.0], [0.0, 0.0, 0.3]])
+    blocks = np.array([rotation, np.diag(triple), 0.5 * rotation])
+    assert np.linalg.eigvals(blocks[1:2]).dtype == float and np.linalg.eigvals(blocks).dtype == complex
+    counts = exterior_counts(blocks)
+    assert counts[1].exterior == ((complex(np.mean(triple)), 3),)
+    assert repr(counts) == repr([exterior_counts(block[None])[0] for block in blocks])
+
+
+def test_newton_refine_matches_polynomial_objects_bit_for_bit(lagrange_upwind):
+    # the characteristic polynomials (a_{-r}, ..., a_{-1}, a_0 - z) of Lagrange stencils r = 1..4 at points on
+    # and off the unit circle; the refined roots are those of Horner through polynomial objects, bit for bit
+    rng = np.random.default_rng(41)
+    compared = 0
+    for r in range(1, 5):
+        for lam in rng.uniform(0.05, r, 10):
+            for z in np.concatenate((np.exp(2j * np.pi * rng.uniform(size=6)), [1.0, -1.0, 1.5j, 0.3 - 0.2j])):
+                coeffs = np.array(lagrange_upwind(r, float(lam)), dtype=complex)
+                coeffs[-1] -= z
+                raw = np.roots(coeffs[::-1])
+                assert _newton_refine(coeffs, raw).tobytes() == newton_refine_by_polynomials(coeffs, raw).tobytes()
+                compared += 1
+    assert compared == 400

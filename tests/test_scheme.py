@@ -70,7 +70,7 @@ def test_validate_cauchy_over_cfl_ranges():
 
 
 def test_validate_flags_inconsistent_coefficients():
-    s = Scheme.from_coefficients([0.5, 0.5], lam=1.0)
+    s = Scheme([0.5, 0.5], lam=1.0)
     report = validate(s)
     assert not report.h3_consistent
     assert abs(report.h3_residual_order1 - 0.5) < 1e-14
@@ -100,22 +100,29 @@ def test_symbol_curve_inside_disk_tangent_at_one():
 
 
 def test_scheme_construction_guards():
+    # the one constructor trims a_{-r} below the trim threshold, so validate need not check it again
+    s = Scheme([0.0, 0.5, 0.5], 0.5)
+    assert s.a.tolist() == [0.5, 0.5] and s.r == 1 and not s.a.flags.writeable
+    assert validate(s).h0_nondegenerate
+    for lam in (0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="^the CFL number must be positive$"):
+            Scheme([0.5, 0.5], lam)
     with pytest.raises(ValueError):
-        Scheme.from_coefficients([], lam=1.0)
+        Scheme([], lam=1.0)
     with pytest.raises(ValueError):
-        Scheme.from_coefficients([0.0, 0.0], lam=1.0)
+        Scheme([0.0, 0.0], lam=1.0)
     with pytest.raises(ValueError):
-        Scheme.from_coefficients([1.0], lam=-0.5)
+        Scheme([1.0], lam=-0.5)
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="scheme coefficients must be finite"):
-            Scheme.from_coefficients([0.5, bad], lam=0.5)
+            Scheme([0.5, bad], lam=0.5)
     # trimming Beam-Warming below CFL 5e-13 leaves a_0 alone; at 1e-12 a_-1 survives
     with pytest.raises(ValueError, match="at CFL 1e-13 the trimmed stencil"):
         make_beam_warming(1e-13)
     assert make_beam_warming(1e-12).r == 1
     for lam in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="CFL number must be finite"):
-            Scheme.from_coefficients([0.5, 0.5], lam=lam)
+            Scheme([0.5, 0.5], lam=lam)
         with pytest.raises(ValueError, match="CFL number must be finite"):
             make_beam_warming(lam)
 
@@ -126,7 +133,7 @@ def test_cached_symbol_basis_is_bit_identical_to_symbol(lagrange_upwind):
     xi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)  # the frequencies validate samples
     for r in range(1, 6):
         lam = float(rng.uniform(0.1, 0.9))
-        s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+        s = Scheme(lagrange_upwind(r, lam), lam)
         direct = symbol(s, xi)
         basis = _symbol_basis(r)
         assert np.array_equal(basis, np.exp(1j * np.multiply.outer(np.arange(-r, 1), xi)))
@@ -150,13 +157,13 @@ def test_stencil_matches_numpy_construction_bit_for_bit(lagrange_upwind):
         coefficients = [lam * (lam - 1.0) / 2.0, lam * (2.0 - lam), (lam - 1.0) * (lam - 2.0) / 2.0]
         expected = stencil_by_numpy(coefficients, lam)
         assert make_beam_warming(lam).a.tobytes() == expected.tobytes(), lam
-        assert Scheme.from_coefficients(np.array(coefficients), lam).a.tobytes() == expected.tobytes(), lam
+        assert Scheme(np.array(coefficients), lam).a.tobytes() == expected.tobytes(), lam
     assert [make_beam_warming(lam).r for lam in lams[-4:-1]] == [1, 1, 1]
     rng = np.random.default_rng(31)
     for r in range(1, 5):
         for lam in rng.uniform(0.05, r, 25):
             coefficients = lagrange_upwind(r, float(lam))
-            assert Scheme.from_coefficients(coefficients, lam).a.tobytes() == \
+            assert Scheme(coefficients, lam).a.tobytes() == \
                 stencil_by_numpy(coefficients, lam).tobytes()
 
 
@@ -167,5 +174,5 @@ def test_stencil_errors_match_numpy_construction(coefficients, lam):
     with pytest.raises(ValueError) as expected:
         stencil_by_numpy(coefficients, lam)
     with pytest.raises(ValueError) as got:
-        Scheme.from_coefficients(coefficients, lam)
+        Scheme(coefficients, lam)
     assert str(got.value) == str(expected.value)

@@ -232,7 +232,7 @@ def test_upwind_block_is_one_simulator_step(lagrange_upwind):
     for r in range(1, 6):
         for _ in range(2):
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             b = rng.uniform(-1, 1, (r, int(rng.integers(r, r + 4))))
             cases.append((s, custom_condition(b), 0.0))
     for s, bc, sigma in cases:
@@ -402,7 +402,7 @@ def test_blowup_happens_exactly_at_positive_exterior_count(lagrange_upwind):
     for r in range(1, 5):
         while True:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if s.r == r and validate(s).all_pass:
                 break
         pairs, unstable = [], []
@@ -429,7 +429,7 @@ def test_growth_rate_of_the_boundary_cells_is_log_rho(monkeypatch, lagrange_upwi
     for r in range(1, 5):
         while True:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if s.r == r and validate(s).all_pass:
                 break
         pairs, rhos = [], []
@@ -470,7 +470,7 @@ def test_causal_prefix_matches_full_width_on_random_lagrange_pairs(monkeypatch, 
     for r in range(1, 5):
         while True:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if s.r == r and validate(s).all_pass:
                 break
         pairs = []

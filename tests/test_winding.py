@@ -683,7 +683,7 @@ def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
         pairs = 0
         while pairs < 12:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if not validate(s).all_pass:
                 continue
             pairs += 1
@@ -710,7 +710,7 @@ def test_winding_and_direct_counts_agree_on_random_pairs(lagrange_upwind):
         pairs = 0
         while pairs < 12:
             lam = float(rng.uniform(0.05, r))
-            s = Scheme.from_coefficients(lagrange_upwind(r, lam), lam)
+            s = Scheme(lagrange_upwind(r, lam), lam)
             if s.r != r or not validate(s).all_pass:
                 continue
             pairs += 1
