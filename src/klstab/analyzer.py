@@ -412,10 +412,13 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     @functools.lru_cache(maxsize=None)
     def spectrum(lam: float):
         s, bc = pair(lam)
-        with np.errstate(over="ignore", invalid="ignore"):  # a block that is not finite is refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # eigvals refuses a block that is not finite
             block = upwind_blocks(s.a[None], bc.restricted_to(s.r).b[None])[0]
-        check_finite(block)
-        return s, np.linalg.eigvals(block)
+        try:
+            return s, np.linalg.eigvals(block)
+        except np.linalg.LinAlgError:
+            check_finite(block)  # the reduction's OverflowError for a block that is not finite
+            raise
 
     def stable(lam: float) -> bool:
         if lam not in known:

@@ -184,14 +184,15 @@ def march(s: Scheme, pairs: Sequence[Tuple[BoundaryCondition, IBVPRun]],
 
 
 def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
-    """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each step, row and ghost, summed in plan order.
+    """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each row, ghost and step, summed in plan order.
 
     Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g`` and ``dt``
-    and the order ``k``, is sampled once (one ``g_derivative`` call a
-    step) and shared by every row with that key; the second result flags the
+    and the order ``k``, is sampled once (one ``g_derivative`` call a step)
+    and shared by every row with that key, and added to all its (row, ghost)
+    slots of one plan position by one ``+=``; the second result flags the
     rows whose columns fell back to finite differences.
     """
-    table, fallbacks, columns = np.zeros((n_steps + 1, len(rows), r)), [], {}
+    fallbacks, columns, terms = [], {}, {}
     for i, (_, bc, run) in enumerate(rows):
         data = (_by_value(run.g), run.dt)
         orders = {k for plan in bc.g_plan for k, _ in plan}
@@ -201,8 +202,12 @@ def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
                 columns[data + (k,)] = np.array([v for v, _ in samples]), any(fd for _, fd in samples)
         fallbacks.append(any(columns[data + (k,)][1] for k in orders))
         for j, plan in enumerate(bc.g_plan):
-            for k, weight in plan:
-                table[:, i, j] += weight * (run.dx / run.a) ** k * columns[data + (k,)][0]
+            for position, (k, weight) in enumerate(plan):
+                terms.setdefault((position, data + (k,)), []).append((i, j, weight * (run.dx / run.a) ** k))
+    table = np.zeros((len(rows), r, n_steps + 1))
+    for (_, key), entries in sorted(terms.items(), key=lambda item: item[0][0]):
+        i, j, weights = map(np.array, zip(*entries))
+        table[i, j] += np.multiply.outer(weights, columns[key][0])
     return table, fallbacks
 
 
@@ -220,49 +225,61 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
 
     Only the causal prefix ``U[:width]`` is updated: cell ``j`` reads cells
     ``j-r..j``, so the prefix grows by ``r`` a step from the ghosts and the
-    initial data (``-0.0`` counts, as the stencil's sum turns it into ``+0.0``),
-    and every cell past it is the ``+0.0`` that a full-width pass would compute.
-    ``P`` keeps the running peak of each cell, so a step tests one global
-    maximum; per-row amplitudes and peaks are reduced only when that test
-    fires or at the last step.
+    initial data, and every cell past it is zero. A sum that starts from
+    ``a_{-r} u`` may be ``-0.0`` where one from ``+0.0`` is ``+0.0``, so a
+    profile recorded at a step ``n >= 1`` adds ``+0.0``. ``P`` keeps each
+    cell's running peak; its maximum ``top`` is read only where the bound
+    ``growth * top + lift`` on the next amplitude could pass the threshold.
+    A read past it finds the rows that crossed in one flat pass and reduces
+    only their peaks.
     """
     r, count = s.r, len(rows)
     U = np.zeros((J + r, count))
     for i, (_, _, run) in enumerate(rows):
         U[r:, i] = 0.0 if run.f is None else run.f
-    data = np.flatnonzero(((U != 0) | np.signbit(U)).any(axis=1))
-    width = max(r, data[-1] + 1 if data.size else 0)
+    width = max(r, int(np.flatnonzero(U.any(axis=1)).max(initial=-1)) + 1)  # past the last initial data
     V, P, scratch = np.zeros_like(U), np.zeros_like(U), np.empty_like(U)
     B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
     G, fallbacks = _data_table(rows, r, n_steps)
+    # bounds on a step of the stencil and the ghost rows, with room for their rounding
+    growth = float(np.abs(s.a).sum()) * max(1.0, float(np.abs(B).sum(axis=2).max())) * (1 + 1e-9)
+    lift, bound, start = float(np.abs(G).max()) * (1 + 1e-9), math.inf, 0
     ids, recorded = np.arange(count), [[] for _ in rows]
     peaks, blowup_steps = [0.0] * count, [None] * count
+    profile = lambda i: U[:, i] + 0.0 if n else U[:, i].copy()  # -0.0 becomes +0.0 after step 0
     for n in range(n_steps + 1):
         np.matmul(B, np.ascontiguousarray(U[r : r + m].T)[:, :, None], out=ghosts)
-        np.add(ghosts[:, :, 0].T, G[n].T, out=U[:r])
+        np.add(ghosts[:, :, 0].T, G[:, :, n - start].T, out=U[:r])
         np.maximum(P[:width], np.abs(U[:width], out=scratch[:width]), out=P[:width])
         if keep_history:
             for i, row in enumerate(ids):
-                recorded[row].append((n, U[:, i].copy()))
-        if n == n_steps or not P[:width].max() <= _BLOWUP_THRESHOLD:  # true for NaN data too
-            amplitude, peak = scratch[:width].max(axis=0), P[:width].max(axis=0)
-            amplitude[np.isnan(amplitude)], peak[np.isnan(peak)] = np.inf, np.inf
-            done = (amplitude > _BLOWUP_THRESHOLD) | (n == n_steps)
-            for i in np.flatnonzero(done):
+                recorded[row].append((n, profile(i)))
+        if n == n_steps or not bound <= _BLOWUP_THRESHOLD:  # true for a NaN bound too
+            bound = float(P[:width].max())
+        if n == n_steps or not bound <= _BLOWUP_THRESHOLD:
+            crossed = np.unique(np.flatnonzero(~(scratch[:width] <= _BLOWUP_THRESHOLD)) % len(ids))
+            done = np.arange(len(ids)) if n == n_steps else crossed
+            peak = P[:width, done].max(axis=0)
+            peak[np.isnan(peak)] = np.inf
+            for i, top in zip(done, peak):
                 if not keep_history:
-                    recorded[ids[i]].append((n, U[:, i].copy()))
-                peaks[ids[i]] = float(peak[i])
-                blowup_steps[ids[i]] = n if amplitude[i] > _BLOWUP_THRESHOLD else None
-            if done.all():
+                    recorded[ids[i]].append((n, profile(i)))
+                peaks[ids[i]] = float(top)
+                blowup_steps[ids[i]] = n if i in crossed else None
+            if done.size == len(ids):
                 break
-            U, V, P, scratch = (X.compress(~done, axis=1) for X in (U, V, P, scratch))  # C order, for the flat pass
-            B, G, ghosts, ids = B[~done], G[:, ~done], ghosts[~done], ids[~done]
-        # One flat pass over the prefix, summed from zero in stencil order: an
-        # interior cell reads only its own column, the ghost slots are left alone.
+            keep, kept = np.isin(ids, ids[done], invert=True), np.zeros((2, J + r, len(ids) - done.size))
+            kept[0, :width], kept[1, :width] = U[:width, keep], P[:width, keep]  # past width all are zero
+            U, P, V, scratch = *kept, np.zeros_like(kept[0]), np.empty_like(kept[0])  # C order, for the flat pass
+            B, ghosts, ids = B[keep], ghosts[keep], ids[keep]
+            G, start, bound = G[keep, :, n + 1 - start :], n + 1, _BLOWUP_THRESHOLD  # the steps to come
+        bound = growth * bound + lift
+        # One flat pass over the prefix in stencil order: an interior cell reads
+        # only its own column, the ghost slots are left alone.
         width, stride = min(width + r, J + r), U.shape[1]
         u, v, term = U.reshape(-1), V.reshape(-1), scratch.reshape(-1)[: (width - r) * stride]
         interior = v[r * stride : width * stride]
-        np.add(0.0, np.multiply(s.a[0], u[: term.size], out=term), out=interior)
+        np.multiply(s.a[0], u[: term.size], out=interior)
         for k in range(1, r + 1):
             np.add(interior, np.multiply(s.a[k], u[k * stride : k * stride + term.size], out=term), out=interior)
         U, V = V, U

@@ -10,7 +10,7 @@ from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, TRIM_REL, Tolerances
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
 from klstab.scheme import Scheme
-from klstab.simulator import SolutionField, _data_table
+from klstab.simulator import SolutionField
 from klstab.winding import sample_kl_curve, winding_number
 
 
@@ -170,6 +170,20 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
     return _illinois(gap, x, end)
 
 
+def data_table_by_loop(rows, r: int, n_steps: int):
+    """``simulator._data_table`` in the ``(steps + 1, rows, r)`` layout of the march below, as one ``+=`` per row,
+    ghost and plan entry in plan order, each row sampling its own columns."""
+    table, fallbacks = np.zeros((n_steps + 1, len(rows), r)), []
+    for i, (_, bc, run) in enumerate(rows):
+        samples = {k: [run.g_derivative(k, n * run.dt) for n in range(n_steps + 1)]
+                   for k in {k for plan in bc.g_plan for k, _ in plan}}
+        fallbacks.append(any(fd for column in samples.values() for _, fd in column))
+        for j, plan in enumerate(bc.g_plan):
+            for k, weight in plan:
+                table[:, i, j] += weight * (run.dx / run.a) ** k * np.array([v for v, _ in samples[k]])
+    return table, fallbacks
+
+
 def full_width_march_group(s, rows, J, n_steps, m, keep_history):
     """``simulator._march_group`` before the causal prefix: every cell of each row-major row, every step."""
     r, count, blowup_threshold = s.r, len(rows), simulator._BLOWUP_THRESHOLD
@@ -178,7 +192,7 @@ def full_width_march_group(s, rows, J, n_steps, m, keep_history):
         U[i, r:] = 0.0 if run.f is None else run.f
     V, term = np.empty_like(U), np.empty(U.size - r)
     B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
-    G, fallbacks = _data_table(rows, r, n_steps)
+    G, fallbacks = data_table_by_loop(rows, r, n_steps)
     ids, amplitudes = np.arange(count), np.empty((n_steps + 1, count))
     recorded = [[] for _ in rows]
     peaks, blowup_steps = [0.0] * count, [None] * count

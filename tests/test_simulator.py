@@ -5,7 +5,7 @@ import pytest
 
 from klstab import simulator
 from klstab.analyzer import analyze
-from klstab.boundary import custom_condition, silw_condition
+from klstab.boundary import BoundaryCondition, custom_condition, silw_condition
 from klstab.scheme import Scheme, make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, march, run_ibvp, sigma_scan
 from oracles import full_width_march_group, upwind_block
@@ -515,3 +515,70 @@ def test_causal_prefix_matches_full_width_on_nan_data_and_staggered_blowups(monk
         fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
         steps = [field.blowup_step for field in fields if field.blowup_step is not None]
         assert len(set(steps)) == len(steps) >= 4 and fields[-1].max_amplitude == math.inf
+
+
+def test_rows_that_cross_at_one_step_leave_together_one_of_them_nan(monkeypatch):
+    # three equal S2ILW3 rows cross at one step, a fourth whose boundary data turn NaN at that step crosses with
+    # them, a fifth whose pulse is scaled by 0.6 crosses two steps later (the amplitude alternates, 1.32e6 at the
+    # first step, 9.95e5 and 2.11e6 after it), and two rows march on past both
+    s = make_beam_warming(1.3)
+    bc, run = silw_condition(2, 2, 3, -0.3), IBVPRun.from_cfl(s, J=100, T=3.0, sigma=-0.3)
+    step = run_ibvp(s, bc, run).blowup_step
+    nan_at_step = lambda t: math.nan if t > (step - 0.5) * run.dt else GaussianPulse()(t)
+    scaled = lambda t: 0.6 * GaussianPulse()(t)
+    pairs = [(bc, run)] * 3 + [(custom_condition(np.zeros((2, 2))), IBVPRun.from_cfl(s, J=100, T=3.0, g=nan_at_step)),
+                               (bc, IBVPRun.from_cfl(s, J=100, T=3.0, sigma=-0.3, g=scaled))]
+    pairs += [(silw_condition(2, 2, 3, sigma), IBVPRun.from_cfl(s, J=100, T=3.0, sigma=sigma)) for sigma in (-0.1, 0.2)]
+    for keep_history in (False, True):
+        fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
+        steps = [field.blowup_step for field in fields]
+        assert steps == [step] * 4 + [step + 2, steps[5], None] and steps[5] > step + 2
+        assert fields[3].max_amplitude == math.inf and math.isnan(fields[3].final_profile[0])
+
+
+def test_boundary_data_that_jump_past_the_threshold_blow_up_at_the_jump(monkeypatch):
+    # data that stay at 1e-3 for 300 steps, then jump to 2e6 in one step: no step of the quiet stretch may skip
+    # the read that finds the jump, whether the row marches alone or beside a row whose data stay quiet
+    s = make_beam_warming(0.8)
+    dt, jump = s.lam / 60, 300
+    jumping = lambda t: 2e6 if t > (jump - 0.5) * dt else 1e-3
+    pairs = [(custom_condition([[0.1], [0.2]]), IBVPRun.from_cfl(s, J=60, T=400 * dt, g=jumping)),
+             (silw_condition(2, 2, 3, 0.1), IBVPRun.from_cfl(s, J=60, T=400 * dt, sigma=0.1, g=lambda t: 1e-3))]
+    for group in (pairs[:1], pairs):
+        for keep_history in (False, True):
+            fields = assert_march_is_full_width(monkeypatch, s, group, keep_history)
+            assert [field.blowup_step for field in fields] == [jump, None][: len(group)]
+
+
+@pytest.mark.parametrize("b, blowup_step", [
+    ([[-0.599, -0.336], [0.342, 0.638]], 163),
+    ([[48.865], [5.268]], 42),
+], ids=["row-sums-below-1", "row-sums-far-above-1"])
+def test_a_boundary_whose_rows_sum_below_or_far_above_1_blows_up_at_its_step(monkeypatch, b, blowup_step):
+    # the bound on a step's growth takes the larger of 1 and the largest row sum of |b|. Rows summing to 0.94 and
+    # 0.98 leave the stencil's factor sum |a_k| = 1.16 (Beam-Warming, CFL 0.8) whole: initial data -t, t, t
+    # with t = 1e6 / 1.15 cross at step 1, where the third cell is 1.16 t. A row summing to 48.9 grows by that
+    # factor too. Neither boundary may skip the read of the step it crosses at, and a stable boundary with
+    # small rows marches beside each
+    s = make_beam_warming(0.8)
+    f, extremal = np.linspace(1.0, 0.0, 60), np.zeros(60)
+    extremal[10:13] = np.array([-1.0, 1.0, 1.0]) * 1e6 / 1.15
+    pulse = GaussianPulse(center=0.5)
+    pairs = [(custom_condition(b), IBVPRun.from_cfl(s, J=60, T=8.0, f=f)),
+             (custom_condition(np.asarray(b) * 0.1), IBVPRun.from_cfl(s, J=60, T=8.0, f=f, g=pulse)),
+             (custom_condition(b), IBVPRun.from_cfl(s, J=60, T=8.0, g=lambda t: 0.0, f=extremal))]
+    for keep_history in (False, True):
+        fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
+        assert [field.blowup_step for field in fields] == [blowup_step, None, 1]
+
+
+def test_data_terms_of_each_ghost_are_summed_in_plan_order(monkeypatch):
+    # the second ghost puts order 3 where the first has order 1, so its third term (order 2, a column and
+    # position the first ghost has already used) must still come after its second: a ghost sums its terms in its
+    # own plan order. With b = 0 a ghost is its data term
+    s = make_beam_warming(0.8)
+    plans = (((0, 1.0), (1, -0.7), (2, 0.3)), ((0, 0.9), (3, 1.3), (2, -0.55)))
+    pairs = [(BoundaryCondition(b=np.zeros((2, 2)), g_plan=plans[::step]),
+              IBVPRun.from_cfl(s, J=40, T=1.0, g=GaussianPulse(width=50.0, center=0.5))) for step in (1, -1)]
+    for keep_history in (False, True):
+        assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
