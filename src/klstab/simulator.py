@@ -234,16 +234,16 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
     only their peaks.
     """
     r, count = s.r, len(rows)
+    G, fallbacks = _data_table(rows, r, n_steps)  # before the state, so that its temporaries are freed first
+    B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
+    # bounds on a step of the stencil and the ghost rows, with room for their rounding
+    growth = float(np.abs(s.a).sum()) * max(1.0, float(np.abs(B).sum(axis=2).max())) * (1 + 1e-9)
+    lift, bound, start = float(np.abs(G).max()) * (1 + 1e-9), math.inf, 0
     U = np.zeros((J + r, count))
     for i, (_, _, run) in enumerate(rows):
         U[r:, i] = 0.0 if run.f is None else run.f
     width = max(r, int(np.flatnonzero(U.any(axis=1)).max(initial=-1)) + 1)  # past the last initial data
     V, P, scratch = np.zeros_like(U), np.zeros_like(U), np.empty_like(U)
-    B, ghosts = np.stack([bc.b for _, bc, _ in rows]), np.empty((count, r, 1))
-    G, fallbacks = _data_table(rows, r, n_steps)
-    # bounds on a step of the stencil and the ghost rows, with room for their rounding
-    growth = float(np.abs(s.a).sum()) * max(1.0, float(np.abs(B).sum(axis=2).max())) * (1 + 1e-9)
-    lift, bound, start = float(np.abs(G).max()) * (1 + 1e-9), math.inf, 0
     ids, recorded = np.arange(count), [[] for _ in rows]
     peaks, blowup_steps = [0.0] * count, [None] * count
     profile = lambda i: U[:, i] + 0.0 if n else U[:, i].copy()  # -0.0 becomes +0.0 after step 0
@@ -256,19 +256,19 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
                 recorded[row].append((n, profile(i)))
         if n == n_steps or not bound <= _BLOWUP_THRESHOLD:  # true for a NaN bound too
             bound = float(P[:width].max())
-        if n == n_steps or not bound <= _BLOWUP_THRESHOLD:
-            crossed = np.unique(np.flatnonzero(~(scratch[:width] <= _BLOWUP_THRESHOLD)) % len(ids))
-            done = np.arange(len(ids)) if n == n_steps else crossed
+        if n == n_steps or not bound <= _BLOWUP_THRESHOLD:  # one flat pass finds the rows that crossed, NaN too
+            crossed = np.bincount(np.nonzero(~(scratch[:width] <= _BLOWUP_THRESHOLD))[1], minlength=len(ids)) > 0
+            done = np.arange(len(ids)) if n == n_steps else np.flatnonzero(crossed)
             peak = P[:width, done].max(axis=0)
             peak[np.isnan(peak)] = np.inf
             for i, top in zip(done, peak):
                 if not keep_history:
                     recorded[ids[i]].append((n, profile(i)))
                 peaks[ids[i]] = float(top)
-                blowup_steps[ids[i]] = n if i in crossed else None
+                blowup_steps[ids[i]] = n if crossed[i] else None
             if done.size == len(ids):
                 break
-            keep, kept = np.isin(ids, ids[done], invert=True), np.zeros((2, J + r, len(ids) - done.size))
+            keep, kept = ~crossed, np.zeros((2, J + r, len(ids) - done.size))
             kept[0, :width], kept[1, :width] = U[:width, keep], P[:width, keep]  # past width all are zero
             U, P, V, scratch = *kept, np.zeros_like(kept[0]), np.empty_like(kept[0])  # C order, for the flat pass
             B, ghosts, ids = B[keep], ghosts[keep], ids[keep]
