@@ -151,19 +151,20 @@ def analyze_many(pairs: Sequence[Tuple[Scheme, BoundaryCondition]], tols: Tolera
                  n0: int = 1024) -> List[Union[StabilityVerdict, Exception]]:
     """The verdict of each (scheme, boundary) pair, or the error that deciding it raised.
 
-    Each boundary is fitted to its scheme and each distinct scheme validated once. The pairs that pass are grouped
-    by ``(r, m)`` and decided in stacked blocks; the curves are wound 4 at a time, those whose first winding level
-    needs a split or comes near the origin walked together. Each verdict is bit for bit the one the pair gets alone.
+    Each boundary is fitted to its scheme, and each scheme's report comes from :func:`validate`: one report per
+    scheme value per process, from a bounded cache. The pairs that pass are grouped by ``(r, m)`` and decided in
+    stacked blocks; the curves are wound 4 at a time, those whose first winding level needs a split or comes near
+    the origin walked together. Each verdict is bit for bit the one the pair gets alone.
     The zeros of an ``UnstableBoundaryZero`` verdict are left unclassified, ``boundary_zeros`` empty.
     """
     if n0 < 64:  # an error of the call, not of a pair
         raise ValueError("n0 must be at least 64")
     outcomes: List = [None] * len(pairs)
-    reports, groups = {}, {}
+    groups: dict = {}
     for k, (s, bc) in enumerate(pairs):
         try:
             bc = bc.restricted_to(s.r)
-            report = reports[id(s)] = reports.get(id(s)) or validate(s, tols=tols)
+            report = validate(s, tols=tols)
         except _ROW_ERRORS as exc:
             outcomes[k] = exc
             continue

@@ -123,23 +123,33 @@ def validate(s: Scheme, tols: Tolerances = DEFAULT_TOLS) -> AssumptionReport:
 
     Cauchy stability is checked by dense sampling of the symbol modulus on
     4096 uniform frequencies; the symbols in scope are trigonometric
-    polynomials of tiny degree, so sampling is reliable.
+    polynomials of tiny degree, so sampling is reliable. The report depends
+    on the scheme's value alone, so it comes from a bounded cache keyed on the
+    exact bits of the stencil (``0.0`` and ``-0.0`` apart), the CFL number and
+    the tolerances: equal schemes share one report object.
     """
+    return _validate(s.a.tobytes(), s.lam, tols)
+
+
+@functools.lru_cache(maxsize=256)
+def _validate(stencil: bytes, lam: float, tols: Tolerances) -> AssumptionReport:
+    """:func:`validate` of the stencil with the bytes ``stencil``, ``a_{-r}`` first, at CFL ``lam``."""
+    a = np.frombuffer(stencil)
+    r = a.size - 1
     # the symbol summed row by row in ascending k: elementwise on purpose, as a matrix-vector product runs on a
     # multithreaded BLAS, whose threads contend for the cores with the workers of a parallel sweep
-    basis = _symbol_basis(s.r)
-    symbol = basis[0] * s.a[0]
-    for k in range(1, s.r + 1):
-        symbol += basis[k] * s.a[k]
+    basis = _symbol_basis(r)
+    symbol = basis[0] * a[0]
+    for k in range(1, r + 1):
+        symbol += basis[k] * a[k]
     max_mod = float(np.maximum.reduce(np.abs(symbol)))
     h2 = max_mod <= 1.0 + tols.cauchy_tol
 
-    residual_sum = float(np.add.reduce(s.a) - 1.0)
-    residual_order1 = float(np.dot(np.arange(-s.r, 1), s.a) + s.lam)
+    residual_sum = float(np.add.reduce(a) - 1.0)
+    residual_order1 = float(np.dot(np.arange(-r, 1), a) + lam)
     h3 = abs(residual_sum) <= _CONSISTENCY_TOL and abs(residual_order1) <= _CONSISTENCY_TOL
 
-    a0 = s.a_zero
+    a0 = float(a[-1])
     return AssumptionReport(h0_nondegenerate=True, h2_cauchy_stable=bool(h2), h2_max_symbol_modulus=max_mod,
                             h3_consistent=bool(h3), h3_residual_sum=residual_sum, h3_residual_order1=residual_order1,
                             a0_interior=bool(abs(a0) < 1.0), a0=a0)
-

@@ -30,19 +30,27 @@ class GaussianPulse:
         tau = t - self.center
         return math.exp(-self.width * tau * tau)
 
-    def derivative(self, k: int, t: float) -> float:
-        tau = t - self.center
-        g = self(t)
+    def derivative(self, k: int, t):
+        """The ``k``-th derivative at ``t``, a time or an array of times. On an array each element is bit for bit
+        its time's value: ``exp`` and the cube are taken element by element in Python, as numpy's differ in the
+        last bit."""
+        if not 0 <= k <= 3:
+            raise ValueError(f"analytic derivatives available up to order 3, requested {k}")
+        tau = np.subtract(t, self.center)
         w = self.width
+        g = _per_element(math.exp, -w * tau * tau)
         if k == 0:
             return g
         if k == 1:
             return -2.0 * w * tau * g
         if k == 2:
             return (4.0 * w * w * tau * tau - 2.0 * w) * g
-        if k == 3:
-            return (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g
-        raise ValueError(f"analytic derivatives available up to order 3, requested {k}")
+        return (12.0 * w * w * tau - 8.0 * w**3 * _per_element(lambda x: x**3, tau)) * g
+
+
+def _per_element(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``f`` of each element of ``x``, as Python floats."""
+    return np.array([f(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))[()]
 
 
 def _check_run(J: int, T: float, a: float) -> None:
@@ -187,10 +195,12 @@ def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
     """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each row, ghost and step, summed in plan order.
 
     Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g`` and ``dt``
-    and the order ``k``, is sampled once (one ``g_derivative`` call a step)
-    and shared by every row with that key, and added to all its (row, ghost)
-    slots of one plan position by one ``+=``; the second result flags the
-    rows whose columns fell back to finite differences.
+    and the order ``k``, is sampled once and shared by every row with that
+    key: by one ``derivative`` call over all step times for orders 0 to 3 of
+    a :class:`GaussianPulse`, else by one ``g_derivative`` call a step. It is
+    added to all its (row, ghost) slots of one plan position by one ``+=``;
+    the second result flags the rows whose columns fell back to finite
+    differences.
     """
     fallbacks, columns, terms = [], {}, {}
     for i, (_, bc, run) in enumerate(rows):
@@ -198,8 +208,12 @@ def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
         orders = {k for plan in bc.g_plan for k, _ in plan}
         for k in orders:
             if data + (k,) not in columns:
-                samples = [run.g_derivative(k, n * run.dt) for n in range(n_steps + 1)]
-                columns[data + (k,)] = np.array([v for v, _ in samples]), any(fd for _, fd in samples)
+                times = np.arange(n_steps + 1) * run.dt
+                if isinstance(run.g, GaussianPulse) and k <= 3:
+                    columns[data + (k,)] = run.g.derivative(k, times), False
+                else:
+                    samples = [run.g_derivative(k, time) for time in times.tolist()]
+                    columns[data + (k,)] = np.array([v for v, _ in samples]), any(fd for _, fd in samples)
         fallbacks.append(any(columns[data + (k,)][1] for k in orders))
         for j, plan in enumerate(bc.g_plan):
             for position, (k, weight) in enumerate(plan):
@@ -231,7 +245,8 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
     cell's running peak; its maximum ``top`` is read only where the bound
     ``growth * top + lift`` on the next amplitude could pass the threshold.
     A read past it finds the rows that crossed in one flat pass and reduces
-    only their peaks.
+    only their peaks; the rows left keep their columns in the front of the
+    same buffers.
     """
     r, count = s.r, len(rows)
     G, fallbacks = _data_table(rows, r, n_steps)  # before the state, so that its temporaries are freed first
@@ -268,9 +283,9 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
                 blowup_steps[ids[i]] = n if crossed[i] else None
             if done.size == len(ids):
                 break
-            keep, kept = ~crossed, np.zeros((2, J + r, len(ids) - done.size))
-            kept[0, :width], kept[1, :width] = U[:width, keep], P[:width, keep]  # past width all are zero
-            U, P, V, scratch = *kept, np.zeros_like(kept[0]), np.empty_like(kept[0])  # C order, for the flat pass
+            keep, stride = ~crossed, len(ids) - done.size
+            U, P = (_narrowed(X, width, stride, X[:width, keep]) for X in (U, P))
+            V, scratch = (_narrowed(X, width, stride) for X in (V, scratch))  # written before they are read
             B, ghosts, ids = B[keep], ghosts[keep], ids[keep]
             G, start, bound = G[keep, :, n + 1 - start :], n + 1, _BLOWUP_THRESHOLD  # the steps to come
         bound = growth * bound + lift
@@ -290,6 +305,21 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
         )
         for (_, _, run), record, peak, step, fd in zip(rows, recorded, peaks, blowup_steps, fallbacks)
     ]
+
+
+def _narrowed(X: np.ndarray, width: int, stride: int, prefix: Optional[np.ndarray] = None) -> np.ndarray:
+    """The front of ``X``'s buffer as a C-order array of ``stride`` columns, zero past ``width`` rows as ``X`` is,
+    with ``prefix`` as its first ``width`` rows (else those rows are left as they are).
+
+    ``X`` is C-contiguous and zero past ``width`` rows, so at the narrower stride only the cells that held its first
+    ``width`` rows need zeroing.
+    """
+    flat = X.reshape(-1)
+    flat[width * stride : width * X.shape[1]] = 0.0
+    narrowed = flat[: X.shape[0] * stride].reshape(X.shape[0], stride)
+    if prefix is not None:
+        narrowed[:width] = prefix
+    return narrowed
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from klstab import analyzer, winding
+from klstab import scheme as scheme_module
 from klstab.analyzer import (
     BoundaryZeroType,
     StabilityStatus,
@@ -748,3 +749,18 @@ def test_sweep_csv_is_the_same_for_any_jobs():
     lams, sigmas = np.linspace(0.1, 1.9, 7), np.linspace(-0.5, 0.4, 4)
     serial = sweep(bw_family, s2ilw3_family, lams, sigmas, jobs=1).to_csv()
     assert sweep(bw_family, s2ilw3_family, lams, sigmas, jobs=2).to_csv() == serial
+
+
+def test_verdicts_are_the_same_bytes_from_a_cold_and_a_warm_report_cache():
+    # the six Fig. 6 presets at CFL values on either side of 1 and 2, CFL 1 itself (a_0 = -0.0) included: each
+    # verdict's JSON with the report cache cleared before it equals the JSON from a cache warmed by equal schemes
+    cold = []
+    for kd, d in ((1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)):
+        for lam in (0.3, 0.7, 1.0, 1.4, 1.6, 2.1):
+            scheme_module._validate.cache_clear()
+            s = make_beam_warming(lam)
+            cold.append((lam, kd, d, analyze(s, silw_condition(s.r, kd, d, 0.0)).to_json()))
+    for lam, kd, d, expected in cold:
+        s = make_beam_warming(lam)
+        assert analyze(s, silw_condition(s.r, kd, d, 0.0)).to_json() == expected, (lam, kd, d)
+    assert sum('"a0": -0.0' in expected for lam, _, _, expected in cold if lam == 1.0) == 6

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from klstab import scheme as scheme_module
+from klstab.config import Tolerances
 from klstab.scheme import Scheme, _symbol_basis, make_beam_warming, validate
 from oracles import stencil_by_numpy, symbol
 
@@ -176,3 +180,31 @@ def test_stencil_errors_match_numpy_construction(coefficients, lam):
     with pytest.raises(ValueError) as got:
         Scheme(coefficients, lam)
     assert str(got.value) == str(expected.value)
+
+
+def test_equal_stencils_share_one_report():
+    # the report depends on the scheme's value alone: separate but equal schemes get one report object
+    assert validate(make_beam_warming(0.7)) is validate(make_beam_warming(0.7))
+    coefficients = [-0.105, 0.91, 0.195]
+    assert validate(Scheme(coefficients, 0.7)) is validate(Scheme(np.array(coefficients), 0.7))
+    assert validate(make_beam_warming(0.7)) is not validate(make_beam_warming(0.7000000000000001))
+
+
+def test_report_cache_keeps_zero_signs_apart():
+    # Beam-Warming at CFL 1 trims to (1, -0.0), which equals (1, 0.0) as floats but not as bits: each keeps
+    # the sign of its own a_0, whichever is validated first
+    for first_negative in (True, False):
+        scheme_module._validate.cache_clear()
+        schemes = [make_beam_warming(1.0), Scheme([1.0, 0.0], 1.0)]
+        reports = [validate(s) for s in (schemes if first_negative else schemes[::-1])]
+        signs = [math.copysign(1.0, report.a0) for report in reports]
+        assert signs == ([-1.0, 1.0] if first_negative else [1.0, -1.0])
+
+
+def test_report_cache_keys_on_the_tolerances():
+    # Beam-Warming at CFL 2.000001 has a symbol modulus of about 1 + 4e-6: refused under the default cauchy_tol,
+    # accepted under 1e-5, each from its own entry
+    s = make_beam_warming(2.000001)
+    default, loose = validate(s), validate(s, Tolerances(cauchy_tol=1e-5))
+    assert not default.h2_cauchy_stable and loose.h2_cauchy_stable
+    assert validate(s) is default and validate(s, Tolerances(cauchy_tol=1e-5)) is loose

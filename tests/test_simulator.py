@@ -582,3 +582,43 @@ def test_data_terms_of_each_ghost_are_summed_in_plan_order(monkeypatch):
               IBVPRun.from_cfl(s, J=40, T=1.0, g=GaussianPulse(width=50.0, center=0.5))) for step in (1, -1)]
     for keep_history in (False, True):
         assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
+
+
+def test_rows_that_leave_before_the_prefix_spans_the_domain_match_full_width(monkeypatch):
+    # J = 400 cells at CFL 1.3: six rows blow up at steps 10 to 98, while the prefix r + r n is still shorter
+    # than J + r, one at step 242 and one never; the rows left march on past each event's width, so the cells
+    # that the narrowed arrays hold past that width must read zero
+    s = make_beam_warming(1.3)
+    b = np.array([[48.865], [5.268]])
+    pairs = [(custom_condition(b * scale), IBVPRun.from_cfl(s, J=400, T=1.0)) for scale in (1.0, 0.6, 0.4, 0.25)]
+    pairs += [(silw_condition(2, 2, 3, sigma), IBVPRun.from_cfl(s, J=400, T=1.0, sigma=sigma))
+              for sigma in (-0.5, -0.3, 0.0, 0.2)]
+    for keep_history in (False, True):
+        fields = assert_march_is_full_width(monkeypatch, s, pairs, keep_history)
+        assert [field.blowup_step for field in fields] == [10, 12, 15, 20, 72, 98, 242, None]
+        assert np.count_nonzero(fields[-1].final_profile) == 400 + s.r
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_pulse_column_is_its_scalar_derivatives_bit_for_bit(k):
+    # the step times of the four benchmark scans (J = 1000, T = 0.3) and random times, at two pulses
+    rng = np.random.default_rng(k)
+    grids = [np.arange(int(math.ceil(0.3 / (lam / 1000) - 1e-9)) + 1) * (lam / 1000) for lam in (0.45, 0.6, 1.3, 1.69)]
+    grids.append(rng.uniform(-1.0, 2.0, 500))
+    for pulse in (GaussianPulse(), GaussianPulse(width=50.0, center=0.1)):
+        for times in grids:
+            column = pulse.derivative(k, times)
+            scalars = np.array([pulse.derivative(k, t) for t in times.tolist()])
+            assert column.tobytes() == scalars.tobytes()
+
+
+def test_a_scalar_pulse_derivative_is_the_closed_form_in_python_floats():
+    # numpy's cube of tau differs from Python's in the last bit on some times; the scalar takes Python's
+    pulse, w = GaussianPulse(), 200.0
+    for t in np.random.default_rng(3).uniform(0.0, 0.5, 2000).tolist():
+        tau = t - 0.25
+        g = math.exp(-w * tau * tau)
+        expected = [g, -2.0 * w * tau * g, (4.0 * w * w * tau * tau - 2.0 * w) * g,
+                    (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g]
+        assert [float(pulse.derivative(k, t)) for k in range(4)] == expected
+
