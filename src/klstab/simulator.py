@@ -285,7 +285,7 @@ def _march_group(s, rows, J, n_steps, m, keep_history) -> List[SolutionField]:
                 break
             keep, stride = ~crossed, len(ids) - done.size
             U, P = (_narrowed(X, width, stride, X[:width, keep]) for X in (U, P))
-            V, scratch = (_narrowed(X, width, stride) for X in (V, scratch))  # written before they are read
+            V, scratch = (_narrowed(X, width, stride) for X in (V, scratch))  # prefixes written before read
             B, ghosts, ids = B[keep], ghosts[keep], ids[keep]
             G, start, bound = G[keep, :, n + 1 - start :], n + 1, _BLOWUP_THRESHOLD  # the steps to come
         bound = growth * bound + lift

@@ -621,4 +621,3 @@ def test_a_scalar_pulse_derivative_is_the_closed_form_in_python_floats():
         expected = [g, -2.0 * w * tau * g, (4.0 * w * w * tau * tau - 2.0 * w) * g,
                     (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g]
         assert [float(pulse.derivative(k, t)) for k in range(4)] == expected
-
