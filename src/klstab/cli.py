@@ -83,7 +83,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse ``A:B:STEP`` into an ascending grid; B is included when it lands on the grid."""
+    """Parse ``A:B:STEP`` into an ascending grid rounded to 12 decimals; B is included when it lands on the grid. A
+    step so small that rounded points repeat is refused."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be A:B:STEP, got {text!r}")
@@ -100,7 +101,10 @@ def parse_grid(text: str) -> np.ndarray:
         raise UsageError(f"grid has too many points: {text!r}")
     n = int(np.floor(spans + 1e-9)) + 1
     # round away float accumulation noise so grid values print cleanly
-    return np.round(a + step * np.arange(n), 12)
+    grid = np.round(a + step * np.arange(n), 12)
+    if not np.all(np.diff(grid) > 0):
+        raise UsageError(f"grid points repeat once rounded to 12 decimals; use a larger step: {text!r}")
+    return grid
 
 
 @functools.lru_cache(maxsize=None)

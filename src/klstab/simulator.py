@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,13 +74,13 @@ def _step_count(T: float, dt: float) -> int:
 class IBVPRun:
     """Geometry, time horizon and boundary data for one simulation.
 
-    A :class:`GaussianPulse` ``g`` gives its derivatives of orders 1 to 3 in
-    closed form; any other derivative falls back to centered finite
-    differences with step ``dt/10``, and the fallback is flagged on the
-    result. Runs marched together that have the same ``dt`` and equal ``g``
-    share their boundary-data samples: a hashable ``g`` is compared by value
-    (equal pulses are equal), any other by identity. Runs themselves compare
-    by identity, as ``f`` is an array.
+    :meth:`g_derivative` is the one sampler of the boundary data. It takes
+    orders 0 to 3 of a :class:`GaussianPulse` in closed form, any other
+    derivative by centered finite differences with step ``dt/10``, and the
+    fallback is flagged on the result. Runs marched together that have the
+    same ``dt`` and equal ``g`` share their boundary-data samples: a hashable
+    ``g`` is compared by value (equal pulses are equal), any other by
+    identity. Runs themselves compare by identity, as ``f`` is an array.
     """
 
     J: int
@@ -113,20 +113,23 @@ class IBVPRun:
         """The cell width of the unit interval, ``1/J``."""
         return 1.0 / self.J
 
-    def g_derivative(self, k: int, t: float) -> Tuple[float, bool]:
-        """k-th derivative of the boundary data at ``t``; flags a FD fallback."""
-        if k == 0:
-            return float(self.g(t)), False
+    def g_derivative(self, k: int, t) -> Tuple[Union[float, np.ndarray], bool]:
+        """k-th derivative of the boundary data at ``t``, a time or an array of times (each bit for bit its time's
+        value); flags a FD fallback. Each node ``(order, times)`` of the nested differences is computed once."""
         if k <= 3 and isinstance(self.g, GaussianPulse):
-            return float(self.g.derivative(k, t)), False
-        h = self.dt / 10.0
+            values, fd = self.g.derivative(k, t), False
+        else:
+            h, nodes = self.dt / 10.0, {}
 
-        def deriv(order: int, tt: float) -> float:
-            if order == 0:
-                return float(self.g(tt))
-            return (deriv(order - 1, tt + h) - deriv(order - 1, tt - h)) / (2.0 * h)
+            def deriv(order: int, tt: np.ndarray) -> np.ndarray:
+                key = (order, tt.tobytes())
+                if key not in nodes:
+                    nodes[key] = (_per_element(lambda x: float(self.g(x)), tt) if order == 0 else
+                                  (deriv(order - 1, tt + h) - deriv(order - 1, tt - h)) / (2.0 * h))
+                return nodes[key]
 
-        return deriv(k, t), True
+            values, fd = deriv(k, np.asarray(t, dtype=float)), k > 0
+        return (float(values) if np.ndim(t) == 0 else values), fd
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,33 +198,20 @@ def _data_table(rows, r: int, n_steps: int) -> Tuple[np.ndarray, List[bool]]:
     """Data terms ``w * (dx/a)**k * g^(k)(t)`` of each row, ghost and step, summed in plan order.
 
     Each distinct column ``g^(k)(n dt)``, keyed on the run's ``g`` and ``dt``
-    and the order ``k``, is sampled once and shared by every row with that
-    key: by one ``derivative`` call over all step times for orders 0 to 3 of
-    a :class:`GaussianPulse`, else by one ``g_derivative`` call a step. It is
-    added to all its (row, ghost) slots of one plan position by one ``+=``;
-    the second result flags the rows whose columns fell back to finite
-    differences.
+    and the order ``k``, is sampled once, by one ``g_derivative`` call over all
+    step times, and shared by every row with that key. Each (row, ghost) slot
+    adds its weighted columns in plan order; the second result flags the rows
+    whose columns fell back to finite differences.
     """
-    fallbacks, columns, terms = [], {}, {}
+    table, fallbacks, columns = np.zeros((len(rows), r, n_steps + 1)), [], {}
     for i, (_, bc, run) in enumerate(rows):
         data = (_by_value(run.g), run.dt)
-        orders = {k for plan in bc.g_plan for k, _ in plan}
-        for k in orders:
-            if data + (k,) not in columns:
-                times = np.arange(n_steps + 1) * run.dt
-                if isinstance(run.g, GaussianPulse) and k <= 3:
-                    columns[data + (k,)] = run.g.derivative(k, times), False
-                else:
-                    samples = [run.g_derivative(k, time) for time in times.tolist()]
-                    columns[data + (k,)] = np.array([v for v, _ in samples]), any(fd for _, fd in samples)
-        fallbacks.append(any(columns[data + (k,)][1] for k in orders))
         for j, plan in enumerate(bc.g_plan):
-            for position, (k, weight) in enumerate(plan):
-                terms.setdefault((position, data + (k,)), []).append((i, j, weight * (run.dx / run.a) ** k))
-    table = np.zeros((len(rows), r, n_steps + 1))
-    for (_, key), entries in sorted(terms.items(), key=lambda item: item[0][0]):
-        i, j, weights = map(np.array, zip(*entries))
-        table[i, j] += np.multiply.outer(weights, columns[key][0])
+            for k, weight in plan:
+                if data + (k,) not in columns:
+                    columns[data + (k,)] = run.g_derivative(k, np.arange(n_steps + 1) * run.dt)
+                table[i, j] += weight * (run.dx / run.a) ** k * columns[data + (k,)][0]
+        fallbacks.append(any(columns[data + (k,)][1] for plan in bc.g_plan for k, _ in plan))
     return table, fallbacks
 
 

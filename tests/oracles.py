@@ -170,6 +170,14 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
     return _illinois(gap, x, end)
 
 
+def nested_differences(g, k: int, t: float, h: float) -> float:
+    """The ``k``-th derivative of ``g`` at the time ``t`` by nested centered differences of step ``h``, without
+    sharing a node: ``g`` is called ``2**k`` times."""
+    if k == 0:
+        return float(g(t))
+    return (nested_differences(g, k - 1, t + h, h) - nested_differences(g, k - 1, t - h, h)) / (2.0 * h)
+
+
 def data_table_by_loop(rows, r: int, n_steps: int):
     """``simulator._data_table`` in the ``(steps + 1, rows, r)`` layout of the march below, as one ``+=`` per row,
     ghost and plan entry in plan order, each row sampling its own columns."""

@@ -34,6 +34,19 @@ def test_parse_grid_errors():
             parse_grid(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambda-grid", "0.5:0.5000000000003:1e-13"],
+    ["sweep", "--lambda-grid", "0.5:0.5:1", "--sigma-grid=1e-13:4e-13:1e-13"],
+    ["simulate", "--lambda", "0.6", "--sigma-grid=1e-13:4e-13:1e-13", "--grid-points", "20"],
+])
+def test_a_grid_whose_rounded_points_repeat_is_refused(capsys, argv):
+    # a step below the 12 decimals that grid points keep would repeat points
+    assert run_cli(argv + ["--silw", "2", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid points repeat") and captured.err.count("\n") == 1
+
+
 def test_check_stable_exit_zero(capsys):
     code = run_cli(["check", "--preset", "beam-warming", "--lambda", "0.7", "--silw", "2", "3"])
     out = capsys.readouterr().out

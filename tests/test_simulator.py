@@ -8,7 +8,7 @@ from klstab.analyzer import analyze
 from klstab.boundary import BoundaryCondition, custom_condition, silw_condition
 from klstab.scheme import Scheme, make_beam_warming, validate
 from klstab.simulator import GaussianPulse, IBVPRun, march, run_ibvp, sigma_scan
-from oracles import full_width_march_group, upwind_block
+from oracles import full_width_march_group, nested_differences, upwind_block
 
 
 def test_zero_data_stays_zero():
@@ -327,21 +327,6 @@ def test_g_derivative_takes_a_pulse_in_closed_form_and_flags_finite_differences(
     assert fd and abs(value - 10 * math.cos(1.0)) < 1e-3
 
 
-def test_scan_samples_a_shared_pulse_once_per_step(monkeypatch):
-    # 50 offsets with equal Gaussian pulses at one dt share each derivative column
-    calls = []
-    derivative = GaussianPulse.derivative
-    monkeypatch.setattr(GaussianPulse, "derivative", lambda self, k, t: calls.append(k) or derivative(self, k, t))
-    s = make_beam_warming(0.6)
-    grid = np.linspace(-0.5, 0.48, 50)
-    run_factory = lambda sg: IBVPRun.from_cfl(s, J=100, T=0.3, sigma=sg)
-    sigma_scan(s, lambda sg: silw_condition(2, 2, 3, sg), grid, run_factory)
-    run = run_factory(0.0)
-    steps = int(math.ceil(run.T / run.dt - 1e-9))
-    orders = {k for plan in silw_condition(2, 2, 3, 0.0).g_plan for k, _ in plan}
-    assert 0 < len(calls) <= (steps + 1) * len(orders)
-
-
 class UnhashablePulse(GaussianPulse):
     """A Gaussian pulse that compares equal to any other, whatever its width, and cannot be hashed."""
 
@@ -621,3 +606,53 @@ def test_a_scalar_pulse_derivative_is_the_closed_form_in_python_floats():
         expected = [g, -2.0 * w * tau * g, (4.0 * w * w * tau * tau - 2.0 * w) * g,
                     (12.0 * w * w * tau - 8.0 * w**3 * tau**3) * g]
         assert [float(pulse.derivative(k, t)) for k in range(4)] == expected
+
+
+def benchmark_runs(g):
+    """The runs of the four benchmark scans (J = 1000, T = 0.3) with boundary data ``g``, each with its step times."""
+    runs = [IBVPRun.from_cfl(make_beam_warming(lam), J=1000, T=0.3, g=g) for lam in (0.45, 0.6, 1.3, 1.69)]
+    return [(run, np.arange(int(math.ceil(run.T / run.dt - 1e-9)) + 1) * run.dt) for run in runs]
+
+
+@pytest.mark.parametrize("g, orders", [(GaussianPulse(), range(9)), (lambda t: math.sin(10 * t) + t * t, range(7))],
+                         ids=["pulse", "plain"])
+def test_g_derivative_over_an_array_is_its_scalar_calls_bit_for_bit(g, orders):
+    # the pulse in closed form to order 3 and by differences past it, a plain callable by differences past order 0
+    runs = benchmark_runs(g)
+    runs.append((runs[0][0], np.random.default_rng(5).uniform(-1.0, 2.0, 200)))
+    for run, times in runs:
+        for k in orders:
+            column, fd = run.g_derivative(k, times)
+            scalars = [run.g_derivative(k, t) for t in times.tolist()]
+            assert fd == (k > (3 if isinstance(g, GaussianPulse) else 0))
+            assert all(flag == fd for _, flag in scalars)
+            assert np.array_equal(column.view(np.uint64), np.array([v for v, _ in scalars]).view(np.uint64))
+
+
+def test_finite_differences_share_their_nodes_bit_for_bit():
+    # each node of the recursion once: the values of the recursion that calls g 2**k times a time
+    calls = []
+    g = lambda t: calls.append(t) or math.sin(10 * t) * math.exp(-t)
+    for run, times in benchmark_runs(g):
+        times = np.concatenate([times[::40], np.random.default_rng(7).uniform(0.0, 0.3, 10)])
+        for k in range(13):
+            column, _ = run.g_derivative(k, times)
+            expected = [nested_differences(g, k, t, run.dt / 10.0) for t in times.tolist()]
+            assert np.array_equal(column.view(np.uint64), np.array(expected).view(np.uint64))
+        calls.clear()
+        run.g_derivative(16, times)
+        assert len(calls) <= 17**2 * times.size
+
+
+def test_data_table_samples_each_column_with_one_call(monkeypatch):
+    # 50 offsets with one plain callable, or with equal Gaussian pulses, at one dt share each derivative column
+    calls = []
+    g_derivative = IBVPRun.g_derivative
+    monkeypatch.setattr(IBVPRun, "g_derivative", lambda self, k, t: calls.append(k) or g_derivative(self, k, t))
+    s, plain = make_beam_warming(0.6), lambda t: math.sin(10 * t)
+    orders = {k for plan in silw_condition(2, 2, 3, 0.0).g_plan for k, _ in plan}
+    for make_g in (lambda: plain, GaussianPulse):  # one callable object, or a new equal pulse for each offset
+        calls.clear()
+        sigma_scan(s, lambda sg: silw_condition(2, 2, 3, sg), np.linspace(-0.5, 0.48, 50),
+                   lambda sg: IBVPRun.from_cfl(s, J=100, T=0.3, sigma=sg, g=make_g()))
+        assert sorted(calls) == sorted(orders)
