@@ -400,8 +400,9 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
     """Locate a stability transition between two CFL values with differing strong-stability verdicts.
 
     The result brackets the ``analyze`` verdict flip to ``width = |lam_b - lam_a| / 2**max_iter``.
-    :func:`_predict_flip` predicts the flip near where ``rho(A)`` crosses 1, on the side where it is below 1; both
-    root solves read one spectrum of ``A`` per CFL value. One :func:`analyze_many` call decides both ends, a point
+    :func:`_illinois` finds where ``rho(A)`` crosses 1, and :func:`_predict_flip` predicts the flip near it, on the
+    side where it is below 1, by one secant step; both read one spectrum of ``A`` per CFL value, about 8 an edge
+    (the crossing's shared). One :func:`analyze_many` call decides both ends, a point
     ``0.45 * width`` short of the prediction and a step of ``0.9 * width`` from it; the search then steps (growing
     eightfold) and bisects as if it asked for one verdict at a time, using a verdict decided ahead only at its own
     CFL value, and reading only its status (zeros unclassified). A prediction for the wrong side is made again;
@@ -488,9 +489,13 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
 def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> float:
     """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve ``D`` at
     ``mu / |mu|`` (``mu`` the eigenvalue of ``A`` nearest the circle) is ``origin_tol`` times its largest first-pass
-    sample at ``x`` from the origin, where the winding's origin test stops firing; ``ValueError`` if none is, an
-    ``ArithmeticError`` if ``|D|`` leaves the float range. ``spectrum(lam)`` gives the scheme and the eigenvalues
-    ``mu_j`` of ``A``: ``det(zI - A) = prod(z - mu_j)``, times the prefactors of :func:`kl_det_stack`, over ``z**r``."""
+    sample at ``x`` from the origin, where the winding's origin test stops firing: the root of ``g = |D| / scale -
+    origin_tol`` by one secant step through ``g(x)`` and ``g(end)``. ``|D(mu / |mu|)|`` is ``||mu| - 1|``, linear
+    in the CFL value near the crossing, times factors that barely move over the at most 1e-5 from ``x`` to ``end``,
+    so ``g`` is close to linear there and one step stands in for a root solve. ``ValueError`` if ``g`` has the same
+    sign at both ends, an ``ArithmeticError`` if ``|D|`` leaves the float range. ``spectrum(lam)`` gives the scheme
+    and the eigenvalues ``mu_j`` of ``A``: ``det(zI - A) = prod(z - mu_j)``, times the prefactors of
+    :func:`kl_det_stack`, over ``z**r``."""
 
     def modulus(lam: float, z: np.ndarray) -> np.ndarray:
         s, mu = spectrum(lam)
@@ -503,11 +508,16 @@ def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> 
         return float(modulus(lam, np.exp(1j * np.angle([mu])))[0]) / scale - tols.origin_tol
 
     scale = float(np.max(modulus(x, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n0 + 1)))))
-    return _illinois(gap, x, end)
+    gx, gend = gap(x), gap(end)
+    if np.sign(gx) == np.sign(gend) != 0.0:
+        raise ValueError("g must have different signs at the ends of the bracket")
+    return end - gend * (end - x) / (gend - gx)
 
 
 def _illinois(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of ``f`` on ``[a, b]`` by the Illinois variant of regula falsi.
+    """A root of ``f`` on ``[a, b]`` by the Anderson-Bjorck variant of regula falsi (BIT 13, 1973): an end kept
+    twice in a row has its value scaled by ``1 - f(x)/f(e)``, ``e`` the end the new point ``x`` replaces, or halved,
+    as in the Illinois variant, when that factor is not positive.
 
     It stops where ``f`` vanishes, after 100 steps, or once the bracket is
     narrower than ``2e-12 + 4 eps |x|`` (``4 eps = 2**-50``), brentq's default
@@ -522,11 +532,14 @@ def _illinois(f: Callable[[float], float], a: float, b: float) -> float:
         fx = f(x)
         if fx == 0.0:
             break
-        # x replaces the end where f has its sign; the other end's value is halved when kept twice in a row
+        # x replaces the end e where f has its sign; the other end's value is scaled by m = 1 - f(x)/f(e) (0.5
+        # when m <= 0) when kept twice in a row
         if np.sign(fx) == np.sign(fb):
-            b, fb, fa, side = x, fx, fa * (0.5 if side == -1 else 1.0), -1
+            m = 1.0 - fx / fb if side == -1 else 1.0
+            b, fb, fa, side = x, fx, fa * (m if m > 0.0 else 0.5), -1
         else:
-            a, fa, fb, side = x, fx, fb * (0.5 if side == 1 else 1.0), 1
+            m = 1.0 - fx / fa if side == 1 else 1.0
+            a, fa, fb, side = x, fx, fb * (m if m > 0.0 else 0.5), 1
         if abs(b - a) < 2e-12 + 2.0**-50 * abs(x):
             break
     return x

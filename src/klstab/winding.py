@@ -15,6 +15,11 @@ not finite. The curves' running scalars are arrays updated once a pass. Only a c
 its segments merged into depth-first order, to find the stop. The refined polygon, the evaluation count and the error
 are those of a depth-first walk that splits segments in parameter order, the adaptive argument-principle count of X.
 Ying and I. N. Katz (Numer. Math. 53, 1988).
+
+A split whose midpoint parameter rounds to an end is below the parameter resolution: the evaluator is taken for a
+function of the parameter, so the midpoint's point is the end's and one half is the split again, which the depth-first
+walk splits until the budget runs out. A pass finds such splits as equal adjacent parameters of its subtrees, evaluates
+only the new parameters, and the replay ends the walk at the first one with the outcome the budget would give.
 """
 
 from __future__ import annotations
@@ -229,14 +234,30 @@ def winding_numbers(params: np.ndarray, points: np.ndarray, tols: Tolerances,
         T[:, 0], T[:, _N] = ta, tb
         for step in _STEPS:
             T[:, step::2 * step] = 0.5 * (T[:, :-1:2 * step] + T[:, 2 * step::2 * step])
-        pm = np.asarray(evaluator(gk.repeat((_N - 1) * count), T[:, 1:-1].ravel()), dtype=complex)
+        rows_of, params_of = gk.repeat((_N - 1) * count), T[:, 1:-1].ravel()
+        fresh = None
+        if (T[:, 1:] == T[:, :-1]).any():  # a sub-resolution split: only the new parameters are evaluated
+            fresh = (T[:, 1:-1] != T[:, :-2]) & (T[:, 1:-1] != T[:, -1:])
+            rows_of, params_of = rows_of[fresh.ravel()], params_of[fresh.ravel()]
+        pm = np.asarray(evaluator(rows_of, params_of) if params_of.size else [], dtype=complex)
         if divided:
-            pm = pm / units[gk].repeat((_N - 1) * count)
+            pm = pm / units[rows_of]
         modulus = np.abs(pm)
         if not np.isfinite(modulus).all():  # a midpoint that is not finite is a stop with an error, at modulus -1
             pm, modulus = np.where(np.isfinite(modulus), pm, 0j), np.where(np.isfinite(modulus), modulus, -1.0)
-        P, M = np.empty(T.shape, dtype=complex), modulus.reshape(ta.size, _N - 1)
-        P[:, 0], P[:, _N], P[:, 1:-1] = pa, pb, pm.reshape(M.shape)
+        P = np.empty(T.shape, dtype=complex)
+        P[:, 0], P[:, _N] = pa, pb
+        if fresh is None:
+            P[:, 1:-1], M = pm.reshape(ta.size, _N - 1), modulus.reshape(ta.size, _N - 1)
+        else:
+            M = np.empty((ta.size, _N - 1))
+            P[:, 1:-1][fresh], M[fresh] = pm, modulus
+            for j in range(1, _N):  # a repeated parameter's point is its left neighbour's, or the right end's
+                copy = ~fresh[:, j - 1]
+                P[copy, j] = np.where(T[copy, j] == tb[copy], pb[copy], P[copy, j - 1])
+                M[copy, j - 1] = np.abs(P[copy, j])
+            # such a split's curve leaves the fast path, so that _replay ends its walk there
+            groom[np.logical_or.reduceat(~fresh.all(axis=1), marks[:-1])] = -1.0
         F["mid"][take] = M[:, _CENTER]
         with np.errstate(over="ignore", invalid="ignore"):  # a point evaluated ahead may be huge, and is never read
             F = _segments(*(X.take(ends, axis=1).ravel() for X in (T, P) for ends in (_START, _END)))
@@ -260,25 +281,33 @@ def _replay(seg: dict, n: int, scale: float, unit: float, tols: Tolerances):
     one, so what follows it never matters again): the ``ta`` of the pending splits ahead of it and, when none is, the
     error it stops the walk with (the curve divided by ``unit``)."""
     rel, split, mid, distance = tols.origin_tol, seg["split"], seg["mid"], seg["distance"]
+    # a split whose midpoint parameter rounds to an end has that end's point as its midpoint, and one half equal
+    # to itself: the walk repeats it until the budget runs out, so it stops the walk (sub-resolution)
+    ta, tb = seg["ta"], seg["tb"]
+    tm = 0.5 * (ta + tb)
+    repeats = split & ((tm == ta) | (tm == tb))
+    if repeats.any():
+        mid = np.where(repeats, np.abs(np.where(tm == ta, seg["pa"], seg["pb"])), mid)
     before = np.cumsum(split) - split
     scale_with = np.maximum.accumulate(np.fmax(mid, scale))
     scale_before = np.concatenate(([scale], scale_with[:-1]))
     over_budget = split & (n + before >= _MAX_EVALUATIONS)
-    stops = np.where(split, over_budget | (mid < rel * scale_with), distance < rel * scale_before)
+    stops = np.where(split, over_budget | repeats | (mid < rel * scale_with), distance < rel * scale_before)
     first = int(np.argmax(stops)) if stops.any() else None
     pending = (split[:first] & np.isnan(mid[:first])).nonzero()[0]
     if pending.size or first is None:
-        return seg["ta"][pending], None
+        return ta[pending], None
     evaluations, threshold = n + int(before[first]), rel * scale_before[first]
-    if not split[first] or (over_budget[first] and distance[first] < threshold):
-        error = _on_curve(distance[first], threshold, evaluations, unit)
-    elif over_budget[first]:
-        error = RefinementBudgetExceeded(f"refinement exceeded {_MAX_EVALUATIONS} curve evaluations")
-    elif mid[first] < 0.0:
-        error = ValueError(f"curve is not finite at t={float(0.5 * (seg['ta'][first] + seg['tb'][first]))!r}")
-    else:
-        error = _on_curve(mid[first], rel * scale_with[first], evaluations + 1, unit)
-    return seg["ta"][pending], error
+    if split[first] and not over_budget[first]:
+        if mid[first] < 0.0:
+            return ta[pending], ValueError(f"curve is not finite at t={float(tm[first])!r}")
+        if mid[first] < rel * scale_with[first]:
+            return ta[pending], _on_curve(mid[first], rel * scale_with[first], evaluations + 1, unit)
+        # a repeated split, walked until the budget is spent
+        evaluations, threshold = _MAX_EVALUATIONS, rel * scale_with[first]
+    if not split[first] or distance[first] < threshold:
+        return ta[pending], _on_curve(distance[first], threshold, evaluations, unit)
+    return ta[pending], RefinementBudgetExceeded(f"refinement exceeded {_MAX_EVALUATIONS} curve evaluations")
 
 
 def _result(increments: np.ndarray, low_leaf: float, evaluations: int):

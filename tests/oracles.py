@@ -5,7 +5,6 @@ import functools
 import numpy as np
 
 from klstab import simulator
-from klstab.analyzer import _illinois
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, TRIM_REL, Tolerances
 from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
@@ -167,7 +166,10 @@ def predict_flip_by_reduction(pair, x, end, tols=DEFAULT_TOLS, n0=1024):
         value = kl_det_stack(rb.det_c, s.a_lead, s.a_zero, s.r, z) / z**s.r
         return float(abs(value[0])) / scale - tols.origin_tol
 
-    return _illinois(gap, x, end)
+    gx, gend = gap(x), gap(end)
+    if np.sign(gx) == np.sign(gend) != 0.0:
+        raise ValueError("g must have different signs at the ends of the bracket")
+    return end - gend * (end - x) / (gend - gx)
 
 
 def nested_differences(g, k: int, t: float, h: float) -> float:

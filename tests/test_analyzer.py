@@ -504,6 +504,18 @@ def test_flip_prediction_from_eigenvalues_matches_the_reduction_route(monkeypatc
         assert np.allclose(sum(lams, []), sum(reference_lams, []), rtol=0.0, atol=1e-12), (kd, d, lo, hi)
 
 
+def test_an_edge_reads_at_most_11_spectra(monkeypatch):
+    # one upwind_blocks call a spectrum: the rho(A) - 1 solve takes five to ten on a 0.1 bracket, and the secant
+    # flip prediction one more, as it reads the crossing's; the parent read 11 to 32 with an Illinois prediction
+    blocks = analyzer.upwind_blocks
+    for (kd, d), lo, hi in _edge_brackets():
+        spectra = []
+        monkeypatch.setattr(analyzer, "upwind_blocks", lambda a, b: spectra.append(a) or blocks(a, b))
+        bisect_stability_edge(bw_family, _silw_family(kd, d), lo, hi, n0=256, max_iter=20)
+        monkeypatch.undo()
+        assert len(spectra) <= 11, (kd, d, lo, hi, len(spectra))
+
+
 def test_flip_prediction_raises_where_its_curve_leaves_the_float_range():
     # a_0 = 1 puts the pole of the prefactor a_{-r} / (a_0 - z) at z = 1, the first sampled point; the search
     # replaces a prediction that raises by the crossing
@@ -741,6 +753,10 @@ def test_illinois_finds_a_bracketed_root():
 
     root = analyzer._illinois(f, 1.0, 2.0)
     assert abs(root - 2.0 ** (1 / 3)) < 1e-11 and len(calls) <= 12
+    # on [1, 5] the end 5 is kept twice in a row, and its value is scaled by 1 - f(x)/f(e) = 0.105, not halved:
+    # the cube root of 2 to the last bit in 10 values of f, where halving took 12
+    calls.clear()
+    assert analyzer._illinois(f, 1.0, 5.0) == float.fromhex("0x1.428a2f98d728bp+0") and len(calls) == 10
     with pytest.raises(ValueError):
         analyzer._illinois(f, 2.0, 3.0)
 

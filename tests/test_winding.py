@@ -326,11 +326,64 @@ def near_edge_curve(orders, lam):
     return Curve(*sample_kl_curve(s, rb, n0=1024)), kl_curve_evaluator(s, rb)
 
 
-@pytest.mark.parametrize("orders, lam, outcome", NEAR_EDGE)
+def sub_resolution_curve():
+    """The determinant curve of the upwind scheme ``a = (0.5, 0.5)`` at CFL 0.5 with S2ILW36. Near ``t = 2e-4`` its
+    values are rounding noise of about 2 against a largest sample of 164, so one segment there splits 58 levels deep,
+    until its midpoint parameter rounds to one of its ends."""
+    s = Scheme([0.5, 0.5], 0.5)
+    rb = reduce_boundary(s, silw_condition(1, 2, 36, 0.0))
+    return Curve(*sample_kl_curve(s, rb, n0=1024)), kl_curve_evaluator(s, rb)
+
+
+@pytest.mark.parametrize("orders, lam, outcome", NEAR_EDGE + [("sub-resolution", None, "budget")])
 def test_matches_depth_first_reference_near_stability_edges(orders, lam, outcome):
-    # the random curves above build shallow trees; these refine about 20 levels deep
-    curve, evaluator = near_edge_curve(orders, lam)
-    assert assert_matches_reference(curve, Tolerances(), evaluator) == outcome
+    # the random curves above build shallow trees; these refine about 20 levels deep, and the sub-resolution curve
+    # 58, to a split that the depth-first walk repeats until the budget (2048 here) runs out: the walk ends there as
+    # soon as it meets it, in at most one evaluator call a pass of _DEPTH levels
+    if orders == "sub-resolution":
+        (curve, evaluator), budget = sub_resolution_curve(), 2048
+    else:
+        (curve, evaluator), budget = near_edge_curve(orders, lam), winding._MAX_EVALUATIONS
+    calls = []
+    with walk_constants(max_evaluations=budget):
+        assert assert_matches_reference(curve, Tolerances(), evaluator) == outcome
+        _alone(curve, Tolerances(), lambda t: calls.append(t.size) or evaluator(t))
+    assert len(calls) <= 20
+
+
+def jump_curve(rng):
+    """A circle about a random point inside the unit circle, turned by 1.7 to 3 radians (and sometimes shifted a
+    little) past a random parameter: a segment across the jump splits until its midpoint parameter rounds to an
+    end."""
+    cut, centre = rng.uniform(0.1, 6.0), rng.uniform(-0.9, 0.9)
+    turn, shift = np.exp(1j * rng.uniform(1.7, 3.0)), float(rng.choice([0.0, 1e-12, 1e-9, 1e-3]))
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < cut, np.exp(1j * t) - centre, turn * (np.exp(1j * t) - centre) + shift)
+
+    return fn
+
+
+def test_a_split_below_the_parameter_resolution_stops_the_walk_as_the_budget_would():
+    # the outcome, evaluation count and distance of the depth-first walk, which repeats such a split until the
+    # budget runs out, whatever comes first; a split that the origin threshold reaches at the budget is an origin
+    # stop counting the whole budget
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(60):
+        fn = jump_curve(rng)
+        n = int(rng.integers(8, 80))
+        curve, budget = circle_curve(fn, n), int(rng.choice([n + 30, 400, 2048]))
+        tols = Tolerances(origin_tol=float(rng.choice([1e-8, 1e-3, 0.3])))
+        calls = []
+        with walk_constants(max_evaluations=budget):
+            kind = assert_matches_reference(curve, tols, fn)
+            outcome = _alone(curve, tols, lambda t: calls.append(t) or fn(t))
+        evaluated = np.concatenate([curve.params[:-1]] + calls)
+        assert np.unique(evaluated).size == evaluated.size and len(calls) <= 24
+        outcomes.add((kind, getattr(getattr(outcome, "result", None), "samples_used", None) == budget))
+    assert {("budget", False), ("origin", True), ("origin", False)} <= outcomes
 
 
 # a pass evaluates at most the 2^K - 1 points of the subtree of each split it takes, and takes only splits the
@@ -339,24 +392,30 @@ WASTE_BOUND = 2**_DEPTH - 1
 
 
 def counted_levels(params, counted):
-    """The number of levels of the midpoints ``counted`` below the segments between ``params``."""
+    """The number of levels of the midpoints ``counted`` below the segments between ``params``; a midpoint that
+    rounds to an end of its segment starts no level."""
     deepest, stack = 0, [(a, b, 1) for a, b in zip(params[:-1].tolist(), params[1:].tolist())]
     while stack:
         a, b, level = stack.pop()
-        if 0.5 * (a + b) in counted:
+        if a < 0.5 * (a + b) < b and 0.5 * (a + b) in counted:
             deepest = max(deepest, level)
             stack += [(a, 0.5 * (a + b), level + 1), (0.5 * (a + b), b, level + 1)]
     return deepest
 
 
-@pytest.mark.parametrize("orders, lam", [(None, None)] + [entry[:2] for entry in NEAR_EDGE])
+@pytest.mark.parametrize("orders, lam",
+                         [(None, None)] + [entry[:2] for entry in NEAR_EDGE] + [("sub-resolution", None)])
 def test_evaluator_gets_only_new_parameters(orders, lam):
     # never an empty array, never a parameter twice, every midpoint that samples_used counts among those
     # evaluated, at most WASTE_BOUND evaluated a counted one on success, and one call a pass of _DEPTH levels
+    budget = winding._MAX_EVALUATIONS
     if orders is None:
         # the curve of test_coarse_start_refines_to_correct_index
         fn = lambda t: np.exp(1j * t) - 0.985
         curve, evaluator = circle_curve(fn, 64), fn
+    elif orders == "sub-resolution":
+        # its depth-first walk counts the split below the parameter resolution again and again, to the budget
+        (curve, evaluator), budget = sub_resolution_curve(), 2048
     else:
         curve, evaluator = near_edge_curve(orders, lam)
     counted, calls = [], []
@@ -369,16 +428,20 @@ def test_evaluator_gets_only_new_parameters(orders, lam):
         calls.append(np.array(t, copy=True))
         return evaluator(t)
 
-    expected = depth_first_reference(curve, Tolerances(), count)
-    outcome = _alone(curve, Tolerances(), record)
-    result = getattr(outcome, "result", outcome)
-    assert result.samples_used == expected[1] == curve.params.size + len(counted)
+    with walk_constants(max_evaluations=budget):
+        expected = depth_first_reference(curve, Tolerances(), count)
+        outcome = _alone(curve, Tolerances(), record)
+    if isinstance(outcome, RefinementBudgetExceeded):
+        assert expected == ("budget",) and curve.params.size + len(counted) == budget
+    else:
+        result = getattr(outcome, "result", outcome)
+        assert result.samples_used == expected[1] == curve.params.size + len(counted)
+        if not result.origin_on_curve:
+            assert sum(t.size for t in calls) <= WASTE_BOUND * len(counted)
     assert all(t.size > 0 for t in calls)
     evaluated = np.concatenate([curve.params[:-1]] + calls)
     assert np.unique(evaluated).size == evaluated.size
     assert set(counted) <= set(evaluated.tolist())
-    if not result.origin_on_curve:
-        assert sum(t.size for t in calls) <= WASTE_BOUND * len(counted)
     levels = counted_levels(curve.params, set(counted))
     assert levels >= (1 if orders is None else 19)
     assert len(calls) <= math.ceil(levels / _DEPTH)
