@@ -27,7 +27,7 @@ from .errors import DegenerateLeadingCoefficient, IllConditionedKernel, KLStabEr
 from .kl import (ExteriorRootCount, check_finite, exterior_counts, k_matrix, kl_det_stack, reduce_stack, stable_roots,
                  upwind_blocks)
 from .scheme import AssumptionReport, Scheme, validate
-from .winding import WindingResult, sample_kl_curves, winding_numbers
+from .winding import WindingResult, _circle, sample_kl_curves, winding_numbers
 # one-curve and one-pair stages that the engine runs stacked, bound here for perfbench/tracing.py to wrap
 from .kl import exterior_zero_count_direct, reduce_boundary  # noqa: F401
 from .winding import sample_kl_curve, winding_number  # noqa: F401
@@ -489,13 +489,13 @@ def bisect_stability_edge(scheme_family: Callable[[float], Scheme],
 def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> float:
     """The CFL value between the ``rho(A) = 1`` crossing ``x`` and ``end`` where the normalized curve ``D`` at
     ``mu / |mu|`` (``mu`` the eigenvalue of ``A`` nearest the circle) is ``origin_tol`` times its largest first-pass
-    sample at ``x`` from the origin, where the winding's origin test stops firing: the root of ``g = |D| / scale -
-    origin_tol`` by one secant step through ``g(x)`` and ``g(end)``. ``|D(mu / |mu|)|`` is ``||mu| - 1|``, linear
-    in the CFL value near the crossing, times factors that barely move over the at most 1e-5 from ``x`` to ``end``,
-    so ``g`` is close to linear there and one step stands in for a root solve. ``ValueError`` if ``g`` has the same
-    sign at both ends, an ``ArithmeticError`` if ``|D|`` leaves the float range. ``spectrum(lam)`` gives the scheme
-    and the eigenvalues ``mu_j`` of ``A``: ``det(zI - A) = prod(z - mu_j)``, times the prefactors of
-    :func:`kl_det_stack`, over ``z**r``."""
+    sample at ``x`` (on the winding's cached circle points) from the origin, where the winding's origin test stops
+    firing: the root of ``g = |D| / scale - origin_tol`` by one secant step through ``g(x)`` and ``g(end)``.
+    ``|D(mu / |mu|)|`` is ``||mu| - 1|``, linear in the CFL value near the crossing, times factors that barely move
+    over the at most 1e-5 from ``x`` to ``end``, so ``g`` is close to linear there and one step stands in for a root
+    solve. ``ValueError`` if ``g`` has the same sign at both ends, an ``ArithmeticError`` if ``|D|`` leaves the
+    float range. ``spectrum(lam)`` gives the scheme and the eigenvalues ``mu_j`` of ``A``: ``det(zI - A) =
+    prod(z - mu_j)``, times the prefactors of :func:`kl_det_stack`, over ``z**r``."""
 
     def modulus(lam: float, z: np.ndarray) -> np.ndarray:
         s, mu = spectrum(lam)
@@ -507,7 +507,7 @@ def _predict_flip(spectrum, x: float, end: float, tols: Tolerances, n0: int) -> 
         mu = min(spectrum(lam)[1], key=lambda v: abs(abs(v) - 1.0))
         return float(modulus(lam, np.exp(1j * np.angle([mu])))[0]) / scale - tols.origin_tol
 
-    scale = float(np.max(modulus(x, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n0 + 1)))))
+    scale = float(np.max(modulus(x, _circle(n0, spectrum(x)[0].r)[1])))
     gx, gend = gap(x), gap(end)
     if np.sign(gx) == np.sign(gend) != 0.0:
         raise ValueError("g must have different signs at the ends of the bracket")

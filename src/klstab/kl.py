@@ -26,8 +26,9 @@ like the eigenvalues of ``A``, clustered with multiplicity here.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,22 +241,39 @@ def exterior_counts(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> List
     The rational prefactor never vanishes for ``|z| >= 1``, so those zeros are exactly the eigenvalues of
     the update block with modulus above 1, clustered with multiplicity (one ``eigvals`` call for all).
     Eigenvalues inside the band around the unit circle are reported apart, for the caller to classify.
+    Only eigenvalues of modulus at least ``(1 - unit_circle_tol) * (1 - 1e-9)`` can be reported: the margin
+    covers a cluster mean that rounds above its largest member. A row with none is :data:`_CLEAR` and is not
+    clustered; the others are, but a row of singletons yields only the values that reach that modulus.
     """
-    roots = _cluster(np.linalg.eigvals(blocks), tols.cluster_radius)
-    return [_split_by_modulus(row, tols) for row in roots]
+    values = np.linalg.eigvals(blocks)
+    reach = np.abs(values) >= (1.0 - tols.unit_circle_tol) * (1.0 - _CLUSTER_MARGIN)
+    counts = [_CLEAR] * len(values)
+    rows = reach.any(axis=1).nonzero()[0]
+    if rows.size:
+        if rows.size < len(values):
+            values, reach = values[rows], reach[rows]
+        for i, roots in zip(rows.tolist(), _cluster(values, tols.cluster_radius, reach)):
+            counts[i] = _split_by_modulus(roots, tols)
+    return counts
 
 
-# Relative margin by which the pairs of a row must clear the cluster radius for the vectorized
-# path: numpy's stacked modulus may differ from the scalar one in the last bit.
+# Relative margin for last-bit differences: the pairs of a row must clear the cluster radius by it for the
+# vectorized path (numpy's stacked modulus may differ from the scalar one), and a row must stay below the band by
+# it to skip clustering (a cluster mean may round above its largest member).
 _CLUSTER_MARGIN = 1e-9
 
+# The count of a block with no eigenvalue near or outside the unit circle
+_CLEAR = ExteriorRootCount(0, (), ())
 
-def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int], ...]]:
+
+def _cluster(values: np.ndarray, radius: float, report: Optional[np.ndarray] = None
+             ) -> List[Tuple[Tuple[complex, int], ...]]:
     """Each row of ``values`` as ``(mean, multiplicity)`` pairs of its values closer than ``radius``, sorted by real,
     then imaginary part. Rows of finite values whose pairs all clear the radius are singletons, sorted in one
     vectorized pass, when no real part is 0 and no imaginary part -0.0 (the mean of one member would change a zero's
-    sign); the others go through union-find, as real numbers when all their imaginary parts are 0: ``eigvals`` of
-    such a block alone returns them real, and numpy's complex mean of three or more may differ in the last bit."""
+    sign); with a ``report`` mask of the shape of ``values`` they keep only the values it marks. The others go
+    through union-find, whole, as real numbers when all their imaginary parts are 0: ``eigvals`` of such a block
+    alone returns them real, and numpy's complex mean of three or more may differ in the last bit."""
     n = values.shape[1]
     gaps = np.abs(values[:, :, None] - values[:, None, :])
     # a row of finite values has n gaps of 0, its own; all the others must clear the radius
@@ -263,8 +281,11 @@ def _cluster(values: np.ndarray, radius: float) -> List[Tuple[Tuple[complex, int
     imag = values.imag
     plain = np.isfinite(values) & (values.real != 0.0) & ((imag != 0.0) | ~np.signbit(imag))
     simple = (apart & np.logical_and.reduce(plain, axis=1)).tolist()
+    rows = np.arange(values.shape[0])[:, None]
     order = np.lexsort((imag, values.real), axis=-1)
-    ordered = values[np.arange(values.shape[0])[:, None], order].astype(complex).tolist()
+    ordered = values[rows, order].astype(complex).tolist()
+    if report is not None:
+        ordered = [itertools.compress(row, keep) for row, keep in zip(ordered, report[rows, order].tolist())]
     return [tuple((value, 1) for value in row) if single else
             _union_find(values[i].real if not imag[i].any() else values[i], radius)
             for i, (row, single) in enumerate(zip(ordered, simple))]

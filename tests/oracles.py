@@ -7,7 +7,8 @@ import numpy as np
 from klstab import simulator
 from klstab.boundary import BoundaryCondition, assemble_B
 from klstab.config import DEFAULT_TOLS, TRIM_REL, Tolerances
-from klstab.kl import ReducedBoundary, k_matrix, kl_det_stack, parity, reduce_boundary, stable_roots, upwind_blocks
+from klstab.kl import (ReducedBoundary, _cluster, _split_by_modulus, k_matrix, kl_det_stack, parity, reduce_boundary,
+                       stable_roots, upwind_blocks)
 from klstab.scheme import Scheme
 from klstab.simulator import SolutionField
 from klstab.winding import sample_kl_curve, winding_number
@@ -33,6 +34,11 @@ def kl_det_stack_by_power(coeffs: np.ndarray, a_lead, a_zero, r: int, z: np.ndar
         acc = np.multiply(acc, z) + coeffs[..., k, None]
     prefactor = (np.asarray(a_lead)[..., None] / (np.asarray(a_zero)[..., None] - z)) ** (m - r)
     return np.multiply(parity(r, m) * acc, prefactor)
+
+
+def exterior_counts_by_cluster(blocks: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> list:
+    """``kl.exterior_counts`` by clustering every eigenvalue of every row and splitting all the clusters."""
+    return [_split_by_modulus(row, tols) for row in _cluster(np.linalg.eigvals(blocks), tols.cluster_radius)]
 
 
 def kl_curve_evaluator(s: Scheme, rb: ReducedBoundary, normalize: bool = True):

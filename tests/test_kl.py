@@ -7,6 +7,7 @@ from klstab.boundary import assemble_B, custom_condition, silw_condition
 from klstab.config import DEFAULT_TOLS
 from klstab.errors import DegenerateLeadingCoefficient, RootAtZero
 from klstab.kl import (
+    ExteriorRootCount,
     ReducedBoundary,
     _cluster,
     _newton_refine,
@@ -23,8 +24,8 @@ from klstab.kl import (
     upwind_blocks,
 )
 from klstab.scheme import Scheme, make_beam_warming, validate
-from oracles import (kl_det_direct, kl_det_explicit, kl_det_stack_by_power, newton_refine_by_polynomials, poly_at,
-                     symbol, upwind_block, upwind_blocks_by_loop)
+from oracles import (exterior_counts_by_cluster, kl_det_direct, kl_det_explicit, kl_det_stack_by_power,
+                     newton_refine_by_polynomials, poly_at, symbol, upwind_block, upwind_blocks_by_loop)
 
 S2ILW3 = lambda: silw_condition(2, 2, 3, 0.0)
 PRESETS = [(1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (3, 4)]
@@ -705,6 +706,79 @@ def test_cluster_vectorized_rows_match_union_find():
     counts = exterior_counts(blocks)
     assert counts[1].exterior == ((complex(np.mean(triple)), 3),)
     assert repr(counts) == repr([exterior_counts(block[None])[0] for block in blocks])
+
+
+def test_exterior_counts_match_clustering_every_eigenvalue(monkeypatch):
+    # a row with no eigenvalue near the band gets the empty count unclustered, and a row of singletons yields only
+    # the values that reach the band; each count must still be the one of clustering and splitting every
+    # eigenvalue, in a stack of 64 rows and alone, for triangular blocks whose diagonals are the spectra
+    tol, radius = DEFAULT_TOLS.unit_circle_tol, DEFAULT_TOLS.cluster_radius
+    threshold = (1.0 - tol) * (1.0 - 1e-9)
+    rng = np.random.default_rng(38)
+
+    def spectrum(m, family):
+        """``m`` values, interior but for the first one or two, which by the row's kind are none, a band value, an
+        exterior and a band value, a value within an ulp of the threshold, or a pair inside the cluster radius
+        across the band's lower edge. Real values get random signs. Complex values get random angles, but the first
+        two share one axis (zero real parts) or sign, and a real pair may get -0.0 imaginary parts, so their moduli
+        stay exact."""
+        values, kind = rng.uniform(0.05, 0.9, m), rng.integers(5)
+        if kind == 1 or kind == 2 and m == 1:
+            values[0] = 1.0 + rng.uniform(-0.9, 0.9) * tol
+        elif kind == 2:
+            values[:2] = rng.uniform(1.0 + 2.0 * tol, 1.5), 1.0 + rng.uniform(-0.9, 0.9) * tol
+        elif kind == 3:
+            values[0] = np.nextafter(threshold, rng.choice([0.0, threshold, 2.0]))
+        elif kind == 4 and m > 1:
+            below = rng.uniform(0.1, 0.9) * radius
+            values[:2] = 1.0 - tol - below, 1.0 - tol + rng.uniform(0.0, 0.95 * radius - below)
+        values[:2] *= rng.choice([1.0, -1.0])
+        values[2:] *= rng.choice([1.0, -1.0], max(m - 2, 0))
+        if family != "complex":
+            return rng.permutation(values)
+        turned = values * np.exp(2j * np.pi * rng.random(m))
+        turned[:2] = values[:2] * (1j if rng.random() < 0.25 else 1.0)
+        if rng.random() < 0.25:
+            turned[:2] = np.conj(turned[:2])
+        return rng.permutation(turned)
+
+    def stack(m, family):
+        blocks = np.triu(rng.normal(scale=0.3, size=(64, m, m)), 1)
+        if family == "complex":
+            blocks = blocks + 1j * np.triu(rng.normal(scale=0.3, size=(64, m, m)), 1)
+        diagonals = np.array([spectrum(m, family) for _ in range(64)])
+        blocks[:, np.arange(m), np.arange(m)] = diagonals  # set, not added: the signs of zeros stay
+        if family == "rotated" and m > 1:
+            for block, values in zip(blocks[::2], diagonals[::2]):  # a pair of complex conjugates of modulus v_0
+                angle = 2.0 * np.pi * rng.random()
+                block[:2, :2] = values[0] * np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
+        return blocks
+
+    counts = []
+    for m in range(1, 15):
+        for family in ("real", "rotated", "complex"):
+            blocks = stack(m, family)
+            assert (np.linalg.eigvals(blocks).dtype == float) == (family == "real" or m == 1 and family == "rotated")
+            expected = exterior_counts_by_cluster(blocks)
+            assert repr(exterior_counts(blocks)) == repr(expected)
+            for block in blocks[::8]:
+                assert repr(exterior_counts(block[None])) == repr(exterior_counts_by_cluster(block[None]))
+            counts += expected
+    # the kinds of rows all occur: clear, a band root alone, exterior roots, and a merged pair in the band
+    assert any(count == ExteriorRootCount(0, (), ()) for count in counts)
+    assert any(not count.exterior and len(count.boundary_band) == 1 for count in counts)
+    assert any(count.count for count in counts)
+    assert any(mult == 2 for count in counts for _, mult in count.boundary_band)
+    # LAPACK returns the diagonal of a triangular block exactly, the threshold and its neighbours included, but
+    # gives -0.0 imaginary parts as +0.0: an eigensolver that keeps them, the diagonal itself, counts the same
+    blocks = stack(3, "complex")
+    assert threshold in np.abs(np.linalg.eigvals(blocks))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.diagonal(a, axis1=-2, axis2=-1).copy())
+    imag = np.linalg.eigvals(blocks).imag
+    assert (np.signbit(imag) & (imag == 0.0)).any()
+    assert repr(exterior_counts(blocks)) == repr(exterior_counts_by_cluster(blocks))
+    for block in blocks[::4]:
+        assert repr(exterior_counts(block[None])) == repr(exterior_counts_by_cluster(block[None]))
 
 
 def test_newton_refine_matches_polynomial_objects_bit_for_bit(lagrange_upwind):
